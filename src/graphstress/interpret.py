@@ -279,6 +279,10 @@ def masked_graph(graph: Graph, manifest: TargetManifest, condition: str) -> tupl
     Edge kind: removes the masked subgraph edges (both arcs) from the full
     graph. Atom kind: removes the masked atoms' incident bonds; atom ids stay
     valid but are excluded from pooling via the returned array.
+
+    This is the full-graph reference an external model re-scores. The
+    built-in model reaches the same probabilities without a rebuild, through
+    ``refmodel.predict_node(..., masked_edges=...)``.
     """
     masked = manifest.conditions[condition]
     if manifest.unit_kind == "edge":

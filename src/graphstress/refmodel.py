@@ -73,17 +73,26 @@ def propagate_predict(graph: Graph, train_labels: np.ndarray, num_classes: int,
 
 def predict_node(graph: Graph, train_labels: np.ndarray, num_classes: int, node: int,
                  config: PropagationConfig = PropagationConfig(),
-                 pool_excluded: np.ndarray | None = None) -> np.ndarray:
+                 pool_excluded: np.ndarray | None = None,
+                 masked_edges: np.ndarray | None = None) -> np.ndarray:
     """One node's probability row via local breadth-first search.
 
     Equals the corresponding propagate_predict row; used where rebuilding the
     full reachability matrix per masking condition would be wasteful.
     ``pool_excluded`` nodes contribute no label counts (atom-ablation rule).
+    ``masked_edges`` holds canonical ``(u, v)`` rows, ``u < v``: the search
+    never steps along such an edge, in either direction. The built-in model
+    scores each interpretation condition this way, by a (default 2-hop)
+    traversal of the clean graph that skips the masked edges. The row is
+    bit-identical to scoring ``interpret.masked_graph``'s output, which stays
+    the full-graph reference for external re-scoring.
     """
     mask = _train_mask(train_labels, num_classes)
     if not mask.any():
         raise NoTrainLabels("propagation needs at least one labeled train node")
     excluded = set(map(int, pool_excluded)) if pool_excluded is not None else set()
+    blocked = (set(map(tuple, np.asarray(masked_edges, dtype=np.int64).reshape(-1, 2).tolist()))
+               if masked_edges is not None else set())
     visited = {int(node)}
     frontier = [int(node)]
     counts = np.zeros(num_classes, dtype=np.float64)
@@ -93,6 +102,8 @@ def predict_node(graph: Graph, train_labels: np.ndarray, num_classes: int, node:
         for u in frontier:
             for v in graph.neighbors_of(u).tolist():
                 if v not in visited and v != u:
+                    if blocked and ((u, v) if u < v else (v, u)) in blocked:
+                        continue
                     visited.add(v)
                     nxt.append(v)
                     if mask[v] and v not in excluded:
@@ -107,7 +118,9 @@ def predict_node(graph: Graph, train_labels: np.ndarray, num_classes: int, node:
 def predicted_class_prob(graph: Graph, train_labels: np.ndarray, num_classes: int,
                          node: int, clean_class: int,
                          config: PropagationConfig = PropagationConfig(),
-                         pool_excluded: np.ndarray | None = None) -> float:
+                         pool_excluded: np.ndarray | None = None,
+                         masked_edges: np.ndarray | None = None) -> float:
     """Probability the masked-input scorer assigns to the clean predicted class."""
-    row = predict_node(graph, train_labels, num_classes, node, config, pool_excluded)
+    row = predict_node(graph, train_labels, num_classes, node, config, pool_excluded,
+                       masked_edges)
     return float(row[clean_class])

@@ -1,12 +1,17 @@
 """End-to-end command tests: every subcommand, the pipeline runner, exit codes."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graphstress
+import graphstress.cli as cli
 from graphstress.cli import main
 from graphstress.graph_store import Role, load_dataset, read_split_file, save_dataset
 from graphstress.interpret import (
@@ -398,6 +403,23 @@ def test_run_config_errors_exit_2(small_ds, tmp_path):
     assert main(["run", "--config", str(no_datasets)]) == 2
 
 
+def test_external_method_without_pred_dir_exits_2_before_loading(small_ds, tmp_path,
+                                                               monkeypatch, capsys):
+    def no_load(manifest):
+        raise AssertionError("a bad config must be rejected before any dataset loads")
+
+    monkeypatch.setattr(cli, "load_dataset", no_load)
+    config = _write_config(tmp_path / "config.json", manifest=small_ds, seeds=1,
+                           methods=[{"kind": "external", "name": "m_ext"}])
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "pred_dir" in err
+
+    unknown_kind = _write_config(tmp_path / "uk.json", manifest=small_ds,
+                                 methods=[{"kind": "oracle"}])
+    assert main(["run", "--config", str(unknown_kind)]) == 2
+
+
 def test_run_seed_override(small_ds, tmp_path):
     config = _write_config(tmp_path / "config.json", manifest=small_ds,
                            axes=["fairness"], seeds=3)
@@ -448,3 +470,13 @@ def test_console_script_help():
     for sub in ("corrupt", "split", "imbalance", "fairness", "refmodel",
                 "interpret", "report", "run"):
         assert sub in proc.stdout
+
+
+def test_module_entry_point_help():
+    src = str(Path(graphstress.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "graphstress.cli", "--help"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: stress")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphstress.cli import PipelineRunner
 from graphstress.determinism import derive_key
 from graphstress.errors import (
     BadProbability,
@@ -300,6 +301,22 @@ def test_masked_graph_atom_kind():
     assert out.degrees()[0] == 0  # every bond at the masked atom is gone
     assert out.num_nodes == mol.num_nodes  # atom ids stay valid
     check_symmetry(out)
+
+
+def test_refmodel_interpret_job_builds_no_graph(tmp_path, monkeypatch, node_dataset):
+    runner = PipelineRunner({"interpret_targets": 4}, tmp_path)
+    built = []
+    from_arcs = Graph.__dict__["from_arcs"].__func__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args[0])
+        return from_arcs(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "from_arcs", classmethod(counting))
+    values = runner._axis_interpret(node_dataset, {"kind": "refmodel", "name": "refmodel"}, 0)
+    assert built == []
+    assert len(values) == 2 * len(K_PERCENT_LEVELS)
+    assert all(v is not None for v in values.values())
 
 
 # ---------------------------------------------------------------------------

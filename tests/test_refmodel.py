@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphstress.errors import ConfigError, NoTrainLabels
+from graphstress.determinism import derive_key
+from graphstress.errors import ConfigError, EmptySubgraph, NoTrainLabels
 from graphstress.graph_store import Graph
+from graphstress.interpret import SaliencyTable, build_edge_manifest, masked_graph
 from graphstress.refmodel import (
     PropagationConfig,
     predict_node,
@@ -136,3 +138,41 @@ def test_predict_node_matches_matrix_property(seed, hops):
     rows = propagate_predict(g, train, 3, config).rows_for(np.arange(n))
     node = int(rng.integers(0, n))
     assert np.allclose(predict_node(g, train, 3, node, config), rows[node], atol=1e-12)
+
+
+@given(st.integers(0, 10_000), st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_masked_traversal_equals_full_graph_masking_property(seed, hops):
+    # graphs with self-loops; every condition of a real manifest
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 30))
+    src = np.append(rng.integers(0, n, 2 * n), rng.integers(0, n, 3))
+    dst = np.append(rng.integers(0, n, 2 * n), src[-3:])
+    g = Graph.from_arcs(n, src, dst, symmetrize=True)
+    train = np.where(rng.random(n) < 0.5, rng.integers(0, 3, n), -1).astype(np.int64)
+    train[int(rng.integers(0, n))] = 0
+    config = PropagationConfig(hops=hops)
+    scores = SaliencyTable("node_grad_norm", np.arange(n), rng.random(n))
+    target = int(rng.integers(0, n))
+    try:
+        manifest = build_edge_manifest(g, target, scores, derive_key("t", "p", "m", 0, seed),
+                                       hops=hops)
+    except EmptySubgraph:
+        return
+    clean = predict_node(g, train, 3, target, config)
+    assert (clean == propagate_predict(g, train, 3, config).rows_for(np.array([target]))[0]).all()
+    for name, units in manifest.conditions.items():
+        local = predict_node(g, train, 3, target, config, masked_edges=manifest.edges[units])
+        full = predict_node(masked_graph(g, manifest, name)[0], train, 3, target, config)
+        assert (local == full).all(), name
+
+
+def test_masked_edges_block_both_directions():
+    # chain 0-1-2 with (1, 2) masked: no label crosses that edge either way
+    g = _chain(3)
+    train = np.array([-1, 0, 1], dtype=np.int64)
+    masked = np.array([[1, 2]])
+    assert predict_node(g, train, 2, 0, masked_edges=masked).tolist() == [2 / 3, 1 / 3]
+    assert predict_node(g, train, 2, 1, masked_edges=masked).tolist() == [0.5, 0.5]
+    assert predict_node(g, train, 2, 2, masked_edges=masked).tolist() == [0.5, 0.5]
+    assert predicted_class_prob(g, train, 2, 1, 1, masked_edges=masked) == 0.5
