@@ -20,6 +20,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +28,15 @@ import numpy as np
 from . import __version__
 from .corruption import EDGE_LEVELS, FEATURE_LEVELS, drop_metric, edge_delete, feature_noise
 from .determinism import derive_key
-from .errors import ConfigError, EmptySubgraph, MissingInput, PartialFailure, StressError
-from .fairness import demographic_gaps, head_tail_gap, head_tail_groups
+from .errors import (
+    ConfigError,
+    DegenerateGroup,
+    EmptySubgraph,
+    MissingInput,
+    PartialFailure,
+    StressError,
+)
+from .fairness import DemographicGaps, demographic_gaps, head_tail_gap, head_tail_groups
 from .graph_store import (
     Dataset,
     Graph,
@@ -90,8 +98,7 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _train_labels(dataset: Dataset, train_units: np.ndarray) -> np.ndarray:
-    g = dataset.graph
+def _train_labels(g: Graph, train_units: np.ndarray) -> np.ndarray:
     out = np.full(g.num_nodes, -1, dtype=np.int64)
     out[train_units] = g.labels[train_units]
     return out
@@ -107,87 +114,191 @@ def _refmodel_saliency(dataset: Dataset, train_units: np.ndarray) -> SaliencyTab
 
 
 # ---------------------------------------------------------------------------
+# operator layer: the subcommands and the runner's axis drivers both call
+# these, so a subcommand's output is byte-equal to the runner's ops/ copy
+# ---------------------------------------------------------------------------
+
+def _given_split(dataset: Dataset) -> SplitAssignment:
+    if dataset.split is None:
+        raise MissingInput(f"{dataset.name}: no train/test split (split_file) in its manifest")
+    return dataset.split
+
+
+def _corrupted(dataset: Dataset, channel: str, idx: int, seed: int):
+    """(dataset, level, key) at severity index idx of channel feature|edge; 0 is clean."""
+    levels = FEATURE_LEVELS if channel == "feature" else EDGE_LEVELS
+    if not 0 <= idx <= len(levels):
+        raise ConfigError(f"severity index {idx} outside 0..{len(levels)}")
+    level = None if idx == 0 else levels[idx - 1]
+    g = dataset.graph
+    if channel == "feature":
+        if g.features is None:
+            raise MissingInput(f"{dataset.name}: feature noise needs node features")
+        train = _given_split(dataset).units(Role.TRAIN)
+        key = derive_key("corruption", dataset.name, "feature_noise", idx, seed)
+    else:
+        # severity enters through p only, so deletion sets nest across levels
+        key = derive_key("corruption", dataset.name, "edge_delete", 0, seed)
+    if idx == 0:
+        graph = g
+    elif channel == "feature":
+        graph = replace(g, features=feature_noise(g.features, train, level, key))
+    else:
+        graph = edge_delete(g, level, key)
+    corrupted = Dataset(kind=dataset.kind, name=dataset.name, graph=graph, split=dataset.split)
+    return corrupted, level, key
+
+
+def _ood_split(dataset: Dataset, mechanism: str, seed: int):
+    """Split of one OOD mechanism; a KgInductiveSplit for kg, else a SplitAssignment."""
+    g = dataset.graph
+    if mechanism == "degree":
+        return degree_shift_split(g, g.labeled_nodes())
+    if mechanism == "temporal":
+        if g.meta.year is None:
+            raise MissingInput(f"{dataset.name}: temporal split needs per-node years")
+        return temporal_split(g.meta.year, g.labeled_nodes())
+    if mechanism == "scaffold":
+        key = derive_key("ood", dataset.name, "scaffold", 0, seed)
+        return scaffold_split(dataset.collection.scaffold_ids, key)
+    key = derive_key("ood", dataset.name, "kg_inductive", 0, seed)
+    return inductive_entity_split(dataset.store, key)
+
+
+def _write_split(out_dir: Path, split) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if isinstance(split, SplitAssignment):
+        write_split_file(out_dir / "split.tsv", split)
+    else:
+        write_triple_file(out_dir / "train_triples.tsv", split.train_triples)
+
+
+def _imbalanced(dataset: Dataset, rho: float, seed: int):
+    """(spec, kept train units, reduced split) of a step-imbalance downsample."""
+    g = dataset.graph
+    split = _given_split(dataset)
+    train = split.units(Role.TRAIN)
+    spec = build_spec(np.bincount(g.labels[train], minlength=g.num_classes), rho)
+    key = derive_key("imbalance", dataset.name, "downsample", int(rho), seed)
+    kept = step_downsample(train_units_by_class(g.labels, train, g.num_classes), spec, key)
+    roles = split.roles.copy()
+    roles[np.setdiff1d(train, kept)] = int(Role.EXCLUDED)
+    return spec, kept, SplitAssignment(roles)
+
+
+def _head_tail(dataset: Dataset, table: PredictionTable, quantile: float):
+    """(groups, gap) of the test split's degree head and tail; gap is None for empty groups."""
+    g = dataset.graph
+    groups = head_tail_groups(_given_split(dataset).units(Role.TEST), g.degrees(), quantile)
+    gap = head_tail_gap(table, g.labels, groups) if len(groups.first) else None
+    return groups, gap
+
+
+def _demographic(dataset: Dataset, table: PredictionTable,
+                 threshold: float | None = None) -> DemographicGaps:
+    """Demographic gaps on the test split; all None when a sensitive group is empty."""
+    g = dataset.graph
+    sens = g.meta.sensitive_attr
+    if sens is None:
+        raise MissingInput(f"{dataset.name}: demographic gaps need a sensitive attribute")
+    test = _given_split(dataset).units(Role.TEST)
+    binary = table.predicted_classes(test, threshold=threshold)
+    scores = table.scores_for(test)
+    try:
+        return demographic_gaps(binary, scores, g.labels[test], sens[test])
+    except DegenerateGroup as e:
+        log.warning("%s: demographic gaps undefined: %s", dataset.name, e)
+        return DemographicGaps(d_sp=None, d_eo=None, d_util=None)
+
+
+def _refmodel_table(graph: Graph, train_units: np.ndarray,
+                    config: PropagationConfig = PropagationConfig()) -> PredictionTable:
+    return propagate_predict(graph, _train_labels(graph, train_units), graph.num_classes, config)
+
+
+def _edge_manifests(dataset: Dataset, saliency: SaliencyTable, targets: list, seed: int,
+                    k_levels, hops: int = 2, out_dir: Path | None = None) -> dict:
+    """Target -> edge manifest, leaving out targets whose receptive field has no edge.
+
+    With ``out_dir`` each manifest is also written to target_<t>.manifest there.
+    """
+    manifests = {}
+    for t in targets:
+        key = derive_key("interpret", dataset.name, f"mask_target_{t}", 0, seed)
+        try:
+            manifests[t] = build_edge_manifest(dataset.graph, t, saliency, key, hops=hops,
+                                               k_levels=k_levels)
+        except EmptySubgraph:
+            log.info("target %d skipped: empty receptive field", t)
+            continue
+        if out_dir is not None:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            write_manifest_file(out_dir / f"target_{t}.manifest", manifests[t])
+    return manifests
+
+
+def _fidelity_records(targets, k_levels, probability) -> dict:
+    """Target -> {(ranking, k): FidelityRecord}.
+
+    ``probability(t, condition)`` is target t's predicted-class probability
+    with the condition's units masked; it is asked for "clean" (nothing
+    masked) before any masked condition of the same target.
+    """
+    records = {}
+    for t in targets:
+        p0 = probability(t, "clean")
+        records[t] = {(r, k): fidelity(p0, probability(t, condition_name(r, "top", k)),
+                                       probability(t, condition_name(r, "comp", k)))
+                      for r in RANKINGS for k in k_levels}
+    return records
+
+
+def _chars(records: dict, ranking: str, k) -> list[float]:
+    return [rec[(ranking, k)].char for rec in records.values()]
+
+
+def _probs_lookup(probs: dict, source: str):
+    """probability(t, condition) for _fidelity_records, read from a probs file's rows."""
+    def probability(t, condition):
+        if (t, condition) not in probs:
+            raise MissingInput(f"{source} lacks the {condition} probability of target {t}")
+        return probs[(t, condition)]
+    return probability
+
+
+# ---------------------------------------------------------------------------
 # operator subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_corrupt(args) -> int:
     dataset = load_dataset(args.dataset)
-    g = dataset.graph
+    corrupted, level, key = _corrupted(dataset, args.channel, args.severity_index, args.seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    idx = args.severity_index
-    if args.channel == "feature":
-        if g.features is None:
-            raise MissingInput(f"{dataset.name}: feature noise needs node features")
-        if dataset.split is None:
-            raise MissingInput(f"{dataset.name}: feature noise needs a train split")
-        levels = FEATURE_LEVELS
-        if not 0 <= idx <= len(levels):
-            raise ConfigError(f"severity index {idx} outside 0..{len(levels)}")
-        key = derive_key("corruption", dataset.name, "feature_noise", idx, args.seed)
-        if idx == 0:
-            corrupted = g.features.copy()
-        else:
-            train = dataset.split.units(Role.TRAIN)
-            corrupted = feature_noise(g.features, train, levels[idx - 1], key)
-        new_graph = Dataset(kind=dataset.kind, name=dataset.name, split=dataset.split,
-                            graph=_with_features(g, corrupted))
-    else:
-        levels = EDGE_LEVELS
-        if not 0 <= idx <= len(levels):
-            raise ConfigError(f"severity index {idx} outside 0..{len(levels)}")
-        # severity enters through p only, so deletion sets nest across levels
-        key = derive_key("corruption", dataset.name, "edge_delete", 0, args.seed)
-        corrupted_graph = g if idx == 0 else edge_delete(g, levels[idx - 1], key)
-        new_graph = Dataset(kind=dataset.kind, name=dataset.name, split=dataset.split,
-                            graph=corrupted_graph)
-    save_dataset(new_graph, out)
+    save_dataset(corrupted, out)
     sidecar = {
         "axis": "corruption", "dataset": dataset.name,
         "op": "feature_noise" if args.channel == "feature" else "edge_delete",
-        "severity_index": idx, "seed": args.seed,
-        "level": None if idx == 0 else levels[idx - 1],
+        "severity_index": args.severity_index, "seed": args.seed, "level": level,
         "key": f"{key.key:016x}",
     }
     (out / "corrupt.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     return 0
 
 
-def _with_features(g, features):
-    return Graph(num_nodes=g.num_nodes, offsets=g.offsets, neighbors=g.neighbors,
-                 undirected=g.undirected, features=features, labels=g.labels,
-                 num_classes=g.num_classes, meta=g.meta)
-
-
 def cmd_split(args) -> int:
     dataset = load_dataset(args.dataset)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if args.mechanism == "degree":
-        split = degree_shift_split(dataset.graph, dataset.graph.labeled_nodes())
-        write_split_file(out / "split.tsv", split)
-    elif args.mechanism == "temporal":
-        years = dataset.graph.meta.year
-        if years is None:
-            raise MissingInput(f"{dataset.name}: temporal split needs per-node years")
-        split = temporal_split(years, dataset.graph.labeled_nodes())
-        write_split_file(out / "split.tsv", split)
-    elif args.mechanism == "scaffold":
-        key = derive_key("ood", dataset.name, "scaffold", 0, args.seed)
-        split = scaffold_split(dataset.collection.scaffold_ids, key)
-        write_split_file(out / "split.tsv", split)
-    else:  # kg
-        key = derive_key("ood", dataset.name, "kg_inductive", 0, args.seed)
-        ksplit = inductive_entity_split(dataset.store, key)
-        write_triple_file(out / "train_triples.tsv", ksplit.train_triples)
+    split = _ood_split(dataset, args.mechanism, args.seed)
+    _write_split(out, split)
+    if args.mechanism == "kg":
         with open(out / "queries.tsv", "w") as f:
-            for h, r, t, d in ksplit.test_queries.tolist():
+            for h, r, t, d in split.test_queries.tolist():
                 f.write(f"{h}\t{r}\t{t}\t{d}\n")
         with open(out / "train_entities.tsv", "w") as f:
-            for e in ksplit.train_entities.tolist():
+            for e in split.train_entities.tolist():
                 f.write(f"{e}\n")
         with open(out / "test_entities.tsv", "w") as f:
-            for e in ksplit.test_entities.tolist():
+            for e in split.test_entities.tolist():
                 f.write(f"{e}\n")
     sidecar = {"axis": "ood", "mechanism": args.mechanism, "dataset": dataset.name,
                "seed": args.seed}
@@ -197,18 +308,9 @@ def cmd_split(args) -> int:
 
 def cmd_imbalance(args) -> int:
     dataset = load_dataset(args.dataset)
-    g = dataset.graph
+    spec, _kept, split = _imbalanced(dataset, args.rho, args.seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    train = dataset.split.units(Role.TRAIN)
-    counts = np.bincount(g.labels[train], minlength=g.num_classes)
-    spec = build_spec(counts, args.rho)
-    key = derive_key("imbalance", dataset.name, "downsample", int(args.rho), args.seed)
-    kept = step_downsample(train_units_by_class(g.labels, train, g.num_classes), spec, key)
-    roles = dataset.split.roles.copy()
-    dropped = np.setdiff1d(train, kept)
-    roles[dropped] = int(Role.EXCLUDED)
-    write_split_file(out / "split.tsv", SplitAssignment(roles))
+    _write_split(out, split)
     sidecar = {
         "axis": "imbalance", "dataset": dataset.name, "rho": args.rho, "seed": args.seed,
         "major_classes": list(spec.major_classes), "minor_classes": list(spec.minor_classes),
@@ -220,42 +322,29 @@ def cmd_imbalance(args) -> int:
 
 def cmd_fairness(args) -> int:
     dataset = load_dataset(args.dataset)
-    g = dataset.graph
     preds = read_prediction_file(args.pred)
-    test = dataset.split.units(Role.TEST)
     result: dict = {"dataset": dataset.name, "kind": args.kind}
     if args.kind == "structural":
-        groups = head_tail_groups(test, g.degrees(), args.quantile)
-        result["head_tail_gap_pp"] = head_tail_gap(preds, g.labels, groups)
+        groups, gap = _head_tail(dataset, preds, args.quantile)
+        result["head_tail_gap_pp"] = gap
         result["head_size"] = len(groups.first)
         result["tail_size"] = len(groups.second)
     else:
-        sens = g.meta.sensitive_attr
-        if sens is None:
-            raise MissingInput(f"{dataset.name}: demographic gaps need a sensitive attribute")
-        binary = preds.predicted_classes(test, threshold=args.threshold)
-        scores = preds.scores_for(test)
-        gaps = demographic_gaps(binary, scores, g.labels[test], sens[test])
-        result["d_sp"] = gaps.d_sp
-        result["d_eo"] = gaps.d_eo
-        result["d_util"] = gaps.d_util
+        result.update(asdict(_demographic(dataset, preds, args.threshold)))
     Path(args.out).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     return 0
 
 
 def cmd_refmodel(args) -> int:
     dataset = load_dataset(args.dataset)
-    g = dataset.graph
-    train = dataset.split.units(Role.TRAIN)
-    config = PropagationConfig(hops=args.hops, alpha=args.alpha)
-    table = propagate_predict(g, _train_labels(dataset, train), g.num_classes, config)
+    table = _refmodel_table(dataset.graph, _given_split(dataset).units(Role.TRAIN),
+                            PropagationConfig(hops=args.hops, alpha=args.alpha))
     write_prediction_file(args.out, table)
     return 0
 
 
 def cmd_interpret_emit(args) -> int:
     dataset = load_dataset(args.dataset)
-    g = dataset.graph
     saliency = read_saliency_file(args.saliency)
     k_levels = tuple(float(x) if "." in x else int(x) for x in args.k.split(","))
     out = Path(args.out)
@@ -263,56 +352,33 @@ def cmd_interpret_emit(args) -> int:
     if args.targets:
         targets = [int(t) for t in args.targets.split(",")]
     else:
-        targets = dataset.split.units(Role.TEST)[:args.num_targets].tolist()
-    written, skipped = [], []
-    for t in targets:
-        key = derive_key("interpret", dataset.name, f"mask_target_{t}", 0, args.seed)
-        try:
-            manifest = build_edge_manifest(g, t, saliency, key, hops=args.hops,
-                                           k_levels=k_levels)
-        except EmptySubgraph:
-            log.info("target %d skipped: empty receptive field", t)
-            skipped.append(int(t))
-            continue
-        write_manifest_file(out / f"target_{t}.manifest", manifest)
-        written.append(int(t))
+        targets = _given_split(dataset).units(Role.TEST)[:args.num_targets].tolist()
+    manifests = _edge_manifests(dataset, saliency, targets, args.seed, k_levels,
+                                hops=args.hops, out_dir=out)
     sidecar = {"axis": "interpret", "dataset": dataset.name, "seed": args.seed,
-               "k_levels": list(k_levels), "targets": written, "skipped": skipped}
+               "k_levels": list(k_levels), "targets": list(manifests),
+               "skipped": [t for t in targets if t not in manifests]}
     (out / "emit.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     return 0
 
 
 def cmd_interpret_score(args) -> int:
-    manifest_dir = Path(args.manifest)
-    probs = read_probs_file(args.probs)
-    emit_meta = json.loads((manifest_dir / "emit.json").read_text())
+    emit_meta = json.loads((Path(args.manifest) / "emit.json").read_text())
     k_levels = emit_meta["k_levels"]
-    records: dict = {}
-    per_k: dict = {}
-    for t in emit_meta["targets"]:
-        if (t, "clean") not in probs:
-            raise MissingInput(f"probs file lacks clean probability for target {t}")
-        p0 = probs[(t, "clean")]
-        records[str(t)] = {}
-        for ranking in RANKINGS:
-            for k in k_levels:
-                top = condition_name(ranking, "top", k)
-                comp = condition_name(ranking, "comp", k)
-                if (t, top) not in probs or (t, comp) not in probs:
-                    raise MissingInput(f"probs file lacks condition {top}/{comp} for target {t}")
-                rec = fidelity(p0, probs[(t, top)], probs[(t, comp)])
-                records[str(t)][condition_name(ranking, "char", k)] = rec.char
-                records[str(t)][condition_name(ranking, "fid_plus", k)] = rec.fid_plus
-                records[str(t)][condition_name(ranking, "fid_minus", k)] = rec.fid_minus
-                per_k.setdefault((ranking, k), []).append(rec.char)
+    records = _fidelity_records(emit_meta["targets"], k_levels,
+                                _probs_lookup(read_probs_file(args.probs), args.probs))
+    per_target = {str(t): {condition_name(r, part, k): getattr(rec, part)
+                           for (r, k), rec in recs.items()
+                           for part in ("char", "fid_plus", "fid_minus")}
+                  for t, recs in records.items()}
     cells: dict = {}
     for k in k_levels:
-        sal = aggregate_seeds(per_k[("saliency", k)])
-        rand = aggregate_seeds(per_k[("random", k)])
+        sal, rand = (aggregate_seeds(_chars(records, r, k)) if records else MetricCell.undef()
+                     for r in ("saliency", "random"))
         cells[f"char_saliency_{k}"] = sal.as_dict()
         cells[f"char_random_{k}"] = rand.as_dict()
         cells[f"delta_char_{k}"] = char_lift(sal, rand).as_dict()
-    payload = {"records": records, "cells": cells, "n_targets": len(emit_meta["targets"])}
+    payload = {"records": per_target, "cells": cells, "n_targets": len(emit_meta["targets"])}
     Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -377,22 +443,6 @@ def _cell_from_values(values: list) -> MetricCell:
     return aggregate_seeds([float(v) for v in values])
 
 
-class _CellJob:
-    """One (dataset, method, axis, seed) computation producing sub -> value."""
-
-    def __init__(self, runner, dataset_name, method, axis, seed):
-        self.runner = runner
-        self.dataset_name = dataset_name
-        self.method = method
-        self.axis = axis
-        self.seed = seed
-
-    def run(self) -> dict:
-        dataset = self.runner.datasets[self.dataset_name]
-        fn = getattr(self.runner, f"_axis_{self.axis}")
-        return fn(dataset, self.method, self.seed)
-
-
 class PipelineRunner:
     """Executes the requested cell grid and writes the result tree."""
 
@@ -414,17 +464,17 @@ class PipelineRunner:
         # parallel jobs never race on the same file
         return self.write_ops and method["name"] == self._ops_method
 
+    def _op_dir(self, dataset: Dataset, tag: str) -> Path:
+        return self.out / "ops" / dataset.name / tag
+
     # -- axis drivers: return {subcondition: value | None | INAPPLICABLE} --
 
     def _score_table(self, dataset: Dataset, method: dict, axis: str, sub: str,
                      seed: int, graph=None, train=None) -> PredictionTable:
-        g = graph if graph is not None else dataset.graph
         if method["kind"] == "refmodel":
             if train is None:
-                train = dataset.split.units(Role.TRAIN)
-            labels = np.full(g.num_nodes, -1, dtype=np.int64)
-            labels[train] = g.labels[train]
-            return propagate_predict(g, labels, g.num_classes)
+                train = _given_split(dataset).units(Role.TRAIN)
+            return _refmodel_table(dataset.graph if graph is None else graph, train)
         pred_path = (Path(method["pred_dir"]) / dataset.name / axis / sub
                      / f"seed{seed}.pred")
         if not pred_path.is_file():
@@ -435,23 +485,18 @@ class PipelineRunner:
 
     def _axis_corruption(self, dataset: Dataset, method: dict, seed: int) -> dict:
         g = dataset.graph
-        test = dataset.split.units(Role.TEST)
-        train = dataset.split.units(Role.TRAIN)
-        out: dict = {}
-        clean = accuracy(self._score_table(dataset, method, "corruption", "clean", seed),
-                         g.labels, test) * 100.0
-        out["clean"] = clean
+        test = _given_split(dataset).units(Role.TEST)
+        clean = self._score_table(dataset, method, "corruption", "clean", seed)
+        out: dict = {"clean": accuracy(clean, g.labels, test) * 100.0}
 
         feature_ok = g.features is not None and METHOD_TRAITS[method["kind"]]["uses_features"]
-        write_feature_ops = self._writes_ops(method) and g.features is not None
-        for i, sigma in enumerate(FEATURE_LEVELS, start=1):
+        for i in range(1, len(FEATURE_LEVELS) + 1):
             sub = f"feature_sev{i}"
-            if feature_ok or write_feature_ops:
-                key = derive_key("corruption", dataset.name, "feature_noise", i, seed)
-                noisy = feature_noise(g.features, train, sigma, key)
-                if write_feature_ops:
-                    self._write_op_dataset(dataset, _with_features(g, noisy),
-                                           f"corrupt_feature_sev{i}_seed{seed}")
+            # an external method is scored from its own prediction file, so
+            # the noisy features are drawn only for the ops/ copy
+            if self._writes_ops(method) and g.features is not None:
+                save_dataset(_corrupted(dataset, "feature", i, seed)[0],
+                             self._op_dir(dataset, f"corrupt_{sub}_seed{seed}"))
             if not feature_ok:
                 out[sub] = INAPPLICABLE
                 continue
@@ -460,71 +505,55 @@ class PipelineRunner:
         out["feature_drop"] = (drop_metric(out["clean"], out["feature_sev5"])
                                if feature_ok else INAPPLICABLE)
 
-        edge_key = derive_key("corruption", dataset.name, "edge_delete", 0, seed)
-        for i, p in enumerate(EDGE_LEVELS, start=1):
+        for i in range(1, len(EDGE_LEVELS) + 1):
             sub = f"edge_sev{i}"
-            deleted = edge_delete(g, p, edge_key)
+            deleted = _corrupted(dataset, "edge", i, seed)[0]
             if self._writes_ops(method):
-                self._write_op_dataset(dataset, deleted, f"corrupt_edge_sev{i}_seed{seed}")
+                save_dataset(deleted, self._op_dir(dataset, f"corrupt_{sub}_seed{seed}"))
             table = self._score_table(dataset, method, "corruption", sub, seed,
-                                      graph=deleted, train=train)
+                                      graph=deleted.graph)
             out[sub] = accuracy(table, g.labels, test) * 100.0
         out["edge_drop"] = drop_metric(out["clean"], out["edge_sev5"])
         return out
 
+    def _split_op(self, dataset: Dataset, method: dict, mechanism: str, seed: int):
+        split = _ood_split(dataset, mechanism, seed)
+        if self._writes_ops(method):
+            _write_split(self._op_dir(dataset, f"split_{mechanism}_seed{seed}"), split)
+        return split
+
     def _axis_ood(self, dataset: Dataset, method: dict, seed: int) -> dict:
-        out: dict = {}
         if dataset.kind != "node_graph":
             return self._axis_ood_nonnode(dataset, method, seed)
         g = dataset.graph
-        split = degree_shift_split(g, g.labeled_nodes())
-        if self._writes_ops(method):
-            self._write_op_split(dataset, split, f"split_degree_seed{seed}")
-        table = self._score_table(dataset, method, "ood", "degree", seed,
-                                  train=split.units(Role.TRAIN))
-        out["degree"] = accuracy(table, g.labels, split.units(Role.OOD_TEST)) * 100.0
-        if g.meta.year is None:
-            out["temporal"] = INAPPLICABLE
-        else:
-            tsplit = temporal_split(g.meta.year, g.labeled_nodes())
-            if self._writes_ops(method):
-                self._write_op_split(dataset, tsplit, f"split_temporal_seed{seed}")
-            ttable = self._score_table(dataset, method, "ood", "temporal", seed,
-                                       train=tsplit.units(Role.TRAIN))
-            out["temporal"] = accuracy(ttable, g.labels, tsplit.units(Role.OOD_TEST)) * 100.0
+        out: dict = {}
+        for mechanism in ("degree", "temporal"):
+            if mechanism == "temporal" and g.meta.year is None:
+                out[mechanism] = INAPPLICABLE
+                continue
+            split = self._split_op(dataset, method, mechanism, seed)
+            table = self._score_table(dataset, method, "ood", mechanism, seed,
+                                      train=split.units(Role.TRAIN))
+            out[mechanism] = accuracy(table, g.labels, split.units(Role.OOD_TEST)) * 100.0
         return out
 
     def _axis_ood_nonnode(self, dataset: Dataset, method: dict, seed: int) -> dict:
-        out: dict = {}
         if dataset.kind == "graph_collection":
-            key = derive_key("ood", dataset.name, "scaffold", 0, seed)
-            split = scaffold_split(dataset.collection.scaffold_ids, key)
-            if self._writes_ops(method):
-                self._write_op_split(dataset, split, f"split_scaffold_seed{seed}")
+            split = self._split_op(dataset, method, "scaffold", seed)
             if method["kind"] != "external":
-                out["scaffold_auc"] = INAPPLICABLE
-                out["scaffold_gap"] = INAPPLICABLE
-                return out
+                return {"scaffold_auc": INAPPLICABLE, "scaffold_gap": INAPPLICABLE}
             labels = dataset.collection.labels[:, 0]
             test = split.units(Role.TEST)
             aucs = {}
             for sub in ("scaffold", "random"):
                 table = self._score_table(dataset, method, "ood", sub, seed)
                 aucs[sub] = roc_auc(table.scores_for(test), labels[test]) * 100.0
-            out["scaffold_auc"] = aucs["scaffold"]
-            out["scaffold_gap"] = scaffold_gap(aucs["random"], aucs["scaffold"])
-            return out
+            return {"scaffold_auc": aucs["scaffold"],
+                    "scaffold_gap": scaffold_gap(aucs["random"], aucs["scaffold"])}
         # triples: inductive-entity ranking
-        key = derive_key("ood", dataset.name, "kg_inductive", 0, seed)
-        ksplit = inductive_entity_split(dataset.store, key)
-        if self._writes_ops(method):
-            op_dir = self.out / "ops" / dataset.name / f"split_kg_seed{seed}"
-            op_dir.mkdir(parents=True, exist_ok=True)
-            write_triple_file(op_dir / "train_triples.tsv", ksplit.train_triples)
+        ksplit = self._split_op(dataset, method, "kg", seed)
         if method["kind"] != "external":
-            out["kg_mrr"] = INAPPLICABLE
-            out["kg_hits10"] = INAPPLICABLE
-            return out
+            return {"kg_mrr": INAPPLICABLE, "kg_hits10": INAPPLICABLE}
         rank_path = (Path(method["pred_dir"]) / dataset.name / "ood" / "kg"
                      / f"seed{seed}.ranking")
         if not rank_path.is_file():
@@ -535,27 +564,17 @@ class PipelineRunner:
         truth = {i: ksplit.held_out_entity(row)
                  for i, row in enumerate(ksplit.test_queries)}
         ranks = ranks_from_ranking(queries, cands, scores, truth)
-        out["kg_mrr"] = mrr(ranks)
-        out["kg_hits10"] = hits_at_k(ranks, 10)
-        return out
+        return {"kg_mrr": mrr(ranks), "kg_hits10": hits_at_k(ranks, 10)}
 
     def _axis_imbalance(self, dataset: Dataset, method: dict, seed: int) -> dict:
         g = dataset.graph
-        train = dataset.split.units(Role.TRAIN)
-        test = dataset.split.units(Role.TEST)
-        counts = np.bincount(g.labels[train], minlength=g.num_classes)
+        test = _given_split(dataset).units(Role.TEST)
         out: dict = {}
         for rho in self.rhos:
-            spec = build_spec(counts, rho)
-            key = derive_key("imbalance", dataset.name, "downsample", int(rho), seed)
-            kept = step_downsample(train_units_by_class(g.labels, train, g.num_classes),
-                                   spec, key)
-            if self._writes_ops(method):
-                roles = dataset.split.roles.copy()
-                roles[np.setdiff1d(train, kept)] = int(Role.EXCLUDED)
-                self._write_op_split(dataset, SplitAssignment(roles),
-                                     f"imbalance_rho{int(rho)}_seed{seed}")
             sub = f"rho{int(rho)}"
+            spec, kept, split = _imbalanced(dataset, rho, seed)
+            if self._writes_ops(method):
+                _write_split(self._op_dir(dataset, f"imbalance_{sub}_seed{seed}"), split)
             table = self._score_table(dataset, method, "imbalance", sub, seed, train=kept)
             major, minor = major_minor_recall(table, g.labels, spec, test)
             out[f"{sub}_major_recall"] = major * 100.0
@@ -564,30 +583,13 @@ class PipelineRunner:
 
     def _axis_fairness(self, dataset: Dataset, method: dict, seed: int) -> dict:
         g = dataset.graph
-        test = dataset.split.units(Role.TEST)
         table = self._score_table(dataset, method, "fairness", "clean", seed)
-        out: dict = {}
-        groups = head_tail_groups(test, g.degrees(), self.quantile)
-        if len(groups.first) == 0:
-            out["head_tail_gap"] = None
-        else:
-            out["head_tail_gap"] = head_tail_gap(table, g.labels, groups)
-        sens = g.meta.sensitive_attr
-        if sens is None or g.num_classes != 2:
-            out["d_sp"] = INAPPLICABLE
-            out["d_eo"] = INAPPLICABLE
-            out["d_util"] = INAPPLICABLE
-            return out
-        binary = table.predicted_classes(test)
-        scores = table.scores_for(test)
-        gaps = demographic_gaps(binary, scores, g.labels[test], sens[test])
-        out["d_sp"] = gaps.d_sp
-        out["d_eo"] = gaps.d_eo
-        out["d_util"] = gaps.d_util
-        return out
+        out: dict = {"head_tail_gap": _head_tail(dataset, table, self.quantile)[1]}
+        if g.meta.sensitive_attr is None or g.num_classes != 2:
+            return {**out, **dict.fromkeys(("d_sp", "d_eo", "d_util"), INAPPLICABLE)}
+        return {**out, **asdict(_demographic(dataset, table))}
 
     def _axis_interpret(self, dataset: Dataset, method: dict, seed: int) -> dict:
-        g = dataset.graph
         if METHOD_TRAITS[method["kind"]]["saliency"] != "builtin":
             probs_path = (Path(method["pred_dir"]) / dataset.name / "interpret"
                           / f"seed{seed}.probs")
@@ -599,77 +601,39 @@ class PipelineRunner:
                 raise MissingInput(
                     f"cell (interpret, char, {dataset.name}, {method['name']}, "
                     f"seed {seed}): missing probabilities file {probs_path}")
-            return self._score_external_probs(dataset, method, seed, probs_path)
+            probs = read_probs_file(probs_path)
+            targets = sorted({t for (t, _c) in probs})
+            probability = _probs_lookup(
+                probs, f"cell (interpret, {dataset.name}, {method['name']}, seed {seed}): "
+                       f"{probs_path}")
+        else:
+            g = dataset.graph
+            split = _given_split(dataset)
+            train = split.units(Role.TRAIN)
+            train_labels = _train_labels(g, train)
+            op_dir = (self._op_dir(dataset, f"interpret_seed{seed}")
+                      if self._writes_ops(method) else None)
+            manifests = _edge_manifests(dataset, _refmodel_saliency(dataset, train),
+                                        split.units(Role.TEST)[:self.num_targets].tolist(),
+                                        seed, self.k_levels, out_dir=op_dir)
+            targets = list(manifests)
+            clean_class: dict[int, int] = {}
 
-        train = dataset.split.units(Role.TRAIN)
-        train_labels = _train_labels(dataset, train)
-        saliency = _refmodel_saliency(dataset, train)
-        targets = dataset.split.units(Role.TEST)[:self.num_targets]
-        per_condition: dict[str, list[float]] = {}
-        used = 0
-        for t in targets.tolist():
-            key = derive_key("interpret", dataset.name, f"mask_target_{t}", 0, seed)
-            try:
-                manifest = build_edge_manifest(g, t, saliency, key,
-                                               k_levels=self.k_levels)
-            except EmptySubgraph:
-                log.info("target %d skipped: empty receptive field", t)
-                continue
-            used += 1
-            if self._writes_ops(method):
-                op_dir = self.out / "ops" / dataset.name / f"interpret_seed{seed}"
-                op_dir.mkdir(parents=True, exist_ok=True)
-                write_manifest_file(op_dir / f"target_{t}.manifest", manifest)
-            row = predict_node(g, train_labels, g.num_classes, t)
-            clean_class = int(np.argmax(row))
-            p0 = float(row[clean_class])
-            # a search of the clean graph that skips the masked edges gives
-            # the same bits as rescoring masked_graph, without a rebuild
-            for ranking in RANKINGS:
-                for k in self.k_levels:
-                    top = manifest.edges[manifest.conditions[condition_name(ranking, "top", k)]]
-                    comp = manifest.edges[manifest.conditions[condition_name(ranking, "comp", k)]]
-                    p_plus = predicted_class_prob(g, train_labels, g.num_classes, t,
-                                                  clean_class, masked_edges=top)
-                    p_minus = predicted_class_prob(g, train_labels, g.num_classes, t,
-                                                   clean_class, masked_edges=comp)
-                    rec = fidelity(p0, p_plus, p_minus)
-                    per_condition.setdefault(f"char_{ranking}_{k}", []).append(rec.char)
-        if used == 0:
-            return {f"char_{r}_{k}": None for r in RANKINGS for k in self.k_levels}
-        return {name: float(np.mean(vals)) for name, vals in sorted(per_condition.items())}
+            def probability(t, condition):
+                # a search of the clean graph that skips the masked edges
+                # gives the same bits as rescoring masked_graph, without a
+                # rebuild
+                if condition == "clean":
+                    row = predict_node(g, train_labels, g.num_classes, t)
+                    clean_class[t] = int(np.argmax(row))
+                    return float(row[clean_class[t]])
+                masked = manifests[t].edges[manifests[t].conditions[condition]]
+                return predicted_class_prob(g, train_labels, g.num_classes, t,
+                                            clean_class[t], masked_edges=masked)
 
-    def _score_external_probs(self, dataset, method, seed, probs_path) -> dict:
-        probs = read_probs_file(probs_path)
-        targets = sorted({t for (t, _c) in probs})
-        per_condition: dict[str, list[float]] = {}
-        for t in targets:
-            if (t, "clean") not in probs:
-                raise MissingInput(f"probs file lacks clean probability for target {t}")
-            p0 = probs[(t, "clean")]
-            for ranking in RANKINGS:
-                for k in self.k_levels:
-                    top = condition_name(ranking, "top", k)
-                    comp = condition_name(ranking, "comp", k)
-                    if (t, top) not in probs or (t, comp) not in probs:
-                        raise MissingInput(
-                            f"cell (interpret, {top}, {dataset.name}, {method['name']}, "
-                            f"seed {seed}): missing condition in {probs_path}")
-                    rec = fidelity(p0, probs[(t, top)], probs[(t, comp)])
-                    per_condition.setdefault(f"char_{ranking}_{k}", []).append(rec.char)
-        return {name: float(np.mean(vals)) for name, vals in sorted(per_condition.items())}
-
-    # -- operator output writers (byte-deterministic paths + contents) --
-
-    def _write_op_dataset(self, dataset: Dataset, graph, tag: str) -> None:
-        op_dir = self.out / "ops" / dataset.name / tag
-        save_dataset(Dataset(kind=dataset.kind, name=dataset.name, graph=graph,
-                             split=dataset.split), op_dir)
-
-    def _write_op_split(self, dataset: Dataset, split, tag: str) -> None:
-        op_dir = self.out / "ops" / dataset.name / tag
-        op_dir.mkdir(parents=True, exist_ok=True)
-        write_split_file(op_dir / "split.tsv", split)
+        records = _fidelity_records(targets, self.k_levels, probability)
+        return {f"char_{r}_{k}": float(np.mean(_chars(records, r, k))) if records else None
+                for r in RANKINGS for k in self.k_levels}
 
     # -- orchestration --
 
@@ -689,7 +653,7 @@ class PipelineRunner:
         axes = self.config["axes"]
 
         jobs = [
-            _CellJob(self, ds_name, method, axis, seed)
+            (ds_name, method, axis, seed)
             for ds_name in sorted(self.datasets)
             for method in methods
             for axis in axes
@@ -701,15 +665,14 @@ class PipelineRunner:
         else:
             with ThreadPoolExecutor(max_workers=self.workers) as pool:
                 outcomes = list(pool.map(self._run_job, jobs))
-        for job, outcome in zip(jobs, outcomes):
-            if isinstance(outcome, Exception):
+        for (ds_name, method, axis, seed), outcome in zip(jobs, outcomes):
+            if isinstance(outcome, StressError):
                 self.failures.append(
-                    (f"({job.axis}, {job.dataset_name}, {job.method['name']}, "
-                     f"seed {job.seed})", f"{type(outcome).__name__}: {outcome}"))
+                    (f"({axis}, {ds_name}, {method['name']}, seed {seed})",
+                     f"{type(outcome).__name__}: {outcome}"))
                 continue
             for sub, value in outcome.items():
-                cell_key = (job.axis, sub, job.dataset_name, job.method["name"])
-                results.setdefault(cell_key, {})[job.seed] = value
+                results.setdefault((axis, sub, ds_name, method["name"]), {})[seed] = value
 
         report = self._aggregate(results, seeds)
         self._write_results(results, seeds, report)
@@ -721,10 +684,14 @@ class PipelineRunner:
             raise PartialFailure([f"{cell}: {err}" for cell, err in self.failures])
         return report
 
-    def _run_job(self, job: _CellJob):
+    def _run_job(self, job: tuple):
+        ds_name, method, axis, seed = job
+        dataset = self.datasets[ds_name]
+        if axis != "ood" and dataset.kind != "node_graph":
+            return MissingInput(f"{ds_name}: the {axis} axis needs a node graph")
         try:
-            return job.run()
-        except Exception as e:  # collected into the per-cell error log
+            return getattr(self, f"_axis_{axis}")(dataset, method, seed)
+        except StressError as e:  # collected into the per-cell error log
             return e
 
     def _aggregate(self, results: dict, seeds: list) -> Report:

@@ -9,8 +9,6 @@ comparable across sigma levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .determinism import StreamKey, gaussian, uniform
@@ -19,25 +17,6 @@ from .graph_store import Graph, canonical_undirected_edges, expand_canonical
 
 FEATURE_LEVELS = (0.1, 0.25, 0.5, 1.0, 2.0)
 EDGE_LEVELS = (0.05, 0.10, 0.20, 0.30, 0.50)
-
-
-@dataclass(frozen=True)
-class SeveritySchedule:
-    """Ordered corruption levels for one channel; severity 0 means clean."""
-
-    channel: str  # feature_noise | edge_deletion
-    levels: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.channel not in ("feature_noise", "edge_deletion"):
-            raise BadProbability(f"unknown corruption channel {self.channel!r}")
-        if list(self.levels) != sorted(self.levels) or any(l < 0 for l in self.levels):
-            raise BadProbability("severity levels must be nonnegative and ascending")
-
-    @classmethod
-    def default(cls, channel: str) -> "SeveritySchedule":
-        levels = FEATURE_LEVELS if channel == "feature_noise" else EDGE_LEVELS
-        return cls(channel=channel, levels=levels)
 
 
 def feature_noise(features: np.ndarray, train_mask: np.ndarray, sigma_rel: float,

@@ -587,7 +587,3 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest_path
 
-
-def compute_degrees(graph: Graph) -> np.ndarray:
-    """Per-node arc count; a self-loop contributes 1."""
-    return graph.degrees()

@@ -35,6 +35,7 @@ from .errors import (
     SeedCountMismatch,
 )
 from .graph_store import Graph
+from .metrics import lookup_rows
 from .report import MetricCell
 
 K_PERCENT_LEVELS = (5, 10, 20, 50)
@@ -61,13 +62,9 @@ class SaliencyTable:
         self._order = np.argsort(self.unit_ids, kind="stable")
 
     def scores_for(self, units: np.ndarray) -> np.ndarray:
-        units = np.asarray(units, dtype=np.int64)
-        sorted_ids = self.unit_ids[self._order]
-        pos = np.searchsorted(sorted_ids, units)
-        bad = (pos >= len(sorted_ids)) | (sorted_ids[np.minimum(pos, len(sorted_ids) - 1)] != units)
-        if np.any(bad):
-            raise MissingNodeScore(f"no saliency score for unit {int(units[np.flatnonzero(bad)[0]])}")
-        return self.scores[self._order[pos]]
+        rows = lookup_rows(self.unit_ids, self._order, units,
+                           lambda u: MissingNodeScore(f"no saliency score for unit {u}"))
+        return self.scores[rows]
 
 
 @dataclass

@@ -24,6 +24,21 @@ from .errors import (
 )
 
 
+def lookup_rows(unit_ids: np.ndarray, order: np.ndarray, units, missing) -> np.ndarray:
+    """Row index of each requested unit id, in request order.
+
+    ``order`` is ``np.argsort(unit_ids, kind="stable")``. For the first
+    requested id absent from ``unit_ids``, raises ``missing(unit_id)``.
+    """
+    units = np.asarray(units, dtype=np.int64)
+    sorted_ids = unit_ids[order]
+    pos = np.searchsorted(sorted_ids, units)
+    bad = (pos >= len(sorted_ids)) | (sorted_ids[np.minimum(pos, len(sorted_ids) - 1)] != units)
+    if np.any(bad):
+        raise missing(int(units[np.flatnonzero(bad)[0]]))
+    return order[pos]
+
+
 @dataclass
 class PredictionTable:
     """Per-unit class-probability rows keyed by unit id.
@@ -57,13 +72,8 @@ class PredictionTable:
 
     def rows_for(self, units: np.ndarray) -> np.ndarray:
         """Probability rows for the requested units, in request order."""
-        units = np.asarray(units, dtype=np.int64)
-        sorted_ids = self.unit_ids[self._order]
-        pos = np.searchsorted(sorted_ids, units)
-        bad = (pos >= len(sorted_ids)) | (sorted_ids[np.minimum(pos, len(sorted_ids) - 1)] != units)
-        if np.any(bad):
-            raise MissingPrediction(f"no prediction for unit {int(units[np.flatnonzero(bad)[0]])}")
-        return self.rows[self._order[pos]]
+        return self.rows[lookup_rows(self.unit_ids, self._order, units,
+                                     lambda u: MissingPrediction(f"no prediction for unit {u}"))]
 
     def scores_for(self, units: np.ndarray) -> np.ndarray:
         """Scalar score per unit: the single column, or P(class 1) for binary rows."""

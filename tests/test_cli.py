@@ -217,6 +217,25 @@ def test_refmodel_then_fairness(small_ds, tmp_path):
     assert 0.0 <= gaps["d_sp"] <= 1.0
 
 
+def test_node_dataset_without_split_exits_2(tmp_path, capsys):
+    ds = make_node_dataset(name="nosplit", num_nodes=60, num_classes=2, seed=4)
+    ds.split = None
+    manifest = save_dataset(ds, tmp_path / "nosplit")
+    assert main(["imbalance", "--dataset", str(manifest), "--rho", "10",
+                 "--out", str(tmp_path / "imb")]) == 2
+    assert main(["refmodel", "--dataset", str(manifest),
+                 "--out", str(tmp_path / "ref.pred")]) == 2
+    assert "MissingInput" in capsys.readouterr().err
+
+    # in a run the same cause is a named MissingInput cell failure
+    config = _write_config(tmp_path / "config.json", manifest=manifest, seeds=1,
+                           axes=["imbalance"])
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    log = (out / "errors.log").read_text()
+    assert "MissingInput" in log and "split" in log
+
+
 # ---------------------------------------------------------------------------
 # interpret emit / score
 # ---------------------------------------------------------------------------
@@ -270,6 +289,24 @@ def test_interpret_emit_and_score(small_ds, tmp_path):
     write_probs_file(probs_path, probs)
     assert main(["interpret", "score", "--manifest", str(man_dir),
                  "--probs", str(probs_path), "--out", str(scored)]) == 2
+
+
+def test_interpret_score_without_targets_writes_undefined_cells(tmp_path):
+    man_dir = tmp_path / "manifests"
+    man_dir.mkdir()
+    (man_dir / "emit.json").write_text(json.dumps(
+        {"k_levels": [5, 10], "targets": [], "skipped": [3, 4]}))
+    probs_path = tmp_path / "rescored.tsv"
+    write_probs_file(probs_path, {})
+    scored = tmp_path / "fidelity.json"
+    assert main(["interpret", "score", "--manifest", str(man_dir),
+                 "--probs", str(probs_path), "--out", str(scored)]) == 0
+    payload = json.loads(scored.read_text())
+    assert payload["n_targets"] == 0 and payload["records"] == {}
+    assert sorted(payload["cells"]) == sorted(
+        f"{name}_{k}" for name in ("char_saliency", "char_random", "delta_char")
+        for k in (5, 10))
+    assert all(cell["undefined"] for cell in payload["cells"].values())
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +421,72 @@ def test_run_partial_failure_still_writes_good_cells(small_ds, tmp_path):
     log_lines = (out / "errors.log").read_text().splitlines()
     assert len(log_lines) == 1 and "m_ext" in log_lines[0]
     assert "refmodel" not in log_lines[0]
+
+
+def test_one_sided_sensitive_attribute_keeps_head_tail_gap(tmp_path):
+    ds = make_node_dataset(name="onesided", num_nodes=150, num_classes=2, seed=3)
+    ds.graph.meta.sensitive_attr[:] = 0
+    manifest = save_dataset(ds, tmp_path / "onesided")
+    config = _write_config(tmp_path / "config.json", manifest=manifest, seeds=1,
+                           axes=["fairness"])
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    report = load_report(out / "report.json")
+    gap = report.get("fairness", "head_tail_gap", "onesided", "refmodel")
+    assert not gap.undefined
+    for sub in ("d_sp", "d_eo", "d_util"):
+        cell = report.get("fairness", sub, "onesided", "refmodel")
+        assert cell.undefined and cell.note != "inapplicable"
+        rec = json.loads((out / "values" / f"fairness.{sub}.onesided.refmodel.json").read_text())
+        assert rec["values"] == [None]
+
+
+def test_programming_error_in_a_cell_propagates(small_ds, tmp_path, monkeypatch):
+    def broken(self, dataset, method, seed):
+        return 1 / 0
+
+    monkeypatch.setattr(cli.PipelineRunner, "_axis_fairness", broken)
+    config = _write_config(tmp_path / "config.json", manifest=small_ds, seeds=2,
+                           axes=["fairness"])
+    for workers in ("1", "2"):
+        with pytest.raises(ZeroDivisionError):
+            main(["run", "--config", str(config), "--out", str(tmp_path / workers),
+                  "--workers", workers])
+
+
+@pytest.fixture(scope="module")
+def ops_run(small_ds, mol_ds, tmp_path_factory):
+    """Runs at seed 1 that write their operator outputs; dataset name -> its ops/ dir."""
+    root = tmp_path_factory.mktemp("ops_run")
+    ops = {}
+    for name, manifest, axes in (("tiny", small_ds, ["corruption", "ood", "imbalance"]),
+                                 ("tinymol", mol_ds, ["ood"])):
+        config = _write_config(root / f"{name}.json", manifest=manifest, axes=axes,
+                               seeds=[1], write_operator_outputs=True)
+        assert main(["run", "--config", str(config), "--out", str(root / name)]) == 0
+        ops[name] = root / name / "ops" / name
+    return ops
+
+
+@pytest.mark.parametrize("argv, dataset, tag, sidecar", [
+    (["corrupt", "--channel", "feature", "--severity-index", "3"], "tiny",
+     "corrupt_feature_sev3_seed1", "corrupt.json"),
+    (["corrupt", "--channel", "edge", "--severity-index", "5"], "tiny",
+     "corrupt_edge_sev5_seed1", "corrupt.json"),
+    (["split", "--mechanism", "degree"], "tiny", "split_degree_seed1", "split.json"),
+    (["split", "--mechanism", "temporal"], "tiny", "split_temporal_seed1", "split.json"),
+    (["split", "--mechanism", "scaffold"], "tinymol", "split_scaffold_seed1", "split.json"),
+    (["imbalance", "--rho", "10"], "tiny", "imbalance_rho10_seed1", "imbalance.json"),
+], ids=["corrupt-feature", "corrupt-edge", "split-degree", "split-temporal",
+        "split-scaffold", "imbalance"])
+def test_subcommand_output_equals_run_operator_output(ops_run, small_ds, mol_ds, tmp_path,
+                                                      argv, dataset, tag, sidecar):
+    manifest = small_ds if dataset == "tiny" else mol_ds
+    out = tmp_path / "sub"
+    assert main(argv + ["--dataset", str(manifest), "--seed", "1", "--out", str(out)]) == 0
+    written = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != sidecar}
+    from_run = {p.name: p.read_bytes() for p in sorted((ops_run[dataset] / tag).iterdir())}
+    assert written and written == from_run
 
 
 def test_run_config_errors_exit_2(small_ds, tmp_path):

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from graphstress.corruption import (
     EDGE_LEVELS,
-    FEATURE_LEVELS,
-    SeveritySchedule,
     deleted_edge_mask,
     drop_metric,
     edge_delete,
@@ -25,19 +23,6 @@ EDGE_KEY = derive_key("corruption", "unit", "edge_deletion", 0, 0)
 def _features(n=30, d=5, seed=0):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, d)).astype(np.float32)
-
-
-# ---------------------------------------------------------------------------
-# severity schedules
-# ---------------------------------------------------------------------------
-
-def test_default_schedules():
-    assert SeveritySchedule.default("feature_noise").levels == FEATURE_LEVELS
-    assert SeveritySchedule.default("edge_deletion").levels == EDGE_LEVELS
-    with pytest.raises(BadProbability):
-        SeveritySchedule("feature_noise", (0.5, 0.1))
-    with pytest.raises(BadProbability):
-        SeveritySchedule("something", (0.1,))
 
 
 # ---------------------------------------------------------------------------
