@@ -45,6 +45,7 @@ from .graph_store import (
     load_dataset,
     save_dataset,
     write_split_file,
+    write_table,
     write_triple_file,
 )
 from .imbalance import DEFAULT_RHOS, build_spec, major_minor_recall, step_downsample, train_units_by_class
@@ -118,6 +119,15 @@ def _refmodel_saliency(dataset: Dataset, train_units: np.ndarray) -> SaliencyTab
 # these, so a subcommand's output is byte-equal to the runner's ops/ copy
 # ---------------------------------------------------------------------------
 
+KIND_NOUNS = {"node_graph": "node graph", "graph_collection": "molecule collection",
+              "triples": "triple store"}
+
+
+def _check_kind(dataset: Dataset, kind: str, what: str) -> None:
+    if dataset.kind != kind:
+        raise MissingInput(f"{dataset.name}: {what} needs a {KIND_NOUNS[kind]}")
+
+
 def _given_split(dataset: Dataset) -> SplitAssignment:
     if dataset.split is None:
         raise MissingInput(f"{dataset.name}: no train/test split (split_file) in its manifest")
@@ -130,6 +140,7 @@ def _corrupted(dataset: Dataset, channel: str, idx: int, seed: int):
     if not 0 <= idx <= len(levels):
         raise ConfigError(f"severity index {idx} outside 0..{len(levels)}")
     level = None if idx == 0 else levels[idx - 1]
+    _check_kind(dataset, "node_graph", f"{channel} corruption")
     g = dataset.graph
     if channel == "feature":
         if g.features is None:
@@ -151,6 +162,8 @@ def _corrupted(dataset: Dataset, channel: str, idx: int, seed: int):
 
 def _ood_split(dataset: Dataset, mechanism: str, seed: int):
     """Split of one OOD mechanism; a KgInductiveSplit for kg, else a SplitAssignment."""
+    kind = {"scaffold": "graph_collection", "kg": "triples"}.get(mechanism, "node_graph")
+    _check_kind(dataset, kind, f"the {mechanism} split")
     g = dataset.graph
     if mechanism == "degree":
         return degree_shift_split(g, g.labeled_nodes())
@@ -175,6 +188,7 @@ def _write_split(out_dir: Path, split) -> None:
 
 def _imbalanced(dataset: Dataset, rho: float, seed: int):
     """(spec, kept train units, reduced split) of a step-imbalance downsample."""
+    _check_kind(dataset, "node_graph", "an imbalanced split")
     g = dataset.graph
     split = _given_split(dataset)
     train = split.units(Role.TRAIN)
@@ -291,15 +305,9 @@ def cmd_split(args) -> int:
     split = _ood_split(dataset, args.mechanism, args.seed)
     _write_split(out, split)
     if args.mechanism == "kg":
-        with open(out / "queries.tsv", "w") as f:
-            for h, r, t, d in split.test_queries.tolist():
-                f.write(f"{h}\t{r}\t{t}\t{d}\n")
-        with open(out / "train_entities.tsv", "w") as f:
-            for e in split.train_entities.tolist():
-                f.write(f"{e}\n")
-        with open(out / "test_entities.tsv", "w") as f:
-            for e in split.test_entities.tolist():
-                f.write(f"{e}\n")
+        write_table(out / "queries.tsv", split.test_queries.T)
+        write_table(out / "train_entities.tsv", (split.train_entities,))
+        write_table(out / "test_entities.tsv", (split.test_entities,))
     sidecar = {"axis": "ood", "mechanism": args.mechanism, "dataset": dataset.name,
                "seed": args.seed}
     (out / "split.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
@@ -322,6 +330,7 @@ def cmd_imbalance(args) -> int:
 
 def cmd_fairness(args) -> int:
     dataset = load_dataset(args.dataset)
+    _check_kind(dataset, "node_graph", "stress fairness")
     preds = read_prediction_file(args.pred)
     result: dict = {"dataset": dataset.name, "kind": args.kind}
     if args.kind == "structural":
@@ -337,6 +346,7 @@ def cmd_fairness(args) -> int:
 
 def cmd_refmodel(args) -> int:
     dataset = load_dataset(args.dataset)
+    _check_kind(dataset, "node_graph", "stress refmodel")
     table = _refmodel_table(dataset.graph, _given_split(dataset).units(Role.TRAIN),
                             PropagationConfig(hops=args.hops, alpha=args.alpha))
     write_prediction_file(args.out, table)
@@ -345,6 +355,7 @@ def cmd_refmodel(args) -> int:
 
 def cmd_interpret_emit(args) -> int:
     dataset = load_dataset(args.dataset)
+    _check_kind(dataset, "node_graph", "stress interpret emit")
     saliency = read_saliency_file(args.saliency)
     k_levels = tuple(float(x) if "." in x else int(x) for x in args.k.split(","))
     out = Path(args.out)
@@ -425,6 +436,13 @@ def _load_config(path: Path) -> dict:
             raise ConfigError(f"unknown method kind {kind!r}")
         if kind == "external" and not m.get("pred_dir"):
             raise ConfigError(f"external method {m.get('name', kind)!r} needs a pred_dir")
+    # a level is named rho{int(rho)}, so two rhos must not share that name
+    rhos = config.get("rhos", [])
+    if not isinstance(rhos, list) or not all(
+            isinstance(r, (int, float)) and float(r).is_integer() for r in rhos):
+        raise ConfigError(f"rhos must be a list of whole numbers, got {rhos}")
+    if len({int(r) for r in rhos}) != len(rhos):
+        raise ConfigError(f"rhos repeat a level: {rhos}")
     seeds = config.get("seeds", 5)
     if isinstance(seeds, int):
         config["seeds"] = list(range(seeds))
@@ -505,9 +523,11 @@ class PipelineRunner:
         out["feature_drop"] = (drop_metric(out["clean"], out["feature_sev5"])
                                if feature_ok else INAPPLICABLE)
 
+        # likewise an external method never reads the deleted graph
+        deletes = method["kind"] == "refmodel" or self._writes_ops(method)
         for i in range(1, len(EDGE_LEVELS) + 1):
             sub = f"edge_sev{i}"
-            deleted = _corrupted(dataset, "edge", i, seed)[0]
+            deleted = _corrupted(dataset, "edge", i, seed)[0] if deletes else dataset
             if self._writes_ops(method):
                 save_dataset(deleted, self._op_dir(dataset, f"corrupt_{sub}_seed{seed}"))
             table = self._score_table(dataset, method, "corruption", sub, seed,
@@ -677,19 +697,16 @@ class PipelineRunner:
         report = self._aggregate(results, seeds)
         self._write_results(results, seeds, report)
         if self.failures:
-            log_path = self.out / "errors.log"
-            with open(log_path, "w") as f:
-                for cell, err in self.failures:
-                    f.write(f"{cell}\t{err}\n")
+            write_table(self.out / "errors.log", tuple(zip(*self.failures)))
             raise PartialFailure([f"{cell}: {err}" for cell, err in self.failures])
         return report
 
     def _run_job(self, job: tuple):
         ds_name, method, axis, seed = job
         dataset = self.datasets[ds_name]
-        if axis != "ood" and dataset.kind != "node_graph":
-            return MissingInput(f"{ds_name}: the {axis} axis needs a node graph")
         try:
+            if axis != "ood":
+                _check_kind(dataset, "node_graph", f"the {axis} axis")
             return getattr(self, f"_axis_{axis}")(dataset, method, seed)
         except StressError as e:  # collected into the per-cell error log
             return e

@@ -21,6 +21,11 @@ On-disk layout (all paths relative to the manifest's directory):
   ``graph_label_file`` lines ``graph_id<TAB>y0<TAB>y1...`` (``-`` = missing
   task label), ``scaffold_file`` lines ``graph_id<TAB>scaffold_id``
 
+Every text file above, and the prediction, ranking, saliency and probs files
+of ``metrics`` and ``interpret``, is read by ``read_table`` and written by
+``write_table``: blank and ``#`` lines are skipped, and a ragged row or a bad
+token is a LengthMismatch.
+
 Datasets are immutable after load and safe to share across threads.
 """
 
@@ -293,28 +298,85 @@ class Dataset:
 # file readers / writers
 # ---------------------------------------------------------------------------
 
-def _require(path: Path) -> Path:
+def require_file(path) -> Path:
+    path = Path(path)
     if not path.is_file():
         raise MissingFile(str(path))
     return path
 
 
+def read_table(path, dtypes) -> list[np.ndarray]:
+    """Columns of a tab-separated text table, one array per entry of ``dtypes``.
+
+    The whole file is parsed by numpy. Blank lines and lines starting with
+    ``#`` are skipped; an ``object`` column holds its tokens as str. Raises
+    MissingFile for an absent file, and LengthMismatch for a row without
+    exactly ``len(dtypes)`` columns or a token its column's dtype cannot parse.
+    """
+    path = require_file(path)
+    row = np.dtype([(f"c{i}", dt) for i, dt in enumerate(dtypes)])
+    with open(path) as f:
+        line = f.readline()
+        while line.startswith("#") or line == "\n":
+            line = f.readline()
+        if not line:  # no data row (np.loadtxt would warn)
+            return [np.empty(0, dtype=dt) for dt in dtypes]
+        f.seek(0)
+        try:
+            table = np.loadtxt(f, dtype=row, delimiter="\t", comments="#", ndmin=1)
+        except (ValueError, OverflowError) as e:
+            raise LengthMismatch(f"{path}: {e}") from e
+    return [np.ascontiguousarray(table[name]) for name in row.names]
+
+
+def write_table(path, columns, header: str | None = None) -> None:
+    """Write equal-length columns as tab-separated rows, after an optional header line.
+
+    Each value is written as str() of its Python value (ndarray columns are
+    converted with ``tolist``).
+    """
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    line = "\t".join(["%s"] * len(columns)) + "\n"
+    with open(path, "w") as f:
+        if header is not None:
+            f.write(header + "\n")
+        f.writelines(line % row for row in zip(*columns, strict=True))
+
+
+def read_header(path, key: str) -> str:
+    """The value of a ``key<TAB>value`` first line, such as ``#kind<TAB>KIND``."""
+    with open(require_file(path)) as f:
+        header = f.readline().rstrip("\n").split("\t")
+    if len(header) != 2 or header[0] != key:
+        raise LengthMismatch(f"{path}: first line must be '{key}<TAB>VALUE'")
+    return header[1]
+
+
+def _check_ids(path, ids: np.ndarray, n: int, what: str) -> None:
+    bad = ids[(ids < 0) | (ids >= n)]
+    if len(bad):
+        raise BadId(f"{path}: {what} {bad[0]} out of range")
+
+
+def _dash_ints(path, tokens: np.ndarray, dtype) -> np.ndarray:
+    """An integer column in which '-' marks a missing value, read as -1."""
+    try:
+        return np.where(tokens == "-", -1, tokens).astype(dtype)
+    except (ValueError, OverflowError) as e:
+        raise LengthMismatch(f"{path}: {e}") from e
+
+
 def read_edge_file(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    _require(path)
-    data = np.loadtxt(path, dtype=np.int64, delimiter="\t", ndmin=2) if path.stat().st_size else np.empty((0, 2), np.int64)
-    if data.size and data.shape[1] != 2:
-        raise LengthMismatch(f"{path}: expected two tab-separated columns")
-    return data[:, 0].copy(), data[:, 1].copy()
+    src, dst = read_table(path, (np.int64, np.int64))
+    return src, dst
 
 
 def write_edge_file(path: Path, src: np.ndarray, dst: np.ndarray) -> None:
-    with open(path, "w") as f:
-        for u, v in zip(src.tolist(), dst.tolist()):
-            f.write(f"{u}\t{v}\n")
+    write_table(path, (src, dst))
 
 
 def read_feature_file(path: Path) -> np.ndarray:
-    _require(path)
+    require_file(path)
     with open(path, "rb") as f:
         header = f.read(16)
         if len(header) != 16 or header[:4] != _FEATURE_MAGIC:
@@ -334,89 +396,66 @@ def write_feature_file(path: Path, features: np.ndarray) -> None:
         features.tofile(f)
 
 
-def _read_records(path: Path):
-    _require(path)
-    with open(path) as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if line:
-                yield line.split("\t")
-
-
 def read_label_file(path: Path, num_nodes: int, num_classes: int) -> np.ndarray:
+    nodes, values = read_table(path, (np.int64, np.int64))
+    _check_ids(path, nodes, num_nodes, "node id")
+    _check_ids(path, values, num_classes, "label")
     labels = np.full(num_nodes, num_classes, dtype=np.int64)  # sentinel = unlabeled
-    for rec in _read_records(path):
-        node, value = int(rec[0]), int(rec[1])
-        if not 0 <= node < num_nodes:
-            raise BadId(f"{path}: node id {node} out of range")
-        if not 0 <= value < num_classes:
-            raise BadId(f"{path}: label {value} out of range for {num_classes} classes")
-        labels[node] = value
+    labels[nodes] = values
     return labels
 
 
 def write_label_file(path: Path, labels: np.ndarray, num_classes: int) -> None:
-    with open(path, "w") as f:
-        for node in np.flatnonzero(labels != num_classes).tolist():
-            f.write(f"{node}\t{labels[node]}\n")
+    nodes = np.flatnonzero(labels != num_classes)
+    write_table(path, (nodes, labels[nodes]))
 
 
 def read_split_file(path: Path, num_units: int) -> SplitAssignment:
+    units, names = read_table(path, (np.int64, object))
+    _check_ids(path, units, num_units, "unit id")
+    given = np.full(len(units), -1, dtype=np.int8)
+    for name, role in ROLE_BY_NAME.items():
+        given[names == name] = int(role)
+    if np.any(given < 0):
+        raise BadId(f"{path}: unknown role {names[np.argmin(given)]!r}")
     roles = np.full(num_units, int(Role.EXCLUDED), dtype=np.int8)
-    for rec in _read_records(path):
-        unit, name = int(rec[0]), rec[1]
-        if not 0 <= unit < num_units:
-            raise BadId(f"{path}: unit id {unit} out of range")
-        if name not in ROLE_BY_NAME:
-            raise BadId(f"{path}: unknown role {name!r}")
-        roles[unit] = int(ROLE_BY_NAME[name])
+    roles[units] = given
     return SplitAssignment(roles)
 
 
 def write_split_file(path: Path, split: SplitAssignment) -> None:
-    with open(path, "w") as f:
-        for unit, role in enumerate(split.roles.tolist()):
-            f.write(f"{unit}\t{ROLE_NAMES[Role(role)]}\n")
+    names = np.array([ROLE_NAMES[role] for role in Role])
+    write_table(path, (np.arange(split.num_units), names[split.roles]))
 
 
 def read_meta_file(path: Path, num_nodes: int) -> NodeMeta:
+    nodes, years, sens = read_table(path, (np.int64, object, object))
+    _check_ids(path, nodes, num_nodes, "node id")
     year = np.full(num_nodes, -1, dtype=np.int64)
-    sens = np.full(num_nodes, -1, dtype=np.int8)
-    for rec in _read_records(path):
-        node = int(rec[0])
-        if not 0 <= node < num_nodes:
-            raise BadId(f"{path}: node id {node} out of range")
-        if len(rec) > 1 and rec[1] != "-":
-            year[node] = int(rec[1])
-        if len(rec) > 2 and rec[2] != "-":
-            sens[node] = int(rec[2])
+    year[nodes] = _dash_ints(path, years, np.int64)
+    sensitive = np.full(num_nodes, -1, dtype=np.int8)
+    sensitive[nodes] = _dash_ints(path, sens, np.int8)
     return NodeMeta(
         year=year if np.any(year >= 0) else None,
-        sensitive_attr=sens if np.any(sens >= 0) else None,
+        sensitive_attr=sensitive if np.any(sensitive >= 0) else None,
     )
 
 
 def write_meta_file(path: Path, meta: NodeMeta, num_nodes: int) -> None:
-    with open(path, "w") as f:
-        for node in range(num_nodes):
-            y = meta.year[node] if meta.year is not None else -1
-            s = meta.sensitive_attr[node] if meta.sensitive_attr is not None else -1
-            if y >= 0 or s >= 0:
-                f.write(f"{node}\t{y if y >= 0 else '-'}\t{s if s >= 0 else '-'}\n")
+    absent = np.full(num_nodes, -1, dtype=np.int64)
+    year = absent if meta.year is None else meta.year
+    sens = absent if meta.sensitive_attr is None else meta.sensitive_attr
+    nodes = np.flatnonzero((year >= 0) | (sens >= 0))
+    write_table(path, (nodes, *(np.where(col[nodes] >= 0, col[nodes].astype(str), "-")
+                                for col in (year, sens))))
 
 
 def read_triple_file(path: Path) -> np.ndarray:
-    _require(path)
-    data = np.loadtxt(path, dtype=np.int64, delimiter="\t", ndmin=2) if path.stat().st_size else np.empty((0, 3), np.int64)
-    if data.size and data.shape[1] != 3:
-        raise LengthMismatch(f"{path}: expected three tab-separated columns")
-    return data
+    return np.stack(read_table(path, (np.int64,) * 3), axis=1)
 
 
 def write_triple_file(path: Path, triples: np.ndarray) -> None:
-    with open(path, "w") as f:
-        for h, r, t in triples.tolist():
-            f.write(f"{h}\t{r}\t{t}\n")
+    write_table(path, triples.T)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +465,7 @@ def write_triple_file(path: Path, triples: np.ndarray) -> None:
 def load_dataset(manifest_path) -> Dataset:
     """Load and fully validate a dataset declared by a manifest file."""
     manifest_path = Path(manifest_path)
-    _require(manifest_path)
+    require_file(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as e:
@@ -481,37 +520,36 @@ def load_dataset(manifest_path) -> Dataset:
 def _load_collection(manifest: dict, base: Path, name: str) -> Dataset:
     num_graphs = int(manifest["num_graphs"])
     num_tasks = int(manifest.get("num_tasks", 1))
+    path = base / manifest["graph_size_file"]
+    gids, graph_sizes = read_table(path, (np.int64, np.int64))
+    _check_ids(path, gids, num_graphs, "graph id")
     sizes = np.zeros(num_graphs, dtype=np.int64)
-    for rec in _read_records(base / manifest["graph_size_file"]):
-        gid = int(rec[0])
-        if not 0 <= gid < num_graphs:
-            raise BadId(f"graph id {gid} out of range")
-        sizes[gid] = int(rec[1])
-    per_graph_src: list[list[int]] = [[] for _ in range(num_graphs)]
-    per_graph_dst: list[list[int]] = [[] for _ in range(num_graphs)]
-    for rec in _read_records(base / manifest["graph_file"]):
-        gid, u, v = int(rec[0]), int(rec[1]), int(rec[2])
-        if not 0 <= gid < num_graphs:
-            raise BadId(f"graph id {gid} out of range")
-        per_graph_src[gid].append(u)
-        per_graph_dst[gid].append(v)
+    sizes[gids] = graph_sizes
+    path = base / manifest["graph_file"]
+    gids, src, dst = read_table(path, (np.int64,) * 3)
+    _check_ids(path, gids, num_graphs, "graph id")
+    order = np.argsort(gids, kind="stable")
+    src, dst = src[order], dst[order]
+    bounds = np.searchsorted(gids[order], np.arange(num_graphs + 1))
     undirected = bool(manifest.get("undirected", True))
     graphs = [
-        Graph.from_arcs(int(sizes[g]), per_graph_src[g], per_graph_dst[g], undirected=undirected)
+        Graph.from_arcs(int(sizes[g]), src[bounds[g]:bounds[g + 1]], dst[bounds[g]:bounds[g + 1]],
+                        undirected=undirected)
         for g in range(num_graphs)
     ]
+    path = base / manifest["graph_label_file"]
+    gids, *tasks = read_table(path, (np.int64,) + (object,) * num_tasks)
+    _check_ids(path, gids, num_graphs, "graph id")
     labels = np.full((num_graphs, num_tasks), -1, dtype=np.int8)
-    for rec in _read_records(base / manifest["graph_label_file"]):
-        gid = int(rec[0])
-        values = rec[1:]
-        if len(values) != num_tasks:
-            raise LengthMismatch(f"graph {gid}: expected {num_tasks} task labels")
-        labels[gid] = [-1 if v == "-" else int(v) for v in values]
+    for j, tokens in enumerate(tasks):
+        labels[gids, j] = _dash_ints(path, tokens, np.int8)
     scaffold_ids = None
     if manifest.get("scaffold_file"):
+        path = base / manifest["scaffold_file"]
+        gids, sids = read_table(path, (np.int64, np.int64))
+        _check_ids(path, gids, num_graphs, "graph id")
         scaffold_ids = np.full(num_graphs, -1, dtype=np.int64)
-        for rec in _read_records(base / manifest["scaffold_file"]):
-            scaffold_ids[int(rec[0])] = int(rec[1])
+        scaffold_ids[gids] = sids
         if np.any(scaffold_ids < 0):
             raise LengthMismatch("scaffold ids must cover every graph")
     collection = GraphCollection(graphs=graphs, labels=labels, scaffold_ids=scaffold_ids)
@@ -559,23 +597,18 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
         manifest["graph_size_file"] = "graph_sizes.tsv"
         manifest["graph_file"] = "graph_edges.tsv"
         manifest["graph_label_file"] = "graph_labels.tsv"
-        with open(out / "graph_sizes.tsv", "w") as f:
-            for gid, g in enumerate(coll.graphs):
-                f.write(f"{gid}\t{g.num_nodes}\n")
-        with open(out / "graph_edges.tsv", "w") as f:
-            for gid, g in enumerate(coll.graphs):
-                src, dst = g.arcs()
-                for u, v in zip(src.tolist(), dst.tolist()):
-                    f.write(f"{gid}\t{u}\t{v}\n")
-        with open(out / "graph_labels.tsv", "w") as f:
-            for gid in range(coll.num_graphs):
-                row = "\t".join("-" if y < 0 else str(int(y)) for y in coll.labels[gid])
-                f.write(f"{gid}\t{row}\n")
+        write_table(out / "graph_sizes.tsv",
+                    (np.arange(coll.num_graphs), [g.num_nodes for g in coll.graphs]))
+        arcs = [g.arcs() for g in coll.graphs] or [(np.empty(0, np.int64),) * 2]
+        write_table(out / "graph_edges.tsv", (
+            np.repeat(np.arange(coll.num_graphs), [g.num_arcs for g in coll.graphs]),
+            np.concatenate([src for src, _ in arcs]), np.concatenate([dst for _, dst in arcs])))
+        write_table(out / "graph_labels.tsv", (
+            np.arange(coll.num_graphs),
+            *(np.where(task < 0, "-", task.astype(str)) for task in coll.labels.T)))
         if coll.scaffold_ids is not None:
             manifest["scaffold_file"] = "scaffolds.tsv"
-            with open(out / "scaffolds.tsv", "w") as f:
-                for gid, sid in enumerate(coll.scaffold_ids.tolist()):
-                    f.write(f"{gid}\t{sid}\n")
+            write_table(out / "scaffolds.tsv", (np.arange(coll.num_graphs), coll.scaffold_ids))
     else:
         raise LengthMismatch(f"unknown dataset kind {dataset.kind!r}")
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -30,11 +29,10 @@ from .errors import (
     EmptyMolecule,
     EmptySubgraph,
     LengthMismatch,
-    MissingFile,
     MissingNodeScore,
     SeedCountMismatch,
 )
-from .graph_store import Graph
+from .graph_store import Graph, read_header, read_table, require_file, write_table
 from .metrics import lookup_rows
 from .report import MetricCell
 
@@ -339,15 +337,12 @@ def write_manifest_file(path, manifest: TargetManifest) -> None:
 
 
 def read_manifest_file(path) -> TargetManifest:
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(str(path))
     target = None
     unit_kind = None
     nodes = np.empty(0, dtype=np.int64)
     edges = []
     conditions: dict[str, np.ndarray] = {}
-    with open(path) as f:
+    with open(require_file(path)) as f:
         for line in f:
             parts = line.rstrip("\n").split("\t")
             if parts[0] == "target":
@@ -370,50 +365,21 @@ def read_manifest_file(path) -> TargetManifest:
 
 def read_saliency_file(path) -> SaliencyTable:
     """Text format: header ``#kind<TAB>KIND`` then ``unit_id<TAB>score`` rows."""
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(str(path))
-    with open(path) as f:
-        header = f.readline().rstrip("\n").split("\t")
-        if len(header) != 2 or header[0] != "#kind":
-            raise LengthMismatch(f"{path}: first line must be '#kind<TAB>KIND'")
-        kind = header[1]
-        ids, scores = [], []
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            uid, score = line.split("\t")
-            ids.append(int(uid))
-            scores.append(float(score))
-    return SaliencyTable(kind=kind, unit_ids=np.array(ids, dtype=np.int64),
-                         scores=np.array(scores, dtype=np.float64))
+    kind = read_header(path, "#kind")
+    ids, scores = read_table(path, (np.int64, np.float64))
+    return SaliencyTable(kind=kind, unit_ids=ids, scores=scores)
 
 
 def write_saliency_file(path, table: SaliencyTable) -> None:
-    with open(path, "w") as f:
-        f.write(f"#kind\t{table.kind}\n")
-        for uid, score in zip(table.unit_ids.tolist(), table.scores.tolist()):
-            f.write(f"{uid}\t{repr(float(score))}\n")
+    write_table(path, (table.unit_ids, table.scores), header=f"#kind\t{table.kind}")
 
 
 def read_probs_file(path) -> dict[tuple[int, str], float]:
     """Rows ``target_id<TAB>condition<TAB>prob`` from the external model."""
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(str(path))
-    out: dict[tuple[int, str], float] = {}
-    with open(path) as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            target, condition, prob = line.split("\t")
-            out[(int(target), condition)] = float(prob)
-    return out
+    targets, conditions, probs = read_table(path, (np.int64, object, np.float64))
+    return dict(zip(zip(targets.tolist(), conditions.tolist()), probs.tolist()))
 
 
 def write_probs_file(path, probs: dict[tuple[int, str], float]) -> None:
-    with open(path, "w") as f:
-        for (target, condition) in sorted(probs):
-            f.write(f"{target}\t{condition}\t{repr(float(probs[(target, condition)]))}\n")
+    keys = sorted(probs)
+    write_table(path, ([t for t, _ in keys], [c for _, c in keys], [float(probs[k]) for k in keys]))

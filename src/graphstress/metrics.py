@@ -9,7 +9,6 @@ unit set; ranking metrics take precomputed ranks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -18,10 +17,10 @@ from .errors import (
     EmptyEvalSet,
     EmptyQuerySet,
     LengthMismatch,
-    MissingFile,
     MissingPrediction,
     OneClassOnly,
 )
+from .graph_store import read_header, read_table, write_table
 
 
 def lookup_rows(unit_ids: np.ndarray, order: np.ndarray, units, missing) -> np.ndarray:
@@ -174,17 +173,10 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray, eval_set: np.ndarray | None 
 
 def _midranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks; tied scores all get the mean of their rank range."""
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    end = np.cumsum(counts)  # a tie group fills sorted positions start..end-1
+    start = end - counts
+    return ((start + end + 1) / 2.0)[inverse]
 
 
 def rank_of_true(scores: np.ndarray, true_index: int) -> float:
@@ -218,59 +210,27 @@ def hits_at_k(ranks: np.ndarray, k: int) -> float:
 
 def read_prediction_file(path) -> PredictionTable:
     """Text format: header ``#num_classes<TAB>C`` then ``unit_id<TAB>p0<TAB>p1...``."""
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(str(path))
-    with open(path) as f:
-        header = f.readline().rstrip("\n").split("\t")
-        if len(header) != 2 or header[0] != "#num_classes":
-            raise LengthMismatch(f"{path}: first line must be '#num_classes<TAB>C'")
-        num_classes = int(header[1])
-        ids, rows = [], []
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != num_classes + 1:
-                raise LengthMismatch(f"{path}: row for unit {parts[0]} has wrong column count")
-            ids.append(int(parts[0]))
-            rows.append([float(x) for x in parts[1:]])
-    if not ids:
+    num_classes = read_header(path, "#num_classes")
+    if not num_classes.isdecimal() or int(num_classes) < 1:
+        raise LengthMismatch(f"{path}: class count {num_classes!r} is not a positive integer")
+    ids, *columns = read_table(path, (np.int64,) + (np.float64,) * int(num_classes))
+    if not len(ids):
         raise EmptyEvalSet(f"{path}: no prediction rows")
-    return PredictionTable(np.array(ids, dtype=np.int64), np.array(rows, dtype=np.float64))
+    return PredictionTable(ids, np.column_stack(columns))
 
 
 def write_prediction_file(path, table: PredictionTable) -> None:
-    with open(path, "w") as f:
-        f.write(f"#num_classes\t{table.num_classes}\n")
-        for uid, row in zip(table.unit_ids.tolist(), table.rows):
-            f.write(str(uid) + "\t" + "\t".join(repr(float(x)) for x in row) + "\n")
+    write_table(path, (table.unit_ids, *table.rows.T), header=f"#num_classes\t{table.num_classes}")
 
 
 def read_ranking_file(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows ``query_id<TAB>candidate_id<TAB>score``; returns three aligned arrays."""
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(str(path))
-    queries, cands, scores = [], [], []
-    with open(path) as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            q, c, s = line.split("\t")
-            queries.append(int(q))
-            cands.append(int(c))
-            scores.append(float(s))
-    return (np.array(queries, dtype=np.int64), np.array(cands, dtype=np.int64),
-            np.array(scores, dtype=np.float64))
+    queries, cands, scores = read_table(path, (np.int64, np.int64, np.float64))
+    return queries, cands, scores
 
 
 def write_ranking_file(path, queries: np.ndarray, cands: np.ndarray, scores: np.ndarray) -> None:
-    with open(path, "w") as f:
-        for q, c, s in zip(queries.tolist(), cands.tolist(), scores.tolist()):
-            f.write(f"{q}\t{c}\t{repr(float(s))}\n")
+    write_table(path, (queries, cands, np.asarray(scores, dtype=np.float64)))
 
 
 def ranks_from_ranking(queries: np.ndarray, cands: np.ndarray, scores: np.ndarray,

@@ -1,5 +1,6 @@
 """End-to-end command tests: every subcommand, the pipeline runner, exit codes."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -13,14 +14,19 @@ import pytest
 import graphstress
 import graphstress.cli as cli
 from graphstress.cli import main
-from graphstress.graph_store import Role, load_dataset, read_split_file, save_dataset
+from graphstress.graph_store import Role, SplitAssignment, load_dataset, read_split_file, save_dataset
 from graphstress.interpret import (
     SaliencyTable,
     read_manifest_file,
     write_probs_file,
     write_saliency_file,
 )
-from graphstress.metrics import PredictionTable, read_prediction_file, write_prediction_file
+from graphstress.metrics import (
+    PredictionTable,
+    read_prediction_file,
+    write_prediction_file,
+    write_ranking_file,
+)
 from graphstress.report import load_report
 from graphstress.synthetic import make_molecule_collection, make_node_dataset, make_triple_store
 
@@ -454,6 +460,101 @@ def test_programming_error_in_a_cell_propagates(small_ds, tmp_path, monkeypatch)
                   "--workers", workers])
 
 
+def _write_external_preds(manifest, pred_dir, axis, subs):
+    """One valid seed-0 prediction file per subcondition of an external method."""
+    g = load_dataset(manifest).graph
+    rows = np.random.default_rng(5).random((g.num_nodes, 2))
+    table = PredictionTable(np.arange(g.num_nodes), rows / rows.sum(axis=1, keepdims=True))
+    for sub in subs:
+        (pred_dir / "tiny" / axis / sub).mkdir(parents=True)
+        write_prediction_file(pred_dir / "tiny" / axis / sub / "seed0.pred", table)
+
+
+def test_malformed_table_token_exits_2_or_fails_its_cell(small_ds, tmp_path, capsys):
+    bad_pred = tmp_path / "bad.pred"
+    bad_pred.write_text("#num_classes\t4\n0\t0.25\t0.25\t0.25\tx\n")
+    assert main(["fairness", "--dataset", str(small_ds), "--kind", "structural",
+                 "--pred", str(bad_pred), "--out", str(tmp_path / "fair.json")]) == 2
+    assert "LengthMismatch" in capsys.readouterr().err
+
+    bad_labels = tmp_path / "bad_labels"
+    shutil.copytree(small_ds.parent, bad_labels)
+    with open(bad_labels / "labels.tsv", "a") as f:
+        f.write("3\tfoo\n")
+    assert main(["refmodel", "--dataset", str(bad_labels / "manifest.json"),
+                 "--out", str(tmp_path / "ref.pred")]) == 2
+    assert "LengthMismatch" in capsys.readouterr().err
+
+    # in a run the same file is a named cell failure, not an aborted run
+    pred_dir = tmp_path / "preds"
+    (pred_dir / "tiny" / "fairness" / "clean").mkdir(parents=True)
+    shutil.copy(bad_pred, pred_dir / "tiny" / "fairness" / "clean" / "seed0.pred")
+    config = _write_config(
+        tmp_path / "config.json", manifest=small_ds, seeds=1, axes=["fairness"],
+        methods=[{"kind": "external", "name": "m_ext", "pred_dir": str(pred_dir)}])
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    log = (out / "errors.log").read_text()
+    assert "m_ext" in log and "LengthMismatch" in log and "seed0.pred" in log
+
+
+@pytest.mark.parametrize("argv, dataset", [
+    (["corrupt", "--channel", "edge", "--severity-index", "1"], "kg"),
+    (["corrupt", "--channel", "edge", "--severity-index", "1"], "mol"),
+    (["split", "--mechanism", "degree"], "kg"),
+    (["split", "--mechanism", "kg"], "mol"),
+    (["split", "--mechanism", "scaffold"], "tiny"),
+    (["imbalance", "--rho", "10"], "mol_split"),
+    (["refmodel"], "mol_split"),
+], ids=["corrupt-kg", "corrupt-mol", "split-degree-kg", "split-kg-mol", "split-scaffold-node",
+        "imbalance-mol", "refmodel-mol"])
+def test_subcommand_on_the_wrong_dataset_kind_exits_2(small_ds, mol_ds, kg_ds, tmp_path, capsys,
+                                                       argv, dataset):
+    if dataset == "mol_split":  # a molecule collection that does carry a split
+        ds = make_molecule_collection(name="splitmol", num_graphs=20, seed=3)
+        ds.split = SplitAssignment(np.arange(20, dtype=np.int8) % 3)
+        manifest = save_dataset(ds, tmp_path / "splitmol")
+    else:
+        manifest = {"tiny": small_ds, "mol": mol_ds, "kg": kg_ds}[dataset]
+    assert main(argv + ["--dataset", str(manifest), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "MissingInput" in err and "needs a" in err
+
+
+@pytest.mark.parametrize("rhos", [[2, 2.5], [10, 10.0], [5, 20, 5], 10],
+                         ids=["fraction", "same-level", "repeat", "not-a-list"])
+def test_colliding_or_fractional_rhos_exit_2_before_loading(small_ds, tmp_path, monkeypatch,
+                                                            capsys, rhos):
+    def no_load(manifest):
+        raise AssertionError("a bad config must be rejected before any dataset loads")
+
+    monkeypatch.setattr(cli, "load_dataset", no_load)
+    config = _write_config(tmp_path / "config.json", manifest=small_ds, seeds=1,
+                           axes=["imbalance"], rhos=rhos)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "rhos" in err
+
+
+@pytest.mark.parametrize("kind, write_ops, deletions", [
+    ("external", False, 0), ("external", True, 5), ("refmodel", False, 5)])
+def test_edges_are_deleted_only_for_a_reader_of_the_deleted_graph(small_ds, tmp_path,
+                                                                  monkeypatch, kind,
+                                                                  write_ops, deletions):
+    calls = []
+    real = cli.edge_delete
+    monkeypatch.setattr(cli, "edge_delete", lambda *a, **k: calls.append(a) or real(*a, **k))
+    pred_dir = tmp_path / "preds"
+    _write_external_preds(small_ds, pred_dir, "corruption",
+                          ["clean"] + [f"{c}_sev{i}" for c in ("feature", "edge")
+                                       for i in range(1, 6)])
+    config = _write_config(tmp_path / "config.json", manifest=small_ds, seeds=1,
+                           axes=["corruption"], write_operator_outputs=write_ops,
+                           methods=[{"kind": kind, "name": "m", "pred_dir": str(pred_dir)}])
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "r")]) == 0
+    assert len(calls) == deletions
+
+
 @pytest.fixture(scope="module")
 def ops_run(small_ds, mol_ds, tmp_path_factory):
     """Runs at seed 1 that write their operator outputs; dataset name -> its ops/ dir."""
@@ -559,6 +660,67 @@ def test_report_command_regenerates_cells(small_ds, tmp_path):
 def test_report_without_values_exits_2(tmp_path):
     assert main(["report", "--results", str(tmp_path), "--out",
                  str(tmp_path / "r")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# on-disk bytes of every text writer
+# ---------------------------------------------------------------------------
+
+# sha256 of each file below as written by the per-format writers that the
+# shared table writer replaced; features.gsf is binary and depends on float
+# arithmetic, so it is left out
+GOLDEN_SHA256 = {
+    "kg/manifest.json": "232d47e1602da44b2ea14dd9d0f0acb1ea3945d61af41a39949f75df42d04f32",
+    "kg/triples.tsv": "cbdc2e3bc278b00d8786aa548c7c645c7e6b0060fb528329f3137655e7e3e7f9",
+    "kgsplit/queries.tsv": "330d4a1956dfc114060125105f54ec5ca5533e143350caa1e522f58433caad4f",
+    "kgsplit/split.json": "66f4d608c58aedf935b25052dbcdb2957b9f104ac08e635f4715d330c7ef184e",
+    "kgsplit/test_entities.tsv": "bcb882f7b9a1fc7220f14ba4c62bb5f519da58665a21654467792601d94d613c",
+    "kgsplit/train_entities.tsv": "422f2249c61decdd186c67553b0cdb32bb1ca5256a6229757a55a4814bf40a4f",
+    "kgsplit/train_triples.tsv": "a76d5c93ff9dd2b7741883c676dea22e3fb862aaaf5d2dc84f492ed8071980e4",
+    "mol/graph_edges.tsv": "093c10ff2db7e0f3abf09b8366fd142becb234ee19859ceaaed7a928f40b0e97",
+    "mol/graph_labels.tsv": "6ade3e126ef243f4393858c84aa68b1ab9e59089dd95381b7f27a1ff0afdcb84",
+    "mol/graph_sizes.tsv": "dc69af6d83c1c514e2b0c23c9e92a44765b5596e4b6406531466224d9644b2c4",
+    "mol/manifest.json": "ea52c4a86779385cb6cf9d39b3dc250fc9d5ffb47f8f706e12fd385c2f5640ee",
+    "mol/scaffolds.tsv": "7ab258ae86a49a84a1d42d61982642c0aba480fe849918b15101c5313f73bf10",
+    "multi.pred": "277e2bbaf067c57cb405ab8f92accc918835b9348aaa1206da7f84bb82b50b73",
+    "node/edges.tsv": "35a02d8b196ba2010b6220603f3ab826b29f388c060c9f08f8d5bf758e038134",
+    "node/labels.tsv": "f124866ea3f24041bf69a0dece932c5b72b170fd88204318dffdc8f03bfc1abc",
+    "node/manifest.json": "c4d51bde7c7acb7931a5d0f36e268dbd49ec7c826eb89f63e9b682ac38791c17",
+    "node/meta.tsv": "b54ed1529126f6f62b6fb93e821bdde10511609fe8f73044749839faca2e5eea",
+    "node/split.tsv": "ac61049148a677eb47feb2941382f262ef41a9229bb28113378bfa30208fc5ae",
+    "scalar.pred": "903ad0e05404ec0344d03cd9e4324b0914492713562081e9766d552878200bcc",
+    "x.probs": "dc76a78c403f7d21fd38a8fe160d25c7def94791e94ec4f678458125d49174fe",
+    "x.ranking": "2b35f7fea33fc0fce35a4cedc02d4888cbc21cbf43d8212d1762cc1231f8a830",
+    "x.saliency": "d0091af37e785bf0e34a477727d0ea3569b8438ae7e98b115e4d70f42bc7f1a6",
+}
+
+
+def test_writers_emit_pinned_bytes(tmp_path):
+    node = make_node_dataset(name="gold", num_nodes=40, num_classes=3, seed=2)
+    g = node.graph
+    g.labels[[1, 5]] = g.num_classes  # unlabeled: no labels.tsv row
+    g.meta.year[[2, 3]] = -1          # '-' for a missing year
+    g.meta.sensitive_attr[[3, 4]] = -1  # node 3 has no meta.tsv row at all
+    save_dataset(node, tmp_path / "node")
+    mol = make_molecule_collection(name="goldmol", num_graphs=6, seed=2)
+    second_task = np.array([-1, 0, 1, 1, -1, 0], dtype=np.int8)
+    mol.collection.labels = np.column_stack([mol.collection.labels[:, 0], second_task])
+    save_dataset(mol, tmp_path / "mol")
+    kg = save_dataset(make_triple_store(name="goldkg", num_entities=30, seed=2), tmp_path / "kg")
+    assert main(["split", "--mechanism", "kg", "--dataset", str(kg), "--seed", "1",
+                 "--out", str(tmp_path / "kgsplit")]) == 0
+    write_prediction_file(tmp_path / "multi.pred", PredictionTable(
+        [4, 0, 2], [[1 / 3, 1 / 3, 1 / 3], [0.1, 0.2, 0.7], [1.0, 0.0, 0.0]]))
+    write_prediction_file(tmp_path / "scalar.pred", PredictionTable([0, 1], [[0.25], [1e-17]]))
+    write_ranking_file(tmp_path / "x.ranking", np.array([0, 0, 1]), np.array([3, 4, 3]),
+                       np.array([2, -1, 0]))  # integer scores are written as floats
+    write_saliency_file(tmp_path / "x.saliency",
+                        SaliencyTable("node_grad_norm", [2, 0, 1], [0.0, 1e-20, 3.5]))
+    write_probs_file(tmp_path / "x.probs", {(3, "saliency_top_5"): np.float64(0.125),
+                                            (1, "clean"): 1, (1, "random_comp_12.5"): 2 / 3})
+    digests = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.rglob("*")) if p.is_file() and p.suffix != ".gsf"}
+    assert digests == GOLDEN_SHA256
 
 
 # ---------------------------------------------------------------------------

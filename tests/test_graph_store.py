@@ -40,6 +40,8 @@ from graphstress.graph_store import (
     write_split_file,
     write_triple_file,
 )
+from graphstress.interpret import read_probs_file, read_saliency_file
+from graphstress.metrics import read_prediction_file, read_ranking_file
 from graphstress.synthetic import make_molecule_collection, make_node_dataset, make_triple_store
 
 
@@ -307,6 +309,40 @@ def test_triple_file_round_trip(tmp_path):
     p = tmp_path / "t.tsv"
     write_triple_file(p, triples)
     assert np.array_equal(read_triple_file(p), triples)
+
+
+def test_text_tables_skip_comment_and_blank_lines(tmp_path):
+    p = tmp_path / "t.tsv"
+    p.write_text("# labels\n0\t1\n\n2\t0\n#\n")
+    assert read_label_file(p, num_nodes=3, num_classes=2).tolist() == [1, 2, 0]
+    p.write_text("\n# roles\n1\ttest\n\n0\ttrain\n")
+    assert read_split_file(p, num_units=3).roles.tolist() == [Role.TRAIN, Role.TEST, Role.EXCLUDED]
+    p.write_text("#node\tyear\tsensitive\n1\t2001\t-\n\n")
+    meta = read_meta_file(p, num_nodes=2)
+    assert meta.year.tolist() == [-1, 2001] and meta.sensitive_attr is None
+    p.write_text("# only comments\n\n")
+    assert read_edge_file(p)[0].size == 0
+
+
+@pytest.mark.parametrize("read, text", [
+    (read_edge_file, "0\t1\n1\n"),
+    (read_edge_file, "0\t1\n1\t0\t2\n"),
+    (read_triple_file, "0\t1\tz\n"),
+    (lambda p: read_label_file(p, 3, 2), "2\tfoo\n"),
+    (lambda p: read_split_file(p, 3), "0\ttrain\textra\n"),
+    (lambda p: read_meta_file(p, 3), "0\tlate\t1\n"),
+    (read_prediction_file, "#num_classes\t4\n0\t0.25\t0.25\t0.25\tx\n"),
+    (read_prediction_file, "#num_classes\ttwo\n0\t0.5\t0.5\n"),
+    (read_ranking_file, "0\t1\t0.5\n0\t2\n"),
+    (read_saliency_file, "#kind\tnode_grad_norm\n0\thigh\n"),
+    (read_probs_file, "3\tclean\t0.5\t0.5\n"),
+], ids=["edge-short", "edge-long", "triple", "label", "split", "meta", "pred-token",
+        "pred-header", "ranking", "saliency", "probs"])
+def test_ragged_row_or_bad_token_is_a_length_mismatch(tmp_path, read, text):
+    p = tmp_path / "t.tsv"
+    p.write_text(text)
+    with pytest.raises(LengthMismatch):
+        read(p)
 
 
 def test_missing_file_error(tmp_path):
