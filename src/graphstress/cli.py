@@ -43,6 +43,7 @@ from .graph_store import (
     Role,
     SplitAssignment,
     load_dataset,
+    require_file,
     save_dataset,
     write_split_file,
     write_table,
@@ -80,7 +81,13 @@ from .ood_splits import (
     scaffold_split,
     temporal_split,
 )
-from .refmodel import PropagationConfig, predict_node, predicted_class_prob, propagate_predict
+from .refmodel import (
+    PropagationConfig,
+    predict_node,
+    predicted_class_prob,
+    propagate_predict,
+    reachability,
+)
 from .report import MetricCell, Report, aggregate_seeds, emit_report
 
 log = logging.getLogger("graphstress")
@@ -226,8 +233,10 @@ def _demographic(dataset: Dataset, table: PredictionTable,
 
 
 def _refmodel_table(graph: Graph, train_units: np.ndarray,
-                    config: PropagationConfig = PropagationConfig()) -> PredictionTable:
-    return propagate_predict(graph, _train_labels(graph, train_units), graph.num_classes, config)
+                    config: PropagationConfig = PropagationConfig(),
+                    reach=None) -> PredictionTable:
+    return propagate_predict(graph, _train_labels(graph, train_units), graph.num_classes, config,
+                             reach=reach)
 
 
 def _edge_manifests(dataset: Dataset, saliency: SaliencyTable, targets: list, seed: int,
@@ -374,7 +383,7 @@ def cmd_interpret_emit(args) -> int:
 
 
 def cmd_interpret_score(args) -> int:
-    emit_meta = json.loads((Path(args.manifest) / "emit.json").read_text())
+    emit_meta = json.loads(require_file(Path(args.manifest) / "emit.json").read_text())
     k_levels = emit_meta["k_levels"]
     records = _fidelity_records(emit_meta["targets"], k_levels,
                                 _probs_lookup(read_probs_file(args.probs), args.probs))
@@ -416,6 +425,21 @@ def cmd_report(args) -> int:
 AXES = ("corruption", "ood", "imbalance", "fairness", "interpret")
 
 
+CONFIG_KEYS = ("seeds", "axes", "datasets", "methods", "rhos", "k_levels", "interpret_targets",
+               "head_tail_quantile", "workers", "write_operator_outputs", "out")
+METHOD_KEYS = ("kind", "name", "pred_dir", "has_saliency")
+DATASET_KEYS = ("manifest", "name")
+
+
+def _check_keys(entry, allowed: tuple, what: str) -> None:
+    if not isinstance(entry, dict):
+        raise ConfigError(f"a {what} entry must be a JSON object, got {entry!r}")
+    unknown = sorted(set(entry) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s) {', '.join(map(repr, unknown))}; "
+                          f"valid: {', '.join(allowed)}")
+
+
 def _load_config(path: Path) -> dict:
     try:
         config = json.loads(path.read_text())
@@ -423,6 +447,11 @@ def _load_config(path: Path) -> dict:
         raise MissingInput(f"config file {path} does not exist")
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: config does not parse: {e}")
+    _check_keys(config, CONFIG_KEYS, "config")
+    for m in config.get("methods", []):
+        _check_keys(m, METHOD_KEYS, "method")
+    for d in config.get("datasets", []):
+        _check_keys(d, DATASET_KEYS, "dataset")
     for axis in config.get("axes", []):
         if axis not in AXES:
             raise ConfigError(f"unknown axis {axis!r}; valid: {', '.join(AXES)}")
@@ -474,6 +503,7 @@ class PipelineRunner:
         self.num_targets = int(config.get("interpret_targets", 10))
         self.quantile = float(config.get("head_tail_quantile", 0.2))
         self.datasets: dict[str, Dataset] = {}
+        self.clean_reach: dict = {}  # dataset name -> its clean graph's reachability
         self.failures: list[tuple[str, str]] = []
         self._ops_method: str | None = None  # single designated op-output writer
 
@@ -492,7 +522,10 @@ class PipelineRunner:
         if method["kind"] == "refmodel":
             if train is None:
                 train = _given_split(dataset).units(Role.TRAIN)
-            return _refmodel_table(dataset.graph if graph is None else graph, train)
+            if graph is None:
+                return _refmodel_table(dataset.graph, train,
+                                       reach=self.clean_reach.get(dataset.name))
+            return _refmodel_table(graph, train)  # a deleted graph is scored once
         pred_path = (Path(method["pred_dir"]) / dataset.name / axis / sub
                      / f"seed{seed}.pred")
         if not pred_path.is_file():
@@ -671,6 +704,14 @@ class PipelineRunner:
             self._ops_method = methods[0]["name"]
         seeds = self.config["seeds"]
         axes = self.config["axes"]
+        # every clean-graph refmodel cell reads the same reachability: build
+        # it once here, on one thread; the jobs only read it. The interpret
+        # axis scores by local traversal and never reads it.
+        if any(m["kind"] == "refmodel" for m in methods) and set(axes) != {"interpret"}:
+            hops = PropagationConfig().hops
+            for name, ds in sorted(self.datasets.items()):
+                if ds.kind == "node_graph":
+                    self.clean_reach[name] = reachability(ds.graph, hops)
 
         jobs = [
             (ds_name, method, axis, seed)

@@ -85,6 +85,11 @@ def bfs_hops_oracle(adjacency, center, hops):
     return set(dist)
 
 
+def reachability_oracle(adjacency, hops):
+    """Set of (i, j), j != i, with j within `hops` hops of i, by one BFS per node."""
+    return {(i, j) for i in adjacency for j in bfs_hops_oracle(adjacency, i, hops) if j != i}
+
+
 def propagation_oracle(adjacency, train_labels, num_classes, hops, alpha, node):
     """Reference row for the propagation scorer, via bfs_hops_oracle."""
     reachable = bfs_hops_oracle(adjacency, node, hops) - {node}

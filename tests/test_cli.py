@@ -315,6 +315,17 @@ def test_interpret_score_without_targets_writes_undefined_cells(tmp_path):
     assert all(cell["undefined"] for cell in payload["cells"].values())
 
 
+def test_interpret_score_without_emit_json_exits_2(tmp_path, capsys):
+    man_dir = tmp_path / "manifests"
+    man_dir.mkdir()
+    probs_path = tmp_path / "rescored.tsv"
+    write_probs_file(probs_path, {})
+    assert main(["interpret", "score", "--manifest", str(man_dir),
+                 "--probs", str(probs_path), "--out", str(tmp_path / "fidelity.json")]) == 2
+    err = capsys.readouterr().err
+    assert "MissingFile" in err and "emit.json" in err
+
+
 # ---------------------------------------------------------------------------
 # pipeline runner
 # ---------------------------------------------------------------------------
@@ -555,6 +566,41 @@ def test_edges_are_deleted_only_for_a_reader_of_the_deleted_graph(small_ds, tmp_
     assert len(calls) == deletions
 
 
+@pytest.mark.parametrize("names, methods, axes", [
+    (["tiny"], [{"kind": "refmodel"}], ["corruption", "ood", "imbalance", "fairness"]),
+    (["a", "b"], [{"kind": "refmodel"}, {"kind": "refmodel", "name": "again"}], ["fairness"]),
+    (["tiny"], [{"kind": "external", "name": "m", "pred_dir": "preds"}],
+     ["corruption", "ood", "imbalance", "fairness"]),
+    (["tiny"], [{"kind": "refmodel"}], ["interpret"]),
+], ids=["refmodel-four-axes", "two-datasets-two-refmodels", "external", "interpret-only"])
+def test_clean_reachability_is_built_once_per_dataset(small_ds, tmp_path, monkeypatch,
+                                                      names, methods, axes):
+    calls = []
+    real = cli.reachability
+    monkeypatch.setattr(cli, "reachability", lambda *a, **k: calls.append(a) or real(*a, **k))
+    pred_dir = tmp_path / "preds"
+    subs = {"corruption": ["clean"] + [f"{c}_sev{i}" for c in ("feature", "edge")
+                                       for i in range(1, 6)],
+            "ood": ["degree", "temporal"], "imbalance": ["rho5", "rho10", "rho20"],
+            "fairness": ["clean"]}
+    for axis in axes:
+        _write_external_preds(small_ds, pred_dir, axis, subs.get(axis, []))
+    for seed0 in pred_dir.rglob("seed0.pred"):
+        shutil.copy(seed0, seed0.with_name("seed1.pred"))
+    for m in methods:
+        if "pred_dir" in m:
+            m["pred_dir"] = str(pred_dir)
+    config = _write_config(tmp_path / "config.json", manifest=small_ds, seeds=[0, 1],
+                           axes=axes, methods=methods,
+                           datasets=[{"manifest": str(small_ds), "name": n} for n in names])
+    uses_reach = methods[0]["kind"] == "refmodel" and axes != ["interpret"]
+    for workers in ("1", "2"):
+        calls.clear()
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / workers),
+                     "--workers", workers]) == 0
+        assert len(calls) == (len(names) if uses_reach else 0)
+
+
 @pytest.fixture(scope="module")
 def ops_run(small_ds, mol_ds, tmp_path_factory):
     """Runs at seed 1 that write their operator outputs; dataset name -> its ops/ dir."""
@@ -605,6 +651,39 @@ def test_run_config_errors_exit_2(small_ds, tmp_path):
     no_datasets = tmp_path / "nd.json"
     no_datasets.write_text(json.dumps({"datasets": [], "axes": ["corruption"]}))
     assert main(["run", "--config", str(no_datasets)]) == 2
+
+
+@pytest.mark.parametrize("where, overrides, key", [
+    ("config", {"seed": 1}, "seed"),
+    ("config", {"head_tail_quantlie": 0.4}, "head_tail_quantlie"),
+    ("method", {"methods": [{"kind": "refmodel", "hops": 3}]}, "hops"),
+    ("dataset", {"datasets": [{"manifest": "m.json", "path": "x"}]}, "path"),
+], ids=["seed", "misspelt-quantile", "method-hops", "dataset-path"])
+def test_unknown_config_key_exits_2_before_loading(small_ds, tmp_path, monkeypatch, capsys,
+                                                   where, overrides, key):
+    def no_load(manifest):
+        raise AssertionError("a bad config must be rejected before any dataset loads")
+
+    monkeypatch.setattr(cli, "load_dataset", no_load)
+    config = _write_config(tmp_path / "config.json", manifest=small_ds, **overrides)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and repr(key) in err and where in err
+
+
+def test_every_shipped_config_passes_the_key_check(small_ds, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    configs = [workloads.stress_config(w, tmp_path) for w in workloads.WORKLOADS]
+    configs.append(json.loads(_write_config(tmp_path / "t.json", manifest=small_ds,
+                                            write_operator_outputs=True, rhos=[5],
+                                            k_levels=[5], head_tail_quantile=0.2,
+                                            workers=1, out="r").read_text()))
+    for i, config in enumerate(configs):
+        path = tmp_path / f"c{i}.json"
+        path.write_text(json.dumps(config))
+        assert cli._load_config(path)["datasets"]
 
 
 def test_external_method_without_pred_dir_exits_2_before_loading(small_ds, tmp_path,

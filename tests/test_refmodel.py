@@ -14,8 +14,9 @@ from graphstress.refmodel import (
     predict_node,
     predicted_class_prob,
     propagate_predict,
+    reachability,
 )
-from oracles import adjacency_from_graph, propagation_oracle
+from oracles import adjacency_from_graph, propagation_oracle, reachability_oracle
 
 
 def _chain(n):
@@ -138,6 +139,35 @@ def test_predict_node_matches_matrix_property(seed, hops):
     rows = propagate_predict(g, train, 3, config).rows_for(np.arange(n))
     node = int(rng.integers(0, n))
     assert np.allclose(predict_node(g, train, 3, node, config), rows[node], atol=1e-12)
+
+
+@given(st.integers(0, 10_000), st.integers(1, 3), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_reachability_matches_bfs_oracle_property(seed, hops, undirected):
+    # directed or undirected graphs with self-loops and, often, isolated nodes
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 30))
+    src = np.append(rng.integers(0, n, 2 * n), rng.integers(0, n, 3))
+    dst = np.append(rng.integers(0, n, 2 * n), src[-3:])
+    g = Graph.from_arcs(n, src, dst, undirected=undirected, symmetrize=undirected)
+    reach = reachability(g, hops)
+    assert reach.dtype == bool and reach.shape == (n, n) and reach.data.all()
+    rows, cols = reach.nonzero()
+    got = set(zip(rows.tolist(), cols.tolist()))
+    assert len(got) == reach.nnz  # no duplicate entries
+    assert got == reachability_oracle(adjacency_from_graph(g), hops)
+
+
+@pytest.mark.parametrize("hops", [1, 2, 3])
+def test_given_reachability_is_bit_equal_to_building_it(random_graph, hops):
+    rng = np.random.default_rng(hops)
+    train = np.where(rng.random(100) < 0.3, rng.integers(0, 4, 100), -1).astype(np.int64)
+    config = PropagationConfig(hops=hops)
+    built = propagate_predict(random_graph, train, 4, config)
+    given = propagate_predict(random_graph, train, 4, config,
+                              reach=reachability(random_graph, hops))
+    assert (given.unit_ids == built.unit_ids).all()
+    assert given.rows.tobytes() == built.rows.tobytes()
 
 
 @given(st.integers(0, 10_000), st.integers(1, 3))
