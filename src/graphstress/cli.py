@@ -452,6 +452,8 @@ def _load_config(path: Path) -> dict:
         _check_keys(m, METHOD_KEYS, "method")
     for d in config.get("datasets", []):
         _check_keys(d, DATASET_KEYS, "dataset")
+        if not isinstance(d.get("manifest"), str):
+            raise ConfigError(f"dataset entry {d!r} needs a 'manifest' path string")
     for axis in config.get("axes", []):
         if axis not in AXES:
             raise ConfigError(f"unknown axis {axis!r}; valid: {', '.join(AXES)}")
@@ -473,9 +475,17 @@ def _load_config(path: Path) -> dict:
     if len({int(r) for r in rhos}) != len(rhos):
         raise ConfigError(f"rhos repeat a level: {rhos}")
     seeds = config.get("seeds", 5)
-    if isinstance(seeds, int):
+    if _is_int(seeds) and seeds > 0:
         config["seeds"] = list(range(seeds))
+    elif not (isinstance(seeds, list) and seeds and all(_is_int(s) and s >= 0 for s in seeds)
+              and len(set(seeds)) == len(seeds)):
+        raise ConfigError(f"seeds must be a positive count or a non-empty list of distinct "
+                          f"non-negative integers, got {seeds!r}")
     return config
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 INAPPLICABLE = "inapplicable"

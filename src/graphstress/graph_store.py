@@ -191,6 +191,14 @@ def validate_graph(g: Graph) -> None:
 
 def check_symmetry(g: Graph, src=None, dst=None) -> None:
     """Verify the undirected invariant: reverse of every non-loop arc present."""
+    arc = _one_way_arc(g, src, dst)
+    if arc is not None:
+        u, v = arc
+        raise AsymmetricGraph(f"arc ({u},{v}) has no reverse ({v},{u})")
+
+
+def _one_way_arc(g: Graph, src=None, dst=None) -> tuple[int, int] | None:
+    """The smallest arc (u, v), u != v, whose reverse (v, u) is absent, or None."""
     if src is None:
         src, dst = g.arcs()
     non_loop = src != dst
@@ -198,11 +206,14 @@ def check_symmetry(g: Graph, src=None, dst=None) -> None:
     rev = dst[non_loop] * g.num_nodes + src[non_loop]
     fwd.sort()
     rev.sort()
-    if not np.array_equal(fwd, rev):
-        missing = np.setdiff1d(fwd, rev, assume_unique=False)
-        key = int(missing[0]) if len(missing) else int(np.setdiff1d(rev, fwd)[0])
-        u, v = divmod(key, g.num_nodes)
-        raise AsymmetricGraph(f"arc ({v},{u}) has no reverse ({u},{v})")
+    if np.array_equal(fwd, rev):
+        return None
+    # rev holds the key of every arc's reverse, so a key of fwd absent from
+    # it is an arc whose reverse is missing. Neighbor lists hold no
+    # duplicates, so fwd and rev are two unequal sets of one size and fwd
+    # has such a key.
+    u, v = divmod(int(np.setdiff1d(fwd, rev)[0]), g.num_nodes)
+    return u, v
 
 
 @dataclass
@@ -523,20 +534,14 @@ def _load_collection(manifest: dict, base: Path, name: str) -> Dataset:
     path = base / manifest["graph_size_file"]
     gids, graph_sizes = read_table(path, (np.int64, np.int64))
     _check_ids(path, gids, num_graphs, "graph id")
+    if np.any(graph_sizes < 0):
+        raise BadId(f"{path}: graph size {graph_sizes[graph_sizes < 0][0]} is negative")
     sizes = np.zeros(num_graphs, dtype=np.int64)
     sizes[gids] = graph_sizes
     path = base / manifest["graph_file"]
     gids, src, dst = read_table(path, (np.int64,) * 3)
     _check_ids(path, gids, num_graphs, "graph id")
-    order = np.argsort(gids, kind="stable")
-    src, dst = src[order], dst[order]
-    bounds = np.searchsorted(gids[order], np.arange(num_graphs + 1))
-    undirected = bool(manifest.get("undirected", True))
-    graphs = [
-        Graph.from_arcs(int(sizes[g]), src[bounds[g]:bounds[g + 1]], dst[bounds[g]:bounds[g + 1]],
-                        undirected=undirected)
-        for g in range(num_graphs)
-    ]
+    graphs = _collection_graphs(path, sizes, gids, src, dst, bool(manifest.get("undirected", True)))
     path = base / manifest["graph_label_file"]
     gids, *tasks = read_table(path, (np.int64,) + (object,) * num_tasks)
     _check_ids(path, gids, num_graphs, "graph id")
@@ -558,6 +563,40 @@ def _load_collection(manifest: dict, base: Path, name: str) -> Dataset:
     if manifest.get("split_file"):
         split = read_split_file(base / manifest["split_file"], num_graphs)
     return Dataset(kind="graph_collection", name=name, collection=collection, split=split)
+
+
+def _collection_graphs(path, sizes: np.ndarray, gids: np.ndarray, src: np.ndarray,
+                       dst: np.ndarray, undirected: bool) -> list[Graph]:
+    """One validated CSR per graph from the arcs (gids, src, dst) in local atom ids.
+
+    All graphs are built and checked as one block-diagonal CSR in which graph
+    g's atoms get the global ids ptr[g]..ptr[g+1]-1. No arc crosses two
+    blocks, so sorting, deduplicating and checking the whole arc set does
+    the same as doing it per graph; each graph is then a slice of the block.
+    BadId and AsymmetricGraph name the graph id and its local atom ids.
+    """
+    n = sizes[gids]
+    bad = np.flatnonzero((src < 0) | (src >= n) | (dst < 0) | (dst >= n))
+    if len(bad):
+        i = bad[0]
+        atom = src[i] if not 0 <= src[i] < n[i] else dst[i]
+        raise BadId(f"{path}: graph {gids[i]}: atom id {atom} out of range for {n[i]} atoms")
+    ptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=ptr[1:])
+    shift = ptr[gids]
+    block = Graph.from_arcs(int(ptr[-1]), src + shift, dst + shift, undirected=False)
+    if undirected:
+        arc = _one_way_arc(block)
+        if arc is not None:
+            g = int(np.searchsorted(ptr, arc[0], side="right")) - 1
+            u, v = arc[0] - int(ptr[g]), arc[1] - int(ptr[g])
+            raise AsymmetricGraph(f"{path}: graph {g}: arc ({u},{v}) has no reverse ({v},{u})")
+    arc_ptr = block.offsets[ptr]
+    local = block.neighbors - np.repeat(ptr[:-1], np.diff(arc_ptr))
+    return [Graph(num_nodes=hi - lo, offsets=block.offsets[lo:hi + 1] - a, neighbors=local[a:b],
+                  undirected=undirected)
+            for lo, hi, a, b in zip(ptr[:-1].tolist(), ptr[1:].tolist(),
+                                    arc_ptr[:-1].tolist(), arc_ptr[1:].tolist())]
 
 
 def save_dataset(dataset: Dataset, out_dir) -> Path:

@@ -224,8 +224,16 @@ def write_prediction_file(path, table: PredictionTable) -> None:
 
 
 def read_ranking_file(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows ``query_id<TAB>candidate_id<TAB>score``; returns three aligned arrays."""
+    """Rows ``query_id<TAB>candidate_id<TAB>score``; returns three aligned arrays.
+
+    A NaN or infinite score is a BadProbability naming the first such row.
+    """
     queries, cands, scores = read_table(path, (np.int64, np.int64, np.float64))
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if len(bad):
+        i = bad[0]
+        raise BadProbability(f"{path}: data row {i + 1} (query {queries[i]}, candidate "
+                             f"{cands[i]}) has non-finite score {scores[i]}")
     return queries, cands, scores
 
 
@@ -235,17 +243,34 @@ def write_ranking_file(path, queries: np.ndarray, cands: np.ndarray, scores: np.
 
 def ranks_from_ranking(queries: np.ndarray, cands: np.ndarray, scores: np.ndarray,
                        truth: dict[int, int]) -> np.ndarray:
-    """Average-tie rank of the true candidate within each query's score list."""
+    """Average-tie rank of the true candidate within each query's score list.
+
+    One rank per query, in ascending query id order; the rank is that of
+    ``rank_of_true`` over the query's rows, taking the first row in table
+    order that holds the true candidate. Every query of the table must have
+    a scored true candidate in ``truth``, and every query of ``truth`` must
+    be in the table; otherwise MissingPrediction names the first bad query.
+    """
     if len(queries) == 0:
         raise EmptyQuerySet("ranking table is empty")
-    ranks = []
-    for q in np.unique(queries):
-        sel = queries == q
-        q_cands, q_scores = cands[sel], scores[sel]
-        if int(q) not in truth:
-            raise MissingPrediction(f"no true candidate recorded for query {int(q)}")
-        where = np.flatnonzero(q_cands == truth[int(q)])
-        if len(where) == 0:
-            raise MissingPrediction(f"query {int(q)}: true candidate not scored")
-        ranks.append(rank_of_true(q_scores, int(where[0])))
-    return np.array(ranks, dtype=np.float64)
+    qids = np.unique(queries)
+    seg = np.searchsorted(qids, queries)  # each row's query, as an index into qids
+    known = np.array([q in truth for q in qids.tolist()])
+    true_cand = np.array([truth.get(q, -1) for q in qids.tolist()], dtype=np.int64)
+    hits = np.flatnonzero(cands == true_cand[seg])
+    hits = hits[known[seg[hits]]]
+    # hits ascend in table order, so each query's first index is its first true row
+    scored_q, first = np.unique(seg[hits], return_index=True)
+    unscored = np.setdiff1d(np.arange(len(qids)), scored_q)
+    if len(unscored):
+        q = int(qids[unscored[0]])
+        if not known[unscored[0]]:
+            raise MissingPrediction(f"no true candidate recorded for query {q}")
+        raise MissingPrediction(f"query {q}: true candidate not scored")
+    unranked = np.setdiff1d(np.fromiter(truth, dtype=np.int64, count=len(truth)), qids)
+    if len(unranked):
+        raise MissingPrediction(f"query {int(unranked[0])}: no rows in the ranking table")
+    s = scores[hits[first]][seg]
+    better = np.bincount(seg[scores > s], minlength=len(qids))
+    equal = np.bincount(seg[scores == s], minlength=len(qids))
+    return better + (equal - 1) / 2.0 + 1.0

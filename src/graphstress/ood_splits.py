@@ -94,22 +94,17 @@ def scaffold_split(scaffold_ids: np.ndarray, key: StreamKey,
     scaffold_ids = np.asarray(scaffold_ids, dtype=np.int64)
     if len(scaffold_ids) == 0 or np.any(scaffold_ids < 0):
         raise MissingScaffoldId("every molecule needs a scaffold id")
-    groups = np.unique(scaffold_ids)
-    order = groups[permutation(key, len(groups))]
+    _, inverse, sizes = np.unique(scaffold_ids, return_inverse=True, return_counts=True)
+    order = permutation(key, len(sizes))
     n = len(scaffold_ids)
-    train_target = ratios[0] * n
-    val_target = (ratios[0] + ratios[1]) * n
-    roles = np.full(n, int(Role.TEST), dtype=np.int8)
-    assigned = 0
-    for gid in order:
-        members = scaffold_ids == gid
-        size = int(members.sum())
-        if assigned < train_target:
-            roles[members] = int(Role.TRAIN)
-        elif assigned < val_target:
-            roles[members] = int(Role.VAL)
-        assigned += size
-    split = SplitAssignment(roles)
+    # molecules already assigned when each group is visited, in visit order
+    assigned = np.cumsum(sizes[order]) - sizes[order]
+    visit_roles = np.where(assigned < ratios[0] * n, int(Role.TRAIN),
+                           np.where(assigned < (ratios[0] + ratios[1]) * n,
+                                    int(Role.VAL), int(Role.TEST)))
+    group_roles = np.empty(len(sizes), dtype=np.int8)
+    group_roles[order] = visit_roles
+    split = SplitAssignment(group_roles[inverse])
     counts = split.counts()
     if counts["val"] == 0 or counts["test"] == 0:
         log.warning("scaffold split degenerate: val=%d test=%d (a scaffold group dominates)",

@@ -70,6 +70,28 @@ def rank_oracle(scores, true_index):
     return (best + worst) / 2.0
 
 
+def scaffold_split_oracle(scaffold_ids, visit_order, ratios=(0.8, 0.1, 0.1)):
+    """Roles of the greedy scaffold split, one group at a time.
+
+    ``visit_order`` indexes the sorted distinct scaffold ids: the order in
+    which whole groups fill train, then val, then test.
+    """
+    groups = sorted(set(scaffold_ids))
+    n = len(scaffold_ids)
+    roles = [2] * n  # TEST
+    assigned = 0
+    for g in visit_order:
+        members = [i for i, s in enumerate(scaffold_ids) if s == groups[g]]
+        if assigned < ratios[0] * n:
+            for i in members:
+                roles[i] = 0  # TRAIN
+        elif assigned < (ratios[0] + ratios[1]) * n:
+            for i in members:
+                roles[i] = 1  # VAL
+        assigned += len(members)
+    return roles
+
+
 def bfs_hops_oracle(adjacency, center, hops):
     """Plain BFS; adjacency is a dict node -> iterable of neighbors."""
     dist = {center: 0}

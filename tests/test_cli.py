@@ -671,6 +671,30 @@ def test_unknown_config_key_exits_2_before_loading(small_ds, tmp_path, monkeypat
     assert "ConfigError" in err and repr(key) in err and where in err
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({"datasets": [{"name": "x"}]}, "manifest"),
+    ({"datasets": [{"manifest": 3}]}, "manifest"),
+    ({"seeds": 0}, "seeds"),
+    ({"seeds": -2}, "seeds"),
+    ({"seeds": True}, "seeds"),
+    ({"seeds": []}, "seeds"),
+    ({"seeds": [1, 1]}, "seeds"),
+    ({"seeds": [0, -1]}, "seeds"),
+], ids=["no-manifest", "manifest-not-a-string", "seeds-0", "seeds-negative", "seeds-bool",
+        "seeds-empty", "seeds-repeat", "seeds-negative-entry"])
+def test_bad_dataset_entry_or_seeds_exit_2_before_loading(small_ds, tmp_path, monkeypatch,
+                                                          capsys, overrides, key):
+    def no_load(manifest):
+        raise AssertionError("a bad config must be rejected before any dataset loads")
+
+    monkeypatch.setattr(cli, "load_dataset", no_load)
+    config = _write_config(tmp_path / "config.json", manifest=small_ds, axes=["fairness"],
+                           **overrides)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and key in err
+
+
 def test_every_shipped_config_passes_the_key_check(small_ds, tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import workloads

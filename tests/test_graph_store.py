@@ -77,8 +77,8 @@ def test_labeled_nodes_sentinel():
 
 
 def test_asymmetric_rejected():
-    with pytest.raises(AsymmetricGraph):
-        Graph.from_arcs(3, [0], [1], undirected=True)
+    with pytest.raises(AsymmetricGraph, match=r"arc \(0,2\) has no reverse \(2,0\)"):
+        Graph.from_arcs(3, [0], [2], undirected=True)
 
 
 def test_check_symmetry_passes_with_self_loop(random_graph):
@@ -391,6 +391,66 @@ def test_collection_round_trip(tmp_path):
     for a, b in zip(ds.collection.graphs, back.collection.graphs):
         assert np.array_equal(a.offsets, b.offsets)
         assert np.array_equal(a.neighbors, b.neighbors)
+
+
+def _per_graph_oracle(out):
+    """Each graph of a saved collection built alone by Graph.from_arcs."""
+    _, sizes = np.loadtxt(out / "graph_sizes.tsv", dtype=np.int64, ndmin=2).T
+    gids, src, dst = np.loadtxt(out / "graph_edges.tsv", dtype=np.int64, ndmin=2).T
+    return [Graph.from_arcs(int(n), src[gids == g], dst[gids == g]) for g, n in enumerate(sizes)]
+
+
+def test_collection_load_matches_per_graph_oracle(tmp_path):
+    ds = make_molecule_collection(num_graphs=40, seed=4)
+    coll = ds.collection
+    coll.graphs[7] = Graph.from_arcs(3, [], [])  # a molecule with no bonds
+    out = tmp_path / "mol"
+    save_dataset(ds, out)
+    # shuffled arc rows with repeats: the loader must sort and dedup per graph
+    rows = (out / "graph_edges.tsv").read_text().splitlines(keepends=True)
+    order = np.random.default_rng(0).permutation(len(rows))
+    (out / "graph_edges.tsv").write_text("".join([rows[i] for i in order] + rows[:25]))
+    back = load_dataset(out / "manifest.json").collection
+    oracle = _per_graph_oracle(out)
+    assert len(back.graphs) == len(oracle) == 40
+    assert back.graphs[7].num_nodes == 3 and back.graphs[7].num_arcs == 0
+    for g, want in zip(back.graphs, oracle):
+        assert g.num_nodes == want.num_nodes and g.undirected
+        assert g.offsets.dtype == np.int64 and g.neighbors.dtype == np.int64
+        assert np.array_equal(g.offsets, want.offsets)
+        assert np.array_equal(g.neighbors, want.neighbors)
+        validate_graph(g)
+
+
+def test_empty_collection_loads(tmp_path):
+    ds = Dataset(kind="graph_collection", name="none", collection=GraphCollection(
+        graphs=[], labels=np.empty((0, 1), dtype=np.int8), scaffold_ids=None))
+    back = load_dataset(save_dataset(ds, tmp_path / "none")).collection
+    assert back.num_graphs == 0 and back.labels.shape == (0, 1)
+
+
+@pytest.mark.parametrize("row, error, message", [
+    ("3\t0\t99\n", BadId, r"graph 3: atom id 99 out of range"),
+    ("5\t-1\t0\n", BadId, r"graph 5: atom id -1 out of range"),
+    ("6\t0\t2\n", AsymmetricGraph, r"graph 6: arc \(0,2\) has no reverse \(2,0\)"),
+], ids=["atom-too-large", "atom-negative", "one-way-bond"])
+def test_collection_arc_errors_name_the_graph(tmp_path, row, error, message):
+    ds = make_molecule_collection(num_graphs=10, seed=2)
+    ds.collection.graphs[6] = Graph.from_arcs(3, [0, 1], [1, 0])  # no bond 0-2 yet
+    out = tmp_path / "mol"
+    save_dataset(ds, out)
+    with open(out / "graph_edges.tsv", "a") as f:
+        f.write(row)
+    with pytest.raises(error, match=message):
+        load_dataset(out / "manifest.json")
+
+
+def test_negative_graph_size_is_a_bad_id(tmp_path):
+    out = tmp_path / "mol"
+    save_dataset(make_molecule_collection(num_graphs=4, seed=2), out)
+    (out / "graph_sizes.tsv").write_text("0\t5\n1\t-1\n2\t5\n3\t5\n")
+    with pytest.raises(BadId, match="graph size -1"):
+        load_dataset(out / "manifest.json")
 
 
 def test_save_is_deterministic(tmp_path):

@@ -244,6 +244,40 @@ def test_ranks_from_ranking_full_sort():
         ranks_from_ranking(np.array([]), np.array([]), np.array([]), {})
 
 
+def test_ranks_from_ranking_requires_every_truth_query():
+    queries = np.array([0, 0, 1, 1])
+    cands = np.array([6, 5, 5, 7])
+    scores = np.array([0.9, 0.1, 0.3, 0.2])
+    with pytest.raises(MissingPrediction, match="query 2: no rows"):
+        ranks_from_ranking(queries, cands, scores, {0: 6, 1: 5, 2: 7})
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_ranks_from_ranking_matches_oracle_per_query(seed):
+    rng = np.random.default_rng(seed)
+    qids = rng.choice(1000, size=int(rng.integers(1, 10)), replace=False).tolist()
+    rows, truth = [], {}
+    for q in qids:
+        n = int(rng.integers(1, 12))
+        cands = rng.choice(40, size=n, replace=False)
+        truth[q] = int(cands[rng.integers(0, n)])
+        # one decimal forces ties; the true candidate may appear twice
+        rows += [(q, int(c), round(float(rng.random()), 1)) for c in cands]
+        if rng.random() < 0.5:
+            rows.append((q, truth[q], round(float(rng.random()), 1)))
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    queries, cands, scores = (np.array(col) for col in zip(*rows))
+    expected = []
+    for q in sorted(qids):
+        q_rows = [(c, sc) for qq, c, sc in rows if qq == q]
+        first = [c for c, _ in q_rows].index(truth[q])  # first row in table order
+        expected.append(rank_oracle([sc for _, sc in q_rows], first))
+    got = ranks_from_ranking(queries, cands, scores.astype(np.float64), truth)
+    assert got.dtype == np.float64
+    assert got.tolist() == expected
+
+
 # ---------------------------------------------------------------------------
 # file round trips
 # ---------------------------------------------------------------------------
@@ -283,6 +317,19 @@ def test_ranking_file_round_trip(tmp_path):
     q2, c2, s2 = read_ranking_file(p)
     assert np.array_equal(q, q2) and np.array_equal(c, c2)
     assert s2.tobytes() == s.tobytes()
+
+
+@pytest.mark.parametrize("bad, row", [(0, 1), (2, 3), (1, 2)],
+                         ids=["nan-true-candidate", "nan-other-candidate", "inf"])
+def test_ranking_file_rejects_non_finite_scores(tmp_path, bad, row):
+    # candidate 4 stands for the query's true candidate: a NaN there used to
+    # rank 0.5, and a NaN elsewhere sorted below every score
+    s = np.array([0.25, 0.5, 0.75])
+    s[bad] = np.inf if bad == 1 else np.nan
+    p = tmp_path / "r.ranking"
+    write_ranking_file(p, np.zeros(3, dtype=np.int64), np.array([4, 5, 6]), s)
+    with pytest.raises(BadProbability, match=f"r.ranking: data row {row} "):
+        read_ranking_file(p)
 
 
 # ---------------------------------------------------------------------------

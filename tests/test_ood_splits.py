@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphstress.determinism import derive_key
+from graphstress.determinism import derive_key, permutation
 from graphstress.errors import EmptyLabeledSet, MissingScaffoldId, MissingYear, ScaleMismatch
 from graphstress.graph_store import Graph, Role, TripleStore
 from graphstress.ood_splits import (
@@ -18,6 +18,7 @@ from graphstress.ood_splits import (
     temporal_split,
 )
 from graphstress.synthetic import make_triple_store
+from oracles import scaffold_split_oracle
 
 KEY = derive_key("ood", "unit", "scaffold", 0, 0)
 
@@ -152,6 +153,16 @@ def test_scaffold_requires_ids():
         scaffold_split(np.array([], dtype=np.int64), KEY)
     with pytest.raises(MissingScaffoldId):
         scaffold_split(np.array([0, -1, 2]), KEY)
+
+
+@given(st.lists(st.integers(0, 30), min_size=1, max_size=200), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_scaffold_split_matches_greedy_loop_oracle(ids, seed):
+    key = derive_key("ood", "unit", "scaffold", 0, seed)
+    split = scaffold_split(np.array(ids), key)
+    order = permutation(key, len(set(ids)))
+    assert split.roles.dtype == np.int8
+    assert split.roles.tolist() == scaffold_split_oracle(ids, order.tolist())
 
 
 def test_scaffold_deterministic():
