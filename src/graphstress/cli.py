@@ -45,6 +45,7 @@ from .graph_store import (
     load_dataset,
     require_file,
     save_dataset,
+    write_json,
     write_split_file,
     write_table,
     write_triple_file,
@@ -91,13 +92,6 @@ from .refmodel import (
 from .report import MetricCell, Report, aggregate_seeds, emit_report
 
 log = logging.getLogger("graphstress")
-
-# method capability matrix: feature-noise cells need a feature-consuming
-# method, interpretation cells need a saliency source
-METHOD_TRAITS = {
-    "refmodel": {"uses_features": False, "saliency": "builtin"},
-    "external": {"uses_features": True, "saliency": "file"},
-}
 
 
 def _setup_logging() -> None:
@@ -289,6 +283,19 @@ def _probs_lookup(probs: dict, source: str):
     return probability
 
 
+FILE_NOUNS = {".pred": "prediction", ".ranking": "ranking", ".probs": "probabilities"}
+
+
+def _external_file(method: dict, dataset: Dataset, axis: str, sub: str, seed: int,
+                   name: str) -> Path:
+    """``pred_dir/<dataset>/<axis>/<name>``, the external method's file of one cell."""
+    path = Path(method["pred_dir"]) / dataset.name / axis / name
+    if not path.is_file():
+        raise MissingInput(f"cell ({axis}, {sub}, {dataset.name}, {method['name']}, seed {seed}): "
+                           f"missing {FILE_NOUNS[path.suffix]} file {path}")
+    return path
+
+
 # ---------------------------------------------------------------------------
 # operator subcommands
 # ---------------------------------------------------------------------------
@@ -304,7 +311,7 @@ def cmd_corrupt(args) -> int:
         "severity_index": args.severity_index, "seed": args.seed, "level": level,
         "key": f"{key.key:016x}",
     }
-    (out / "corrupt.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    write_json(out / "corrupt.json", sidecar)
     return 0
 
 
@@ -319,7 +326,7 @@ def cmd_split(args) -> int:
         write_table(out / "test_entities.tsv", (split.test_entities,))
     sidecar = {"axis": "ood", "mechanism": args.mechanism, "dataset": dataset.name,
                "seed": args.seed}
-    (out / "split.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    write_json(out / "split.json", sidecar)
     return 0
 
 
@@ -333,7 +340,7 @@ def cmd_imbalance(args) -> int:
         "major_classes": list(spec.major_classes), "minor_classes": list(spec.minor_classes),
         "n_major": spec.n_major, "targets": {str(k): v for k, v in sorted(spec.targets.items())},
     }
-    (out / "imbalance.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    write_json(out / "imbalance.json", sidecar)
     return 0
 
 
@@ -349,7 +356,7 @@ def cmd_fairness(args) -> int:
         result["tail_size"] = len(groups.second)
     else:
         result.update(asdict(_demographic(dataset, preds, args.threshold)))
-    Path(args.out).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    write_json(args.out, result)
     return 0
 
 
@@ -378,7 +385,7 @@ def cmd_interpret_emit(args) -> int:
     sidecar = {"axis": "interpret", "dataset": dataset.name, "seed": args.seed,
                "k_levels": list(k_levels), "targets": list(manifests),
                "skipped": [t for t in targets if t not in manifests]}
-    (out / "emit.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    write_json(out / "emit.json", sidecar)
     return 0
 
 
@@ -399,7 +406,7 @@ def cmd_interpret_score(args) -> int:
         cells[f"char_random_{k}"] = rand.as_dict()
         cells[f"delta_char_{k}"] = char_lift(sal, rand).as_dict()
     payload = {"records": per_target, "cells": cells, "n_targets": len(emit_meta["targets"])}
-    Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(args.out, payload)
     return 0
 
 
@@ -407,12 +414,8 @@ def cmd_report(args) -> int:
     values_dir = Path(args.results) / "values"
     if not values_dir.is_dir():
         raise MissingInput(f"no values directory under {args.results}")
-    report = Report(cells={}, provenance={"tool_version": __version__})
-    for path in sorted(values_dir.glob("*.json")):
-        rec = json.loads(path.read_text())
-        cell = _cell_from_values(rec["values"])
-        report.put(rec["axis"], rec["subcondition"], rec["dataset"], rec["method"], cell)
-    _emit_lifts(report)
+    records = [json.loads(path.read_text()) for path in sorted(values_dir.glob("*.json"))]
+    report = _build_report(records, {"tool_version": __version__})
     out = Path(args.out)
     emit_report(report, json_path=out.with_suffix(".json"), csv_path=out.with_suffix(".csv"))
     return 0
@@ -440,7 +443,57 @@ def _check_keys(entry, allowed: tuple, what: str) -> None:
                           f"valid: {', '.join(allowed)}")
 
 
-def _load_config(path: Path) -> dict:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_positive_int(value) -> bool:
+    return _is_int(value) and value > 0
+
+
+def _distinct_list(values, ok, level=lambda v: v) -> bool:
+    """A list whose every value passes ``ok``, no two values at the same level."""
+    return (isinstance(values, list) and all(map(ok, values))
+            and len(set(map(level, values))) == len(values))
+
+
+def _is_seeds(seeds) -> bool:
+    return _is_positive_int(seeds) or (
+        seeds != [] and _distinct_list(seeds, lambda s: _is_int(s) and s >= 0))
+
+
+def _is_k_levels(ks) -> bool:
+    return ks != [] and _distinct_list(ks, lambda k: _is_number(k) and 0 < k <= 100)
+
+
+def _is_rhos(rhos) -> bool:
+    # a level is named rho{int(rho)}, so two rhos must not share that name
+    return _distinct_list(rhos, lambda r: _is_number(r) and r > 0 and float(r).is_integer(), int)
+
+
+# config key -> (test of a value, what a valid value is)
+VALUE_RANGES = {
+    "seeds": (_is_seeds, "a positive count or a non-empty list of distinct non-negative integers"),
+    "workers": (_is_positive_int, "a positive integer"),
+    "interpret_targets": (_is_positive_int, "a positive integer"),
+    "head_tail_quantile": (lambda q: _is_number(q) and 0 < q <= 0.5, "a number in (0, 0.5]"),
+    "k_levels": (_is_k_levels, "a non-empty list of distinct numbers in (0, 100]"),
+    "rhos": (_is_rhos, "a list of positive whole numbers, each level once"),
+}
+
+
+def _check_range(key: str, value) -> None:
+    ok, expected = VALUE_RANGES[key]
+    if not ok(value):
+        raise ConfigError(f"{key} must be {expected}, got {value!r}")
+
+
+def _load_config(path: Path, seed: int | None = None) -> dict:
+    """The checked config; a ``seed`` (``stress run --seed``) replaces its seeds."""
     try:
         config = json.loads(path.read_text())
     except FileNotFoundError:
@@ -448,8 +501,6 @@ def _load_config(path: Path) -> dict:
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: config does not parse: {e}")
     _check_keys(config, CONFIG_KEYS, "config")
-    for m in config.get("methods", []):
-        _check_keys(m, METHOD_KEYS, "method")
     for d in config.get("datasets", []):
         _check_keys(d, DATASET_KEYS, "dataset")
         if not isinstance(d.get("manifest"), str):
@@ -462,30 +513,22 @@ def _load_config(path: Path) -> dict:
     if not config.get("axes"):
         raise ConfigError("config lists no axes")
     for m in config.get("methods", []):
+        _check_keys(m, METHOD_KEYS, "method")
         kind = m.get("kind", "refmodel")
-        if kind not in METHOD_TRAITS:
+        if kind not in ("refmodel", "external"):
             raise ConfigError(f"unknown method kind {kind!r}")
         if kind == "external" and not m.get("pred_dir"):
             raise ConfigError(f"external method {m.get('name', kind)!r} needs a pred_dir")
-    # a level is named rho{int(rho)}, so two rhos must not share that name
-    rhos = config.get("rhos", [])
-    if not isinstance(rhos, list) or not all(
-            isinstance(r, (int, float)) and float(r).is_integer() for r in rhos):
-        raise ConfigError(f"rhos must be a list of whole numbers, got {rhos}")
-    if len({int(r) for r in rhos}) != len(rhos):
-        raise ConfigError(f"rhos repeat a level: {rhos}")
-    seeds = config.get("seeds", 5)
-    if _is_int(seeds) and seeds > 0:
-        config["seeds"] = list(range(seeds))
-    elif not (isinstance(seeds, list) and seeds and all(_is_int(s) and s >= 0 for s in seeds)
-              and len(set(seeds)) == len(seeds)):
-        raise ConfigError(f"seeds must be a positive count or a non-empty list of distinct "
-                          f"non-negative integers, got {seeds!r}")
+    config.setdefault("seeds", 5)
+    for key in VALUE_RANGES:
+        if key in config:
+            _check_range(key, config[key])
+    if seed is not None:
+        _check_range("seeds", [seed])
+        config["seeds"] = [seed]
+    elif _is_int(config["seeds"]):
+        config["seeds"] = list(range(config["seeds"]))
     return config
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 INAPPLICABLE = "inapplicable"
@@ -506,12 +549,12 @@ class PipelineRunner:
     def __init__(self, config: dict, out_dir: Path, workers: int = 1):
         self.config = config
         self.out = out_dir
-        self.workers = max(1, workers)
+        self.workers = workers
         self.write_ops = bool(config.get("write_operator_outputs", False))
         self.rhos = config.get("rhos", list(DEFAULT_RHOS))
         self.k_levels = config.get("k_levels", list(K_PERCENT_LEVELS))
-        self.num_targets = int(config.get("interpret_targets", 10))
-        self.quantile = float(config.get("head_tail_quantile", 0.2))
+        self.num_targets = config.get("interpret_targets", 10)
+        self.quantile = config.get("head_tail_quantile", 0.2)
         self.datasets: dict[str, Dataset] = {}
         self.clean_reach: dict = {}  # dataset name -> its clean graph's reachability
         self.failures: list[tuple[str, str]] = []
@@ -536,13 +579,8 @@ class PipelineRunner:
                 return _refmodel_table(dataset.graph, train,
                                        reach=self.clean_reach.get(dataset.name))
             return _refmodel_table(graph, train)  # a deleted graph is scored once
-        pred_path = (Path(method["pred_dir"]) / dataset.name / axis / sub
-                     / f"seed{seed}.pred")
-        if not pred_path.is_file():
-            raise MissingInput(
-                f"cell ({axis}, {sub}, {dataset.name}, {method['name']}, seed {seed}): "
-                f"missing prediction file {pred_path}")
-        return read_prediction_file(pred_path)
+        return read_prediction_file(
+            _external_file(method, dataset, axis, sub, seed, f"{sub}/seed{seed}.pred"))
 
     def _axis_corruption(self, dataset: Dataset, method: dict, seed: int) -> dict:
         g = dataset.graph
@@ -550,7 +588,7 @@ class PipelineRunner:
         clean = self._score_table(dataset, method, "corruption", "clean", seed)
         out: dict = {"clean": accuracy(clean, g.labels, test) * 100.0}
 
-        feature_ok = g.features is not None and METHOD_TRAITS[method["kind"]]["uses_features"]
+        feature_ok = g.features is not None and method["kind"] == "external"
         for i in range(1, len(FEATURE_LEVELS) + 1):
             sub = f"feature_sev{i}"
             # an external method is scored from its own prediction file, so
@@ -617,13 +655,8 @@ class PipelineRunner:
         ksplit = self._split_op(dataset, method, "kg", seed)
         if method["kind"] != "external":
             return {"kg_mrr": INAPPLICABLE, "kg_hits10": INAPPLICABLE}
-        rank_path = (Path(method["pred_dir"]) / dataset.name / "ood" / "kg"
-                     / f"seed{seed}.ranking")
-        if not rank_path.is_file():
-            raise MissingInput(
-                f"cell (ood, kg, {dataset.name}, {method['name']}, seed {seed}): "
-                f"missing ranking file {rank_path}")
-        queries, cands, scores = read_ranking_file(rank_path)
+        queries, cands, scores = read_ranking_file(
+            _external_file(method, dataset, "ood", "kg", seed, f"kg/seed{seed}.ranking"))
         truth = {i: ksplit.held_out_entity(row)
                  for i, row in enumerate(ksplit.test_queries)}
         ranks = ranks_from_ranking(queries, cands, scores, truth)
@@ -653,17 +686,13 @@ class PipelineRunner:
         return {**out, **asdict(_demographic(dataset, table))}
 
     def _axis_interpret(self, dataset: Dataset, method: dict, seed: int) -> dict:
-        if METHOD_TRAITS[method["kind"]]["saliency"] != "builtin":
-            probs_path = (Path(method["pred_dir"]) / dataset.name / "interpret"
-                          / f"seed{seed}.probs")
+        if method["kind"] == "external":
             if not method.get("has_saliency", False):
                 # no per-edge gradient interface: protocol excludes the method
                 return {f"char_{r}_{k}": INAPPLICABLE
                         for r in RANKINGS for k in self.k_levels}
-            if not probs_path.is_file():
-                raise MissingInput(
-                    f"cell (interpret, char, {dataset.name}, {method['name']}, "
-                    f"seed {seed}): missing probabilities file {probs_path}")
+            probs_path = _external_file(method, dataset, "interpret", "char", seed,
+                                        f"seed{seed}.probs")
             probs = read_probs_file(probs_path)
             targets = sorted({t for (t, _c) in probs})
             probability = _probs_lookup(
@@ -745,8 +774,17 @@ class PipelineRunner:
             for sub, value in outcome.items():
                 results.setdefault((axis, sub, ds_name, method["name"]), {})[seed] = value
 
-        report = self._aggregate(results, seeds)
-        self._write_results(results, seeds, report)
+        records = [{"axis": axis, "subcondition": sub, "dataset": ds, "method": m,
+                    "seeds": [s for s in seeds if s in per_seed],
+                    "values": [per_seed[s] for s in seeds if s in per_seed]}
+                   for (axis, sub, ds, m), per_seed in sorted(results.items())]
+        config_text = json.dumps(self.config, sort_keys=True)
+        report = _build_report(records, {
+            "tool_version": __version__,
+            "config_hash": hashlib.sha256(config_text.encode()).hexdigest(),
+            "seeds": list(seeds),
+        })
+        self._write_results(records, report)
         if self.failures:
             write_table(self.out / "errors.log", tuple(zip(*self.failures)))
             raise PartialFailure([f"{cell}: {err}" for cell, err in self.failures])
@@ -762,62 +800,44 @@ class PipelineRunner:
         except StressError as e:  # collected into the per-cell error log
             return e
 
-    def _aggregate(self, results: dict, seeds: list) -> Report:
-        config_text = json.dumps(self.config, sort_keys=True)
-        report = Report(cells={}, provenance={
-            "tool_version": __version__,
-            "config_hash": hashlib.sha256(config_text.encode()).hexdigest(),
-            "seeds": list(seeds),
-        })
-        for (axis, sub, ds, m), per_seed in sorted(results.items()):
-            values = [per_seed[s] for s in seeds if s in per_seed]
-            if not values:
-                continue
-            report.put(axis, sub, ds, m, _cell_from_values(values))
-        _emit_lifts(report)
-        return report
-
-    def _write_results(self, results: dict, seeds: list, report: Report) -> None:
+    def _write_results(self, records: list, report: Report) -> None:
         values_dir = self.out / "values"
         values_dir.mkdir(parents=True, exist_ok=True)
-        for (axis, sub, ds, m), per_seed in sorted(results.items()):
-            rec = {
-                "axis": axis, "subcondition": sub, "dataset": ds, "method": m,
-                "seeds": [s for s in seeds if s in per_seed],
-                "values": [per_seed[s] for s in seeds if s in per_seed],
-            }
-            path = values_dir / f"{axis}.{sub}.{ds}.{m}.json"
-            path.write_text(json.dumps(rec, indent=2, sort_keys=True) + "\n")
+        for rec in records:
+            write_json(values_dir / "{axis}.{subcondition}.{dataset}.{method}.json".format(**rec),
+                       rec)
         if report.num_cells:
             emit_report(report, json_path=self.out / "report.json",
                         csv_path=self.out / "report.csv")
 
 
+def _build_report(records: list, provenance: dict) -> Report:
+    """Report of values records (one cell's per-seed values each), plus the lift cells."""
+    report = Report(cells={}, provenance=provenance)
+    for rec in records:
+        report.put(rec["axis"], rec["subcondition"], rec["dataset"], rec["method"],
+                   _cell_from_values(rec["values"]))
+    _emit_lifts(report)
+    return report
+
+
 def _emit_lifts(report: Report) -> None:
     """Add delta_char cells (saliency minus random, std-propagated) per k."""
-    interpret = report.cells.get("interpret", {})
-    sal_subs = [s for s in list(interpret) if s.startswith("char_saliency_")]
-    for sal_sub in sal_subs:
-        k = sal_sub.removeprefix("char_saliency_")
-        rand_sub = f"char_random_{k}"
-        if rand_sub not in interpret:
+    for axis, sub, ds, m, sal_cell in list(report.rows()):
+        if axis != "interpret" or not sub.startswith("char_saliency_"):
             continue
-        for ds in interpret[sal_sub]:
-            for m in interpret[sal_sub][ds]:
-                rand_cell = interpret.get(rand_sub, {}).get(ds, {}).get(m)
-                if rand_cell is None:
-                    continue
-                lift = char_lift(interpret[sal_sub][ds][m], rand_cell)
-                report.put("interpret", f"delta_char_{k}", ds, m, lift)
+        k = sub.removeprefix("char_saliency_")
+        rand_cell = report.cells[axis].get(f"char_random_{k}", {}).get(ds, {}).get(m)
+        if rand_cell is not None:
+            report.put(axis, f"delta_char_{k}", ds, m, char_lift(sal_cell, rand_cell))
 
 
 def cmd_run(args) -> int:
-    config = _load_config(Path(args.config))
-    if args.seed is not None:
-        config["seeds"] = [args.seed]
+    config = _load_config(Path(args.config), seed=args.seed)
+    workers = config.get("workers", 1) if args.workers is None else args.workers
+    _check_range("workers", workers)
     out = Path(args.out) if args.out else Path(config.get("out", "results"))
     out.mkdir(parents=True, exist_ok=True)
-    workers = args.workers if args.workers else int(config.get("workers", 1))
     runner = PipelineRunner(config, out, workers=workers)
     try:
         report = runner.run()

@@ -59,7 +59,7 @@ def edge_delete(graph: Graph, p: float, key: StreamKey) -> Graph:
     if p == 0.0:
         return graph
     canon = canonical_undirected_edges(graph)
-    keep = uniform(key, np.arange(canon.num_edges, dtype=np.int64)) >= p
+    keep = ~deleted_edge_mask(canon.num_edges, p, key)
     return expand_canonical(
         graph.num_nodes, canon.edges[keep], canon.self_loops,
         features=graph.features, labels=graph.labels,
@@ -67,10 +67,9 @@ def edge_delete(graph: Graph, p: float, key: StreamKey) -> Graph:
     )
 
 
-def deleted_edge_mask(graph: Graph, p: float, key: StreamKey) -> np.ndarray:
-    """Boolean per canonical edge: True where edge_delete would drop it."""
-    canon = canonical_undirected_edges(graph)
-    return uniform(key, np.arange(canon.num_edges, dtype=np.int64)) < p
+def deleted_edge_mask(num_edges: int, p: float, key: StreamKey) -> np.ndarray:
+    """Boolean per canonical edge index below num_edges: True where edge_delete drops it."""
+    return uniform(key, np.arange(num_edges, dtype=np.int64)) < p
 
 
 def drop_metric(clean: float, perturbed: float) -> float:

@@ -111,10 +111,6 @@ class EmptySubgraph(StressError):
     pass
 
 
-class EmptyMolecule(StressError):
-    pass
-
-
 class SeedCountMismatch(StressError):
     pass
 

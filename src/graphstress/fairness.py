@@ -27,9 +27,6 @@ class GroupSpec:
     second: np.ndarray  # tail nodes, or s=1 units
     q: float | None = None
 
-    def swapped(self) -> "GroupSpec":
-        return GroupSpec(kind=self.kind, first=self.second, second=self.first, q=self.q)
-
 
 def head_tail_groups(test_nodes: np.ndarray, degrees: np.ndarray, q: float = 0.2) -> GroupSpec:
     """Top and bottom degree quantiles of the test set; middle stays unassigned.
@@ -58,18 +55,6 @@ def head_tail_gap(predictions: PredictionTable, labels: np.ndarray, groups: Grou
     acc_head = accuracy(predictions, labels, groups.first)
     acc_tail = accuracy(predictions, labels, groups.second)
     return (acc_head - acc_tail) * 100.0
-
-
-def demographic_groups(units: np.ndarray, sensitive: np.ndarray) -> GroupSpec:
-    """Partition evaluated units by a binary sensitive attribute."""
-    units = np.asarray(units, dtype=np.int64)
-    s = np.asarray(sensitive)[units]
-    if np.any(s < 0):
-        raise DegenerateGroup("a unit lacks the sensitive attribute")
-    g0, g1 = units[s == 0], units[s == 1]
-    if len(g0) == 0 or len(g1) == 0:
-        raise DegenerateGroup("both sensitive groups must be nonempty")
-    return GroupSpec(kind="demographic", first=g0, second=g1)
 
 
 @dataclass

@@ -354,6 +354,11 @@ def write_table(path, columns, header: str | None = None) -> None:
         f.writelines(line % row for row in zip(*columns, strict=True))
 
 
+def write_json(path, obj) -> None:
+    """Write obj as JSON indented by two spaces, keys sorted, with a final newline."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def read_header(path, key: str) -> str:
     """The value of a ``key<TAB>value`` first line, such as ``#kind<TAB>KIND``."""
     with open(require_file(path)) as f:
@@ -656,6 +661,6 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
         write_split_file(out / "split.tsv", dataset.split)
 
     manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(manifest_path, manifest)
     return manifest_path
 

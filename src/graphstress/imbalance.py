@@ -27,10 +27,6 @@ class ImbalanceSpec:
     n_major: int
     targets: dict[int, int] = field(hash=False)  # per-class kept train count
 
-    @property
-    def n_minor_target(self) -> int:
-        return max(1, int(self.n_major // self.rho))
-
 
 DEFAULT_RHOS = (5.0, 10.0, 20.0)
 

@@ -3,17 +3,16 @@
 The toolkit never computes gradients itself. The exchange with the external
 model is a batch file round trip:
 
-1. ``emit``: from a saliency file (per-node or per-atom scores), build one
-   ablation manifest per evaluation target. A manifest fixes the K-hop
-   subgraph and, for every (ranking, sparsity) condition, the exact masked
-   unit set and its complement.
+1. ``emit``: from a per-node saliency file, build one ablation manifest per
+   evaluation target. A manifest fixes the K-hop subgraph and, for every
+   (ranking, sparsity) condition, the exact masked edge set and its
+   complement.
 2. The external model re-scores each masked condition and writes one
    predicted-class probability per (target, condition).
 3. ``score``: combine those probabilities into Fid+/Fid- and the bounded
    characterization score, then lift against the random-ranking baseline.
 
-Two mask-unit kinds exist: edges (node-level tasks) and atoms (molecule
-tasks; removing an atom also drops its incident bonds and pool entry).
+There is one mask-unit kind: the edges of a node target's receptive field.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import numpy as np
 from .determinism import StreamKey, permutation
 from .errors import (
     BadProbability,
-    EmptyMolecule,
     EmptySubgraph,
     LengthMismatch,
     MissingNodeScore,
@@ -37,7 +35,6 @@ from .metrics import lookup_rows
 from .report import MetricCell
 
 K_PERCENT_LEVELS = (5, 10, 20, 50)
-ATOM_K_PERCENT = 20
 RANKINGS = ("saliency", "random")
 
 
@@ -45,7 +42,7 @@ RANKINGS = ("saliency", "random")
 class SaliencyTable:
     """Nonnegative per-unit attribution scores from an external model."""
 
-    kind: str  # node_grad_norm | edge_score | atom_score
+    kind: str  # e.g. node_grad_norm
     unit_ids: np.ndarray
     scores: np.ndarray
     _order: np.ndarray = field(init=False, repr=False)
@@ -188,24 +185,13 @@ def char_lift(char_sal: MetricCell, char_rand: MetricCell) -> MetricCell:
 class TargetManifest:
     """Everything an external model needs to re-score one target.
 
-    For ``unit_kind == "edge"`` conditions map to indices into ``edges``; for
-    ``unit_kind == "atom"`` they map to atom ids, and masking an atom also
-    removes its incident bonds and pool entry.
+    Conditions map to indices into ``edges``.
     """
 
     target: int
-    unit_kind: str               # edge | atom
     nodes: np.ndarray
-    edges: np.ndarray            # (m, 2) canonical; for atoms: the molecule's bonds
-    conditions: dict[str, np.ndarray]  # condition name -> masked unit array
-
-    def complement(self, condition: str) -> np.ndarray:
-        masked = self.conditions[condition]
-        if self.unit_kind == "edge":
-            all_units = np.arange(len(self.edges), dtype=np.int64)
-        else:
-            all_units = self.nodes
-        return np.setdiff1d(all_units, masked)
+    edges: np.ndarray            # (m, 2) canonical
+    conditions: dict[str, np.ndarray]  # condition name -> masked edge indices
 
 
 def condition_name(ranking: str, side: str, k_percent: float) -> str:
@@ -232,60 +218,22 @@ def build_edge_manifest(graph: Graph, target: int, node_scores: SaliencyTable,
             masked, comp = rank_and_mask(scores, k, key, ranking)
             conditions[condition_name(ranking, "top", k)] = masked
             conditions[condition_name(ranking, "comp", k)] = comp
-    return TargetManifest(target=int(target), unit_kind="edge", nodes=sub.nodes,
-                          edges=sub.edges, conditions=conditions)
-
-
-def atom_ablation_manifest(molecule: Graph, atom_scores: SaliencyTable,
-                           key: StreamKey, k_percent: float = ATOM_K_PERCENT,
-                           k_levels=None) -> TargetManifest:
-    """Atom-removal manifest for one molecule.
-
-    Masked atoms are removed together with every incident bond and their
-    pooling entries; the complement condition removes the remaining atoms
-    instead.
-    """
-    if molecule.num_nodes == 0:
-        raise EmptyMolecule("cannot ablate an empty molecule")
-    atoms = np.arange(molecule.num_nodes, dtype=np.int64)
-    scores = atom_scores.scores_for(atoms)
-    levels = k_levels if k_levels is not None else (k_percent,)
-    conditions: dict[str, np.ndarray] = {}
-    for ranking in RANKINGS:
-        for k in levels:
-            masked_idx, comp_idx = rank_and_mask(scores, k, key, ranking)
-            conditions[condition_name(ranking, "top", k)] = atoms[masked_idx]
-            conditions[condition_name(ranking, "comp", k)] = atoms[comp_idx]
-    sub = khop_subgraph(molecule, 0, hops=molecule.num_nodes)  # full molecule bonds
-    return TargetManifest(target=0, unit_kind="atom", nodes=atoms,
-                          edges=sub.edges, conditions=conditions)
-
-
-def incident_bonds(edges: np.ndarray, masked_atoms: np.ndarray) -> np.ndarray:
-    """Indices of bonds touching any masked atom."""
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    hit = np.isin(edges[:, 0], masked_atoms) | np.isin(edges[:, 1], masked_atoms)
-    return np.flatnonzero(hit).astype(np.int64)
+    return TargetManifest(target=int(target), nodes=sub.nodes, edges=sub.edges,
+                          conditions=conditions)
 
 
 def masked_graph(graph: Graph, manifest: TargetManifest, condition: str) -> tuple[Graph, np.ndarray]:
-    """Apply one masking condition; returns (masked graph, pool-excluded atoms).
+    """Apply one masking condition; returns (masked graph, empty array).
 
-    Edge kind: removes the masked subgraph edges (both arcs) from the full
-    graph. Atom kind: removes the masked atoms' incident bonds; atom ids stay
-    valid but are excluded from pooling via the returned array.
+    Removes the masked subgraph edges (both arcs) from the full graph. The
+    second element is always an empty array; the return stays a pair.
 
     This is the full-graph reference an external model re-scores. The
     built-in model reaches the same probabilities without a rebuild, through
     ``refmodel.predict_node(..., masked_edges=...)``.
     """
-    masked = manifest.conditions[condition]
-    if manifest.unit_kind == "edge":
-        drop = manifest.edges[masked]
-        return _drop_edges(graph, drop), np.empty(0, dtype=np.int64)
-    bonds = incident_bonds(manifest.edges, masked)
-    drop = manifest.edges[bonds]
-    return _drop_edges(graph, drop), np.asarray(masked, dtype=np.int64)
+    drop = manifest.edges[manifest.conditions[condition]]
+    return _drop_edges(graph, drop), np.empty(0, dtype=np.int64)
 
 
 def _drop_edges(graph: Graph, drop: np.ndarray) -> Graph:
@@ -303,22 +251,6 @@ def _drop_edges(graph: Graph, drop: np.ndarray) -> Graph:
                            num_classes=graph.num_classes, meta=graph.meta)
 
 
-def graph_eval_population(labels: np.ndarray, correct: np.ndarray,
-                          min_correct: int = 10) -> np.ndarray:
-    """Molecule-task targets: clean-correct positives, else all positives.
-
-    Falls back to every y=1 molecule when fewer than `min_correct` positives
-    were classified correctly on the clean input.
-    """
-    labels = np.asarray(labels)
-    correct = np.asarray(correct, dtype=bool)
-    positives = np.flatnonzero(labels == 1).astype(np.int64)
-    chosen = positives[correct[positives]]
-    if len(chosen) < min_correct:
-        return positives
-    return chosen
-
-
 # ---------------------------------------------------------------------------
 # manifest and probability files
 # ---------------------------------------------------------------------------
@@ -327,7 +259,7 @@ def write_manifest_file(path, manifest: TargetManifest) -> None:
     """One target per file: header, node list, edge rows, condition rows."""
     with open(path, "w") as f:
         f.write(f"target\t{manifest.target}\n")
-        f.write(f"unit_kind\t{manifest.unit_kind}\n")
+        f.write("unit_kind\tedge\n")
         f.write("nodes\t" + " ".join(map(str, manifest.nodes.tolist())) + "\n")
         for u, v in manifest.edges.tolist():
             f.write(f"edge\t{u}\t{v}\n")
@@ -358,7 +290,9 @@ def read_manifest_file(path) -> TargetManifest:
                 conditions[parts[1]] = np.array([int(x) for x in ids], dtype=np.int64)
     if target is None or unit_kind is None:
         raise LengthMismatch(f"{path}: incomplete manifest")
-    return TargetManifest(target=target, unit_kind=unit_kind, nodes=nodes,
+    if unit_kind != "edge":
+        raise LengthMismatch(f"{path}: unit_kind must be 'edge', got {unit_kind!r}")
+    return TargetManifest(target=target, nodes=nodes,
                           edges=np.array(edges, dtype=np.int64).reshape(-1, 2),
                           conditions=conditions)
 

@@ -94,13 +94,13 @@ def propagate_predict(graph: Graph, train_labels: np.ndarray, num_classes: int,
 
 def predict_node(graph: Graph, train_labels: np.ndarray, num_classes: int, node: int,
                  config: PropagationConfig = PropagationConfig(),
-                 pool_excluded: np.ndarray | None = None,
                  masked_edges: np.ndarray | None = None) -> np.ndarray:
     """One node's probability row via local breadth-first search.
 
-    Equals the corresponding propagate_predict row; used where rebuilding the
+    Every train-labeled node within ``config.hops`` hops of ``node``, the
+    node itself excluded, adds one count to its class. The row equals the
+    corresponding propagate_predict row; it is used where rebuilding the
     full reachability matrix per masking condition would be wasteful.
-    ``pool_excluded`` nodes contribute no label counts (atom-ablation rule).
     ``masked_edges`` holds canonical ``(u, v)`` rows, ``u < v``: the search
     never steps along such an edge, in either direction. The built-in model
     scores each interpretation condition this way, by a (default 2-hop)
@@ -111,7 +111,6 @@ def predict_node(graph: Graph, train_labels: np.ndarray, num_classes: int, node:
     mask = _train_mask(train_labels, num_classes)
     if not mask.any():
         raise NoTrainLabels("propagation needs at least one labeled train node")
-    excluded = set(map(int, pool_excluded)) if pool_excluded is not None else set()
     blocked = (set(map(tuple, np.asarray(masked_edges, dtype=np.int64).reshape(-1, 2).tolist()))
                if masked_edges is not None else set())
     visited = {int(node)}
@@ -127,7 +126,7 @@ def predict_node(graph: Graph, train_labels: np.ndarray, num_classes: int, node:
                         continue
                     visited.add(v)
                     nxt.append(v)
-                    if mask[v] and v not in excluded:
+                    if mask[v]:
                         counts[train_labels[v]] += 1.0
         frontier = nxt
         if not frontier:
@@ -139,9 +138,7 @@ def predict_node(graph: Graph, train_labels: np.ndarray, num_classes: int, node:
 def predicted_class_prob(graph: Graph, train_labels: np.ndarray, num_classes: int,
                          node: int, clean_class: int,
                          config: PropagationConfig = PropagationConfig(),
-                         pool_excluded: np.ndarray | None = None,
                          masked_edges: np.ndarray | None = None) -> float:
     """Probability the masked-input scorer assigns to the clean predicted class."""
-    row = predict_node(graph, train_labels, num_classes, node, config, pool_excluded,
-                       masked_edges)
+    row = predict_node(graph, train_labels, num_classes, node, config, masked_edges)
     return float(row[clean_class])

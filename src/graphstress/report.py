@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AllUndefined, EmptyInput
+from .graph_store import write_json
 
 
 @dataclass(frozen=True)
@@ -109,38 +110,29 @@ def _fmt(x: float | None) -> str:
     return "" if x is None else repr(float(x))
 
 
-def emit_report(report: Report, json_path=None, csv_path=None) -> list[Path]:
-    """Write the report as nested JSON and/or flat CSV; returns written paths."""
+def emit_report(report: Report, json_path, csv_path) -> None:
+    """Write the report as nested JSON and as flat CSV."""
     if report.num_cells == 0:
         raise EmptyInput("refusing to emit an empty report")
-    written = []
-    if json_path is not None:
-        json_path = Path(json_path)
-        tree = {
-            axis: {
-                sub: {
-                    ds: {m: cell.as_dict() for m, cell in methods.items()}
-                    for ds, methods in datasets.items()
-                }
-                for sub, datasets in subs.items()
+    tree = {
+        axis: {
+            sub: {
+                ds: {m: cell.as_dict() for m, cell in methods.items()}
+                for ds, methods in datasets.items()
             }
-            for axis, subs in report.cells.items()
+            for sub, datasets in subs.items()
         }
-        payload = {"provenance": report.provenance, "results": tree}
-        json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        written.append(json_path)
-    if csv_path is not None:
-        csv_path = Path(csv_path)
-        with open(csv_path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["axis", "subcondition", "dataset", "method",
-                        "seed_count", "mean", "std", "undefined", "note"])
-            for axis, sub, ds, method, cell in report.rows():
-                w.writerow([axis, sub, ds, method, cell.n,
-                            _fmt(cell.mean), _fmt(cell.std),
-                            "true" if cell.undefined else "false", cell.note])
-        written.append(csv_path)
-    return written
+        for axis, subs in report.cells.items()
+    }
+    write_json(json_path, {"provenance": report.provenance, "results": tree})
+    with open(csv_path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["axis", "subcondition", "dataset", "method",
+                    "seed_count", "mean", "std", "undefined", "note"])
+        for axis, sub, ds, method, cell in report.rows():
+            w.writerow([axis, sub, ds, method, cell.n,
+                        _fmt(cell.mean), _fmt(cell.std),
+                        "true" if cell.undefined else "false", cell.note])
 
 
 def load_report(json_path) -> Report:

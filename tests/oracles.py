@@ -133,5 +133,11 @@ def two_pass_std_oracle(values):
     return var ** 0.5
 
 
+def manifest_complement(manifest, condition):
+    """Edge indices of a manifest that a condition leaves unmasked."""
+    return np.setdiff1d(np.arange(len(manifest.edges), dtype=np.int64),
+                        manifest.conditions[condition])
+
+
 def adjacency_from_graph(graph):
     return {u: graph.neighbors_of(u).tolist() for u in range(graph.num_nodes)}

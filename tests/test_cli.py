@@ -532,8 +532,9 @@ def test_subcommand_on_the_wrong_dataset_kind_exits_2(small_ds, mol_ds, kg_ds, t
     assert "MissingInput" in err and "needs a" in err
 
 
-@pytest.mark.parametrize("rhos", [[2, 2.5], [10, 10.0], [5, 20, 5], 10],
-                         ids=["fraction", "same-level", "repeat", "not-a-list"])
+@pytest.mark.parametrize("rhos", [[2, 2.5], [10, 10.0], [5, 20, 5], 10, [0], [5, -10], [True]],
+                         ids=["fraction", "same-level", "repeat", "not-a-list", "zero",
+                              "negative", "bool"])
 def test_colliding_or_fractional_rhos_exit_2_before_loading(small_ds, tmp_path, monkeypatch,
                                                             capsys, rhos):
     def no_load(manifest):
@@ -691,6 +692,36 @@ def test_bad_dataset_entry_or_seeds_exit_2_before_loading(small_ds, tmp_path, mo
     config = _write_config(tmp_path / "config.json", manifest=small_ds, axes=["fairness"],
                            **overrides)
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and key in err
+
+
+@pytest.mark.parametrize("overrides, argv, key", [
+    ({}, ["--seed", "-1"], "seeds"),
+    ({"interpret_targets": -1}, [], "interpret_targets"),
+    ({"interpret_targets": 0}, [], "interpret_targets"),
+    ({"interpret_targets": "x"}, [], "interpret_targets"),
+    ({"k_levels": [0, 200]}, [], "k_levels"),
+    ({"k_levels": "5"}, [], "k_levels"),
+    ({"k_levels": []}, [], "k_levels"),
+    ({"k_levels": [5, 5.0]}, [], "k_levels"),
+    ({"workers": 0}, [], "workers"),
+    ({"workers": "x"}, [], "workers"),
+    ({}, ["--workers", "0"], "workers"),
+    ({"head_tail_quantile": 0.7}, [], "head_tail_quantile"),
+    ({"head_tail_quantile": 0}, [], "head_tail_quantile"),
+    ({"head_tail_quantile": "x"}, [], "head_tail_quantile"),
+], ids=["seed-flag-negative", "targets-negative", "targets-0", "targets-str", "k-out-of-range",
+        "k-str", "k-empty", "k-repeat", "workers-0", "workers-str", "workers-flag-0",
+        "quantile-above-half", "quantile-0", "quantile-str"])
+def test_out_of_range_run_value_exits_2_before_loading(small_ds, tmp_path, monkeypatch, capsys,
+                                                       overrides, argv, key):
+    def no_load(manifest):
+        raise AssertionError("a bad config must be rejected before any dataset loads")
+
+    monkeypatch.setattr(cli, "load_dataset", no_load)
+    config = _write_config(tmp_path / "config.json", manifest=small_ds, **overrides)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "r"), *argv]) == 2
     err = capsys.readouterr().err
     assert "ConfigError" in err and key in err
 

@@ -140,11 +140,12 @@ def test_deletion_rate_binomial_bound(random_graph):
         deleted = m - canonical_undirected_edges(out).num_edges
         bound = 3.0 * np.sqrt(m * p * (1 - p))
         assert abs(deleted - m * p) <= bound
-        assert deleted == int(deleted_edge_mask(random_graph, p, key).sum())
+        assert deleted == int(deleted_edge_mask(m, p, key).sum())
 
 
 def test_deletions_nest_across_severities(random_graph):
-    masks = [deleted_edge_mask(random_graph, p, EDGE_KEY) for p in EDGE_LEVELS]
+    m = canonical_undirected_edges(random_graph).num_edges
+    masks = [deleted_edge_mask(m, p, EDGE_KEY) for p in EDGE_LEVELS]
     for low, high in zip(masks, masks[1:]):
         assert not np.any(low & ~high)  # deleted at p_low implies deleted at p_high
 
@@ -193,7 +194,7 @@ def test_deletion_mask_matches_graph_property(p, seed):
     dst = rng.integers(0, 30, size=60)
     g = Graph.from_arcs(30, src, dst, symmetrize=True)
     key = derive_key("corruption", "prop", "edge_deletion", 0, seed)
-    mask = deleted_edge_mask(g, p, key)
+    mask = deleted_edge_mask(canonical_undirected_edges(g).num_edges, p, key)
     out = edge_delete(g, p, key)
     assert canonical_undirected_edges(out).num_edges == int((~mask).sum())
     check_symmetry(out)

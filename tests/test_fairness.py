@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from graphstress.errors import BadQuantile, DegenerateGroup, EmptyGroup
 from graphstress.fairness import (
     demographic_gaps,
-    demographic_groups,
     head_tail_gap,
     head_tail_groups,
 )
@@ -114,22 +113,7 @@ def test_gap_antisymmetry():
     from graphstress.fairness import GroupSpec
     groups = GroupSpec("structural", units[:10], units[40:], 0.2)
     assert head_tail_gap(table, labels, groups) == pytest.approx(
-        -head_tail_gap(table, labels, groups.swapped()))
-
-
-# ---------------------------------------------------------------------------
-# demographic groups
-# ---------------------------------------------------------------------------
-
-def test_demographic_groups_partition():
-    sensitive = np.array([0, 1, 0, 1, 1, -1], dtype=np.int8)
-    groups = demographic_groups(np.array([0, 1, 2, 3, 4]), sensitive)
-    assert groups.first.tolist() == [0, 2]
-    assert groups.second.tolist() == [1, 3, 4]
-    with pytest.raises(DegenerateGroup):
-        demographic_groups(np.arange(6), sensitive)  # unit 5 lacks the attribute
-    with pytest.raises(DegenerateGroup):
-        demographic_groups(np.array([0, 2]), sensitive)  # only s=0 present
+        -head_tail_gap(table, labels, GroupSpec("structural", units[40:], units[:10], 0.2)))
 
 
 # ---------------------------------------------------------------------------

@@ -52,19 +52,23 @@ def test_default_rhos():
 # downsampling plan
 # ---------------------------------------------------------------------------
 
+def _minor_target(spec):
+    # the protocol's kept count of a minor class: max(1, floor(n_major / rho))
+    return max(1, int(spec.n_major // spec.rho))
+
+
 def test_build_spec_targets():
     counts = np.array([100, 30, 60, 10])
     spec = build_spec(counts, rho=5.0)
     assert spec.n_major == 100
-    assert spec.n_minor_target == 20
     assert spec.targets == {0: 100, 2: 60, 1: 20, 3: 10}  # class 3 already below target
 
 
 def test_build_spec_floor_and_minimum():
     spec = build_spec(np.array([7, 3]), rho=20.0)
-    assert spec.n_minor_target == 1  # floor(7/20)=0 clamps to 1
+    assert spec.targets[1] == 1  # floor(7/20)=0 clamps to 1
     spec = build_spec(np.array([45, 45, 7, 3]), rho=10.0)
-    assert spec.n_minor_target == 4  # floor(45/10)
+    assert spec.targets[2] == 4  # floor(45/10)
 
 
 def test_downsample_recount_oracle():
@@ -79,7 +83,7 @@ def test_downsample_recount_oracle():
     for cls in spec.major_classes:
         assert kept_counts[cls] == counts[cls]  # majors untouched
     for cls in spec.minor_classes:
-        assert kept_counts[cls] == min(counts[cls], spec.n_minor_target)
+        assert kept_counts[cls] == min(counts[cls], _minor_target(spec))
     assert np.all(np.isin(kept, train_set))  # never invents units
     assert np.array_equal(kept, np.sort(kept))
 
@@ -206,7 +210,7 @@ def test_downsample_property(count_list, rho, seed):
     for cls, ids in units.items():
         got = int(np.isin(kept, ids).sum())
         if cls in spec.minor_classes:
-            assert got == min(len(ids), spec.n_minor_target)
+            assert got == min(len(ids), _minor_target(spec))
             assert got >= 1
         else:
             assert got == len(ids)

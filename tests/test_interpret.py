@@ -9,7 +9,6 @@ from graphstress.cli import PipelineRunner
 from graphstress.determinism import derive_key
 from graphstress.errors import (
     BadProbability,
-    EmptyMolecule,
     EmptySubgraph,
     LengthMismatch,
     MissingNodeScore,
@@ -17,17 +16,13 @@ from graphstress.errors import (
 )
 from graphstress.graph_store import Graph, canonical_undirected_edges, check_symmetry
 from graphstress.interpret import (
-    ATOM_K_PERCENT,
     K_PERCENT_LEVELS,
     SaliencyTable,
-    atom_ablation_manifest,
     build_edge_manifest,
     char_lift,
     condition_name,
     edge_saliency_from_node_grads,
     fidelity,
-    graph_eval_population,
-    incident_bonds,
     khop_subgraph,
     mask_count,
     masked_graph,
@@ -40,7 +35,7 @@ from graphstress.interpret import (
     write_saliency_file,
 )
 from graphstress.report import MetricCell
-from oracles import bfs_hops_oracle, adjacency_from_graph
+from oracles import bfs_hops_oracle, adjacency_from_graph, manifest_complement
 
 KEY = derive_key("interpret", "unit", "mask", 0, 0)
 
@@ -237,7 +232,6 @@ def test_char_lift_undefined_and_mismatch():
 def test_edge_manifest_conditions(random_graph):
     scores = _node_scores(random_graph.num_nodes)
     manifest = build_edge_manifest(random_graph, 7, scores, KEY)
-    assert manifest.unit_kind == "edge"
     assert set(manifest.conditions) == {
         condition_name(r, side, k)
         for r in ("saliency", "random") for side in ("top", "comp") for k in K_PERCENT_LEVELS
@@ -248,7 +242,8 @@ def test_edge_manifest_conditions(random_graph):
         comp = manifest.conditions[condition_name("saliency", "comp", k)]
         assert len(top) == mask_count(k, m)
         assert np.array_equal(np.sort(np.concatenate([top, comp])), np.arange(m))
-        assert np.array_equal(manifest.complement(condition_name("saliency", "top", k)), comp)
+        assert np.array_equal(manifest_complement(manifest, condition_name("saliency", "top", k)),
+                              comp)
 
 
 def test_edge_manifest_empty_receptive_field():
@@ -257,30 +252,12 @@ def test_edge_manifest_empty_receptive_field():
         build_edge_manifest(g, 2, _node_scores(3), KEY)
 
 
-def test_atom_manifest_incidence_oracle():
-    # molecule: triangle 0-1-2 with a tail 2-3
-    mol = Graph.from_arcs(4, [0, 1, 2, 2], [1, 2, 0, 3], symmetrize=True)
-    scores = SaliencyTable("atom_score", np.arange(4), np.array([0.9, 0.1, 0.5, 0.2]))
-    manifest = atom_ablation_manifest(mol, scores, KEY)
-    assert manifest.unit_kind == "atom"
-    # k=20 percent of 4 atoms = ceil(0.8) = 1 atom; highest score is atom 0
-    top = manifest.conditions[condition_name("saliency", "top", ATOM_K_PERCENT)]
-    assert top.tolist() == [0]
-    bonds = incident_bonds(manifest.edges, top)
-    expected = [i for i, (u, v) in enumerate(manifest.edges.tolist()) if u == 0 or v == 0]
-    assert bonds.tolist() == expected
-    comp = manifest.conditions[condition_name("saliency", "comp", ATOM_K_PERCENT)]
-    assert sorted(top.tolist() + comp.tolist()) == [0, 1, 2, 3]
-    with pytest.raises(EmptyMolecule):
-        atom_ablation_manifest(Graph.from_arcs(0, [], []), scores, KEY)
-
-
 def test_masked_graph_edge_kind(random_graph):
     scores = _node_scores(random_graph.num_nodes)
     manifest = build_edge_manifest(random_graph, 7, scores, KEY)
     name = condition_name("saliency", "top", 50)
-    out, pool_excluded = masked_graph(random_graph, manifest, name)
-    assert pool_excluded.size == 0
+    out, extra = masked_graph(random_graph, manifest, name)
+    assert extra.size == 0
     check_symmetry(out)
     removed = {tuple(e) for e in manifest.edges[manifest.conditions[name]].tolist()}
     remaining = {tuple(e) for e in canonical_undirected_edges(out).edges.tolist()}
@@ -289,18 +266,6 @@ def test_masked_graph_edge_kind(random_graph):
     assert remaining == before - removed
     # self-loops survive every masking condition
     assert 7 in canonical_undirected_edges(out).self_loops.tolist()
-
-
-def test_masked_graph_atom_kind():
-    mol = Graph.from_arcs(4, [0, 1, 2, 2], [1, 2, 0, 3], symmetrize=True)
-    scores = SaliencyTable("atom_score", np.arange(4), np.array([0.9, 0.1, 0.5, 0.2]))
-    manifest = atom_ablation_manifest(mol, scores, KEY)
-    name = condition_name("saliency", "top", ATOM_K_PERCENT)
-    out, pool_excluded = masked_graph(mol, manifest, name)
-    assert pool_excluded.tolist() == [0]
-    assert out.degrees()[0] == 0  # every bond at the masked atom is gone
-    assert out.num_nodes == mol.num_nodes  # atom ids stay valid
-    check_symmetry(out)
 
 
 def test_refmodel_interpret_job_builds_no_graph(tmp_path, monkeypatch, node_dataset):
@@ -320,21 +285,6 @@ def test_refmodel_interpret_job_builds_no_graph(tmp_path, monkeypatch, node_data
 
 
 # ---------------------------------------------------------------------------
-# evaluation population fallback
-# ---------------------------------------------------------------------------
-
-def test_graph_eval_population():
-    labels = np.array([1] * 15 + [0] * 5)
-    correct = np.zeros(20, dtype=bool)
-    correct[:12] = True
-    chosen = graph_eval_population(labels, correct)
-    assert chosen.tolist() == list(range(12))  # 12 clean-correct positives
-    correct[:] = False
-    correct[:3] = True  # below the floor of 10: fall back to all positives
-    assert graph_eval_population(labels, correct).tolist() == list(range(15))
-
-
-# ---------------------------------------------------------------------------
 # file round trips
 # ---------------------------------------------------------------------------
 
@@ -343,7 +293,7 @@ def test_manifest_round_trip(tmp_path, random_graph):
     p = tmp_path / "t31.manifest"
     write_manifest_file(p, manifest)
     back = read_manifest_file(p)
-    assert back.target == 31 and back.unit_kind == "edge"
+    assert back.target == 31
     assert np.array_equal(back.nodes, manifest.nodes)
     assert np.array_equal(back.edges, manifest.edges)
     assert set(back.conditions) == set(manifest.conditions)
@@ -355,6 +305,18 @@ def test_manifest_incomplete_rejected(tmp_path):
     p = tmp_path / "bad.manifest"
     p.write_text("nodes\t0 1 2\n")
     with pytest.raises(LengthMismatch):
+        read_manifest_file(p)
+
+
+def test_manifest_file_writes_edge_unit_kind_and_rejects_others(tmp_path, random_graph):
+    manifest = build_edge_manifest(random_graph, 31, _node_scores(100), KEY)
+    p = tmp_path / "t31.manifest"
+    write_manifest_file(p, manifest)
+    lines = p.read_text().splitlines()
+    assert lines[:2] == ["target\t31", "unit_kind\tedge"]
+    lines[1] = "unit_kind\tatom"
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LengthMismatch, match="unit_kind"):
         read_manifest_file(p)
 
 

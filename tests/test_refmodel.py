@@ -101,15 +101,6 @@ def test_predict_node_equals_matrix_row(random_graph):
         assert np.allclose(local, rows[node], atol=1e-12)
 
 
-def test_predict_node_pool_exclusion():
-    g = _chain(3)
-    train = np.array([0, -1, 1], dtype=np.int64)
-    base = predict_node(g, train, 2, 1)
-    assert base.tolist() == pytest.approx([0.5, 0.5])  # sees one of each class
-    excl = predict_node(g, train, 2, 1, pool_excluded=np.array([2]))
-    assert excl[0] > excl[1]  # class-1 witness no longer counts
-
-
 def test_predicted_class_prob():
     g = _chain(3)
     train = np.array([0, -1, 1], dtype=np.int64)

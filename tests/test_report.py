@@ -120,8 +120,7 @@ def test_report_rows_sorted():
 def test_emit_and_load_round_trip(tmp_path):
     r = _sample_report()
     jp, cp = tmp_path / "report.json", tmp_path / "report.csv"
-    written = emit_report(r, json_path=jp, csv_path=cp)
-    assert written == [jp, cp]
+    emit_report(r, json_path=jp, csv_path=cp)
     back = load_report(jp)
     assert back.provenance == r.provenance
     assert back.num_cells == r.num_cells
@@ -142,8 +141,8 @@ def test_emission_insertion_order_independent(tmp_path):
     r2 = Report(cells={}, provenance=r1.provenance)
     for axis, sub, ds, method, cell in reversed(list(r1.rows())):
         r2.put(axis, sub, ds, method, cell)
-    emit_report(r1, csv_path=tmp_path / "a.csv")
-    emit_report(r2, csv_path=tmp_path / "b.csv")
+    emit_report(r1, json_path=tmp_path / "a.json", csv_path=tmp_path / "a.csv")
+    emit_report(r2, json_path=tmp_path / "b.json", csv_path=tmp_path / "b.csv")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
@@ -172,7 +171,8 @@ def test_inapplicable_note_survives(tmp_path):
 
 def test_emit_empty_report_refused(tmp_path):
     with pytest.raises(EmptyInput):
-        emit_report(Report(cells={}, provenance={}), json_path=tmp_path / "x.json")
+        emit_report(Report(cells={}, provenance={}), json_path=tmp_path / "x.json",
+                    csv_path=tmp_path / "x.csv")
 
 
 def test_float_repr_round_trip(tmp_path):
@@ -180,7 +180,7 @@ def test_float_repr_round_trip(tmp_path):
     value = 0.1 + 0.2  # 0.30000000000000004
     r = Report(cells={}, provenance={})
     r.put("a", "s", "d", "m", aggregate_seeds([value]))
-    emit_report(r, json_path=tmp_path / "r.json")
+    emit_report(r, json_path=tmp_path / "r.json", csv_path=tmp_path / "r.csv")
     back = load_report(tmp_path / "r.json")
     assert back.get("a", "s", "d", "m").mean == value
 
