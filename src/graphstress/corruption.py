@@ -13,7 +13,7 @@ import numpy as np
 
 from .determinism import StreamKey, gaussian, uniform
 from .errors import BadProbability, DirectedGraph, EmptyTrainMask, NonFiniteFeature
-from .graph_store import Graph, canonical_undirected_edges, expand_canonical
+from .graph_store import Graph, remove_edges
 
 FEATURE_LEVELS = (0.1, 0.25, 0.5, 1.0, 2.0)
 EDGE_LEVELS = (0.05, 0.10, 0.20, 0.30, 0.50)
@@ -48,27 +48,19 @@ def feature_noise(features: np.ndarray, train_mask: np.ndarray, sigma_rel: float
 def edge_delete(graph: Graph, p: float, key: StreamKey) -> Graph:
     """Drop each undirected edge with probability p; both arcs go together.
 
-    The decision for canonical edge i is uniform(key, i) < p, so the deleted
-    set for a smaller p is a subset of the deleted set for a larger p under
-    the same key. Self-loops are never deleted.
+    The decision for edge i of ``graph.edge_keys()`` is uniform(key, i) < p,
+    so the deleted set for a smaller p is a subset of the deleted set for a
+    larger p under the same key. Self-loops are never deleted.
     """
     if not graph.undirected:
         raise DirectedGraph("edge deletion requires an undirected graph")
     if not 0.0 <= p <= 1.0:
         raise BadProbability(f"deletion probability {p} outside [0, 1]")
-    if p == 0.0:
-        return graph
-    canon = canonical_undirected_edges(graph)
-    keep = ~deleted_edge_mask(canon.num_edges, p, key)
-    return expand_canonical(
-        graph.num_nodes, canon.edges[keep], canon.self_loops,
-        features=graph.features, labels=graph.labels,
-        num_classes=graph.num_classes, meta=graph.meta,
-    )
+    return remove_edges(graph, deleted_edge_mask(len(graph.edge_keys()), p, key))
 
 
 def deleted_edge_mask(num_edges: int, p: float, key: StreamKey) -> np.ndarray:
-    """Boolean per canonical edge index below num_edges: True where edge_delete drops it."""
+    """Boolean per edge index below num_edges: True where edge_delete drops it."""
     return uniform(key, np.arange(num_edges, dtype=np.int64)) < p
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from pathlib import Path
 
@@ -120,6 +120,12 @@ class Graph:
         """All arcs as (src, dst) arrays in CSR order."""
         src = np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.degrees())
         return src, self.neighbors
+
+    def edge_keys(self) -> np.ndarray:
+        """``u * num_nodes + v`` of every arc with u < v, ascending: one key per undirected edge."""
+        src, dst = self.arcs()
+        fwd = src < dst
+        return src[fwd] * self.num_nodes + dst[fwd]
 
     def labeled_nodes(self) -> np.ndarray:
         if self.labels is None:
@@ -216,38 +222,26 @@ def _one_way_arc(g: Graph, src=None, dst=None) -> tuple[int, int] | None:
     return u, v
 
 
-@dataclass
-class CanonicalEdges:
-    """Undirected edges once each as (min,max) rows; self-loops kept apart."""
+def remove_edges(g: Graph, drop: np.ndarray) -> Graph:
+    """The undirected graph without the edges ``drop`` marks; self-loops stay.
 
-    edges: np.ndarray       # (m, 2) int64, u < v, lexicographically sorted
-    self_loops: np.ndarray  # (s,) int64 node ids with a self-loop
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
-
-def canonical_undirected_edges(g: Graph) -> CanonicalEdges:
-    """Collapse a symmetric arc set to one row per undirected edge.
-
-    Neighbor lists are sorted, so taking arcs with src < dst in CSR order
-    yields the canonical list already sorted by (u, v).
+    ``drop`` holds one boolean per edge u < v, in ``g.edge_keys()`` order;
+    with none set, g itself is returned. Both arcs of an edge share its
+    decision, so filtering the CSR keeps it sorted, deduplicated and
+    symmetric. Features, labels and meta carry over unchanged.
     """
     if not g.undirected:
-        raise DirectedGraph("canonical edge listing requires an undirected graph")
+        raise DirectedGraph("edge removal requires an undirected graph")
+    if not np.any(drop):
+        return g
     src, dst = g.arcs()
-    fwd = src < dst
-    edges = np.stack([src[fwd], dst[fwd]], axis=1)
-    self_loops = src[src == dst]
-    return CanonicalEdges(edges=edges, self_loops=self_loops)
-
-
-def expand_canonical(num_nodes: int, edges: np.ndarray, self_loops: np.ndarray, **kwargs) -> Graph:
-    """Inverse of canonical_undirected_edges: rebuild the symmetric arc set."""
-    src = np.concatenate([edges[:, 0], edges[:, 1], self_loops])
-    dst = np.concatenate([edges[:, 1], edges[:, 0], self_loops])
-    return Graph.from_arcs(num_nodes, src, dst, undirected=True, **kwargs)
+    cut = np.zeros(g.num_arcs, dtype=bool)
+    cut[src < dst] = drop
+    # arcs are in ascending (src, dst) order, so a binary search finds each reverse arc
+    cut |= cut[np.searchsorted(src * g.num_nodes + dst, dst * g.num_nodes + src)]
+    kept = np.zeros(g.num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src[~cut], minlength=g.num_nodes), out=kept[1:])
+    return replace(g, offsets=kept, neighbors=g.neighbors[~cut])
 
 
 @dataclass

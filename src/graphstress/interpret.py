@@ -30,7 +30,7 @@ from .errors import (
     MissingNodeScore,
     SeedCountMismatch,
 )
-from .graph_store import Graph, read_header, read_table, require_file, write_table
+from .graph_store import Graph, read_header, read_table, remove_edges, require_file, write_table
 from .metrics import lookup_rows
 from .report import MetricCell
 
@@ -225,30 +225,17 @@ def build_edge_manifest(graph: Graph, target: int, node_scores: SaliencyTable,
 def masked_graph(graph: Graph, manifest: TargetManifest, condition: str) -> tuple[Graph, np.ndarray]:
     """Apply one masking condition; returns (masked graph, empty array).
 
-    Removes the masked subgraph edges (both arcs) from the full graph. The
+    Filters both arcs of every masked edge out of the full graph's CSR with
+    ``graph_store.remove_edges``, the filter edge deletion uses too. The
     second element is always an empty array; the return stays a pair.
 
     This is the full-graph reference an external model re-scores. The
-    built-in model reaches the same probabilities without a rebuild, through
+    built-in model reaches the same probabilities without a masked graph, through
     ``refmodel.predict_node(..., masked_edges=...)``.
     """
-    drop = manifest.edges[manifest.conditions[condition]]
-    return _drop_edges(graph, drop), np.empty(0, dtype=np.int64)
-
-
-def _drop_edges(graph: Graph, drop: np.ndarray) -> Graph:
-    """Remove canonical (u, v) rows from an undirected graph, arcs both ways."""
-    if len(drop) == 0:
-        return graph
-    src, dst = graph.arcs()
-    lo = np.minimum(src, dst)
-    hi = np.maximum(src, dst)
-    arc_keys = lo * graph.num_nodes + hi
-    drop_keys = np.unique(drop[:, 0] * graph.num_nodes + drop[:, 1])
-    keep = ~np.isin(arc_keys, drop_keys) | (src == dst)  # self-loops persist
-    return Graph.from_arcs(graph.num_nodes, src[keep], dst[keep], undirected=True,
-                           features=graph.features, labels=graph.labels,
-                           num_classes=graph.num_classes, meta=graph.meta)
+    rows = manifest.edges[manifest.conditions[condition]]
+    drop = np.isin(graph.edge_keys(), rows[:, 0] * graph.num_nodes + rows[:, 1])
+    return remove_edges(graph, drop), np.empty(0, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

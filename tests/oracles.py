@@ -139,5 +139,17 @@ def manifest_complement(manifest, condition):
                         manifest.conditions[condition])
 
 
+def canonical_edges_oracle(graph):
+    """(sorted (u, v) pairs with u < v, sorted self-loop nodes) of an undirected graph, via sets."""
+    pairs, loops = set(), set()
+    for u in range(graph.num_nodes):
+        for v in graph.neighbors_of(u).tolist():
+            if u == v:
+                loops.add(u)
+            else:
+                pairs.add((min(u, v), max(u, v)))
+    return sorted(pairs), sorted(loops)
+
+
 def adjacency_from_graph(graph):
     return {u: graph.neighbors_of(u).tolist() for u in range(graph.num_nodes)}

@@ -21,7 +21,6 @@ from graphstress.graph_store import (
     Graph,
     Role,
     TripleStore,
-    canonical_undirected_edges,
     check_symmetry,
     save_dataset,
     validate_graph,
@@ -48,7 +47,13 @@ from graphstress.ood_splits import (
 from graphstress.report import MetricCell, cross_dataset, load_report
 from graphstress.synthetic import make_molecule_collection, make_node_dataset, make_triple_store
 
-from oracles import accuracy_oracle, auc_pairwise_oracle, confusion_matrix, rank_oracle
+from oracles import (
+    accuracy_oracle,
+    auc_pairwise_oracle,
+    canonical_edges_oracle,
+    confusion_matrix,
+    rank_oracle,
+)
 
 
 class _verdict:
@@ -146,7 +151,7 @@ def test_criterion_2_edge_deletion_statistics():
                             np.concatenate([pairs // n_nodes, loops]),
                             np.concatenate([pairs % n_nodes, loops]),
                             symmetrize=True)
-        assert canonical_undirected_edges(g).num_edges == m
+        assert len(canonical_edges_oracle(g)[0]) == m
 
         bound = 3.0 * np.sqrt(m * p * (1 - p))  # ~137.5
         for seed in range(20):
@@ -154,10 +159,10 @@ def test_criterion_2_edge_deletion_statistics():
             deleted_graph = edge_delete(g, p, key)
             validate_graph(deleted_graph)
             check_symmetry(deleted_graph)
-            ce = canonical_undirected_edges(deleted_graph)
-            deleted = m - ce.num_edges
+            edges, self_loops = canonical_edges_oracle(deleted_graph)
+            deleted = m - len(edges)
             assert abs(deleted - m * p) <= bound, f"seed {seed}: deleted {deleted}"
-            assert np.array_equal(ce.self_loops, loops)
+            assert self_loops == loops.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from graphstress.corruption import (
 )
 from graphstress.determinism import derive_key
 from graphstress.errors import BadProbability, DirectedGraph, EmptyTrainMask, NonFiniteFeature
-from graphstress.graph_store import Graph, canonical_undirected_edges, check_symmetry
+from graphstress.graph_store import Graph, check_symmetry
+from oracles import canonical_edges_oracle
 
 KEY = derive_key("corruption", "unit", "feature_noise", 1, 0)
 EDGE_KEY = derive_key("corruption", "unit", "edge_deletion", 0, 0)
@@ -109,11 +110,10 @@ def test_p_zero_returns_graph_unchanged(random_graph):
 
 def test_p_one_keeps_only_self_loops(random_graph):
     out = edge_delete(random_graph, 1.0, EDGE_KEY)
-    canon = canonical_undirected_edges(out)
-    assert canon.num_edges == 0
-    loops = canonical_undirected_edges(random_graph).self_loops
-    assert np.array_equal(canon.self_loops, loops)
-    assert 7 in canon.self_loops.tolist()
+    edges, loops = canonical_edges_oracle(out)
+    assert edges == []
+    assert loops == canonical_edges_oracle(random_graph)[1]
+    assert 7 in loops
 
 
 def test_deletion_preserves_symmetry_and_payload(random_graph):
@@ -133,27 +133,27 @@ def test_deletion_preserves_symmetry_and_payload(random_graph):
 def test_deletion_rate_binomial_bound(random_graph):
     # over 20 keyed replicates the total deletions stay within 3 sigma of m*p
     p = 0.3
-    m = canonical_undirected_edges(random_graph).num_edges
+    m = len(canonical_edges_oracle(random_graph)[0])
     for seed in range(20):
         key = derive_key("corruption", "unit", "edge_deletion", 0, seed)
         out = edge_delete(random_graph, p, key)
-        deleted = m - canonical_undirected_edges(out).num_edges
+        deleted = m - len(canonical_edges_oracle(out)[0])
         bound = 3.0 * np.sqrt(m * p * (1 - p))
         assert abs(deleted - m * p) <= bound
         assert deleted == int(deleted_edge_mask(m, p, key).sum())
 
 
 def test_deletions_nest_across_severities(random_graph):
-    m = canonical_undirected_edges(random_graph).num_edges
+    m = len(random_graph.edge_keys())
     masks = [deleted_edge_mask(m, p, EDGE_KEY) for p in EDGE_LEVELS]
     for low, high in zip(masks, masks[1:]):
         assert not np.any(low & ~high)  # deleted at p_low implies deleted at p_high
 
 
 def test_surviving_edges_are_subset(random_graph):
-    before = {tuple(r) for r in canonical_undirected_edges(random_graph).edges.tolist()}
+    before = set(canonical_edges_oracle(random_graph)[0])
     out = edge_delete(random_graph, 0.2, EDGE_KEY)
-    after = {tuple(r) for r in canonical_undirected_edges(out).edges.tolist()}
+    after = set(canonical_edges_oracle(out)[0])
     assert after <= before
 
 
@@ -194,9 +194,11 @@ def test_deletion_mask_matches_graph_property(p, seed):
     dst = rng.integers(0, 30, size=60)
     g = Graph.from_arcs(30, src, dst, symmetrize=True)
     key = derive_key("corruption", "prop", "edge_deletion", 0, seed)
-    mask = deleted_edge_mask(canonical_undirected_edges(g).num_edges, p, key)
+    edges = canonical_edges_oracle(g)[0]
+    mask = deleted_edge_mask(len(edges), p, key)
     out = edge_delete(g, p, key)
-    assert canonical_undirected_edges(out).num_edges == int((~mask).sum())
+    # edge i of the (u, v)-sorted listing goes exactly when mask[i] is set
+    assert canonical_edges_oracle(out)[0] == [e for e, d in zip(edges, mask) if not d]
     check_symmetry(out)
 
 

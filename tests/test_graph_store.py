@@ -1,4 +1,4 @@
-"""CSR graph container, canonical edge listing, and file formats."""
+"""CSR graph container, edge keys and removal, and file formats."""
 
 import numpy as np
 import pytest
@@ -21,9 +21,7 @@ from graphstress.graph_store import (
     Role,
     SplitAssignment,
     TripleStore,
-    canonical_undirected_edges,
     check_symmetry,
-    expand_canonical,
     load_dataset,
     read_edge_file,
     read_feature_file,
@@ -31,6 +29,7 @@ from graphstress.graph_store import (
     read_meta_file,
     read_split_file,
     read_triple_file,
+    remove_edges,
     save_dataset,
     validate_graph,
     write_edge_file,
@@ -43,6 +42,7 @@ from graphstress.graph_store import (
 from graphstress.interpret import read_probs_file, read_saliency_file
 from graphstress.metrics import read_prediction_file, read_ranking_file
 from graphstress.synthetic import make_molecule_collection, make_node_dataset, make_triple_store
+from oracles import canonical_edges_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -132,42 +132,32 @@ def test_degree_recount_oracle(random_graph):
 
 
 # ---------------------------------------------------------------------------
-# canonical undirected edges
+# edge keys and edge removal
 # ---------------------------------------------------------------------------
 
-def test_canonical_edges_path(path_graph):
-    ce = canonical_undirected_edges(path_graph)
-    assert ce.edges.tolist() == [[0, 1], [1, 2]]
-    assert ce.self_loops.size == 0
-    assert ce.num_edges == 2
+def test_remove_edges_path(path_graph):
+    assert path_graph.edge_keys().tolist() == [0 * 3 + 1, 1 * 3 + 2]
+    out = remove_edges(path_graph, np.array([True, False]))
+    assert out.offsets.tolist() == [0, 0, 1, 2]
+    assert out.neighbors.tolist() == [2, 1]
 
 
-def test_canonical_edges_pair_set_oracle(random_graph):
-    ce = canonical_undirected_edges(random_graph)
-    src, dst = random_graph.arcs()
-    loops = src == dst
-    expected = {(min(u, v), max(u, v)) for u, v in zip(src[~loops].tolist(), dst[~loops].tolist())}
-    got = {tuple(row) for row in ce.edges.tolist()}
-    assert got == expected
-    expected_loops = sorted(set(src[loops].tolist()))
-    assert ce.self_loops.tolist() == expected_loops
-    assert 7 in expected_loops
-    # canonical listing is lexicographically sorted
-    keys = ce.edges[:, 0] * random_graph.num_nodes + ce.edges[:, 1]
-    assert np.all(np.diff(keys) > 0)
+def test_edge_keys_pair_set_oracle(random_graph):
+    edges, loops = canonical_edges_oracle(random_graph)
+    n = random_graph.num_nodes
+    # one key per undirected edge, ascending, self-loops left out
+    assert random_graph.edge_keys().tolist() == [u * n + v for u, v in edges]
+    assert 7 in loops
 
 
-def test_canonical_requires_undirected():
+def test_remove_edges_requires_undirected():
     g = Graph.from_arcs(3, [0], [1], undirected=False)
     with pytest.raises(DirectedGraph):
-        canonical_undirected_edges(g)
+        remove_edges(g, np.array([True]))
 
 
-def test_expand_canonical_round_trip(random_graph):
-    ce = canonical_undirected_edges(random_graph)
-    back = expand_canonical(random_graph.num_nodes, ce.edges, ce.self_loops)
-    assert np.array_equal(back.offsets, random_graph.offsets)
-    assert np.array_equal(back.neighbors, random_graph.neighbors)
+def test_remove_edges_without_a_drop_returns_the_graph(random_graph):
+    assert remove_edges(random_graph, np.zeros(len(random_graph.edge_keys()), bool)) is random_graph
 
 
 # ---------------------------------------------------------------------------
@@ -487,14 +477,25 @@ def test_symmetrize_property(case):
     assert got == expected
 
 
-@given(arc_lists)
-@settings(max_examples=100, deadline=None)
-def test_canonical_expand_inverse_property(case):
+@given(arc_lists, st.sampled_from(["random", "all", "none"]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_remove_edges_matches_rebuild_property(case, fill, data):
+    # self-loops, isolated nodes, edgeless graphs, and all/none/some dropped
     n, pairs = case
-    src = [u for u, _ in pairs]
-    dst = [v for _, v in pairs]
-    g = Graph.from_arcs(n, src, dst, symmetrize=True)
-    ce = canonical_undirected_edges(g)
-    back = expand_canonical(n, ce.edges, ce.self_loops)
-    assert np.array_equal(back.offsets, g.offsets)
-    assert np.array_equal(back.neighbors, g.neighbors)
+    labels = np.arange(n, dtype=np.int64) % 2
+    g = Graph.from_arcs(n, [u for u, _ in pairs], [v for _, v in pairs], symmetrize=True,
+                        labels=labels, num_classes=2)
+    edges, loops = canonical_edges_oracle(g)
+    drop = np.array([fill == "all" or (fill == "random" and data.draw(st.booleans()))
+                     for _ in edges], dtype=bool)
+    out = remove_edges(g, drop)
+    validate_graph(out)
+    gone = {e for e, d in zip(edges, drop) if d}
+    kept = [(u, v) for u, v in zip(*map(np.ndarray.tolist, g.arcs()))
+            if (min(u, v), max(u, v)) not in gone]
+    rebuilt = Graph.from_arcs(n, [u for u, _ in kept], [v for _, v in kept])
+    assert np.array_equal(out.offsets, rebuilt.offsets)
+    assert np.array_equal(out.neighbors, rebuilt.neighbors)
+    assert out.offsets.dtype == out.neighbors.dtype == np.int64
+    assert canonical_edges_oracle(out) == ([e for e in edges if e not in gone], loops)
+    assert out.labels is labels and out.num_classes == 2 and out.undirected

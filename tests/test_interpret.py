@@ -14,7 +14,7 @@ from graphstress.errors import (
     MissingNodeScore,
     SeedCountMismatch,
 )
-from graphstress.graph_store import Graph, canonical_undirected_edges, check_symmetry
+from graphstress.graph_store import Graph, check_symmetry
 from graphstress.interpret import (
     K_PERCENT_LEVELS,
     SaliencyTable,
@@ -35,7 +35,7 @@ from graphstress.interpret import (
     write_saliency_file,
 )
 from graphstress.report import MetricCell
-from oracles import bfs_hops_oracle, adjacency_from_graph, manifest_complement
+from oracles import adjacency_from_graph, bfs_hops_oracle, canonical_edges_oracle, manifest_complement
 
 KEY = derive_key("interpret", "unit", "mask", 0, 0)
 
@@ -96,7 +96,7 @@ def test_khop_matches_bfs_oracle(random_graph):
             assert set(sub.nodes.tolist()) == bfs_hops_oracle(adjacency, center, hops)
             # induced edges: every canonical non-loop edge with both ends inside
             inside = set(sub.nodes.tolist())
-            expected = {tuple(e) for e in canonical_undirected_edges(random_graph).edges.tolist()
+            expected = {e for e in canonical_edges_oracle(random_graph)[0]
                         if e[0] in inside and e[1] in inside}
             assert {tuple(e) for e in sub.edges.tolist()} == expected
 
@@ -260,12 +260,25 @@ def test_masked_graph_edge_kind(random_graph):
     assert extra.size == 0
     check_symmetry(out)
     removed = {tuple(e) for e in manifest.edges[manifest.conditions[name]].tolist()}
-    remaining = {tuple(e) for e in canonical_undirected_edges(out).edges.tolist()}
-    assert remaining.isdisjoint(removed)
-    before = {tuple(e) for e in canonical_undirected_edges(random_graph).edges.tolist()}
-    assert remaining == before - removed
+    remaining, loops = canonical_edges_oracle(out)
+    assert set(remaining).isdisjoint(removed)
+    assert set(remaining) == set(canonical_edges_oracle(random_graph)[0]) - removed
     # self-loops survive every masking condition
-    assert 7 in canonical_undirected_edges(out).self_loops.tolist()
+    assert 7 in loops
+
+
+def test_masked_graph_equals_a_rebuild_for_every_condition(random_graph):
+    # the arcs left after dropping both arcs of each masked edge, rebuilt from scratch
+    manifest = build_edge_manifest(random_graph, 7, _node_scores(random_graph.num_nodes), KEY,
+                                   hops=3)
+    src, dst = random_graph.arcs()
+    for name, masked in manifest.conditions.items():
+        gone = {tuple(e) for e in manifest.edges[masked].tolist()}
+        keep = [(min(u, v), max(u, v)) not in gone for u, v in zip(src.tolist(), dst.tolist())]
+        rebuilt = Graph.from_arcs(random_graph.num_nodes, src[keep], dst[keep])
+        out, _ = masked_graph(random_graph, manifest, name)
+        assert np.array_equal(out.offsets, rebuilt.offsets), name
+        assert np.array_equal(out.neighbors, rebuilt.neighbors), name
 
 
 def test_refmodel_interpret_job_builds_no_graph(tmp_path, monkeypatch, node_dataset):
