@@ -29,6 +29,7 @@ from . import __version__
 from .corruption import EDGE_LEVELS, FEATURE_LEVELS, drop_metric, edge_delete, feature_noise
 from .determinism import derive_key
 from .errors import (
+    BadId,
     ConfigError,
     DegenerateGroup,
     EmptySubgraph,
@@ -331,6 +332,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_imbalance(args) -> int:
+    _check_range("rhos", [args.rho])
     dataset = load_dataset(args.dataset)
     spec, _kept, split = _imbalanced(dataset, args.rho, args.seed)
     out = Path(args.out)
@@ -369,21 +371,35 @@ def cmd_refmodel(args) -> int:
     return 0
 
 
+def _flag_numbers(flag: str, text: str, parse) -> list:
+    """The comma-separated values of a flag; a token ``parse`` rejects is a ConfigError."""
+    try:
+        return [parse(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+
+
 def cmd_interpret_emit(args) -> int:
+    k_levels = _flag_numbers("--k", args.k, lambda x: float(x) if "." in x else int(x))
+    _check_range("k_levels", k_levels)
+    _check_range("interpret_targets", args.num_targets)
+    _check_range("hops", args.hops)
+    targets = _flag_numbers("--targets", args.targets, int) if args.targets else None
     dataset = load_dataset(args.dataset)
     _check_kind(dataset, "node_graph", "stress interpret emit")
     saliency = read_saliency_file(args.saliency)
-    k_levels = tuple(float(x) if "." in x else int(x) for x in args.k.split(","))
+    n = dataset.graph.num_nodes
+    if targets is None:
+        targets = _given_split(dataset).units(Role.TEST)[:args.num_targets].tolist()
+    elif not all(0 <= t < n for t in targets):
+        raise BadId(f"--targets: node {next(t for t in targets if not 0 <= t < n)} "
+                    f"out of range for {n} nodes")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.targets:
-        targets = [int(t) for t in args.targets.split(",")]
-    else:
-        targets = _given_split(dataset).units(Role.TEST)[:args.num_targets].tolist()
     manifests = _edge_manifests(dataset, saliency, targets, args.seed, k_levels,
                                 hops=args.hops, out_dir=out)
     sidecar = {"axis": "interpret", "dataset": dataset.name, "seed": args.seed,
-               "k_levels": list(k_levels), "targets": list(manifests),
+               "k_levels": k_levels, "targets": list(manifests),
                "skipped": [t for t in targets if t not in manifests]}
     write_json(out / "emit.json", sidecar)
     return 0
@@ -472,17 +488,33 @@ def _is_k_levels(ks) -> bool:
 
 def _is_rhos(rhos) -> bool:
     # a level is named rho{int(rho)}, so two rhos must not share that name
-    return _distinct_list(rhos, lambda r: _is_number(r) and r > 0 and float(r).is_integer(), int)
+    return rhos != [] and _distinct_list(
+        rhos, lambda r: _is_number(r) and r > 0 and float(r).is_integer(), int)
 
 
-# config key -> (test of a value, what a valid value is)
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_bool(value) -> bool:
+    return isinstance(value, bool)
+
+
+# key of a config, method or dataset entry, or a subcommand flag's value ->
+# (test of a value, what a valid value is)
 VALUE_RANGES = {
     "seeds": (_is_seeds, "a positive count or a non-empty list of distinct non-negative integers"),
     "workers": (_is_positive_int, "a positive integer"),
     "interpret_targets": (_is_positive_int, "a positive integer"),
     "head_tail_quantile": (lambda q: _is_number(q) and 0 < q <= 0.5, "a number in (0, 0.5]"),
     "k_levels": (_is_k_levels, "a non-empty list of distinct numbers in (0, 100]"),
-    "rhos": (_is_rhos, "a list of positive whole numbers, each level once"),
+    "rhos": (_is_rhos, "a non-empty list of positive whole numbers, each level once"),
+    "out": (_is_str, "a path string"),
+    "write_operator_outputs": (_is_bool, "true or false"),
+    "name": (_is_str, "a string"),
+    "pred_dir": (_is_str, "a path string"),
+    "has_saliency": (_is_bool, "true or false"),
+    "hops": (_is_positive_int, "a positive integer"),
 }
 
 
@@ -490,6 +522,12 @@ def _check_range(key: str, value) -> None:
     ok, expected = VALUE_RANGES[key]
     if not ok(value):
         raise ConfigError(f"{key} must be {expected}, got {value!r}")
+
+
+def _check_values(entry: dict) -> None:
+    """Range-check every key of a config, method or dataset entry that VALUE_RANGES lists."""
+    for key in sorted(VALUE_RANGES.keys() & entry.keys()):
+        _check_range(key, entry[key])
 
 
 def _load_config(path: Path, seed: int | None = None) -> dict:
@@ -505,6 +543,7 @@ def _load_config(path: Path, seed: int | None = None) -> dict:
         _check_keys(d, DATASET_KEYS, "dataset")
         if not isinstance(d.get("manifest"), str):
             raise ConfigError(f"dataset entry {d!r} needs a 'manifest' path string")
+        _check_values(d)
     for axis in config.get("axes", []):
         if axis not in AXES:
             raise ConfigError(f"unknown axis {axis!r}; valid: {', '.join(AXES)}")
@@ -512,19 +551,23 @@ def _load_config(path: Path, seed: int | None = None) -> dict:
         raise ConfigError("config lists no datasets")
     if not config.get("axes"):
         raise ConfigError("config lists no axes")
-    for m in config.get("methods", []):
+    if not config.get("methods"):
+        raise ConfigError("config lists no methods")
+    names = []
+    for m in config["methods"]:
         _check_keys(m, METHOD_KEYS, "method")
+        _check_values(m)
         kind = m.get("kind", "refmodel")
         if kind not in ("refmodel", "external"):
             raise ConfigError(f"unknown method kind {kind!r}")
         if kind == "external" and not m.get("pred_dir"):
             raise ConfigError(f"external method {m.get('name', kind)!r} needs a pred_dir")
+        names.append(m.get("name", kind))
+    if len(set(names)) != len(names):
+        raise ConfigError(f"two methods share a name in {names}; give each a distinct 'name'")
     config.setdefault("seeds", 5)
-    for key in VALUE_RANGES:
-        if key in config:
-            _check_range(key, config[key])
+    _check_values(config)
     if seed is not None:
-        _check_range("seeds", [seed])
         config["seeds"] = [seed]
     elif _is_int(config["seeds"]):
         config["seeds"] = list(range(config["seeds"]))
@@ -734,6 +777,9 @@ class PipelineRunner:
             ds = load_dataset(spec["manifest"])
             if "name" in spec:
                 ds.name = spec["name"]
+            if ds.name in self.datasets:
+                raise ConfigError(f"two dataset entries load as {ds.name!r}; "
+                                  "give each a distinct 'name'")
             self.datasets[ds.name] = ds
         methods = self.config.get("methods", [])
         for m in methods:
@@ -847,9 +893,6 @@ def cmd_run(args) -> int:
         print(f"{len(e.failures)} cell(s) failed; see {out / 'errors.log'}",
               file=sys.stderr)
         return 1
-    if report.num_cells == 0:
-        print(f"operator outputs written under {out} (no metric cells requested)")
-        return 0
     n_inapplicable = sum(1 for *_k, cell in report.rows() if cell.note == INAPPLICABLE)
     print(f"report: {out / 'report.json'} ({report.num_cells} cells, "
           f"{n_inapplicable} inapplicable)")
@@ -944,6 +987,8 @@ def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None:  # every --seed is one seeds entry
+            _check_range("seeds", [args.seed])
         return args.func(args)
     except StressError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)

@@ -235,10 +235,11 @@ def remove_edges(g: Graph, drop: np.ndarray) -> Graph:
     if not np.any(drop):
         return g
     src, dst = g.arcs()
+    fwd = src < dst
     cut = np.zeros(g.num_arcs, dtype=bool)
-    cut[src < dst] = drop
-    # arcs are in ascending (src, dst) order, so a binary search finds each reverse arc
-    cut |= cut[np.searchsorted(src * g.num_nodes + dst, dst * g.num_nodes + src)]
+    cut[fwd] = drop
+    # the arcs (v, u) of edges u < v lie in (v, u) order: the edges stably sorted by v
+    cut[src > dst] = drop[np.argsort(dst[fwd], kind="stable")]
     kept = np.zeros(g.num_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(src[~cut], minlength=g.num_nodes), out=kept[1:])
     return replace(g, offsets=kept, neighbors=g.neighbors[~cut])

@@ -201,6 +201,21 @@ def test_imbalance_command(small_ds, tmp_path):
 # refmodel and fairness
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("argv, key", [
+    (["imbalance", "--rho", "0"], "rhos"),
+    (["imbalance", "--rho", "-5"], "rhos"),
+    (["imbalance", "--rho", "10", "--seed", "-3"], "seeds"),
+    (["corrupt", "--channel", "edge", "--severity-index", "1", "--seed", "-3"], "seeds"),
+    (["split", "--mechanism", "degree", "--seed", "-3"], "seeds"),
+], ids=["rho-0", "rho-negative", "imbalance-seed", "corrupt-seed", "split-seed"])
+def test_out_of_range_subcommand_flag_exits_2(small_ds, tmp_path, capsys, argv, key):
+    out = tmp_path / "out"
+    assert main([*argv, "--dataset", str(small_ds), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and key in err
+    assert not out.exists()
+
+
 def test_refmodel_then_fairness(small_ds, tmp_path):
     pred = tmp_path / "ref.pred"
     assert main(["refmodel", "--dataset", str(small_ds), "--out", str(pred)]) == 0
@@ -324,6 +339,30 @@ def test_interpret_score_without_emit_json_exits_2(tmp_path, capsys):
                  "--probs", str(probs_path), "--out", str(tmp_path / "fidelity.json")]) == 2
     err = capsys.readouterr().err
     assert "MissingFile" in err and "emit.json" in err
+
+
+@pytest.mark.parametrize("flags, error, words", [
+    (["--num-targets", "-1"], "ConfigError", "interpret_targets"),
+    (["--num-targets", "0"], "ConfigError", "interpret_targets"),
+    (["--k", "0,200"], "ConfigError", "k_levels"),
+    (["--k", "5,x"], "ConfigError", "--k"),
+    (["--targets", "a,b"], "ConfigError", "--targets"),
+    (["--targets", "99999"], "BadId", "99999"),
+    (["--targets", "3,-1"], "BadId", "-1"),
+    (["--hops", "0"], "ConfigError", "hops"),
+    (["--seed", "-3"], "ConfigError", "seeds"),
+], ids=["num-targets-negative", "num-targets-0", "k-out-of-range", "k-not-a-number",
+        "targets-not-numbers", "target-too-large", "target-negative", "hops-0",
+        "seed-negative"])
+def test_bad_interpret_emit_flag_exits_2(small_ds, tmp_path, capsys, flags, error, words):
+    sal_path = tmp_path / "saliency.tsv"
+    write_saliency_file(sal_path, SaliencyTable("node_grad_norm", np.arange(150), np.ones(150)))
+    out = tmp_path / "manifests"
+    assert main(["interpret", "emit", "--dataset", str(small_ds), "--saliency", str(sal_path),
+                 "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert error in err and words in err
+    assert not (out / "emit.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -532,9 +571,10 @@ def test_subcommand_on_the_wrong_dataset_kind_exits_2(small_ds, mol_ds, kg_ds, t
     assert "MissingInput" in err and "needs a" in err
 
 
-@pytest.mark.parametrize("rhos", [[2, 2.5], [10, 10.0], [5, 20, 5], 10, [0], [5, -10], [True]],
+@pytest.mark.parametrize("rhos", [[2, 2.5], [10, 10.0], [5, 20, 5], 10, [0], [5, -10], [True],
+                                  []],
                          ids=["fraction", "same-level", "repeat", "not-a-list", "zero",
-                              "negative", "bool"])
+                              "negative", "bool", "empty"])
 def test_colliding_or_fractional_rhos_exit_2_before_loading(small_ds, tmp_path, monkeypatch,
                                                             capsys, rhos):
     def no_load(manifest):
@@ -724,6 +764,51 @@ def test_out_of_range_run_value_exits_2_before_loading(small_ds, tmp_path, monke
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "r"), *argv]) == 2
     err = capsys.readouterr().err
     assert "ConfigError" in err and key in err
+
+
+EXTERNAL = {"kind": "external", "name": "ext", "pred_dir": "preds"}
+
+
+@pytest.mark.parametrize("overrides, argv, key", [
+    ({"out": 5}, [], "out"),
+    ({"write_operator_outputs": "no"}, ["--out", "r"], "write_operator_outputs"),
+    ({"methods": [{**EXTERNAL, "pred_dir": 7}]}, ["--out", "r"], "pred_dir"),
+    ({"methods": [{**EXTERNAL, "has_saliency": "no"}]}, ["--out", "r"], "has_saliency"),
+    ({"methods": [{**EXTERNAL, "name": ["ext"]}]}, ["--out", "r"], "name"),
+    ({"methods": []}, ["--out", "r"], "methods"),
+    ({"methods": [{"kind": "refmodel"}, {"kind": "refmodel"}]}, ["--out", "r"], "name"),
+    ({"methods": [EXTERNAL, {"kind": "refmodel", "name": "ext"}]}, ["--out", "r"], "name"),
+], ids=["out-int", "write-ops-str", "pred-dir-int", "has-saliency-str", "name-list",
+        "no-methods", "two-default-names", "one-name-twice"])
+def test_mistyped_or_colliding_config_exits_2_before_loading(small_ds, tmp_path, monkeypatch,
+                                                             capsys, overrides, argv, key):
+    def no_load(manifest):
+        raise AssertionError("a bad config must be rejected before any dataset loads")
+
+    monkeypatch.setattr(cli, "load_dataset", no_load)
+    monkeypatch.chdir(tmp_path)
+    config = _write_config(tmp_path / "config.json", manifest=small_ds, **overrides)
+    assert main(["run", "--config", str(config), *argv]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and key in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("entries", [[{}, {}], [{"name": "a"}, {"name": "a"}], [{}, {"name": "tiny"}]],
+                         ids=["same-manifest", "same-name", "rename-onto-manifest-name"])
+def test_datasets_loading_under_one_name_exit_2_before_any_job(small_ds, tmp_path, monkeypatch,
+                                                               capsys, entries):
+    def no_job(self, job):
+        raise AssertionError("a name collision must be rejected before any job runs")
+
+    monkeypatch.setattr(cli.PipelineRunner, "_run_job", no_job)
+    config = _write_config(tmp_path / "config.json", manifest=small_ds,
+                           datasets=[{"manifest": str(small_ds), **e} for e in entries])
+    out = tmp_path / "r"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "distinct 'name'" in err
+    assert list(out.iterdir()) == []
 
 
 def test_every_shipped_config_passes_the_key_check(small_ds, tmp_path, monkeypatch):
