@@ -388,12 +388,12 @@ def cmd_interpret_emit(args) -> int:
     dataset = load_dataset(args.dataset)
     _check_kind(dataset, "node_graph", "stress interpret emit")
     saliency = read_saliency_file(args.saliency)
-    n = dataset.graph.num_nodes
     if targets is None:
         targets = _given_split(dataset).units(Role.TEST)[:args.num_targets].tolist()
-    elif not all(0 <= t < n for t in targets):
-        raise BadId(f"--targets: node {next(t for t in targets if not 0 <= t < n)} "
-                    f"out of range for {n} nodes")
+    outside = [t for t in targets if not 0 <= t < dataset.graph.num_nodes]
+    if outside:
+        raise BadId(f"--targets: node {outside[0]} out of range for "
+                    f"{dataset.graph.num_nodes} nodes")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifests = _edge_manifests(dataset, saliency, targets, args.seed, k_levels,
@@ -553,16 +553,16 @@ def _load_config(path: Path, seed: int | None = None) -> dict:
         raise ConfigError("config lists no axes")
     if not config.get("methods"):
         raise ConfigError("config lists no methods")
-    names = []
     for m in config["methods"]:
         _check_keys(m, METHOD_KEYS, "method")
         _check_values(m)
-        kind = m.get("kind", "refmodel")
-        if kind not in ("refmodel", "external"):
-            raise ConfigError(f"unknown method kind {kind!r}")
-        if kind == "external" and not m.get("pred_dir"):
-            raise ConfigError(f"external method {m.get('name', kind)!r} needs a pred_dir")
-        names.append(m.get("name", kind))
+        m.setdefault("kind", "refmodel")
+        m.setdefault("name", m["kind"])
+        if m["kind"] not in ("refmodel", "external"):
+            raise ConfigError(f"unknown method kind {m['kind']!r}")
+        if m["kind"] == "external" and not m.get("pred_dir"):
+            raise ConfigError(f"external method {m['name']!r} needs a pred_dir")
+    names = [m["name"] for m in config["methods"]]
     if len(set(names)) != len(names):
         raise ConfigError(f"two methods share a name in {names}; give each a distinct 'name'")
     config.setdefault("seeds", 5)
@@ -781,12 +781,8 @@ class PipelineRunner:
                 raise ConfigError(f"two dataset entries load as {ds.name!r}; "
                                   "give each a distinct 'name'")
             self.datasets[ds.name] = ds
-        methods = self.config.get("methods", [])
-        for m in methods:
-            m.setdefault("kind", "refmodel")
-            m.setdefault("name", m["kind"])
-        if methods:
-            self._ops_method = methods[0]["name"]
+        methods = self.config["methods"]
+        self._ops_method = methods[0]["name"]
         seeds = self.config["seeds"]
         axes = self.config["axes"]
         # every clean-graph refmodel cell reads the same reachability: build

@@ -201,18 +201,37 @@ def test_imbalance_command(small_ds, tmp_path):
 # refmodel and fairness
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("argv, key", [
-    (["imbalance", "--rho", "0"], "rhos"),
-    (["imbalance", "--rho", "-5"], "rhos"),
-    (["imbalance", "--rho", "10", "--seed", "-3"], "seeds"),
-    (["corrupt", "--channel", "edge", "--severity-index", "1", "--seed", "-3"], "seeds"),
-    (["split", "--mechanism", "degree", "--seed", "-3"], "seeds"),
-], ids=["rho-0", "rho-negative", "imbalance-seed", "corrupt-seed", "split-seed"])
-def test_out_of_range_subcommand_flag_exits_2(small_ds, tmp_path, capsys, argv, key):
+EMIT = ["interpret", "emit", "--saliency", "SALIENCY"]
+
+
+@pytest.mark.parametrize("argv, error, words", [
+    (["imbalance", "--rho", "0"], "ConfigError", "rhos"),
+    (["imbalance", "--rho", "-5"], "ConfigError", "rhos"),
+    (["imbalance", "--rho", "10", "--seed", "-3"], "ConfigError", "seeds"),
+    (["corrupt", "--channel", "edge", "--severity-index", "1", "--seed", "-3"],
+     "ConfigError", "seeds"),
+    (["split", "--mechanism", "degree", "--seed", "-3"], "ConfigError", "seeds"),
+    ([*EMIT, "--seed", "-3"], "ConfigError", "seeds"),
+    ([*EMIT, "--num-targets", "-1"], "ConfigError", "interpret_targets"),
+    ([*EMIT, "--num-targets", "0"], "ConfigError", "interpret_targets"),
+    ([*EMIT, "--k", "0,200"], "ConfigError", "k_levels"),
+    ([*EMIT, "--k", "5,x"], "ConfigError", "--k"),
+    ([*EMIT, "--hops", "0"], "ConfigError", "hops"),
+    ([*EMIT, "--targets", "a,b"], "ConfigError", "--targets"),
+    ([*EMIT, "--targets", "99999"], "BadId", "99999"),
+    ([*EMIT, "--targets", "3,-1"], "BadId", "-1"),
+], ids=["rho-0", "rho-negative", "imbalance-seed", "corrupt-seed", "split-seed", "emit-seed",
+        "emit-num-targets-negative", "emit-num-targets-0", "emit-k-out-of-range",
+        "emit-k-not-a-number", "emit-hops-0", "emit-targets-not-numbers",
+        "emit-target-too-large", "emit-target-negative"])
+def test_out_of_range_subcommand_flag_exits_2(small_ds, tmp_path, capsys, argv, error, words):
+    saliency = tmp_path / "saliency.tsv"
+    write_saliency_file(saliency, SaliencyTable("node_grad_norm", np.arange(150), np.ones(150)))
     out = tmp_path / "out"
+    argv = [str(saliency) if a == "SALIENCY" else a for a in argv]
     assert main([*argv, "--dataset", str(small_ds), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "ConfigError" in err and key in err
+    assert error in err and words in err
     assert not out.exists()
 
 
@@ -339,30 +358,6 @@ def test_interpret_score_without_emit_json_exits_2(tmp_path, capsys):
                  "--probs", str(probs_path), "--out", str(tmp_path / "fidelity.json")]) == 2
     err = capsys.readouterr().err
     assert "MissingFile" in err and "emit.json" in err
-
-
-@pytest.mark.parametrize("flags, error, words", [
-    (["--num-targets", "-1"], "ConfigError", "interpret_targets"),
-    (["--num-targets", "0"], "ConfigError", "interpret_targets"),
-    (["--k", "0,200"], "ConfigError", "k_levels"),
-    (["--k", "5,x"], "ConfigError", "--k"),
-    (["--targets", "a,b"], "ConfigError", "--targets"),
-    (["--targets", "99999"], "BadId", "99999"),
-    (["--targets", "3,-1"], "BadId", "-1"),
-    (["--hops", "0"], "ConfigError", "hops"),
-    (["--seed", "-3"], "ConfigError", "seeds"),
-], ids=["num-targets-negative", "num-targets-0", "k-out-of-range", "k-not-a-number",
-        "targets-not-numbers", "target-too-large", "target-negative", "hops-0",
-        "seed-negative"])
-def test_bad_interpret_emit_flag_exits_2(small_ds, tmp_path, capsys, flags, error, words):
-    sal_path = tmp_path / "saliency.tsv"
-    write_saliency_file(sal_path, SaliencyTable("node_grad_norm", np.arange(150), np.ones(150)))
-    out = tmp_path / "manifests"
-    assert main(["interpret", "emit", "--dataset", str(small_ds), "--saliency", str(sal_path),
-                 "--out", str(out), *flags]) == 2
-    err = capsys.readouterr().err
-    assert error in err and words in err
-    assert not (out / "emit.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -736,6 +731,9 @@ def test_bad_dataset_entry_or_seeds_exit_2_before_loading(small_ds, tmp_path, mo
     assert "ConfigError" in err and key in err
 
 
+EXTERNAL = {"kind": "external", "name": "ext", "pred_dir": "preds"}
+
+
 @pytest.mark.parametrize("overrides, argv, key", [
     ({}, ["--seed", "-1"], "seeds"),
     ({"interpret_targets": -1}, [], "interpret_targets"),
@@ -751,9 +749,19 @@ def test_bad_dataset_entry_or_seeds_exit_2_before_loading(small_ds, tmp_path, mo
     ({"head_tail_quantile": 0.7}, [], "head_tail_quantile"),
     ({"head_tail_quantile": 0}, [], "head_tail_quantile"),
     ({"head_tail_quantile": "x"}, [], "head_tail_quantile"),
+    ({"out": 5}, [], "out"),
+    ({"write_operator_outputs": "no"}, [], "write_operator_outputs"),
+    ({"methods": [{**EXTERNAL, "pred_dir": 7}]}, [], "pred_dir"),
+    ({"methods": [{**EXTERNAL, "has_saliency": "no"}]}, [], "has_saliency"),
+    ({"methods": [{**EXTERNAL, "name": ["ext"]}]}, [], "name"),
+    ({"methods": []}, [], "methods"),
+    ({"methods": [{"kind": "refmodel"}, {"kind": "refmodel"}]}, [], "name"),
+    ({"methods": [EXTERNAL, {"kind": "refmodel", "name": "ext"}]}, [], "name"),
 ], ids=["seed-flag-negative", "targets-negative", "targets-0", "targets-str", "k-out-of-range",
         "k-str", "k-empty", "k-repeat", "workers-0", "workers-str", "workers-flag-0",
-        "quantile-above-half", "quantile-0", "quantile-str"])
+        "quantile-above-half", "quantile-0", "quantile-str", "out-int", "write-ops-str",
+        "pred-dir-int", "has-saliency-str", "name-list", "no-methods", "two-default-names",
+        "one-name-twice"])
 def test_out_of_range_run_value_exits_2_before_loading(small_ds, tmp_path, monkeypatch, capsys,
                                                        overrides, argv, key):
     def no_load(manifest):
@@ -766,35 +774,8 @@ def test_out_of_range_run_value_exits_2_before_loading(small_ds, tmp_path, monke
     assert "ConfigError" in err and key in err
 
 
-EXTERNAL = {"kind": "external", "name": "ext", "pred_dir": "preds"}
-
-
-@pytest.mark.parametrize("overrides, argv, key", [
-    ({"out": 5}, [], "out"),
-    ({"write_operator_outputs": "no"}, ["--out", "r"], "write_operator_outputs"),
-    ({"methods": [{**EXTERNAL, "pred_dir": 7}]}, ["--out", "r"], "pred_dir"),
-    ({"methods": [{**EXTERNAL, "has_saliency": "no"}]}, ["--out", "r"], "has_saliency"),
-    ({"methods": [{**EXTERNAL, "name": ["ext"]}]}, ["--out", "r"], "name"),
-    ({"methods": []}, ["--out", "r"], "methods"),
-    ({"methods": [{"kind": "refmodel"}, {"kind": "refmodel"}]}, ["--out", "r"], "name"),
-    ({"methods": [EXTERNAL, {"kind": "refmodel", "name": "ext"}]}, ["--out", "r"], "name"),
-], ids=["out-int", "write-ops-str", "pred-dir-int", "has-saliency-str", "name-list",
-        "no-methods", "two-default-names", "one-name-twice"])
-def test_mistyped_or_colliding_config_exits_2_before_loading(small_ds, tmp_path, monkeypatch,
-                                                             capsys, overrides, argv, key):
-    def no_load(manifest):
-        raise AssertionError("a bad config must be rejected before any dataset loads")
-
-    monkeypatch.setattr(cli, "load_dataset", no_load)
-    monkeypatch.chdir(tmp_path)
-    config = _write_config(tmp_path / "config.json", manifest=small_ds, **overrides)
-    assert main(["run", "--config", str(config), *argv]) == 2
-    err = capsys.readouterr().err
-    assert "ConfigError" in err and key in err
-    assert not (tmp_path / "r").exists()
-
-
-@pytest.mark.parametrize("entries", [[{}, {}], [{"name": "a"}, {"name": "a"}], [{}, {"name": "tiny"}]],
+@pytest.mark.parametrize("entries", [[{}, {}], [{"name": "a"}, {"name": "a"}],
+                                     [{}, {"name": "tiny"}]],
                          ids=["same-manifest", "same-name", "rename-onto-manifest-name"])
 def test_datasets_loading_under_one_name_exit_2_before_any_job(small_ds, tmp_path, monkeypatch,
                                                                capsys, entries):

@@ -35,7 +35,12 @@ from graphstress.interpret import (
     write_saliency_file,
 )
 from graphstress.report import MetricCell
-from oracles import adjacency_from_graph, bfs_hops_oracle, canonical_edges_oracle, manifest_complement
+from oracles import (
+    adjacency_from_graph,
+    bfs_hops_oracle,
+    canonical_edges_oracle,
+    manifest_complement,
+)
 
 KEY = derive_key("interpret", "unit", "mask", 0, 0)
 
