@@ -18,6 +18,7 @@ import hashlib
 import json
 import logging
 import os
+import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
@@ -44,6 +45,7 @@ from .graph_store import (
     Role,
     SplitAssignment,
     load_dataset,
+    remove_edges,
     require_file,
     save_dataset,
     write_json,
@@ -235,7 +237,7 @@ def _refmodel_table(graph: Graph, train_units: np.ndarray,
 
 
 def _edge_manifests(dataset: Dataset, saliency: SaliencyTable, targets: list, seed: int,
-                    k_levels, hops: int = 2, out_dir: Path | None = None) -> dict:
+                    k_levels, hops: int, out_dir: Path | None = None) -> dict:
     """Target -> edge manifest, leaving out targets whose receptive field has no edge.
 
     With ``out_dir`` each manifest is also written to target_<t>.manifest there.
@@ -281,6 +283,29 @@ def _probs_lookup(probs: dict, source: str):
         if (t, condition) not in probs:
             raise MissingInput(f"{source} lacks the {condition} probability of target {t}")
         return probs[(t, condition)]
+    return probability
+
+
+def _refmodel_lookup(graph: Graph, train_labels: np.ndarray, manifests: dict):
+    """probability(t, condition) for _fidelity_records, from the built-in model. A condition
+    is scored on t's ``graph.induced(manifest.nodes)`` less its edges; that subgraph holds t's
+    propagation ball, so the result equals scoring ``masked_graph``'s output."""
+    clean: dict = {}  # target -> (clean class, induced subgraph, local train labels)
+
+    def probability(t, condition):
+        m = manifests[t]
+        node = int(np.searchsorted(m.nodes, t))
+        if condition == "clean":
+            row = predict_node(graph, train_labels, graph.num_classes, t)
+            labels = train_labels[m.nodes]
+            labels[node] = 0  # t never counts itself: a label-free ball raises no NoTrainLabels
+            clean[t] = (int(np.argmax(row)), graph.induced(m.nodes), labels)
+            return float(row.max())
+        clean_class, sub, labels = clean[t]
+        drop = np.zeros(len(m.edges), dtype=bool)  # in sub.edge_keys() order
+        drop[m.conditions[condition]] = True
+        return predicted_class_prob(remove_edges(sub, drop), labels, graph.num_classes, node,
+                                    clean_class)
     return probability
 
 
@@ -347,6 +372,8 @@ def cmd_imbalance(args) -> int:
 
 
 def cmd_fairness(args) -> int:
+    if args.threshold is not None:
+        _check_range("threshold", args.threshold)
     dataset = load_dataset(args.dataset)
     _check_kind(dataset, "node_graph", "stress fairness")
     preds = read_prediction_file(args.pred)
@@ -515,6 +542,7 @@ VALUE_RANGES = {
     "pred_dir": (_is_str, "a path string"),
     "has_saliency": (_is_bool, "true or false"),
     "hops": (_is_positive_int, "a positive integer"),
+    "threshold": (lambda t: _is_number(t) and 0 <= t <= 1, "a number in [0, 1]"),
 }
 
 
@@ -584,6 +612,10 @@ def _cell_from_values(values: list) -> MetricCell:
     if any(v is None for v in values):
         return MetricCell.undef(len(values))
     return aggregate_seeds([float(v) for v in values])
+
+
+# every path a run writes under its output directory; nothing else there is touched
+RUN_OUTPUTS = ("values", "ops", "errors.log", "report.json", "report.csv")
 
 
 class PipelineRunner:
@@ -742,29 +774,16 @@ class PipelineRunner:
                 probs, f"cell (interpret, {dataset.name}, {method['name']}, seed {seed}): "
                        f"{probs_path}")
         else:
-            g = dataset.graph
             split = _given_split(dataset)
             train = split.units(Role.TRAIN)
-            train_labels = _train_labels(g, train)
             op_dir = (self._op_dir(dataset, f"interpret_seed{seed}")
                       if self._writes_ops(method) else None)
             manifests = _edge_manifests(dataset, _refmodel_saliency(dataset, train),
                                         split.units(Role.TEST)[:self.num_targets].tolist(),
-                                        seed, self.k_levels, out_dir=op_dir)
+                                        seed, self.k_levels, PropagationConfig().hops, op_dir)
             targets = list(manifests)
-            clean_class: dict[int, int] = {}
-
-            def probability(t, condition):
-                # a search of the clean graph that skips the masked edges
-                # gives the same bits as rescoring masked_graph, without a
-                # rebuild
-                if condition == "clean":
-                    row = predict_node(g, train_labels, g.num_classes, t)
-                    clean_class[t] = int(np.argmax(row))
-                    return float(row[clean_class[t]])
-                masked = manifests[t].edges[manifests[t].conditions[condition]]
-                return predicted_class_prob(g, train_labels, g.num_classes, t,
-                                            clean_class[t], masked_edges=masked)
+            probability = _refmodel_lookup(dataset.graph, _train_labels(dataset.graph, train),
+                                           manifests)
 
         records = _fidelity_records(targets, self.k_levels, probability)
         return {f"char_{r}_{k}": float(np.mean(_chars(records, r, k))) if records else None
@@ -773,40 +792,45 @@ class PipelineRunner:
     # -- orchestration --
 
     def run(self) -> Report:
-        for spec in self.config["datasets"]:
-            ds = load_dataset(spec["manifest"])
-            if "name" in spec:
-                ds.name = spec["name"]
-            if ds.name in self.datasets:
-                raise ConfigError(f"two dataset entries load as {ds.name!r}; "
-                                  "give each a distinct 'name'")
-            self.datasets[ds.name] = ds
-        methods = self.config["methods"]
+        specs, methods = self.config["datasets"], self.config["methods"]
         self._ops_method = methods[0]["name"]
         seeds = self.config["seeds"]
         axes = self.config["axes"]
-        # every clean-graph refmodel cell reads the same reachability: build
-        # it once here, on one thread; the jobs only read it. The interpret
-        # axis scores by local traversal and never reads it.
-        if any(m["kind"] == "refmodel" for m in methods) and set(axes) != {"interpret"}:
-            hops = PropagationConfig().hops
-            for name, ds in sorted(self.datasets.items()):
-                if ds.kind == "node_graph":
-                    self.clean_reach[name] = reachability(ds.graph, hops)
-
-        jobs = [
-            (ds_name, method, axis, seed)
-            for ds_name in sorted(self.datasets)
-            for method in methods
-            for axis in axes
-            for seed in seeds
-        ]
+        # the loads run on the pool too: memory one thread frees is reused
+        # only by that thread's malloc arena, so one worker does all on one
+        with ThreadPoolExecutor(max_workers=self.workers) as pool:
+            for spec, ds in zip(specs, pool.map(lambda d: load_dataset(d["manifest"]), specs)):
+                if "name" in spec:
+                    ds.name = spec["name"]
+                if ds.name in self.datasets:
+                    raise ConfigError(f"two dataset entries load as {ds.name!r}; "
+                                      "give each a distinct 'name'")
+                self.datasets[ds.name] = ds
+            # every clean-graph refmodel cell reads the same reachability:
+            # build it once here; the jobs only read it. The interpret axis
+            # scores on induced subgraphs and never reads it.
+            if any(m["kind"] == "refmodel" for m in methods) and set(axes) != {"interpret"}:
+                hops = PropagationConfig().hops
+                for name, ds in sorted(self.datasets.items()):
+                    if ds.kind == "node_graph":
+                        self.clean_reach[name] = pool.submit(reachability, ds.graph,
+                                                             hops).result()
+            jobs = [
+                (ds_name, method, axis, seed)
+                for ds_name in sorted(self.datasets)
+                for method in methods
+                for axis in axes
+                for seed in seeds
+            ]
+            # what an earlier run left here would otherwise be read as this run's
+            for name in RUN_OUTPUTS:
+                path = self.out / name
+                if path.is_dir():
+                    shutil.rmtree(path)
+                else:
+                    path.unlink(missing_ok=True)
+            outcomes = list(pool.map(self._run_job, jobs))
         results: dict[tuple, dict] = {}
-        if self.workers == 1:
-            outcomes = [self._run_job(j) for j in jobs]
-        else:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                outcomes = list(pool.map(self._run_job, jobs))
         for (ds_name, method, axis, seed), outcome in zip(jobs, outcomes):
             if isinstance(outcome, StressError):
                 self.failures.append(

@@ -127,6 +127,34 @@ class Graph:
         fwd = src < dst
         return src[fwd] * self.num_nodes + dst[fwd]
 
+    def _rows(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The neighbor lists of ``nodes`` concatenated, and the offsets of each in it."""
+        starts = self.offsets[nodes]
+        lengths = self.offsets[nodes + 1] - starts
+        ptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=ptr[1:])
+        return self.neighbors[np.repeat(starts - ptr[:-1], lengths) + np.arange(ptr[-1])], ptr
+
+    def ball(self, center: int, hops: int) -> np.ndarray:
+        """Sorted ids of the nodes within ``hops`` arcs of ``center``, center included."""
+        seen = np.zeros(self.num_nodes, dtype=bool)
+        seen[center] = True
+        frontier = np.array([center], dtype=np.int64)
+        for _ in range(hops):
+            before = seen.copy()
+            seen[self._rows(frontier)[0]] = True
+            frontier = np.flatnonzero(seen > before)  # newly reached, sorted and distinct
+        return np.flatnonzero(seen)
+
+    def induced(self, nodes: np.ndarray) -> "Graph":
+        """The arcs among sorted ids ``nodes``, node i being ``nodes[i]``: a sorted CSR slice."""
+        dst, ptr = self._rows(nodes)
+        local = np.full(self.num_nodes, -1, dtype=np.int64)
+        local[nodes] = np.arange(len(nodes))
+        local = local[dst]
+        return Graph(num_nodes=len(nodes), offsets=np.append(0, np.cumsum(local >= 0))[ptr],
+                     neighbors=local[local >= 0], undirected=self.undirected)
+
     def labeled_nodes(self) -> np.ndarray:
         if self.labels is None:
             return np.empty(0, dtype=np.int64)

@@ -66,7 +66,6 @@ class SaliencyTable:
 class Subgraph:
     """K-hop receptive field: sorted node set and induced canonical edges."""
 
-    center: int
     nodes: np.ndarray  # sorted int64
     edges: np.ndarray  # (m, 2) int64, u < v, canonical order
 
@@ -74,32 +73,12 @@ class Subgraph:
 def khop_subgraph(graph: Graph, center: int, hops: int = 2) -> Subgraph:
     """Nodes within `hops` undirected hops of center, plus induced edges.
 
-    Induced edges are listed canonically (u < v); self-loops never enter the
-    maskable edge set.
+    Induced edges are listed canonically (u < v), in ``induced(nodes).edge_keys()``
+    order; self-loops never enter the maskable edge set.
     """
-    visited = {int(center)}
-    frontier = [int(center)]
-    for _ in range(hops):
-        nxt = []
-        for u in frontier:
-            for v in graph.neighbors_of(u).tolist():
-                if v not in visited:
-                    visited.add(v)
-                    nxt.append(v)
-        frontier = nxt
-        if not frontier:
-            break
-    nodes = np.array(sorted(visited), dtype=np.int64)
-    in_sub = np.zeros(graph.num_nodes, dtype=bool)
-    in_sub[nodes] = True
-    edge_rows = []
-    for u in nodes.tolist():
-        nbrs = graph.neighbors_of(u)
-        keep = (nbrs > u) & in_sub[nbrs]
-        for v in nbrs[keep].tolist():
-            edge_rows.append((u, v))
-    edges = np.array(edge_rows, dtype=np.int64).reshape(-1, 2)
-    return Subgraph(center=int(center), nodes=nodes, edges=edges)
+    nodes = graph.ball(center, hops)
+    local = np.divmod(graph.induced(nodes).edge_keys(), len(nodes))
+    return Subgraph(nodes=nodes, edges=nodes[np.stack(local, axis=1)])
 
 
 def edge_saliency_from_node_grads(node_scores: SaliencyTable, edges: np.ndarray) -> np.ndarray:
@@ -230,8 +209,8 @@ def masked_graph(graph: Graph, manifest: TargetManifest, condition: str) -> tupl
     second element is always an empty array; the return stays a pair.
 
     This is the full-graph reference an external model re-scores. The
-    built-in model reaches the same probabilities without a masked graph, through
-    ``refmodel.predict_node(..., masked_edges=...)``.
+    built-in model reaches the same probabilities on the far smaller
+    ``graph.induced(manifest.nodes)``, filtered by the same function.
     """
     rows = manifest.edges[manifest.conditions[condition]]
     drop = np.isin(graph.edge_keys(), rows[:, 0] * graph.num_nodes + rows[:, 1])

@@ -11,7 +11,8 @@ Whole-graph scoring is split in two: `reachability` builds the graph's
 boolean hop matrix, and `propagate_predict` counts labels through it. The
 matrix depends only on the graph, so `stress run` builds each clean graph's
 matrix once per run, before its jobs fan out, and every clean-graph cell
-reuses it.
+reuses it. `predict_node` scores one node from its `Graph.ball` alone, as
+the interpret axis does for each masked condition.
 """
 
 from __future__ import annotations
@@ -40,7 +41,10 @@ class PropagationConfig:
 
 def _train_mask(train_labels: np.ndarray, num_classes: int) -> np.ndarray:
     train_labels = np.asarray(train_labels, dtype=np.int64)
-    return (train_labels >= 0) & (train_labels < num_classes)
+    mask = (train_labels >= 0) & (train_labels < num_classes)
+    if not mask.any():
+        raise NoTrainLabels("propagation needs at least one labeled train node")
+    return mask
 
 
 def reachability(graph: Graph, hops: int) -> sp.csr_matrix:
@@ -78,8 +82,6 @@ def propagate_predict(graph: Graph, train_labels: np.ndarray, num_classes: int,
     ``reachability(graph, config.hops)``, built here when not given.
     """
     mask = _train_mask(train_labels, num_classes)
-    if not mask.any():
-        raise NoTrainLabels("propagation needs at least one labeled train node")
     if reach is None:
         reach = reachability(graph, config.hops)
 
@@ -93,52 +95,21 @@ def propagate_predict(graph: Graph, train_labels: np.ndarray, num_classes: int,
 
 
 def predict_node(graph: Graph, train_labels: np.ndarray, num_classes: int, node: int,
-                 config: PropagationConfig = PropagationConfig(),
-                 masked_edges: np.ndarray | None = None) -> np.ndarray:
-    """One node's probability row via local breadth-first search.
+                 config: PropagationConfig = PropagationConfig()) -> np.ndarray:
+    """One node's propagate_predict row, bit for bit, at the cost of its ball alone.
 
-    Every train-labeled node within ``config.hops`` hops of ``node``, the
-    node itself excluded, adds one count to its class. The row equals the
-    corresponding propagate_predict row; it is used where rebuilding the
-    full reachability matrix per masking condition would be wasteful.
-    ``masked_edges`` holds canonical ``(u, v)`` rows, ``u < v``: the search
-    never steps along such an edge, in either direction. The built-in model
-    scores each interpretation condition this way, by a (default 2-hop)
-    traversal of the clean graph that skips the masked edges. The row is
-    bit-identical to scoring ``interpret.masked_graph``'s output, which stays
-    the full-graph reference for external re-scoring.
+    Every train-labeled node of ``graph.ball(node, config.hops)`` but ``node``
+    adds one count to its class.
     """
     mask = _train_mask(train_labels, num_classes)
-    if not mask.any():
-        raise NoTrainLabels("propagation needs at least one labeled train node")
-    blocked = (set(map(tuple, np.asarray(masked_edges, dtype=np.int64).reshape(-1, 2).tolist()))
-               if masked_edges is not None else set())
-    visited = {int(node)}
-    frontier = [int(node)]
-    counts = np.zeros(num_classes, dtype=np.float64)
-    train_labels = np.asarray(train_labels, dtype=np.int64)
-    for _ in range(config.hops):
-        nxt = []
-        for u in frontier:
-            for v in graph.neighbors_of(u).tolist():
-                if v not in visited and v != u:
-                    if blocked and ((u, v) if u < v else (v, u)) in blocked:
-                        continue
-                    visited.add(v)
-                    nxt.append(v)
-                    if mask[v]:
-                        counts[train_labels[v]] += 1.0
-        frontier = nxt
-        if not frontier:
-            break
-    probs = counts + config.alpha
+    ball = graph.ball(node, config.hops)
+    ball = ball[(ball != node) & mask[ball]]
+    probs = np.bincount(np.asarray(train_labels)[ball], minlength=num_classes) + config.alpha
     return probs / probs.sum()
 
 
 def predicted_class_prob(graph: Graph, train_labels: np.ndarray, num_classes: int,
                          node: int, clean_class: int,
-                         config: PropagationConfig = PropagationConfig(),
-                         masked_edges: np.ndarray | None = None) -> float:
+                         config: PropagationConfig = PropagationConfig()) -> float:
     """Probability the masked-input scorer assigns to the clean predicted class."""
-    row = predict_node(graph, train_labels, num_classes, node, config, masked_edges)
-    return float(row[clean_class])
+    return float(predict_node(graph, train_labels, num_classes, node, config)[clean_class])

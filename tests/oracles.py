@@ -107,6 +107,13 @@ def bfs_hops_oracle(adjacency, center, hops):
     return set(dist)
 
 
+def induced_arcs_oracle(graph, nodes):
+    """Arcs with both ends in ``nodes``, as sorted (i, j) positions in ``nodes``."""
+    position = {u: i for i, u in enumerate(nodes)}
+    return sorted((position[u], position[v]) for u in nodes
+                  for v in graph.neighbors_of(u).tolist() if v in position)
+
+
 def reachability_oracle(adjacency, hops):
     """Set of (i, j), j != i, with j within `hops` hops of i, by one BFS per node."""
     return {(i, j) for i in adjacency for j in bfs_hops_oracle(adjacency, i, hops) if j != i}

@@ -202,6 +202,8 @@ def test_imbalance_command(small_ds, tmp_path):
 # ---------------------------------------------------------------------------
 
 EMIT = ["interpret", "emit", "--saliency", "SALIENCY"]
+# the threshold is checked before the predictions are read
+FAIRNESS = ["fairness", "--kind", "demographic", "--pred", "no.pred"]
 
 
 @pytest.mark.parametrize("argv, error, words", [
@@ -220,10 +222,13 @@ EMIT = ["interpret", "emit", "--saliency", "SALIENCY"]
     ([*EMIT, "--targets", "a,b"], "ConfigError", "--targets"),
     ([*EMIT, "--targets", "99999"], "BadId", "99999"),
     ([*EMIT, "--targets", "3,-1"], "BadId", "-1"),
+    ([*FAIRNESS, "--threshold", "5"], "ConfigError", "threshold"),
+    ([*FAIRNESS, "--threshold", "nan"], "ConfigError", "threshold"),
 ], ids=["rho-0", "rho-negative", "imbalance-seed", "corrupt-seed", "split-seed", "emit-seed",
         "emit-num-targets-negative", "emit-num-targets-0", "emit-k-out-of-range",
         "emit-k-not-a-number", "emit-hops-0", "emit-targets-not-numbers",
-        "emit-target-too-large", "emit-target-negative"])
+        "emit-target-too-large", "emit-target-negative", "fairness-threshold-5",
+        "fairness-threshold-nan"])
 def test_out_of_range_subcommand_flag_exits_2(small_ds, tmp_path, capsys, argv, error, words):
     saliency = tmp_path / "saliency.tsv"
     write_saliency_file(saliency, SaliencyTable("node_grad_norm", np.arange(150), np.ones(150)))
@@ -472,6 +477,44 @@ def test_run_partial_failure_still_writes_good_cells(small_ds, tmp_path):
     log_lines = (out / "errors.log").read_text().splitlines()
     assert len(log_lines) == 1 and "m_ext" in log_lines[0]
     assert "refmodel" not in log_lines[0]
+
+
+def test_reused_out_holds_only_the_last_run(small_ds, tmp_path, monkeypatch):
+    # a run with ops/, a failed cell's errors.log and corruption values, then
+    # a fairness-only run into the same directory given as "."
+    results = tmp_path / "results"
+    first = _write_config(
+        tmp_path / "first.json", manifest=small_ds, seeds=1, axes=["corruption", "fairness"],
+        write_operator_outputs=True,
+        methods=[{"kind": "refmodel", "name": "refmodel"},
+                 {"kind": "external", "name": "m_ext", "pred_dir": str(tmp_path / "nowhere")}])
+    assert main(["run", "--config", str(first), "--out", str(results)]) == 1
+    assert (results / "ops").is_dir() and (results / "errors.log").is_file()
+    (results / "notes.txt").write_text("mine\n")
+    (results / "keep").mkdir()
+    second = _write_config(tmp_path / "second.json", manifest=small_ds, seeds=1,
+                           axes=["fairness"])
+    monkeypatch.chdir(results)
+    assert main(["run", "--config", str(second), "--out", "."]) == 0
+    assert sorted(p.name for p in results.iterdir()) == [
+        "keep", "notes.txt", "report.csv", "report.json", "values"]
+    assert (results / "notes.txt").read_text() == "mine\n"
+    assert all(p.name.startswith("fairness.") for p in (results / "values").iterdir())
+    assert main(["report", "--results", ".", "--out", str(tmp_path / "rebuilt")]) == 0
+    assert set(load_report(tmp_path / "rebuilt.json").cells) == {"fairness"}
+
+
+def test_directed_graph_fails_the_refmodel_interpret_cell(tmp_path):
+    # masking removes undirected edges; a directed graph is a named cell failure
+    ds = make_node_dataset(name="arcs", num_nodes=150, num_classes=2, seed=3)
+    ds.graph.undirected = False
+    config = _write_config(tmp_path / "config.json", manifest=save_dataset(ds, tmp_path / "arcs"),
+                           seeds=1, axes=["interpret"])
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    log = (out / "errors.log").read_text().splitlines()
+    assert len(log) == 1 and "(interpret, arcs, refmodel, seed 0)" in log[0]
+    assert "DirectedGraph" in log[0]
 
 
 def test_one_sided_sensitive_attribute_keeps_head_tail_gap(tmp_path):

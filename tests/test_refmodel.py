@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from graphstress.determinism import derive_key
 from graphstress.errors import ConfigError, EmptySubgraph, NoTrainLabels
 from graphstress.graph_store import Graph
-from graphstress.interpret import SaliencyTable, build_edge_manifest, masked_graph
+from graphstress.cli import _refmodel_lookup
+from graphstress.interpret import SaliencyTable, TargetManifest, build_edge_manifest, masked_graph
 from graphstress.refmodel import (
     PropagationConfig,
     predict_node,
@@ -161,39 +162,51 @@ def test_given_reachability_is_bit_equal_to_building_it(random_graph, hops):
     assert given.rows.tobytes() == built.rows.tobytes()
 
 
-@given(st.integers(0, 10_000), st.integers(1, 3))
+def _full_graph_prob(g, train, manifest, condition, clean_class):
+    # the oracle: the propagate_predict row of the whole graph after masked_graph
+    masked = masked_graph(g, manifest, condition)[0]
+    row = propagate_predict(masked, train, g.num_classes).rows_for(np.array([manifest.target]))[0]
+    return float(row[clean_class])
+
+
+@given(st.integers(0, 10_000), st.integers(2, 3), st.sampled_from([0.05, 0.5]))
 @settings(max_examples=100, deadline=None)
-def test_masked_traversal_equals_full_graph_masking_property(seed, hops):
-    # graphs with self-loops; every condition of a real manifest
+def test_masked_traversal_equals_full_graph_masking_property(seed, manifest_hops, labeled):
+    # graphs with self-loops; every condition of a manifest whose ball is at
+    # least the propagation ball; sparse labels leave some balls without any
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 30))
     src = np.append(rng.integers(0, n, 2 * n), rng.integers(0, n, 3))
     dst = np.append(rng.integers(0, n, 2 * n), src[-3:])
-    g = Graph.from_arcs(n, src, dst, symmetrize=True)
-    train = np.where(rng.random(n) < 0.5, rng.integers(0, 3, n), -1).astype(np.int64)
+    g = Graph.from_arcs(n, src, dst, symmetrize=True, num_classes=3)
+    train = np.where(rng.random(n) < labeled, rng.integers(0, 3, n), -1).astype(np.int64)
     train[int(rng.integers(0, n))] = 0
-    config = PropagationConfig(hops=hops)
     scores = SaliencyTable("node_grad_norm", np.arange(n), rng.random(n))
     target = int(rng.integers(0, n))
     try:
         manifest = build_edge_manifest(g, target, scores, derive_key("t", "p", "m", 0, seed),
-                                       hops=hops)
+                                       hops=manifest_hops)
     except EmptySubgraph:
         return
-    clean = predict_node(g, train, 3, target, config)
-    assert (clean == propagate_predict(g, train, 3, config).rows_for(np.array([target]))[0]).all()
-    for name, units in manifest.conditions.items():
-        local = predict_node(g, train, 3, target, config, masked_edges=manifest.edges[units])
-        full = predict_node(masked_graph(g, manifest, name)[0], train, 3, target, config)
-        assert (local == full).all(), name
+    probability = _refmodel_lookup(g, train, {target: manifest})
+    clean_row = propagate_predict(g, train, 3).rows_for(np.array([target]))[0]
+    clean_class = int(np.argmax(clean_row))
+    assert probability(target, "clean") == float(clean_row[clean_class])
+    for name in manifest.conditions:
+        want = _full_graph_prob(g, train, manifest, name, clean_class)
+        assert probability(target, name) == want, name
 
 
 def test_masked_edges_block_both_directions():
     # chain 0-1-2 with (1, 2) masked: no label crosses that edge either way
-    g = _chain(3)
+    g = Graph.from_arcs(3, [0, 1], [1, 2], symmetrize=True, num_classes=2)
     train = np.array([-1, 0, 1], dtype=np.int64)
-    masked = np.array([[1, 2]])
-    assert predict_node(g, train, 2, 0, masked_edges=masked).tolist() == [2 / 3, 1 / 3]
-    assert predict_node(g, train, 2, 1, masked_edges=masked).tolist() == [0.5, 0.5]
-    assert predict_node(g, train, 2, 2, masked_edges=masked).tolist() == [0.5, 0.5]
-    assert predicted_class_prob(g, train, 2, 1, 1, masked_edges=masked) == 0.5
+    manifests = {t: TargetManifest(target=t, nodes=np.arange(3), edges=np.array([[0, 1], [1, 2]]),
+                                   conditions={"mask_12": np.array([1])}) for t in range(3)}
+    probability = _refmodel_lookup(g, train, manifests)
+    clean = [probability(t, "clean") for t in range(3)]
+    assert clean == [0.5, 2 / 3, 2 / 3]  # clean classes 0, 1, 0
+    masked = [probability(t, "mask_12") for t in range(3)]
+    assert masked == [2 / 3, 0.5, 0.5]
+    for t, clean_class in enumerate([0, 1, 0]):
+        assert masked[t] == _full_graph_prob(g, train, manifests[t], "mask_12", clean_class)
