@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import shutil
 import sys
@@ -90,7 +91,6 @@ from .refmodel import (
     predict_node,
     predicted_class_prob,
     propagate_predict,
-    reachability,
 )
 from .report import MetricCell, Report, aggregate_seeds, emit_report
 
@@ -231,9 +231,9 @@ def _demographic(dataset: Dataset, table: PredictionTable,
 
 def _refmodel_table(graph: Graph, train_units: np.ndarray,
                     config: PropagationConfig = PropagationConfig(),
-                    reach=None) -> PredictionTable:
+                    rows: np.ndarray | None = None) -> PredictionTable:
     return propagate_predict(graph, _train_labels(graph, train_units), graph.num_classes, config,
-                             reach=reach)
+                             rows=rows)
 
 
 def _edge_manifests(dataset: Dataset, saliency: SaliencyTable, targets: list, seed: int,
@@ -372,6 +372,7 @@ def cmd_imbalance(args) -> int:
 
 
 def cmd_fairness(args) -> int:
+    _check_range("head_tail_quantile", args.quantile)
     if args.threshold is not None:
         _check_range("threshold", args.threshold)
     dataset = load_dataset(args.dataset)
@@ -390,6 +391,8 @@ def cmd_fairness(args) -> int:
 
 
 def cmd_refmodel(args) -> int:
+    _check_range("hops", args.hops)
+    _check_range("alpha", args.alpha)
     dataset = load_dataset(args.dataset)
     _check_kind(dataset, "node_graph", "stress refmodel")
     table = _refmodel_table(dataset.graph, _given_split(dataset).units(Role.TRAIN),
@@ -542,6 +545,7 @@ VALUE_RANGES = {
     "pred_dir": (_is_str, "a path string"),
     "has_saliency": (_is_bool, "true or false"),
     "hops": (_is_positive_int, "a positive integer"),
+    "alpha": (lambda a: _is_number(a) and math.isfinite(a) and a > 0, "a finite number > 0"),
     "threshold": (lambda t: _is_number(t) and 0 <= t <= 1, "a number in [0, 1]"),
 }
 
@@ -631,7 +635,6 @@ class PipelineRunner:
         self.num_targets = config.get("interpret_targets", 10)
         self.quantile = config.get("head_tail_quantile", 0.2)
         self.datasets: dict[str, Dataset] = {}
-        self.clean_reach: dict = {}  # dataset name -> its clean graph's reachability
         self.failures: list[tuple[str, str]] = []
         self._ops_method: str | None = None  # single designated op-output writer
 
@@ -646,21 +649,19 @@ class PipelineRunner:
     # -- axis drivers: return {subcondition: value | None | INAPPLICABLE} --
 
     def _score_table(self, dataset: Dataset, method: dict, axis: str, sub: str,
-                     seed: int, graph=None, train=None) -> PredictionTable:
+                     seed: int, rows: np.ndarray, graph=None, train=None) -> PredictionTable:
+        """The cell's prediction table; the built-in model scores only the units ``rows``."""
         if method["kind"] == "refmodel":
             if train is None:
                 train = _given_split(dataset).units(Role.TRAIN)
-            if graph is None:
-                return _refmodel_table(dataset.graph, train,
-                                       reach=self.clean_reach.get(dataset.name))
-            return _refmodel_table(graph, train)  # a deleted graph is scored once
+            return _refmodel_table(dataset.graph if graph is None else graph, train, rows=rows)
         return read_prediction_file(
             _external_file(method, dataset, axis, sub, seed, f"{sub}/seed{seed}.pred"))
 
     def _axis_corruption(self, dataset: Dataset, method: dict, seed: int) -> dict:
         g = dataset.graph
         test = _given_split(dataset).units(Role.TEST)
-        clean = self._score_table(dataset, method, "corruption", "clean", seed)
+        clean = self._score_table(dataset, method, "corruption", "clean", seed, test)
         out: dict = {"clean": accuracy(clean, g.labels, test) * 100.0}
 
         feature_ok = g.features is not None and method["kind"] == "external"
@@ -674,7 +675,7 @@ class PipelineRunner:
             if not feature_ok:
                 out[sub] = INAPPLICABLE
                 continue
-            table = self._score_table(dataset, method, "corruption", sub, seed)
+            table = self._score_table(dataset, method, "corruption", sub, seed, test)
             out[sub] = accuracy(table, g.labels, test) * 100.0
         out["feature_drop"] = (drop_metric(out["clean"], out["feature_sev5"])
                                if feature_ok else INAPPLICABLE)
@@ -686,7 +687,7 @@ class PipelineRunner:
             deleted = _corrupted(dataset, "edge", i, seed)[0] if deletes else dataset
             if self._writes_ops(method):
                 save_dataset(deleted, self._op_dir(dataset, f"corrupt_{sub}_seed{seed}"))
-            table = self._score_table(dataset, method, "corruption", sub, seed,
+            table = self._score_table(dataset, method, "corruption", sub, seed, test,
                                       graph=deleted.graph)
             out[sub] = accuracy(table, g.labels, test) * 100.0
         out["edge_drop"] = drop_metric(out["clean"], out["edge_sev5"])
@@ -708,9 +709,10 @@ class PipelineRunner:
                 out[mechanism] = INAPPLICABLE
                 continue
             split = self._split_op(dataset, method, mechanism, seed)
-            table = self._score_table(dataset, method, "ood", mechanism, seed,
+            ood_test = split.units(Role.OOD_TEST)
+            table = self._score_table(dataset, method, "ood", mechanism, seed, ood_test,
                                       train=split.units(Role.TRAIN))
-            out[mechanism] = accuracy(table, g.labels, split.units(Role.OOD_TEST)) * 100.0
+            out[mechanism] = accuracy(table, g.labels, ood_test) * 100.0
         return out
 
     def _axis_ood_nonnode(self, dataset: Dataset, method: dict, seed: int) -> dict:
@@ -722,7 +724,7 @@ class PipelineRunner:
             test = split.units(Role.TEST)
             aucs = {}
             for sub in ("scaffold", "random"):
-                table = self._score_table(dataset, method, "ood", sub, seed)
+                table = self._score_table(dataset, method, "ood", sub, seed, test)
                 aucs[sub] = roc_auc(table.scores_for(test), labels[test]) * 100.0
             return {"scaffold_auc": aucs["scaffold"],
                     "scaffold_gap": scaffold_gap(aucs["random"], aucs["scaffold"])}
@@ -746,7 +748,8 @@ class PipelineRunner:
             spec, kept, split = _imbalanced(dataset, rho, seed)
             if self._writes_ops(method):
                 _write_split(self._op_dir(dataset, f"imbalance_{sub}_seed{seed}"), split)
-            table = self._score_table(dataset, method, "imbalance", sub, seed, train=kept)
+            table = self._score_table(dataset, method, "imbalance", sub, seed, test,
+                                      train=kept)
             major, minor = major_minor_recall(table, g.labels, spec, test)
             out[f"{sub}_major_recall"] = major * 100.0
             out[f"{sub}_minor_recall"] = minor * 100.0
@@ -754,7 +757,9 @@ class PipelineRunner:
 
     def _axis_fairness(self, dataset: Dataset, method: dict, seed: int) -> dict:
         g = dataset.graph
-        table = self._score_table(dataset, method, "fairness", "clean", seed)
+        # head/tail and demographic gaps read only the test units
+        table = self._score_table(dataset, method, "fairness", "clean", seed,
+                                  _given_split(dataset).units(Role.TEST))
         out: dict = {"head_tail_gap": _head_tail(dataset, table, self.quantile)[1]}
         if g.meta.sensitive_attr is None or g.num_classes != 2:
             return {**out, **dict.fromkeys(("d_sp", "d_eo", "d_util"), INAPPLICABLE)}
@@ -806,15 +811,6 @@ class PipelineRunner:
                     raise ConfigError(f"two dataset entries load as {ds.name!r}; "
                                       "give each a distinct 'name'")
                 self.datasets[ds.name] = ds
-            # every clean-graph refmodel cell reads the same reachability:
-            # build it once here; the jobs only read it. The interpret axis
-            # scores on induced subgraphs and never reads it.
-            if any(m["kind"] == "refmodel" for m in methods) and set(axes) != {"interpret"}:
-                hops = PropagationConfig().hops
-                for name, ds in sorted(self.datasets.items()):
-                    if ds.kind == "node_graph":
-                        self.clean_reach[name] = pool.submit(reachability, ds.graph,
-                                                             hops).result()
             jobs = [
                 (ds_name, method, axis, seed)
                 for ds_name in sorted(self.datasets)

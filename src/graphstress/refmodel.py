@@ -7,16 +7,18 @@ probabilities are proportional to alpha plus the count of each class among
 train-labeled nodes within `hops` hops (the node itself excluded, which
 prevents trivially perfect train accuracy).
 
-Whole-graph scoring is split in two: `reachability` builds the graph's
-boolean hop matrix, and `propagate_predict` counts labels through it. The
-matrix depends only on the graph, so `stress run` builds each clean graph's
-matrix once per run, before its jobs fan out, and every clean-graph cell
-reuses it. `predict_node` scores one node from its `Graph.ball` alone, as
-the interpret axis does for each masked condition.
+`propagate_predict` scores the rows a caller reads, all nodes by default.
+It builds the hop matrix ``(A + I)^hops`` one fixed-size chunk of those rows
+at a time, one sparse product per hop, and never holds the matrix for the
+whole graph; the counts are exact small integers, so neither the row set nor
+the chunking changes a bit.
+`predict_node` scores one node from its `Graph.ball` alone, as the interpret
+axis does for each masked condition.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +37,11 @@ class PropagationConfig:
     def __post_init__(self):
         if self.hops < 1:
             raise ConfigError("propagation needs hops >= 1")
-        if self.alpha <= 0:
-            raise ConfigError("smoothing alpha must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ConfigError("smoothing alpha must be finite and positive")
+
+
+_CHUNK_ROWS = 8192  # rows of the hop matrix held at once
 
 
 def _train_mask(train_labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -47,51 +52,37 @@ def _train_mask(train_labels: np.ndarray, num_classes: int) -> np.ndarray:
     return mask
 
 
-def reachability(graph: Graph, hops: int) -> sp.csr_matrix:
-    """Boolean CSR whose row i marks the nodes within ``hops`` hops of i, i excluded.
-
-    Built by sparse products of the boolean adjacency with every self-loop
-    set, ``(A + I)^hops``, whose pattern is that of I + A + ... + A^hops.
-    The diagonal is then cleared in place: every row holds its own entry, so
-    ``setdiag`` never reallocates (a leading A would leave rows of isolated
-    nodes without one, and clearing them would copy the whole matrix).
-    """
-    n = graph.num_nodes
-    src, dst = graph.arcs()
-    loops = np.arange(n, dtype=src.dtype)
-    step = sp.csr_matrix(
-        (np.ones(len(src) + n, dtype=bool),
-         (np.concatenate([src, loops]), np.concatenate([dst, loops]))),
-        shape=(n, n),
-    )
-    reach = step
-    for _ in range(hops - 1):
-        reach = reach @ step
-    reach.setdiag(False)  # self excluded from its own count
-    reach.eliminate_zeros()
-    return reach
-
-
 def propagate_predict(graph: Graph, train_labels: np.ndarray, num_classes: int,
                       config: PropagationConfig = PropagationConfig(),
-                      reach: sp.csr_matrix | None = None) -> PredictionTable:
-    """Probability rows for every node from hop-limited train-label counts.
+                      rows: np.ndarray | None = None) -> PredictionTable:
+    """Probability rows of the distinct node ids ``rows`` (every node when None).
 
     ``train_labels`` is per-node; any value outside [0, num_classes) means
-    the node is not a labeled training node. ``reach`` is
-    ``reachability(graph, config.hops)``, built here when not given.
+    the node is not a labeled training node. Each chunk of rows is expanded
+    by sparse products with ``A + I`` to its ``hops``-hop reach; every such
+    row holds its own node, so subtracting the node's own one-hot leaves the
+    count of the others.
     """
     mask = _train_mask(train_labels, num_classes)
-    if reach is None:
-        reach = reachability(graph, config.hops)
+    n = graph.num_nodes
+    rows = np.arange(n, dtype=np.int64) if rows is None else np.asarray(rows, dtype=np.int64)
+    step = (sp.csr_matrix((np.ones(graph.num_arcs, dtype=bool), graph.neighbors, graph.offsets),
+                          shape=(n, n))
+            + sp.identity(n, dtype=bool, format="csr"))
 
-    onehot = np.zeros((graph.num_nodes, num_classes), dtype=np.float64)
+    onehot = np.zeros((n, num_classes), dtype=np.float64)
     labeled = np.flatnonzero(mask)
     onehot[labeled, np.asarray(train_labels)[labeled]] = 1.0
-    counts = np.asarray(reach @ onehot)
+    counts = np.empty((len(rows), num_classes), dtype=np.float64)
+    for lo in range(0, len(rows), _CHUNK_ROWS):
+        chunk = rows[lo:lo + _CHUNK_ROWS]
+        reach = step[chunk]
+        for _ in range(config.hops - 1):
+            reach = reach @ step
+        counts[lo:lo + len(chunk)] = reach @ onehot - onehot[chunk]
     probs = counts + config.alpha
     probs /= probs.sum(axis=1, keepdims=True)
-    return PredictionTable(np.arange(graph.num_nodes, dtype=np.int64), probs)
+    return PredictionTable(rows, probs)
 
 
 def predict_node(graph: Graph, train_labels: np.ndarray, num_classes: int, node: int,

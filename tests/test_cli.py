@@ -224,12 +224,23 @@ FAIRNESS = ["fairness", "--kind", "demographic", "--pred", "no.pred"]
     ([*EMIT, "--targets", "3,-1"], "BadId", "-1"),
     ([*FAIRNESS, "--threshold", "5"], "ConfigError", "threshold"),
     ([*FAIRNESS, "--threshold", "nan"], "ConfigError", "threshold"),
+    ([*FAIRNESS, "--quantile", "0.7"], "ConfigError", "head_tail_quantile"),
+    ([*FAIRNESS, "--quantile", "nan"], "ConfigError", "head_tail_quantile"),
+    (["refmodel", "--hops", "0"], "ConfigError", "hops"),
+    (["refmodel", "--alpha", "nan"], "ConfigError", "alpha"),
+    (["refmodel", "--alpha", "inf"], "ConfigError", "alpha"),
+    (["refmodel", "--alpha", "0"], "ConfigError", "alpha"),
 ], ids=["rho-0", "rho-negative", "imbalance-seed", "corrupt-seed", "split-seed", "emit-seed",
         "emit-num-targets-negative", "emit-num-targets-0", "emit-k-out-of-range",
         "emit-k-not-a-number", "emit-hops-0", "emit-targets-not-numbers",
         "emit-target-too-large", "emit-target-negative", "fairness-threshold-5",
-        "fairness-threshold-nan"])
-def test_out_of_range_subcommand_flag_exits_2(small_ds, tmp_path, capsys, argv, error, words):
+        "fairness-threshold-nan", "fairness-quantile-0.7", "fairness-quantile-nan",
+        "refmodel-hops-0", "refmodel-alpha-nan", "refmodel-alpha-inf", "refmodel-alpha-0"])
+def test_out_of_range_subcommand_flag_exits_2(small_ds, tmp_path, capsys, monkeypatch, argv,
+                                              error, words):
+    loads = []
+    real = cli.load_dataset
+    monkeypatch.setattr(cli, "load_dataset", lambda *a: loads.append(a) or real(*a))
     saliency = tmp_path / "saliency.tsv"
     write_saliency_file(saliency, SaliencyTable("node_grad_norm", np.arange(150), np.ones(150)))
     out = tmp_path / "out"
@@ -238,6 +249,8 @@ def test_out_of_range_subcommand_flag_exits_2(small_ds, tmp_path, capsys, argv, 
     err = capsys.readouterr().err
     assert error in err and words in err
     assert not out.exists()
+    if error == "ConfigError":  # a bad flag value is caught before the dataset loads
+        assert not loads
 
 
 def test_refmodel_then_fairness(small_ds, tmp_path):
@@ -645,39 +658,22 @@ def test_edges_are_deleted_only_for_a_reader_of_the_deleted_graph(small_ds, tmp_
     assert len(calls) == deletions
 
 
-@pytest.mark.parametrize("names, methods, axes", [
-    (["tiny"], [{"kind": "refmodel"}], ["corruption", "ood", "imbalance", "fairness"]),
-    (["a", "b"], [{"kind": "refmodel"}, {"kind": "refmodel", "name": "again"}], ["fairness"]),
-    (["tiny"], [{"kind": "external", "name": "m", "pred_dir": "preds"}],
-     ["corruption", "ood", "imbalance", "fairness"]),
-    (["tiny"], [{"kind": "refmodel"}], ["interpret"]),
-], ids=["refmodel-four-axes", "two-datasets-two-refmodels", "external", "interpret-only"])
-def test_clean_reachability_is_built_once_per_dataset(small_ds, tmp_path, monkeypatch,
-                                                      names, methods, axes):
+@pytest.mark.parametrize("axis", ["corruption", "ood", "imbalance", "fairness", "interpret"])
+def test_refmodel_cells_score_only_the_units_they_evaluate(small_ds, tmp_path, monkeypatch,
+                                                          axis):
     calls = []
-    real = cli.reachability
-    monkeypatch.setattr(cli, "reachability", lambda *a, **k: calls.append(a) or real(*a, **k))
-    pred_dir = tmp_path / "preds"
-    subs = {"corruption": ["clean"] + [f"{c}_sev{i}" for c in ("feature", "edge")
-                                       for i in range(1, 6)],
-            "ood": ["degree", "temporal"], "imbalance": ["rho5", "rho10", "rho20"],
-            "fairness": ["clean"]}
-    for axis in axes:
-        _write_external_preds(small_ds, pred_dir, axis, subs.get(axis, []))
-    for seed0 in pred_dir.rglob("seed0.pred"):
-        shutil.copy(seed0, seed0.with_name("seed1.pred"))
-    for m in methods:
-        if "pred_dir" in m:
-            m["pred_dir"] = str(pred_dir)
-    config = _write_config(tmp_path / "config.json", manifest=small_ds, seeds=[0, 1],
-                           axes=axes, methods=methods,
-                           datasets=[{"manifest": str(small_ds), "name": n} for n in names])
-    uses_reach = methods[0]["kind"] == "refmodel" and axes != ["interpret"]
-    for workers in ("1", "2"):
-        calls.clear()
-        assert main(["run", "--config", str(config), "--out", str(tmp_path / workers),
-                     "--workers", workers]) == 0
-        assert len(calls) == (len(names) if uses_reach else 0)
+    real = cli.propagate_predict
+    monkeypatch.setattr(cli, "propagate_predict",
+                        lambda *a, **k: calls.append(k["rows"]) or real(*a, **k))
+    config = _write_config(tmp_path / "config.json", manifest=small_ds, seeds=[3], axes=[axis])
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "r")]) == 0
+    dataset = load_dataset(small_ds)
+    test = dataset.split.units(Role.TEST).tolist()
+    want = {"corruption": [test] * 6,  # clean and five edge levels
+            "ood": [cli._ood_split(dataset, m, 3).units(Role.OOD_TEST).tolist()
+                    for m in ("degree", "temporal")],
+            "imbalance": [test] * 3, "fairness": [test], "interpret": []}[axis]
+    assert [rows.tolist() for rows in calls] == want
 
 
 @pytest.fixture(scope="module")

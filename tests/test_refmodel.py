@@ -1,5 +1,7 @@
 """Label-propagation scorer: counting semantics and locality."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,14 +12,14 @@ from graphstress.errors import ConfigError, EmptySubgraph, NoTrainLabels
 from graphstress.graph_store import Graph
 from graphstress.cli import _refmodel_lookup
 from graphstress.interpret import SaliencyTable, TargetManifest, build_edge_manifest, masked_graph
+from graphstress import refmodel
 from graphstress.refmodel import (
     PropagationConfig,
     predict_node,
     predicted_class_prob,
     propagate_predict,
-    reachability,
 )
-from oracles import adjacency_from_graph, propagation_oracle, reachability_oracle
+from oracles import adjacency_from_graph, propagation_oracle
 
 
 def _chain(n):
@@ -28,8 +30,9 @@ def test_config_validation():
     PropagationConfig(hops=1, alpha=0.5)
     with pytest.raises(ConfigError):
         PropagationConfig(hops=0)
-    with pytest.raises(ConfigError):
-        PropagationConfig(alpha=0.0)
+    for alpha in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            PropagationConfig(alpha=alpha)
 
 
 def test_probabilities_concentrate_on_neighborhood_label():
@@ -99,7 +102,7 @@ def test_predict_node_equals_matrix_row(random_graph):
     rows = table.rows_for(np.arange(100))
     for node in [0, 7, 42, 99]:
         local = predict_node(random_graph, train, 4, node)
-        assert np.allclose(local, rows[node], atol=1e-12)
+        assert local.tobytes() == rows[node].tobytes()
 
 
 def test_predicted_class_prob():
@@ -117,7 +120,7 @@ def test_no_train_labels():
         predict_node(g, np.full(3, -1, dtype=np.int64), 2, 0)
 
 
-@given(st.integers(0, 30), st.integers(1, 3))
+@given(st.integers(0, 10_000), st.integers(1, 3))
 @settings(max_examples=100, deadline=None)
 def test_predict_node_matches_matrix_property(seed, hops):
     rng = np.random.default_rng(seed)
@@ -130,36 +133,33 @@ def test_predict_node_matches_matrix_property(seed, hops):
     config = PropagationConfig(hops=hops)
     rows = propagate_predict(g, train, 3, config).rows_for(np.arange(n))
     node = int(rng.integers(0, n))
-    assert np.allclose(predict_node(g, train, 3, node, config), rows[node], atol=1e-12)
+    assert predict_node(g, train, 3, node, config).tobytes() == rows[node].tobytes()
 
 
-@given(st.integers(0, 10_000), st.integers(1, 3), st.booleans())
+@given(st.integers(0, 10_000), st.integers(1, 3), st.booleans(), st.sampled_from([1, 3, 8192]))
 @settings(max_examples=100, deadline=None)
-def test_reachability_matches_bfs_oracle_property(seed, hops, undirected):
-    # directed or undirected graphs with self-loops and, often, isolated nodes
+def test_scored_rows_equal_the_full_table_rows_property(seed, hops, undirected, chunk):
+    # directed or undirected graphs with self-loops and, often, isolated nodes;
+    # any duplicate-free row set in any order, cut into chunks of any size
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 30))
     src = np.append(rng.integers(0, n, 2 * n), rng.integers(0, n, 3))
     dst = np.append(rng.integers(0, n, 2 * n), src[-3:])
     g = Graph.from_arcs(n, src, dst, undirected=undirected, symmetrize=undirected)
-    reach = reachability(g, hops)
-    assert reach.dtype == bool and reach.shape == (n, n) and reach.data.all()
-    rows, cols = reach.nonzero()
-    got = set(zip(rows.tolist(), cols.tolist()))
-    assert len(got) == reach.nnz  # no duplicate entries
-    assert got == reachability_oracle(adjacency_from_graph(g), hops)
-
-
-@pytest.mark.parametrize("hops", [1, 2, 3])
-def test_given_reachability_is_bit_equal_to_building_it(random_graph, hops):
-    rng = np.random.default_rng(hops)
-    train = np.where(rng.random(100) < 0.3, rng.integers(0, 4, 100), -1).astype(np.int64)
+    train = np.where(rng.random(n) < 0.5, rng.integers(0, 3, n), -1).astype(np.int64)
+    train[int(rng.integers(0, n))] = 0
     config = PropagationConfig(hops=hops)
-    built = propagate_predict(random_graph, train, 4, config)
-    given = propagate_predict(random_graph, train, 4, config,
-                              reach=reachability(random_graph, hops))
-    assert (given.unit_ids == built.unit_ids).all()
-    assert given.rows.tobytes() == built.rows.tobytes()
+    full = propagate_predict(g, train, 3, config)
+    assert full.unit_ids.tolist() == list(range(n))
+    adjacency = adjacency_from_graph(g)
+    for node in range(n):
+        want = propagation_oracle(adjacency, train, 3, hops, 1.0, node)
+        assert np.allclose(full.rows[node], want, atol=1e-12)
+    rows = rng.permutation(n)[:int(rng.integers(0, n + 1))]
+    with mock.patch.object(refmodel, "_CHUNK_ROWS", chunk):
+        part = propagate_predict(g, train, 3, config, rows=rows)
+    assert part.unit_ids.tolist() == rows.tolist()
+    assert part.rows.tobytes() == full.rows[rows].tobytes()
 
 
 def _full_graph_prob(g, train, manifest, condition, clean_class):
