@@ -19,7 +19,7 @@ from graphstress.refmodel import (
     predicted_class_prob,
     propagate_predict,
 )
-from oracles import adjacency_from_graph, propagation_oracle
+from oracles import adjacency_from_graph, propagation_oracle, reachability_oracle
 
 
 def _chain(n):
@@ -136,25 +136,63 @@ def test_predict_node_matches_matrix_property(seed, hops):
     assert predict_node(g, train, 3, node, config).tobytes() == rows[node].tobytes()
 
 
-@given(st.integers(0, 10_000), st.integers(1, 3), st.booleans(), st.sampled_from([1, 3, 8192]))
-@settings(max_examples=100, deadline=None)
-def test_scored_rows_equal_the_full_table_rows_property(seed, hops, undirected, chunk):
-    # directed or undirected graphs with self-loops and, often, isolated nodes;
-    # any duplicate-free row set in any order, cut into chunks of any size
-    rng = np.random.default_rng(seed)
+def _self_loop_graph(rng, undirected):
+    # directed or undirected graphs with self-loops and, often, isolated nodes
     n = int(rng.integers(1, 30))
     src = np.append(rng.integers(0, n, 2 * n), rng.integers(0, n, 3))
     dst = np.append(rng.integers(0, n, 2 * n), src[-3:])
-    g = Graph.from_arcs(n, src, dst, undirected=undirected, symmetrize=undirected)
+    return Graph.from_arcs(n, src, dst, undirected=undirected, symmetrize=undirected)
+
+
+@given(st.integers(0, 10_000), st.integers(1, 3), st.booleans(), st.sampled_from([1, 3, 8192]))
+@settings(max_examples=100, deadline=None)
+def test_reachability_matches_bfs_oracle_property(seed, hops, undirected, chunk):
+    # with every node labeled as its own class, row i reads off the set of
+    # nodes the hop matrix reaches from i: those j != i get count 1, the rest 0
+    rng = np.random.default_rng(seed)
+    g = _self_loop_graph(rng, undirected)
+    n = g.num_nodes
+    config = PropagationConfig(hops=hops)
+    with mock.patch.object(refmodel, "_CHUNK_ROWS", chunk):
+        own = propagate_predict(g, np.arange(n), n, config).rows
+    rows, cols = np.nonzero(own > own.diagonal()[:, None])
+    got = set(zip(rows.tolist(), cols.tolist()))
+    adjacency = adjacency_from_graph(g)
+    assert got == reachability_oracle(adjacency, hops)
+    train = np.where(rng.random(n) < 0.5, rng.integers(0, 3, n), -1).astype(np.int64)
+    train[int(rng.integers(0, n))] = 0
+    full = propagate_predict(g, train, 3, config)
+    for node in range(n):
+        want = propagation_oracle(adjacency, train, 3, hops, 1.0, node)
+        assert np.allclose(full.rows[node], want, atol=1e-12)
+
+
+@pytest.mark.parametrize("hops", [1, 2, 3])
+def test_given_reachability_is_bit_equal_to_building_it(random_graph, hops):
+    # a cell that passes the rows it reads gets them bit for bit as the full table has them
+    rng = np.random.default_rng(hops)
+    train = np.where(rng.random(100) < 0.3, rng.integers(0, 4, 100), -1).astype(np.int64)
+    config = PropagationConfig(hops=hops)
+    built = propagate_predict(random_graph, train, 4, config)
+    assert built.unit_ids.tolist() == list(range(100))
+    rows = rng.permutation(100)[:37]
+    given = propagate_predict(random_graph, train, 4, config, rows=rows)
+    assert given.unit_ids.tolist() == rows.tolist()
+    assert given.rows.tobytes() == built.rows[rows].tobytes()
+
+
+@given(st.integers(0, 10_000), st.integers(1, 3), st.booleans(), st.sampled_from([1, 3, 8192]))
+@settings(max_examples=100, deadline=None)
+def test_scored_rows_equal_the_full_table_rows_property(seed, hops, undirected, chunk):
+    # any duplicate-free row set in any order, cut into chunks of any size
+    rng = np.random.default_rng(seed)
+    g = _self_loop_graph(rng, undirected)
+    n = g.num_nodes
     train = np.where(rng.random(n) < 0.5, rng.integers(0, 3, n), -1).astype(np.int64)
     train[int(rng.integers(0, n))] = 0
     config = PropagationConfig(hops=hops)
     full = propagate_predict(g, train, 3, config)
     assert full.unit_ids.tolist() == list(range(n))
-    adjacency = adjacency_from_graph(g)
-    for node in range(n):
-        want = propagation_oracle(adjacency, train, 3, hops, 1.0, node)
-        assert np.allclose(full.rows[node], want, atol=1e-12)
     rows = rng.permutation(n)[:int(rng.integers(0, n + 1))]
     with mock.patch.object(refmodel, "_CHUNK_ROWS", chunk):
         part = propagate_predict(g, train, 3, config, rows=rows)
