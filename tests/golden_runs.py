@@ -1,8 +1,11 @@
-"""Golden run bytes: the sha256 of every file two refmodel runs write under --out.
+"""Golden run bytes: the sha256 of every file two refmodel runs write under --out,
+and of what three subcommands write at their default flags.
 
     PYTHONPATH=src python tests/golden_runs.py   # rewrites tests/golden_runs.json
 
-Each case is an all-axes run of the built-in model with operator outputs.
+Each run case is an all-axes run of the built-in model with operator outputs.
+The "subcommands" entry holds `stress refmodel`, `stress fairness --kind
+structural` and `stress interpret emit`, each given only its required flags.
 Datasets, config and output directory are given as paths relative to the
 working directory, so the config hash in report.json, which covers the
 manifest paths, does not depend on where the run happens. Regenerate the file
@@ -23,6 +26,7 @@ import numpy as np
 
 from graphstress.cli import main as stress
 from graphstress.graph_store import Dataset, Graph, save_dataset
+from graphstress.interpret import SaliencyTable, write_saliency_file
 from graphstress.synthetic import make_node_dataset
 
 GOLDEN = Path(__file__).with_name("golden_runs.json")
@@ -72,6 +76,26 @@ def run_case(case: str, workers: int) -> dict:
     return _digests(out)
 
 
+def run_subcommands() -> dict:
+    """Relative path -> sha256 of the subcommand outputs on the self-loop graph; cwd is a
+    scratch dir."""
+    dataset = _with_self_loops()
+    manifest = save_dataset(dataset, Path("ds") / "subcommands").as_posix()
+    n = dataset.graph.num_nodes
+    saliency = Path("saliency.tsv")
+    write_saliency_file(saliency, SaliencyTable("node_grad_norm", np.arange(n),
+                                                np.arange(n) * 37 % 101 / 101))
+    out = Path("subcommands")
+    out.mkdir()
+    pred = str(out / "refmodel.pred")
+    for argv in (["refmodel", "--out", pred],
+                 ["fairness", "--kind", "structural", "--pred", pred,
+                  "--out", str(out / "fairness.json")],
+                 ["interpret", "emit", "--saliency", str(saliency), "--out", str(out / "emit")]):
+        assert stress([*argv, "--dataset", manifest]) == 0
+    return _digests(out)
+
+
 @contextlib.contextmanager
 def _in_scratch_dir():
     cwd = os.getcwd()
@@ -86,8 +110,9 @@ def _in_scratch_dir():
 def main() -> int:
     with _in_scratch_dir():
         golden = {case: run_case(case, 1) for case in CASES}
+        golden["subcommands"] = run_subcommands()
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-    print(f"{GOLDEN}: {sum(map(len, golden.values()))} files in {len(golden)} runs")
+    print(f"{GOLDEN}: {sum(map(len, golden.values()))} files in {len(golden)} entries")
     return 0
 
 
