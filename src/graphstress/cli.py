@@ -141,8 +141,6 @@ def _given_split(dataset: Dataset) -> SplitAssignment:
 def _corrupted(dataset: Dataset, channel: str, idx: int, seed: int):
     """(dataset, level, key) at severity index idx of channel feature|edge; 0 is clean."""
     levels = FEATURE_LEVELS if channel == "feature" else EDGE_LEVELS
-    if not 0 <= idx <= len(levels):
-        raise ConfigError(f"severity index {idx} outside 0..{len(levels)}")
     level = None if idx == 0 else levels[idx - 1]
     _check_kind(dataset, "node_graph", f"{channel} corruption")
     g = dataset.graph
@@ -357,7 +355,6 @@ def cmd_split(args) -> int:
 
 
 def cmd_imbalance(args) -> int:
-    _check_range("rhos", [args.rho])
     dataset = load_dataset(args.dataset)
     spec, _kept, split = _imbalanced(dataset, args.rho, args.seed)
     out = Path(args.out)
@@ -372,15 +369,12 @@ def cmd_imbalance(args) -> int:
 
 
 def cmd_fairness(args) -> int:
-    _check_range("head_tail_quantile", args.quantile)
-    if args.threshold is not None:
-        _check_range("threshold", args.threshold)
     dataset = load_dataset(args.dataset)
     _check_kind(dataset, "node_graph", "stress fairness")
     preds = read_prediction_file(args.pred)
     result: dict = {"dataset": dataset.name, "kind": args.kind}
     if args.kind == "structural":
-        groups, gap = _head_tail(dataset, preds, args.quantile)
+        groups, gap = _head_tail(dataset, preds, args.head_tail_quantile)
         result["head_tail_gap_pp"] = gap
         result["head_size"] = len(groups.first)
         result["tail_size"] = len(groups.second)
@@ -391,8 +385,6 @@ def cmd_fairness(args) -> int:
 
 
 def cmd_refmodel(args) -> int:
-    _check_range("hops", args.hops)
-    _check_range("alpha", args.alpha)
     dataset = load_dataset(args.dataset)
     _check_kind(dataset, "node_graph", "stress refmodel")
     table = _refmodel_table(dataset.graph, _given_split(dataset).units(Role.TRAIN),
@@ -401,45 +393,40 @@ def cmd_refmodel(args) -> int:
     return 0
 
 
-def _flag_numbers(flag: str, text: str, parse) -> list:
-    """The comma-separated values of a flag; a token ``parse`` rejects is a ConfigError."""
-    try:
-        return [parse(x) for x in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"{flag} must be comma-separated numbers, got {text!r}") from None
-
-
 def cmd_interpret_emit(args) -> int:
-    k_levels = _flag_numbers("--k", args.k, lambda x: float(x) if "." in x else int(x))
-    _check_range("k_levels", k_levels)
-    _check_range("interpret_targets", args.num_targets)
-    _check_range("hops", args.hops)
-    targets = _flag_numbers("--targets", args.targets, int) if args.targets else None
     dataset = load_dataset(args.dataset)
     _check_kind(dataset, "node_graph", "stress interpret emit")
     saliency = read_saliency_file(args.saliency)
-    if targets is None:
-        targets = _given_split(dataset).units(Role.TEST)[:args.num_targets].tolist()
+    targets = (args.targets
+               or _given_split(dataset).units(Role.TEST)[:args.interpret_targets].tolist())
     outside = [t for t in targets if not 0 <= t < dataset.graph.num_nodes]
     if outside:
         raise BadId(f"--targets: node {outside[0]} out of range for "
                     f"{dataset.graph.num_nodes} nodes")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifests = _edge_manifests(dataset, saliency, targets, args.seed, k_levels,
+    manifests = _edge_manifests(dataset, saliency, targets, args.seed, args.k_levels,
                                 hops=args.hops, out_dir=out)
     sidecar = {"axis": "interpret", "dataset": dataset.name, "seed": args.seed,
-               "k_levels": k_levels, "targets": list(manifests),
+               "k_levels": args.k_levels, "targets": list(manifests),
                "skipped": [t for t in targets if t not in manifests]}
     write_json(out / "emit.json", sidecar)
     return 0
 
 
 def cmd_interpret_score(args) -> int:
-    emit_meta = json.loads(require_file(Path(args.manifest) / "emit.json").read_text())
-    k_levels = emit_meta["k_levels"]
-    records = _fidelity_records(emit_meta["targets"], k_levels,
-                                _probs_lookup(read_probs_file(args.probs), args.probs))
+    emit_path = require_file(Path(args.manifest) / "emit.json")
+    emit_meta = json.loads(emit_path.read_text())
+    k_levels, targets = emit_meta["k_levels"], emit_meta["targets"]
+    probs = read_probs_file(args.probs)
+    # exactly clean + every condition per target: _probs_lookup names a missing row
+    conditions = ["clean", *(condition_name(r, side, k) for r in RANKINGS
+                             for side in ("top", "comp") for k in k_levels)]
+    extra = sorted(probs.keys() - {(t, c) for t in targets for c in conditions})
+    if extra:
+        raise BadId(f"{args.probs} has a row for target {extra[0][0]}, condition "
+                    f"{extra[0][1]}, which {emit_path} does not emit")
+    records = _fidelity_records(targets, k_levels, _probs_lookup(probs, args.probs))
     per_target = {str(t): {condition_name(r, part, k): getattr(rec, part)
                            for (r, k), rec in recs.items()
                            for part in ("char", "fid_plus", "fid_minus")}
@@ -451,7 +438,7 @@ def cmd_interpret_score(args) -> int:
         cells[f"char_saliency_{k}"] = sal.as_dict()
         cells[f"char_random_{k}"] = rand.as_dict()
         cells[f"delta_char_{k}"] = char_lift(sal, rand).as_dict()
-    payload = {"records": per_target, "cells": cells, "n_targets": len(emit_meta["targets"])}
+    payload = {"records": per_target, "cells": cells, "n_targets": len(targets)}
     write_json(args.out, payload)
     return 0
 
@@ -480,15 +467,6 @@ METHOD_KEYS = ("kind", "name", "pred_dir", "has_saliency")
 DATASET_KEYS = ("manifest", "name")
 
 
-def _check_keys(entry, allowed: tuple, what: str) -> None:
-    if not isinstance(entry, dict):
-        raise ConfigError(f"a {what} entry must be a JSON object, got {entry!r}")
-    unknown = sorted(set(entry) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown {what} key(s) {', '.join(map(repr, unknown))}; "
-                          f"valid: {', '.join(allowed)}")
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -502,64 +480,76 @@ def _is_positive_int(value) -> bool:
 
 
 def _distinct_list(values, ok, level=lambda v: v) -> bool:
-    """A list whose every value passes ``ok``, no two values at the same level."""
-    return (isinstance(values, list) and all(map(ok, values))
+    """A non-empty list whose every value passes ``ok``, no two values at the same level."""
+    return (isinstance(values, list) and values != [] and all(map(ok, values))
             and len(set(map(level, values))) == len(values))
 
 
-def _is_seeds(seeds) -> bool:
-    return _is_positive_int(seeds) or (
-        seeds != [] and _distinct_list(seeds, lambda s: _is_int(s) and s >= 0))
+REQUIRED = object()  # the default of a key that its entry must give
 
-
-def _is_k_levels(ks) -> bool:
-    return ks != [] and _distinct_list(ks, lambda k: _is_number(k) and 0 < k <= 100)
-
-
-def _is_rhos(rhos) -> bool:
+# key of a config, dataset or method entry, or dest of a checked subcommand flag ->
+# (default, test of a value, what a valid value is); None is no default
+PARAMS = {
+    "datasets": (REQUIRED, lambda v: isinstance(v, list) and v != [],
+                 "a non-empty list of dataset entries"),
+    "methods": (REQUIRED, lambda v: isinstance(v, list) and v != [],
+                "a non-empty list of method entries"),
+    "axes": (REQUIRED, lambda axes: _distinct_list(axes, lambda axis: axis in AXES),
+             f"a non-empty list of distinct axes out of {', '.join(AXES)}"),
+    "seeds": (5, lambda seeds: _is_positive_int(seeds) or _distinct_list(
+                  seeds, lambda s: _is_int(s) and s >= 0),
+              "a positive count or a non-empty list of distinct non-negative integers"),
     # a level is named rho{int(rho)}, so two rhos must not share that name
-    return rhos != [] and _distinct_list(
-        rhos, lambda r: _is_number(r) and r > 0 and float(r).is_integer(), int)
-
-
-def _is_str(value) -> bool:
-    return isinstance(value, str)
-
-
-def _is_bool(value) -> bool:
-    return isinstance(value, bool)
-
-
-# key of a config, method or dataset entry, or a subcommand flag's value ->
-# (test of a value, what a valid value is)
-VALUE_RANGES = {
-    "seeds": (_is_seeds, "a positive count or a non-empty list of distinct non-negative integers"),
-    "workers": (_is_positive_int, "a positive integer"),
-    "interpret_targets": (_is_positive_int, "a positive integer"),
-    "head_tail_quantile": (lambda q: _is_number(q) and 0 < q <= 0.5, "a number in (0, 0.5]"),
-    "k_levels": (_is_k_levels, "a non-empty list of distinct numbers in (0, 100]"),
-    "rhos": (_is_rhos, "a non-empty list of positive whole numbers, each level once"),
-    "out": (_is_str, "a path string"),
-    "write_operator_outputs": (_is_bool, "true or false"),
-    "name": (_is_str, "a string"),
-    "pred_dir": (_is_str, "a path string"),
-    "has_saliency": (_is_bool, "true or false"),
-    "hops": (_is_positive_int, "a positive integer"),
-    "alpha": (lambda a: _is_number(a) and math.isfinite(a) and a > 0, "a finite number > 0"),
-    "threshold": (lambda t: _is_number(t) and 0 <= t <= 1, "a number in [0, 1]"),
+    "rhos": (list(DEFAULT_RHOS),
+             lambda rhos: _distinct_list(
+                 rhos, lambda r: _is_number(r) and r > 0 and float(r).is_integer(), int),
+             "a non-empty list of positive whole numbers, each level once"),
+    "k_levels": (list(K_PERCENT_LEVELS),
+                 lambda ks: _distinct_list(ks, lambda k: _is_number(k) and 0 < k <= 100),
+                 "a non-empty list of distinct numbers in (0, 100]"),
+    "interpret_targets": (10, _is_positive_int, "a positive integer"),
+    "head_tail_quantile": (0.2, lambda q: _is_number(q) and 0 < q <= 0.5,
+                           "a number in (0, 0.5]"),
+    "workers": (1, _is_positive_int, "a positive integer"),
+    "write_operator_outputs": (False, lambda v: isinstance(v, bool), "true or false"),
+    "out": ("results", lambda v: isinstance(v, str), "a path string"),
+    "manifest": (REQUIRED, lambda v: isinstance(v, str), "a path string"),
+    "name": (None, lambda v: isinstance(v, str), "a string"),
+    "pred_dir": (None, lambda v: isinstance(v, str), "a path string"),
+    "has_saliency": (False, lambda v: isinstance(v, bool), "true or false"),
+    "hops": (PropagationConfig.hops, _is_positive_int, "a positive integer"),
+    "alpha": (PropagationConfig.alpha, lambda a: _is_number(a) and math.isfinite(a) and a > 0,
+              "a finite number > 0"),
+    "threshold": (None, lambda t: _is_number(t) and 0 <= t <= 1, "a number in [0, 1]"),
+    "severity_index": (None, lambda i: _is_int(i) and 0 <= i <= len(EDGE_LEVELS),
+                       f"an integer in 0..{len(EDGE_LEVELS)}"),
 }
 
 
+def _setting(entry: dict, key: str):
+    """The entry's value of key, else the key's PARAMS default."""
+    return entry.get(key, PARAMS[key][0])
+
+
 def _check_range(key: str, value) -> None:
-    ok, expected = VALUE_RANGES[key]
+    _default, ok, expected = PARAMS[key]
     if not ok(value):
         raise ConfigError(f"{key} must be {expected}, got {value!r}")
 
 
-def _check_values(entry: dict) -> None:
-    """Range-check every key of a config, method or dataset entry that VALUE_RANGES lists."""
-    for key in sorted(VALUE_RANGES.keys() & entry.keys()):
-        _check_range(key, entry[key])
+def _check_entry(entry, keys: tuple, what: str) -> None:
+    """A config, dataset or method entry: a JSON object of known keys, every value in range."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"a {what} entry must be a JSON object, got {entry!r}")
+    unknown = sorted(set(entry) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s) {', '.join(map(repr, unknown))}; "
+                          f"valid: {', '.join(keys)}")
+    for key in filter(PARAMS.__contains__, keys):
+        if key in entry:
+            _check_range(key, entry[key])
+        elif PARAMS[key][0] is REQUIRED:
+            raise ConfigError(f"a {what} entry needs {key!r}, {PARAMS[key][2]}")
 
 
 def _load_config(path: Path, seed: int | None = None) -> dict:
@@ -570,24 +560,11 @@ def _load_config(path: Path, seed: int | None = None) -> dict:
         raise MissingInput(f"config file {path} does not exist")
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: config does not parse: {e}")
-    _check_keys(config, CONFIG_KEYS, "config")
-    for d in config.get("datasets", []):
-        _check_keys(d, DATASET_KEYS, "dataset")
-        if not isinstance(d.get("manifest"), str):
-            raise ConfigError(f"dataset entry {d!r} needs a 'manifest' path string")
-        _check_values(d)
-    for axis in config.get("axes", []):
-        if axis not in AXES:
-            raise ConfigError(f"unknown axis {axis!r}; valid: {', '.join(AXES)}")
-    if not config.get("datasets"):
-        raise ConfigError("config lists no datasets")
-    if not config.get("axes"):
-        raise ConfigError("config lists no axes")
-    if not config.get("methods"):
-        raise ConfigError("config lists no methods")
+    _check_entry(config, CONFIG_KEYS, "config")
+    for d in config["datasets"]:
+        _check_entry(d, DATASET_KEYS, "dataset")
     for m in config["methods"]:
-        _check_keys(m, METHOD_KEYS, "method")
-        _check_values(m)
+        _check_entry(m, METHOD_KEYS, "method")
         m.setdefault("kind", "refmodel")
         m.setdefault("name", m["kind"])
         if m["kind"] not in ("refmodel", "external"):
@@ -597,12 +574,9 @@ def _load_config(path: Path, seed: int | None = None) -> dict:
     names = [m["name"] for m in config["methods"]]
     if len(set(names)) != len(names):
         raise ConfigError(f"two methods share a name in {names}; give each a distinct 'name'")
-    config.setdefault("seeds", 5)
-    _check_values(config)
-    if seed is not None:
-        config["seeds"] = [seed]
-    elif _is_int(config["seeds"]):
-        config["seeds"] = list(range(config["seeds"]))
+    seeds = _setting(config, "seeds")
+    config["seeds"] = ([seed] if seed is not None
+                       else list(range(seeds)) if _is_int(seeds) else seeds)
     return config
 
 
@@ -625,15 +599,15 @@ RUN_OUTPUTS = ("values", "ops", "errors.log", "report.json", "report.csv")
 class PipelineRunner:
     """Executes the requested cell grid and writes the result tree."""
 
-    def __init__(self, config: dict, out_dir: Path, workers: int = 1):
+    def __init__(self, config: dict, out_dir: Path, workers: int = PARAMS["workers"][0]):
         self.config = config
         self.out = out_dir
         self.workers = workers
-        self.write_ops = bool(config.get("write_operator_outputs", False))
-        self.rhos = config.get("rhos", list(DEFAULT_RHOS))
-        self.k_levels = config.get("k_levels", list(K_PERCENT_LEVELS))
-        self.num_targets = config.get("interpret_targets", 10)
-        self.quantile = config.get("head_tail_quantile", 0.2)
+        self.write_ops = _setting(config, "write_operator_outputs")
+        self.rhos = _setting(config, "rhos")
+        self.k_levels = _setting(config, "k_levels")
+        self.num_targets = _setting(config, "interpret_targets")
+        self.quantile = _setting(config, "head_tail_quantile")
         self.datasets: dict[str, Dataset] = {}
         self.failures: list[tuple[str, str]] = []
         self._ops_method: str | None = None  # single designated op-output writer
@@ -767,7 +741,7 @@ class PipelineRunner:
 
     def _axis_interpret(self, dataset: Dataset, method: dict, seed: int) -> dict:
         if method["kind"] == "external":
-            if not method.get("has_saliency", False):
+            if not _setting(method, "has_saliency"):
                 # no per-edge gradient interface: protocol excludes the method
                 return {f"char_{r}_{k}": INAPPLICABLE
                         for r in RANKINGS for k in self.k_levels}
@@ -896,9 +870,8 @@ def _emit_lifts(report: Report) -> None:
 
 def cmd_run(args) -> int:
     config = _load_config(Path(args.config), seed=args.seed)
-    workers = config.get("workers", 1) if args.workers is None else args.workers
-    _check_range("workers", workers)
-    out = Path(args.out) if args.out else Path(config.get("out", "results"))
+    workers = _setting(config, "workers") if args.workers is None else args.workers
+    out = Path(args.out or _setting(config, "out"))
     out.mkdir(parents=True, exist_ok=True)
     runner = PipelineRunner(config, out, workers=workers)
     try:
@@ -919,6 +892,16 @@ def cmd_run(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _numbers(flag: str, parse):
+    """``type=`` of a comma-separated flag; a token ``parse`` rejects is a ConfigError."""
+    def values(text: str) -> list:
+        try:
+            return [parse(x) for x in text.split(",")]
+        except ValueError:
+            raise ConfigError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+    return values
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stress",
@@ -929,7 +912,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corrupt", help="emit a corrupted copy of a dataset")
     p.add_argument("--dataset", required=True, help="manifest path")
     p.add_argument("--channel", required=True, choices=["feature", "edge"])
-    p.add_argument("--severity-index", type=int, required=True,
+    p.add_argument("--severity-index", dest="severity_index", type=int, required=True,
                    help="0 = clean, 1..5 = schedule position")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -955,16 +938,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=["structural", "demographic"])
     p.add_argument("--pred", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--quantile", type=float, default=0.2)
-    p.add_argument("--threshold", type=float, default=None,
+    p.add_argument("--quantile", dest="head_tail_quantile", type=float, metavar="QUANTILE",
+                   default=PARAMS["head_tail_quantile"][0])
+    p.add_argument("--threshold", type=float, default=PARAMS["threshold"][0],
                    help="binary decision threshold (default argmax)")
     p.set_defaults(func=cmd_fairness)
 
     p = sub.add_parser("refmodel", help="score a dataset with the built-in propagation model")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--hops", type=int, default=2)
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--hops", type=int, default=PARAMS["hops"][0])
+    p.add_argument("--alpha", type=float, default=PARAMS["alpha"][0])
     p.set_defaults(func=cmd_refmodel)
 
     p = sub.add_parser("interpret", help="attribution-fidelity protocol")
@@ -972,10 +956,13 @@ def build_parser() -> argparse.ArgumentParser:
     pe = isub.add_parser("emit", help="write ablation manifests for external re-scoring")
     pe.add_argument("--dataset", required=True)
     pe.add_argument("--saliency", required=True)
-    pe.add_argument("--k", default="5,10,20,50")
-    pe.add_argument("--targets", default=None, help="comma-separated target ids")
-    pe.add_argument("--num-targets", type=int, default=10)
-    pe.add_argument("--hops", type=int, default=2)
+    pe.add_argument("--k", dest="k_levels", default=PARAMS["k_levels"][0], metavar="K",
+                    type=_numbers("--k", lambda x: float(x) if "." in x else int(x)))
+    pe.add_argument("--targets", type=_numbers("--targets", int),
+                    help="comma-separated target ids")
+    pe.add_argument("--num-targets", dest="interpret_targets", type=int, metavar="NUM_TARGETS",
+                    default=PARAMS["interpret_targets"][0])
+    pe.add_argument("--hops", type=int, default=PARAMS["hops"][0])
     pe.add_argument("--seed", type=int, default=0)
     pe.add_argument("--out", required=True)
     pe.set_defaults(func=cmd_interpret_emit)
@@ -999,12 +986,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# a flag whose value is one entry of a list-valued key
+ENTRY_FLAGS = {"seed": "seeds", "rho": "rhos"}
+
+
 def main(argv=None) -> int:
     _setup_logging()
-    args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "seed", None) is not None:  # every --seed is one seeds entry
-            _check_range("seeds", [args.seed])
+        args = build_parser().parse_args(argv)
+        # every flag value with a PARAMS row is checked before anything loads (None: not given)
+        for dest, value in vars(args).items():
+            key = ENTRY_FLAGS.get(dest, dest)
+            if key in PARAMS and value is not None:
+                _check_range(key, [value] if dest in ENTRY_FLAGS else value)
         return args.func(args)
     except StressError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -230,12 +231,16 @@ FAIRNESS = ["fairness", "--kind", "demographic", "--pred", "no.pred"]
     (["refmodel", "--alpha", "nan"], "ConfigError", "alpha"),
     (["refmodel", "--alpha", "inf"], "ConfigError", "alpha"),
     (["refmodel", "--alpha", "0"], "ConfigError", "alpha"),
+    (["corrupt", "--channel", "edge", "--severity-index", "9"], "ConfigError", "severity_index"),
+    (["corrupt", "--channel", "feature", "--severity-index", "-1"], "ConfigError",
+     "severity_index"),
 ], ids=["rho-0", "rho-negative", "imbalance-seed", "corrupt-seed", "split-seed", "emit-seed",
         "emit-num-targets-negative", "emit-num-targets-0", "emit-k-out-of-range",
         "emit-k-not-a-number", "emit-hops-0", "emit-targets-not-numbers",
         "emit-target-too-large", "emit-target-negative", "fairness-threshold-5",
         "fairness-threshold-nan", "fairness-quantile-0.7", "fairness-quantile-nan",
-        "refmodel-hops-0", "refmodel-alpha-nan", "refmodel-alpha-inf", "refmodel-alpha-0"])
+        "refmodel-hops-0", "refmodel-alpha-nan", "refmodel-alpha-inf", "refmodel-alpha-0",
+        "corrupt-severity-9", "corrupt-severity-negative"])
 def test_out_of_range_subcommand_flag_exits_2(small_ds, tmp_path, capsys, monkeypatch, argv,
                                               error, words):
     loads = []
@@ -365,6 +370,27 @@ def test_interpret_score_without_targets_writes_undefined_cells(tmp_path):
         f"{name}_{k}" for name in ("char_saliency", "char_random", "delta_char")
         for k in (5, 10))
     assert all(cell["undefined"] for cell in payload["cells"].values())
+
+
+@pytest.mark.parametrize("change, code, words", [
+    ({}, 0, ""),
+    ({(7, "clean"): 0.5}, 2, "BadId: x.probs has a row for target 7, condition clean"),
+    ({(3, "saliency_top_7"): 0.5}, 2, "target 3, condition saliency_top_7"),
+    ({(3, "random_comp_5"): None}, 2, "MissingInput: x.probs lacks the random_comp_5"),
+], ids=["exact", "added-target", "unknown-condition", "missing-condition"])
+def test_interpret_score_needs_exactly_the_emitted_rows(tmp_path, monkeypatch, capsys, change,
+                                                        code, words):
+    monkeypatch.chdir(tmp_path)
+    Path("m").mkdir()
+    Path("m/emit.json").write_text(json.dumps({"k_levels": [5], "targets": [3], "skipped": []}))
+    probs = {(3, c): 0.5 for c in ("saliency_top_5", "saliency_comp_5", "random_top_5",
+                                   "random_comp_5")}
+    probs[(3, "clean")] = 0.9
+    probs.update(change)
+    write_probs_file("x.probs", {key: p for key, p in probs.items() if p is not None})
+    assert main(["interpret", "score", "--manifest", "m", "--probs", "x.probs",
+                 "--out", "f.json"]) == code
+    assert words in capsys.readouterr().err
 
 
 def test_interpret_score_without_emit_json_exits_2(tmp_path, capsys):
@@ -796,11 +822,16 @@ EXTERNAL = {"kind": "external", "name": "ext", "pred_dir": "preds"}
     ({"methods": []}, [], "methods"),
     ({"methods": [{"kind": "refmodel"}, {"kind": "refmodel"}]}, [], "name"),
     ({"methods": [EXTERNAL, {"kind": "refmodel", "name": "ext"}]}, [], "name"),
+    ({"datasets": 5}, [], "datasets"),
+    ({"axes": 5}, [], "axes"),
+    ({"methods": 5}, [], "methods"),
+    ({"axes": "fairness"}, [], "axes"),
+    ({"axes": ["fairness", "fairness"]}, [], "axes"),
 ], ids=["seed-flag-negative", "targets-negative", "targets-0", "targets-str", "k-out-of-range",
         "k-str", "k-empty", "k-repeat", "workers-0", "workers-str", "workers-flag-0",
         "quantile-above-half", "quantile-0", "quantile-str", "out-int", "write-ops-str",
         "pred-dir-int", "has-saliency-str", "name-list", "no-methods", "two-default-names",
-        "one-name-twice"])
+        "one-name-twice", "datasets-int", "axes-int", "methods-int", "axes-str", "axes-repeat"])
 def test_out_of_range_run_value_exits_2_before_loading(small_ds, tmp_path, monkeypatch, capsys,
                                                        overrides, argv, key):
     def no_load(manifest):
@@ -844,6 +875,30 @@ def test_every_shipped_config_passes_the_key_check(small_ds, tmp_path, monkeypat
         path = tmp_path / f"c{i}.json"
         path.write_text(json.dumps(config))
         assert cli._load_config(path)["datasets"]
+
+
+def _readme_keys() -> tuple[dict, set]:
+    """README's pipeline config block, parsed, and the keys its flag table checks flags as."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Pipeline config", 1)[1].split("```jsonc\n", 1)[1].split("```")[0]
+    table = readme.split("The subcommand flags go through the same checks:", 1)[1]
+    rows = [line.split("|")[2] for line in table.split("\n\n")[1].splitlines()[2:]]
+    return (json.loads(re.sub(r"//.*", "", block)),
+            {key for row in rows for key in re.findall(r"`(\w+)`", row)})
+
+
+def test_readme_documents_every_parameter():
+    config, flag_keys = _readme_keys()
+    entries = [config, *config["datasets"], *config["methods"]]
+    config_keys = {key for entry in entries for key in entry}
+    assert sorted(cli.PARAMS.keys() - config_keys - flag_keys) == []
+    assert sorted(flag_keys - cli.PARAMS.keys()) == []
+    assert sorted(config_keys - cli.PARAMS.keys()) == ["kind"]  # checked apart from PARAMS
+    # the config block shows every optional top-level key at its default
+    assert {key: value for key, value in config.items()
+            if cli.PARAMS[key][0] is not cli.REQUIRED} == {
+        key: cli.PARAMS[key][0] for key in cli.CONFIG_KEYS
+        if cli.PARAMS[key][0] is not cli.REQUIRED}
 
 
 def test_external_method_without_pred_dir_exits_2_before_loading(small_ds, tmp_path,
