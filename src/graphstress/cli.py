@@ -36,6 +36,7 @@ from .errors import (
     DegenerateGroup,
     EmptySubgraph,
     MissingInput,
+    NoTrainLabels,
     PartialFailure,
     StressError,
 )
@@ -255,59 +256,59 @@ def _edge_manifests(dataset: Dataset, saliency: SaliencyTable, targets: list, se
     return manifests
 
 
-def _fidelity_records(targets, k_levels, probability) -> dict:
-    """Target -> {(ranking, k): FidelityRecord}.
+def _check_probs(probs: dict, targets, k_levels, source) -> None:
+    """A probs file's rows must be exactly clean plus every condition of every target."""
+    conditions = ["clean", *(condition_name(r, side, k) for r in RANKINGS for k in k_levels
+                             for side in ("top", "comp"))]
+    rows = [(t, c) for t in targets for c in conditions]
+    extra = sorted(probs.keys() - set(rows))
+    if extra:
+        raise BadId(f"{source} has a row for target {extra[0][0]}, condition {extra[0][1]}, "
+                    "which no manifest holds")
+    for t, c in rows:
+        if (t, c) not in probs:
+            raise MissingInput(f"{source} lacks the {c} probability of target {t}")
 
-    ``probability(t, condition)`` is target t's predicted-class probability
-    with the condition's units masked; it is asked for "clean" (nothing
-    masked) before any masked condition of the same target.
+
+def _refmodel_probs(graph: Graph, train_labels: np.ndarray, manifests: dict) -> dict:
+    """(target, condition) -> the built-in model's predicted-class probability, clean included.
+
+    Each condition is scored on the target's ``graph.induced(manifest.nodes)`` less its
+    edges; that subgraph holds the target's propagation ball, so the result equals scoring
+    ``masked_graph``'s output.
     """
-    records = {}
-    for t in targets:
-        p0 = probability(t, "clean")
-        records[t] = {(r, k): fidelity(p0, probability(t, condition_name(r, "top", k)),
-                                       probability(t, condition_name(r, "comp", k)))
-                      for r in RANKINGS for k in k_levels}
-    return records
+    if not np.any((train_labels >= 0) & (train_labels < graph.num_classes)):
+        raise NoTrainLabels("propagation needs at least one labeled train node")
+    probs = {}
+    for t, m in manifests.items():
+        sub = graph.induced(m.nodes)
+        node = int(np.searchsorted(m.nodes, t))
+        labels = train_labels[m.nodes]
+        labels[node] = 0  # t never counts itself: a label-free ball raises no NoTrainLabels
+        row = predict_node(sub, labels, graph.num_classes, node)
+        probs[(t, "clean")] = float(row.max())
+        for condition, masked in m.conditions.items():
+            drop = np.zeros(len(m.edges), dtype=bool)  # in sub.edge_keys() order
+            drop[masked] = True
+            probs[(t, condition)] = predicted_class_prob(
+                remove_edges(sub, drop), labels, graph.num_classes, node, int(np.argmax(row)))
+    return probs
+
+
+def _fidelity_records(probs: dict, targets, k_levels) -> dict:
+    """Target -> {(ranking, k): FidelityRecord} of a (target, condition) -> p table."""
+    return {t: {(r, k): fidelity(probs[(t, "clean")], probs[(t, condition_name(r, "top", k))],
+                                 probs[(t, condition_name(r, "comp", k))])
+                for r in RANKINGS for k in k_levels}
+            for t in targets}
 
 
 def _chars(records: dict, ranking: str, k) -> list[float]:
     return [rec[(ranking, k)].char for rec in records.values()]
 
 
-def _probs_lookup(probs: dict, source: str):
-    """probability(t, condition) for _fidelity_records, read from a probs file's rows."""
-    def probability(t, condition):
-        if (t, condition) not in probs:
-            raise MissingInput(f"{source} lacks the {condition} probability of target {t}")
-        return probs[(t, condition)]
-    return probability
-
-
-def _refmodel_lookup(graph: Graph, train_labels: np.ndarray, manifests: dict):
-    """probability(t, condition) for _fidelity_records, from the built-in model. A condition
-    is scored on t's ``graph.induced(manifest.nodes)`` less its edges; that subgraph holds t's
-    propagation ball, so the result equals scoring ``masked_graph``'s output."""
-    clean: dict = {}  # target -> (clean class, induced subgraph, local train labels)
-
-    def probability(t, condition):
-        m = manifests[t]
-        node = int(np.searchsorted(m.nodes, t))
-        if condition == "clean":
-            row = predict_node(graph, train_labels, graph.num_classes, t)
-            labels = train_labels[m.nodes]
-            labels[node] = 0  # t never counts itself: a label-free ball raises no NoTrainLabels
-            clean[t] = (int(np.argmax(row)), graph.induced(m.nodes), labels)
-            return float(row.max())
-        clean_class, sub, labels = clean[t]
-        drop = np.zeros(len(m.edges), dtype=bool)  # in sub.edge_keys() order
-        drop[m.conditions[condition]] = True
-        return predicted_class_prob(remove_edges(sub, drop), labels, graph.num_classes, node,
-                                    clean_class)
-    return probability
-
-
-FILE_NOUNS = {".pred": "prediction", ".ranking": "ranking", ".probs": "probabilities"}
+FILE_NOUNS = {".pred": "prediction", ".ranking": "ranking", ".probs": "probabilities",
+              ".saliency": "saliency"}
 
 
 def _external_file(method: dict, dataset: Dataset, axis: str, sub: str, seed: int,
@@ -419,14 +420,8 @@ def cmd_interpret_score(args) -> int:
     emit_meta = json.loads(emit_path.read_text())
     k_levels, targets = emit_meta["k_levels"], emit_meta["targets"]
     probs = read_probs_file(args.probs)
-    # exactly clean + every condition per target: _probs_lookup names a missing row
-    conditions = ["clean", *(condition_name(r, side, k) for r in RANKINGS
-                             for side in ("top", "comp") for k in k_levels)]
-    extra = sorted(probs.keys() - {(t, c) for t in targets for c in conditions})
-    if extra:
-        raise BadId(f"{args.probs} has a row for target {extra[0][0]}, condition "
-                    f"{extra[0][1]}, which {emit_path} does not emit")
-    records = _fidelity_records(targets, k_levels, _probs_lookup(probs, args.probs))
+    _check_probs(probs, targets, k_levels, args.probs)
+    records = _fidelity_records(probs, targets, k_levels)
     per_target = {str(t): {condition_name(r, part, k): getattr(rec, part)
                            for (r, k), rec in recs.items()
                            for part in ("char", "fid_plus", "fid_minus")}
@@ -740,31 +735,28 @@ class PipelineRunner:
         return {**out, **asdict(_demographic(dataset, table))}
 
     def _axis_interpret(self, dataset: Dataset, method: dict, seed: int) -> dict:
-        if method["kind"] == "external":
-            if not _setting(method, "has_saliency"):
-                # no per-edge gradient interface: protocol excludes the method
-                return {f"char_{r}_{k}": INAPPLICABLE
-                        for r in RANKINGS for k in self.k_levels}
-            probs_path = _external_file(method, dataset, "interpret", "char", seed,
-                                        f"seed{seed}.probs")
-            probs = read_probs_file(probs_path)
-            targets = sorted({t for (t, _c) in probs})
-            probability = _probs_lookup(
-                probs, f"cell (interpret, {dataset.name}, {method['name']}, seed {seed}): "
-                       f"{probs_path}")
+        external = method["kind"] == "external"
+        if external and not _setting(method, "has_saliency"):
+            # no per-edge gradient interface: protocol excludes the method
+            return {f"char_{r}_{k}": INAPPLICABLE for r in RANKINGS for k in self.k_levels}
+        split = _given_split(dataset)
+        train = split.units(Role.TRAIN)
+        # both kinds are scored on the manifests of the same test-prefix targets
+        saliency = (read_saliency_file(_external_file(method, dataset, "interpret", "char", seed,
+                                                      f"seed{seed}.saliency"))
+                    if external else _refmodel_saliency(dataset, train))
+        op_dir = (self._op_dir(dataset, f"interpret_seed{seed}")
+                  if self._writes_ops(method) else None)
+        manifests = _edge_manifests(dataset, saliency,
+                                    split.units(Role.TEST)[:self.num_targets].tolist(),
+                                    seed, self.k_levels, PropagationConfig().hops, op_dir)
+        if external:
+            path = _external_file(method, dataset, "interpret", "char", seed, f"seed{seed}.probs")
+            probs = read_probs_file(path)
+            _check_probs(probs, manifests, self.k_levels, path)
         else:
-            split = _given_split(dataset)
-            train = split.units(Role.TRAIN)
-            op_dir = (self._op_dir(dataset, f"interpret_seed{seed}")
-                      if self._writes_ops(method) else None)
-            manifests = _edge_manifests(dataset, _refmodel_saliency(dataset, train),
-                                        split.units(Role.TEST)[:self.num_targets].tolist(),
-                                        seed, self.k_levels, PropagationConfig().hops, op_dir)
-            targets = list(manifests)
-            probability = _refmodel_lookup(dataset.graph, _train_labels(dataset.graph, train),
-                                           manifests)
-
-        records = _fidelity_records(targets, self.k_levels, probability)
+            probs = _refmodel_probs(dataset.graph, _train_labels(dataset.graph, train), manifests)
+        records = _fidelity_records(probs, manifests, self.k_levels)
         return {f"char_{r}_{k}": float(np.mean(_chars(records, r, k))) if records else None
                 for r in RANKINGS for k in self.k_levels}
 
@@ -999,6 +991,8 @@ def main(argv=None) -> int:
             key = ENTRY_FLAGS.get(dest, dest)
             if key in PARAMS and value is not None:
                 _check_range(key, [value] if dest in ENTRY_FLAGS else value)
+        if getattr(args, "out", None):  # a file or directory --out may name a new parent
+            Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         return args.func(args)
     except StressError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)

@@ -241,19 +241,23 @@ def read_manifest_file(path) -> TargetManifest:
     edges = []
     conditions: dict[str, np.ndarray] = {}
     with open(require_file(path)) as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             parts = line.rstrip("\n").split("\t")
-            if parts[0] == "target":
-                target = int(parts[1])
-            elif parts[0] == "unit_kind":
-                unit_kind = parts[1]
-            elif parts[0] == "nodes":
-                nodes = np.array([int(x) for x in parts[1].split()], dtype=np.int64)
-            elif parts[0] == "edge":
-                edges.append((int(parts[1]), int(parts[2])))
-            elif parts[0] == "condition":
-                ids = parts[2].split() if len(parts) > 2 else []
-                conditions[parts[1]] = np.array([int(x) for x in ids], dtype=np.int64)
+            try:
+                if parts[0] == "target":
+                    target = int(parts[1])
+                elif parts[0] == "unit_kind":
+                    unit_kind = parts[1]
+                elif parts[0] == "nodes":
+                    nodes = np.array([int(x) for x in parts[1].split()], dtype=np.int64)
+                elif parts[0] == "edge":
+                    edges.append((int(parts[1]), int(parts[2])))
+                elif parts[0] == "condition":
+                    ids = parts[2].split() if len(parts) > 2 else []
+                    conditions[parts[1]] = np.array([int(x) for x in ids], dtype=np.int64)
+            except (ValueError, IndexError):
+                raise LengthMismatch(
+                    f"{path}: line {lineno}: cannot parse {line.rstrip()!r}") from None
     if target is None or unit_kind is None:
         raise LengthMismatch(f"{path}: incomplete manifest")
     if unit_kind != "edge":

@@ -393,6 +393,64 @@ def test_interpret_score_needs_exactly_the_emitted_rows(tmp_path, monkeypatch, c
     assert words in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change, error", [
+    ("exact", None), ("drop-hardest", "MissingInput"), ("added-target", "BadId"),
+    ("no-saliency", "MissingInput")])
+def test_run_scores_an_external_interpret_cell_on_the_harness_targets(small_ds, tmp_path,
+                                                                      monkeypatch, change, error):
+    # the method's probs answer the manifests `stress interpret emit` writes for its saliency
+    monkeypatch.chdir(tmp_path)
+    files = Path("preds/tiny/interpret")
+    files.mkdir(parents=True)
+    saliency = files / "seed0.saliency"
+    write_saliency_file(saliency, SaliencyTable("node_grad_norm", np.arange(150),
+                                                np.arange(150) * 37 % 101 / 101))
+    assert main(["interpret", "emit", "--dataset", str(small_ds), "--saliency", str(saliency),
+                 "--num-targets", "3", "--out", "emit"]) == 0
+    targets = json.loads(Path("emit/emit.json").read_text())["targets"]
+    assert len(targets) > 1
+    rng = np.random.default_rng(1)
+    probs = {(t, c): float(rng.random()) for t in targets
+             for c in ["clean", *read_manifest_file(f"emit/target_{t}.manifest").conditions]}
+    write_probs_file("all.probs", probs)
+    assert main(["interpret", "score", "--manifest", "emit", "--probs", "all.probs",
+                 "--out", "score.json"]) == 0
+    scored = json.loads(Path("score.json").read_text())
+    # the hardest target: the lowest saliency char summed over k
+    hardest = min(targets, key=lambda t: sum(v for c, v in scored["records"][str(t)].items()
+                                             if c.startswith("saliency_char_")))
+    named = None  # what the failed cell's error names
+    if change == "drop-hardest":
+        probs = {key: p for key, p in probs.items() if key[0] != hardest}
+        named = f"target {hardest}"
+    elif change == "added-target":
+        extra = int(load_dataset(small_ds).split.units(Role.TEST)[3])
+        probs.update({(extra, c): p for (t, c), p in probs.items() if t == targets[0]})
+        named = f"target {extra}"
+    elif change == "no-saliency":
+        saliency.unlink()
+        named = str(saliency)
+    write_probs_file(files / "seed0.probs", probs)
+    config = _write_config(Path("config.json"), manifest=small_ds, seeds=[0], axes=["interpret"],
+                           write_operator_outputs=True,
+                           methods=[{"kind": "external", "name": "m_ext", "pred_dir": "preds",
+                                     "has_saliency": True}])
+    code = main(["run", "--config", str(config), "--out", "r"])
+    if error is not None:
+        assert code == 1
+        log = Path("r/errors.log").read_text()
+        assert error in log and named in log
+        return
+    assert code == 0
+    report = load_report(Path("r/report.json"))
+    for name, cell in scored["cells"].items():
+        assert report.get("interpret", name, "tiny", "m_ext").mean == cell["mean"], name
+    ops = Path("r/ops/tiny/interpret_seed0")
+    assert sorted(p.name for p in ops.iterdir()) == sorted(f"target_{t}.manifest" for t in targets)
+    for path in ops.iterdir():
+        assert path.read_bytes() == (Path("emit") / path.name).read_bytes()
+
+
 def test_interpret_score_without_emit_json_exits_2(tmp_path, capsys):
     man_dir = tmp_path / "manifests"
     man_dir.mkdir()
@@ -543,17 +601,28 @@ def test_reused_out_holds_only_the_last_run(small_ds, tmp_path, monkeypatch):
     assert set(load_report(tmp_path / "rebuilt.json").cells) == {"fairness"}
 
 
-def test_directed_graph_fails_the_refmodel_interpret_cell(tmp_path):
-    # masking removes undirected edges; a directed graph is a named cell failure
-    ds = make_node_dataset(name="arcs", num_nodes=150, num_classes=2, seed=3)
-    ds.graph.undirected = False
+def _failed_interpret_cell(tmp_path, ds) -> str:
+    """The one errors.log line of a refmodel interpret run on ds, named "arcs"."""
     config = _write_config(tmp_path / "config.json", manifest=save_dataset(ds, tmp_path / "arcs"),
                            seeds=1, axes=["interpret"])
     out = tmp_path / "results"
     assert main(["run", "--config", str(config), "--out", str(out)]) == 1
     log = (out / "errors.log").read_text().splitlines()
     assert len(log) == 1 and "(interpret, arcs, refmodel, seed 0)" in log[0]
-    assert "DirectedGraph" in log[0]
+    return log[0]
+
+
+def test_directed_graph_fails_the_refmodel_interpret_cell(tmp_path):
+    # masking removes undirected edges; a directed graph is a named cell failure
+    ds = make_node_dataset(name="arcs", num_nodes=150, num_classes=2, seed=3)
+    ds.graph.undirected = False
+    assert "DirectedGraph" in _failed_interpret_cell(tmp_path, ds)
+
+
+def test_split_without_train_nodes_fails_the_refmodel_interpret_cell(tmp_path):
+    ds = make_node_dataset(name="arcs", num_nodes=150, num_classes=2, seed=3)
+    ds.split.roles[ds.split.roles == int(Role.TRAIN)] = int(Role.EXCLUDED)
+    assert "NoTrainLabels" in _failed_interpret_cell(tmp_path, ds)
 
 
 def test_one_sided_sensitive_attribute_keeps_head_tail_gap(tmp_path):
@@ -954,6 +1023,27 @@ def test_report_command_regenerates_cells(small_ds, tmp_path):
 def test_report_without_values_exits_2(tmp_path):
     assert main(["report", "--results", str(tmp_path), "--out",
                  str(tmp_path / "r")]) == 2
+
+
+@pytest.mark.parametrize("argv, written", [
+    (["refmodel", "--dataset", "DS"], ["x"]),
+    (["fairness", "--dataset", "DS", "--kind", "structural", "--pred", "ref.pred"], ["x"]),
+    (["interpret", "score", "--manifest", "m", "--probs", "x.probs"], ["x"]),
+    (["report", "--results", "r"], ["x.csv", "x.json"]),
+], ids=["refmodel", "fairness", "interpret-score", "report"])
+def test_missing_parent_of_out_is_created(small_ds, tmp_path, monkeypatch, argv, written):
+    monkeypatch.chdir(tmp_path)
+    assert main(["refmodel", "--dataset", str(small_ds), "--out", "ref.pred"]) == 0
+    Path("m").mkdir()
+    Path("m/emit.json").write_text(json.dumps({"k_levels": [5], "targets": [], "skipped": []}))
+    write_probs_file("x.probs", {})
+    Path("r/values").mkdir(parents=True)
+    Path("r/values/fairness.head_tail_gap.tiny.refmodel.json").write_text(json.dumps(
+        {"axis": "fairness", "subcondition": "head_tail_gap", "dataset": "tiny",
+         "method": "refmodel", "seeds": [0], "values": [1.5]}))
+    argv = [str(small_ds) if a == "DS" else a for a in argv]
+    assert main([*argv, "--out", "no/such/x"]) == 0
+    assert sorted(p.name for p in Path("no/such").iterdir()) == written
 
 
 # ---------------------------------------------------------------------------

@@ -326,6 +326,15 @@ def test_manifest_incomplete_rejected(tmp_path):
         read_manifest_file(p)
 
 
+@pytest.mark.parametrize("line", ["target\tx", "edge\t1"], ids=["target-not-a-number",
+                                                                 "edge-one-endpoint"])
+def test_malformed_manifest_line_names_file_and_line(tmp_path, line):
+    p = tmp_path / "bad.manifest"
+    p.write_text(f"unit_kind\tedge\nnodes\t0 1\n{line}\n")
+    with pytest.raises(LengthMismatch, match=r"bad\.manifest: line 3: "):
+        read_manifest_file(p)
+
+
 def test_manifest_file_writes_edge_unit_kind_and_rejects_others(tmp_path, random_graph):
     manifest = build_edge_manifest(random_graph, 31, _node_scores(100), KEY)
     p = tmp_path / "t31.manifest"

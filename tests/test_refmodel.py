@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from graphstress.determinism import derive_key
 from graphstress.errors import ConfigError, EmptySubgraph, NoTrainLabels
 from graphstress.graph_store import Graph
-from graphstress.cli import _refmodel_lookup
+from graphstress.cli import _refmodel_probs
 from graphstress.interpret import SaliencyTable, TargetManifest, build_edge_manifest, masked_graph
 from graphstress import refmodel
 from graphstress.refmodel import (
@@ -226,13 +226,14 @@ def test_masked_traversal_equals_full_graph_masking_property(seed, manifest_hops
                                        hops=manifest_hops)
     except EmptySubgraph:
         return
-    probability = _refmodel_lookup(g, train, {target: manifest})
+    probs = _refmodel_probs(g, train, {target: manifest})
+    assert sorted(probs) == sorted((target, c) for c in ["clean", *manifest.conditions])
     clean_row = propagate_predict(g, train, 3).rows_for(np.array([target]))[0]
     clean_class = int(np.argmax(clean_row))
-    assert probability(target, "clean") == float(clean_row[clean_class])
+    assert probs[(target, "clean")] == float(clean_row[clean_class])
     for name in manifest.conditions:
         want = _full_graph_prob(g, train, manifest, name, clean_class)
-        assert probability(target, name) == want, name
+        assert probs[(target, name)] == want, name
 
 
 def test_masked_edges_block_both_directions():
@@ -241,10 +242,10 @@ def test_masked_edges_block_both_directions():
     train = np.array([-1, 0, 1], dtype=np.int64)
     manifests = {t: TargetManifest(target=t, nodes=np.arange(3), edges=np.array([[0, 1], [1, 2]]),
                                    conditions={"mask_12": np.array([1])}) for t in range(3)}
-    probability = _refmodel_lookup(g, train, manifests)
-    clean = [probability(t, "clean") for t in range(3)]
+    probs = _refmodel_probs(g, train, manifests)
+    clean = [probs[(t, "clean")] for t in range(3)]
     assert clean == [0.5, 2 / 3, 2 / 3]  # clean classes 0, 1, 0
-    masked = [probability(t, "mask_12") for t in range(3)]
+    masked = [probs[(t, "mask_12")] for t in range(3)]
     assert masked == [2 / 3, 0.5, 0.5]
     for t, clean_class in enumerate([0, 1, 0]):
         assert masked[t] == _full_graph_prob(g, train, manifests[t], "mask_12", clean_class)
