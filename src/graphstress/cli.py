@@ -47,8 +47,8 @@ from .graph_store import (
     Role,
     SplitAssignment,
     load_dataset,
+    read_json,
     remove_edges,
-    require_file,
     save_dataset,
     write_json,
     write_split_file,
@@ -195,7 +195,8 @@ def _imbalanced(dataset: Dataset, rho: float, seed: int):
     g = dataset.graph
     split = _given_split(dataset)
     train = split.units(Role.TRAIN)
-    spec = build_spec(np.bincount(g.labels[train], minlength=g.num_classes), rho)
+    # an unlabeled train unit's label is num_classes: it counts in no class
+    spec = build_spec(np.bincount(g.labels[train], minlength=g.num_classes + 1)[:-1], rho)
     key = derive_key("imbalance", dataset.name, "downsample", int(rho), seed)
     kept = step_downsample(train_units_by_class(g.labels, train, g.num_classes), spec, key)
     roles = split.roles.copy()
@@ -416,8 +417,7 @@ def cmd_interpret_emit(args) -> int:
 
 
 def cmd_interpret_score(args) -> int:
-    emit_path = require_file(Path(args.manifest) / "emit.json")
-    emit_meta = json.loads(emit_path.read_text())
+    emit_meta = read_json(Path(args.manifest) / "emit.json", ("k_levels", "targets"))
     k_levels, targets = emit_meta["k_levels"], emit_meta["targets"]
     probs = read_probs_file(args.probs)
     _check_probs(probs, targets, k_levels, args.probs)
@@ -442,7 +442,8 @@ def cmd_report(args) -> int:
     values_dir = Path(args.results) / "values"
     if not values_dir.is_dir():
         raise MissingInput(f"no values directory under {args.results}")
-    records = [json.loads(path.read_text()) for path in sorted(values_dir.glob("*.json"))]
+    records = [read_json(path, ("axis", "subcondition", "dataset", "method", "values"))
+               for path in sorted(values_dir.glob("*.json"))]
     report = _build_report(records, {"tool_version": __version__})
     out = Path(args.out)
     emit_report(report, json_path=out.with_suffix(".json"), csv_path=out.with_suffix(".csv"))
@@ -580,8 +581,7 @@ INAPPLICABLE = "inapplicable"
 
 def _cell_from_values(values: list) -> MetricCell:
     if all(v == INAPPLICABLE for v in values):
-        return MetricCell(mean=None, std=None, n=len(values), undefined=True,
-                          note=INAPPLICABLE)
+        return MetricCell.undef(len(values), note=INAPPLICABLE)
     if any(v is None for v in values):
         return MetricCell.undef(len(values))
     return aggregate_seeds([float(v) for v in values])
@@ -834,30 +834,21 @@ class PipelineRunner:
         for rec in records:
             write_json(values_dir / "{axis}.{subcondition}.{dataset}.{method}.json".format(**rec),
                        rec)
-        if report.num_cells:
+        if report.cells:
             emit_report(report, json_path=self.out / "report.json",
                         csv_path=self.out / "report.csv")
 
 
 def _build_report(records: list, provenance: dict) -> Report:
-    """Report of values records (one cell's per-seed values each), plus the lift cells."""
-    report = Report(cells={}, provenance=provenance)
-    for rec in records:
-        report.put(rec["axis"], rec["subcondition"], rec["dataset"], rec["method"],
-                   _cell_from_values(rec["values"]))
-    _emit_lifts(report)
-    return report
-
-
-def _emit_lifts(report: Report) -> None:
-    """Add delta_char cells (saliency minus random, std-propagated) per k."""
-    for axis, sub, ds, m, sal_cell in list(report.rows()):
-        if axis != "interpret" or not sub.startswith("char_saliency_"):
-            continue
+    """Report of values records (one cell's per-seed values each), plus the delta_char cells."""
+    cells = {(rec["axis"], rec["subcondition"], rec["dataset"], rec["method"]):
+             _cell_from_values(rec["values"]) for rec in records}
+    for (axis, sub, ds, m), sal in list(cells.items()):
         k = sub.removeprefix("char_saliency_")
-        rand_cell = report.cells[axis].get(f"char_random_{k}", {}).get(ds, {}).get(m)
-        if rand_cell is not None:
-            report.put(axis, f"delta_char_{k}", ds, m, char_lift(sal_cell, rand_cell))
+        rand = cells.get((axis, f"char_random_{k}", ds, m))
+        if axis == "interpret" and sub.startswith("char_saliency_") and rand is not None:
+            cells[axis, f"delta_char_{k}", ds, m] = char_lift(sal, rand)
+    return Report(cells=cells, provenance=provenance)
 
 
 def cmd_run(args) -> int:
@@ -874,8 +865,8 @@ def cmd_run(args) -> int:
         print(f"{len(e.failures)} cell(s) failed; see {out / 'errors.log'}",
               file=sys.stderr)
         return 1
-    n_inapplicable = sum(1 for *_k, cell in report.rows() if cell.note == INAPPLICABLE)
-    print(f"report: {out / 'report.json'} ({report.num_cells} cells, "
+    n_inapplicable = sum(cell.note == INAPPLICABLE for cell in report.cells.values())
+    print(f"report: {out / 'report.json'} ({len(report.cells)} cells, "
           f"{n_inapplicable} inapplicable)")
     return 0
 

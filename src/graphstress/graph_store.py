@@ -53,14 +53,7 @@ class Role(IntEnum):
     EXCLUDED = 5
 
 
-ROLE_NAMES = {
-    Role.TRAIN: "train",
-    Role.VAL: "val",
-    Role.TEST: "test",
-    Role.OOD_VAL: "ood_val",
-    Role.OOD_TEST: "ood_test",
-    Role.EXCLUDED: "excluded",
-}
+ROLE_NAMES = {role: role.name.lower() for role in Role}  # train, val, ..., excluded
 ROLE_BY_NAME = {v: k for k, v in ROLE_NAMES.items()}
 
 
@@ -112,9 +105,6 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
-
-    def neighbors_of(self, node: int) -> np.ndarray:
-        return self.neighbors[self.offsets[node]:self.offsets[node + 1]]
 
     def arcs(self) -> tuple[np.ndarray, np.ndarray]:
         """All arcs as (src, dst) arrays in CSR order."""
@@ -286,12 +276,11 @@ class TripleStore:
         if t.ndim != 2 or t.shape[1] != 3:
             raise LengthMismatch("triples must be an (m, 3) array")
         if len(t):
-            if t[:, 0].min() < 0 or t[:, 0].max() >= self.num_entities:
-                raise BadId("head entity id out of range")
-            if t[:, 2].min() < 0 or t[:, 2].max() >= self.num_entities:
-                raise BadId("tail entity id out of range")
-            if t[:, 1].min() < 0 or t[:, 1].max() >= self.num_relations:
-                raise BadId("relation id out of range")
+            for col, n, what in ((0, self.num_entities, "head entity"),
+                                 (2, self.num_entities, "tail entity"),
+                                 (1, self.num_relations, "relation")):
+                if t[:, col].min() < 0 or t[:, col].max() >= n:
+                    raise BadId(f"{what} id out of range")
             keys = (t[:, 0] * self.num_relations + t[:, 1]) * self.num_entities + t[:, 2]
             if len(np.unique(keys)) != len(keys):
                 raise LengthMismatch("duplicate triples")
@@ -380,6 +369,21 @@ def write_table(path, columns, header: str | None = None) -> None:
 def write_json(path, obj) -> None:
     """Write obj as JSON indented by two spaces, keys sorted, with a final newline."""
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def read_json(path, required=()) -> dict:
+    """The JSON object a file holds, with every key of ``required``; else a LengthMismatch."""
+    path = require_file(path)
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise LengthMismatch(f"{path}: does not parse as JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise LengthMismatch(f"{path}: must be a JSON object, got {doc!r:.40}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise LengthMismatch(f"{path}: lacks the key {missing[0]!r}")
+    return doc
 
 
 def read_header(path, key: str) -> str:
@@ -501,20 +505,45 @@ def write_triple_file(path: Path, triples: np.ndarray) -> None:
 # manifest loading / saving
 # ---------------------------------------------------------------------------
 
+# the keys a manifest of each kind must give
+MANIFEST_KEYS = {"node_graph": ("num_nodes", "edge_file"),
+                 "triples": ("num_entities", "num_relations", "triple_file"),
+                 "graph_collection": ("num_graphs", "graph_size_file", "graph_file",
+                                      "graph_label_file")}
+
+
+def _read_manifest(path: Path) -> dict:
+    """The manifest at path, checked: its kind's keys are there and each known key has its type."""
+    manifest = read_json(path, ("kind",))
+    if manifest["kind"] not in MANIFEST_KEYS:
+        raise LengthMismatch(f"{path}: unknown dataset kind {manifest['kind']!r}")
+    missing = [key for key in MANIFEST_KEYS[manifest["kind"]] if key not in manifest]
+    if missing:
+        raise LengthMismatch(f"{path}: lacks the key {missing[0]!r}")
+    for key, value in manifest.items():
+        if key.startswith("num_") or key == "feature_dim":
+            ok, expected = type(value) is int and value >= 0, "a non-negative integer"
+        elif key.endswith("_file") or key == "name":
+            ok, expected = isinstance(value, str), "a string"
+        elif key == "undirected":
+            ok, expected = isinstance(value, bool), "true or false"
+        else:
+            continue
+        if not ok:
+            raise LengthMismatch(f"{path}: {key} must be {expected}, got {value!r}")
+    return manifest
+
+
 def load_dataset(manifest_path) -> Dataset:
     """Load and fully validate a dataset declared by a manifest file."""
     manifest_path = Path(manifest_path)
-    require_file(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as e:
-        raise LengthMismatch(f"{manifest_path}: manifest does not parse: {e}") from e
+    manifest = _read_manifest(manifest_path)
     base = manifest_path.parent
-    kind = manifest.get("kind")
+    kind = manifest["kind"]
     name = manifest.get("name", manifest_path.stem)
 
     if kind == "node_graph":
-        num_nodes = int(manifest["num_nodes"])
+        num_nodes = manifest["num_nodes"]
         src, dst = read_edge_file(base / manifest["edge_file"])
         features = None
         if manifest.get("feature_file"):
@@ -522,10 +551,10 @@ def load_dataset(manifest_path) -> Dataset:
             if features.shape[0] != num_nodes:
                 raise LengthMismatch("feature rows do not match num_nodes")
             declared = manifest.get("feature_dim")
-            if declared is not None and features.shape[1] != int(declared):
+            if declared is not None and features.shape[1] != declared:
                 raise LengthMismatch("feature_dim does not match feature file")
         labels = None
-        num_classes = int(manifest.get("num_classes", 0))
+        num_classes = manifest.get("num_classes", 0)
         if manifest.get("label_file"):
             labels = read_label_file(base / manifest["label_file"], num_nodes, num_classes)
         meta = NodeMeta()
@@ -533,7 +562,7 @@ def load_dataset(manifest_path) -> Dataset:
             meta = read_meta_file(base / manifest["meta_file"], num_nodes)
         graph = Graph.from_arcs(
             num_nodes, src, dst,
-            undirected=bool(manifest.get("undirected", True)),
+            undirected=manifest.get("undirected", True),
             features=features, labels=labels, num_classes=num_classes, meta=meta,
         )
         split = None
@@ -543,22 +572,19 @@ def load_dataset(manifest_path) -> Dataset:
 
     if kind == "triples":
         store = TripleStore(
-            num_entities=int(manifest["num_entities"]),
-            num_relations=int(manifest["num_relations"]),
+            num_entities=manifest["num_entities"],
+            num_relations=manifest["num_relations"],
             triples=read_triple_file(base / manifest["triple_file"]),
         )
         store.validate()
         return Dataset(kind=kind, name=name, store=store)
 
-    if kind == "graph_collection":
-        return _load_collection(manifest, base, name)
-
-    raise LengthMismatch(f"{manifest_path}: unknown dataset kind {kind!r}")
+    return _load_collection(manifest, base, name)
 
 
 def _load_collection(manifest: dict, base: Path, name: str) -> Dataset:
-    num_graphs = int(manifest["num_graphs"])
-    num_tasks = int(manifest.get("num_tasks", 1))
+    num_graphs = manifest["num_graphs"]
+    num_tasks = manifest.get("num_tasks", 1)
     path = base / manifest["graph_size_file"]
     gids, graph_sizes = read_table(path, (np.int64, np.int64))
     _check_ids(path, gids, num_graphs, "graph id")
@@ -569,7 +595,7 @@ def _load_collection(manifest: dict, base: Path, name: str) -> Dataset:
     path = base / manifest["graph_file"]
     gids, src, dst = read_table(path, (np.int64,) * 3)
     _check_ids(path, gids, num_graphs, "graph id")
-    graphs = _collection_graphs(path, sizes, gids, src, dst, bool(manifest.get("undirected", True)))
+    graphs = _collection_graphs(path, sizes, gids, src, dst, manifest.get("undirected", True))
     path = base / manifest["graph_label_file"]
     gids, *tasks = read_table(path, (np.int64,) + (object,) * num_tasks)
     _check_ids(path, gids, num_graphs, "graph id")

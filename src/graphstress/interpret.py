@@ -18,6 +18,7 @@ There is one mask-unit kind: the edges of a node target's receptive field.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,7 @@ from .errors import (
     SeedCountMismatch,
 )
 from .graph_store import Graph, read_header, read_table, remove_edges, require_file, write_table
-from .metrics import lookup_rows
+from .metrics import lookup_rows, unit_order
 from .report import MetricCell
 
 K_PERCENT_LEVELS = (5, 10, 20, 50)
@@ -45,6 +46,7 @@ class SaliencyTable:
     kind: str  # e.g. node_grad_norm
     unit_ids: np.ndarray
     scores: np.ndarray
+    source: str = "saliency table"  # the file it was read from, named in errors
     _order: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -54,7 +56,7 @@ class SaliencyTable:
             raise LengthMismatch("one score per unit id required")
         if not np.all(np.isfinite(self.scores)) or np.any(self.scores < 0):
             raise BadProbability("saliency scores must be finite and nonnegative")
-        self._order = np.argsort(self.unit_ids, kind="stable")
+        self._order = unit_order(self.unit_ids, self.source)
 
     def scores_for(self, units: np.ndarray) -> np.ndarray:
         rows = lookup_rows(self.unit_ids, self._order, units,
@@ -271,7 +273,7 @@ def read_saliency_file(path) -> SaliencyTable:
     """Text format: header ``#kind<TAB>KIND`` then ``unit_id<TAB>score`` rows."""
     kind = read_header(path, "#kind")
     ids, scores = read_table(path, (np.int64, np.float64))
-    return SaliencyTable(kind=kind, unit_ids=ids, scores=scores)
+    return SaliencyTable(kind=kind, unit_ids=ids, scores=scores, source=str(path))
 
 
 def write_saliency_file(path, table: SaliencyTable) -> None:
@@ -279,9 +281,14 @@ def write_saliency_file(path, table: SaliencyTable) -> None:
 
 
 def read_probs_file(path) -> dict[tuple[int, str], float]:
-    """Rows ``target_id<TAB>condition<TAB>prob`` from the external model."""
+    """Rows ``target_id<TAB>condition<TAB>prob`` from the external model, one per key."""
     targets, conditions, probs = read_table(path, (np.int64, object, np.float64))
-    return dict(zip(zip(targets.tolist(), conditions.tolist()), probs.tolist()))
+    keys = list(zip(targets.tolist(), conditions.tolist()))
+    table = dict(zip(keys, probs.tolist()))
+    if len(table) < len(keys):
+        (t, c), _ = Counter(keys).most_common(1)[0]
+        raise LengthMismatch(f"{path}: target {t}, condition {c} has more than one row")
+    return table
 
 
 def write_probs_file(path, probs: dict[tuple[int, str], float]) -> None:

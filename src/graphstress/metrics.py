@@ -23,10 +23,20 @@ from .errors import (
 from .graph_store import read_header, read_table, write_table
 
 
+def unit_order(unit_ids: np.ndarray, source: str) -> np.ndarray:
+    """``np.argsort(unit_ids, kind="stable")``; a repeated id is a LengthMismatch naming source."""
+    order = np.argsort(unit_ids, kind="stable")
+    sorted_ids = unit_ids[order]
+    repeated = sorted_ids[1:][sorted_ids[1:] == sorted_ids[:-1]]
+    if len(repeated):
+        raise LengthMismatch(f"{source}: unit id {repeated[0]} appears more than once")
+    return order
+
+
 def lookup_rows(unit_ids: np.ndarray, order: np.ndarray, units, missing) -> np.ndarray:
     """Row index of each requested unit id, in request order.
 
-    ``order`` is ``np.argsort(unit_ids, kind="stable")``. For the first
+    ``order`` is ``unit_order(unit_ids, ...)``. For the first
     requested id absent from ``unit_ids``, raises ``missing(unit_id)``.
     """
     units = np.asarray(units, dtype=np.int64)
@@ -48,6 +58,7 @@ class PredictionTable:
 
     unit_ids: np.ndarray  # (n,) int64
     rows: np.ndarray      # (n, num_classes) float64, or (n, 1) scalar scores
+    source: str = "prediction table"  # the file it was read from, named in errors
     _order: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -55,15 +66,13 @@ class PredictionTable:
         self.rows = np.atleast_2d(np.asarray(self.rows, dtype=np.float64))
         if self.rows.shape[0] != len(self.unit_ids):
             raise LengthMismatch("one probability row per unit id required")
-        if len(np.unique(self.unit_ids)) != len(self.unit_ids):
-            raise LengthMismatch("duplicate unit ids in prediction table")
         if not np.all(np.isfinite(self.rows)):
             raise BadProbability("prediction rows must be finite")
         if self.num_classes > 1:
             sums = self.rows.sum(axis=1)
             if np.any(np.abs(sums - 1.0) > 1e-4):
                 raise BadProbability("probability rows must sum to 1 within 1e-4")
-        self._order = np.argsort(self.unit_ids, kind="stable")
+        self._order = unit_order(self.unit_ids, self.source)
 
     @property
     def num_classes(self) -> int:
@@ -111,17 +120,22 @@ def accuracy(preds: PredictionTable, labels: np.ndarray, eval_set: np.ndarray) -
     return float(np.mean(predicted == np.asarray(labels)[eval_set]))
 
 
-def per_class_recall(preds: PredictionTable, labels: np.ndarray, eval_set: np.ndarray,
-                     num_classes: int | None = None) -> np.ndarray:
-    """Recall per class; classes with no eval support come back as NaN."""
+def _class_counts(preds: PredictionTable, labels: np.ndarray, eval_set: np.ndarray,
+                  num_classes: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per class over eval_set: (eval support, predicted count, correct count), as floats."""
     eval_set = _check_eval_set(eval_set)
-    labels = np.asarray(labels)
-    true = labels[eval_set]
+    true = np.asarray(labels)[eval_set]
     predicted = preds.predicted_classes(eval_set)
     if num_classes is None:
         num_classes = max(preds.num_classes, int(true.max()) + 1)
-    support = np.bincount(true, minlength=num_classes).astype(np.float64)
-    correct = np.bincount(true[predicted == true], minlength=num_classes).astype(np.float64)
+    return tuple(np.bincount(x, minlength=num_classes).astype(np.float64)
+                 for x in (true, predicted, true[predicted == true]))
+
+
+def per_class_recall(preds: PredictionTable, labels: np.ndarray, eval_set: np.ndarray,
+                     num_classes: int | None = None) -> np.ndarray:
+    """Recall per class; classes with no eval support come back as NaN."""
+    support, _, correct = _class_counts(preds, labels, eval_set, num_classes)
     with np.errstate(invalid="ignore"):
         recall = correct / support
     recall[support == 0] = np.nan
@@ -140,15 +154,8 @@ def macro_f1(preds: PredictionTable, labels: np.ndarray, eval_set: np.ndarray,
 
     A class never predicted has precision treated as 0, hence F1 = 0.
     """
-    eval_set = _check_eval_set(eval_set)
-    true = np.asarray(labels)[eval_set]
-    predicted = preds.predicted_classes(eval_set)
-    if num_classes is None:
-        num_classes = max(preds.num_classes, int(true.max()) + 1)
-    support = np.bincount(true, minlength=num_classes).astype(np.float64)
-    pred_count = np.bincount(predicted, minlength=num_classes).astype(np.float64)
-    tp = np.bincount(true[predicted == true], minlength=num_classes).astype(np.float64)
-    f1 = np.zeros(num_classes)
+    support, pred_count, tp = _class_counts(preds, labels, eval_set, num_classes)
+    f1 = np.zeros(len(support))
     denom = support + pred_count
     nz = denom > 0
     f1[nz] = 2.0 * tp[nz] / denom[nz]
@@ -216,7 +223,7 @@ def read_prediction_file(path) -> PredictionTable:
     ids, *columns = read_table(path, (np.int64,) + (np.float64,) * int(num_classes))
     if not len(ids):
         raise EmptyEvalSet(f"{path}: no prediction rows")
-    return PredictionTable(ids, np.column_stack(columns))
+    return PredictionTable(ids, np.column_stack(columns), source=str(path))
 
 
 def write_prediction_file(path, table: PredictionTable) -> None:

@@ -1,22 +1,21 @@
-"""Seed/dataset aggregation and the nested metric report.
+"""Seed/dataset aggregation and the metric report.
 
-A report is a tree axis -> subcondition -> dataset -> method -> MetricCell.
-Aggregation never collapses axes into a single score: results stay per-axis,
-per-subcondition. Emission is byte-deterministic (sorted keys, repr floats)
-so regenerating a report from identical inputs reproduces identical files.
+A report is one flat table (axis, subcondition, dataset, method) -> MetricCell,
+which report.json nests in that key order. Aggregation never collapses axes into
+a single score: results stay per-axis, per-subcondition. Emission is
+byte-deterministic (sorted keys, repr floats) so regenerating a report from
+identical inputs reproduces identical files.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import AllUndefined, EmptyInput
-from .graph_store import write_json
+from .graph_store import read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -40,8 +39,7 @@ class MetricCell:
     def as_dict(self) -> dict:
         d: dict = {"n": self.n, "undefined": self.undefined}
         if not self.undefined:
-            d["mean"] = self.mean
-            d["std"] = self.std
+            d.update(mean=self.mean, std=self.std)
         if self.note:
             d["note"] = self.note
         return d
@@ -68,41 +66,22 @@ def aggregate_seeds(values) -> MetricCell:
 
 def cross_dataset(cells) -> MetricCell:
     """Mean of per-dataset means with between-dataset sample std."""
-    defined = [c for c in cells if not c.undefined]
-    if not defined:
+    means = [c.mean for c in cells if not c.undefined]
+    if not means:
         raise AllUndefined("no defined cells to aggregate across datasets")
-    means = np.array([c.mean for c in defined], dtype=np.float64)
-    mean = float(means.mean())
-    std = float(means.std(ddof=1)) if len(means) > 1 else 0.0
-    return MetricCell(mean=mean, std=std, n=len(means))
+    return aggregate_seeds(means)
 
 
 @dataclass
 class Report:
-    """Nested cells plus run provenance."""
+    """One flat table of cells plus run provenance."""
 
-    cells: dict  # axis -> subcondition -> dataset -> method -> MetricCell
+    cells: dict  # (axis, subcondition, dataset, method) -> MetricCell
     provenance: dict  # config_hash, master_seed, tool_version
 
-    def put(self, axis: str, subcondition: str, dataset: str, method: str,
-            cell: MetricCell) -> None:
-        self.cells.setdefault(axis, {}).setdefault(subcondition, {}) \
-            .setdefault(dataset, {})[method] = cell
-
-    def get(self, axis: str, subcondition: str, dataset: str, method: str) -> MetricCell:
-        return self.cells[axis][subcondition][dataset][method]
-
-    def rows(self):
-        """Flat (axis, subcondition, dataset, method, cell) tuples, key-sorted."""
-        for axis in sorted(self.cells):
-            for sub in sorted(self.cells[axis]):
-                for ds in sorted(self.cells[axis][sub]):
-                    for method in sorted(self.cells[axis][sub][ds]):
-                        yield axis, sub, ds, method, self.cells[axis][sub][ds][method]
-
-    @property
-    def num_cells(self) -> int:
-        return sum(1 for _ in self.rows())
+    def rows(self) -> list:
+        """(axis, subcondition, dataset, method, cell) tuples, key-sorted."""
+        return [(*key, self.cells[key]) for key in sorted(self.cells)]
 
 
 def _fmt(x: float | None) -> str:
@@ -112,36 +91,26 @@ def _fmt(x: float | None) -> str:
 
 def emit_report(report: Report, json_path, csv_path) -> None:
     """Write the report as nested JSON and as flat CSV."""
-    if report.num_cells == 0:
+    if not report.cells:
         raise EmptyInput("refusing to emit an empty report")
-    tree = {
-        axis: {
-            sub: {
-                ds: {m: cell.as_dict() for m, cell in methods.items()}
-                for ds, methods in datasets.items()
-            }
-            for sub, datasets in subs.items()
-        }
-        for axis, subs in report.cells.items()
-    }
+    tree: dict = {}
+    for (axis, sub, ds, method), cell in report.cells.items():
+        tree.setdefault(axis, {}).setdefault(sub, {}).setdefault(ds, {})[method] = cell.as_dict()
     write_json(json_path, {"provenance": report.provenance, "results": tree})
     with open(csv_path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["axis", "subcondition", "dataset", "method",
                     "seed_count", "mean", "std", "undefined", "note"])
-        for axis, sub, ds, method, cell in report.rows():
-            w.writerow([axis, sub, ds, method, cell.n,
-                        _fmt(cell.mean), _fmt(cell.std),
+        for *key, cell in report.rows():
+            w.writerow([*key, cell.n, _fmt(cell.mean), _fmt(cell.std),
                         "true" if cell.undefined else "false", cell.note])
 
 
 def load_report(json_path) -> Report:
-    payload = json.loads(Path(json_path).read_text())
-    cells: dict = {}
-    for axis, subs in payload["results"].items():
-        for sub, datasets in subs.items():
-            for ds, methods in datasets.items():
-                for method, d in methods.items():
-                    cells.setdefault(axis, {}).setdefault(sub, {}) \
-                        .setdefault(ds, {})[method] = MetricCell.from_dict(d)
+    payload = read_json(json_path, ("results",))
+    cells = {(axis, sub, ds, method): MetricCell.from_dict(d)
+             for axis, subs in payload["results"].items()
+             for sub, datasets in subs.items()
+             for ds, methods in datasets.items()
+             for method, d in methods.items()}
     return Report(cells=cells, provenance=payload.get("provenance", {}))

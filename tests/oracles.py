@@ -107,11 +107,16 @@ def bfs_hops_oracle(adjacency, center, hops):
     return set(dist)
 
 
+def neighbors_of(graph, node):
+    """The CSR row of node: its neighbor ids, sorted."""
+    return graph.neighbors[graph.offsets[node]:graph.offsets[node + 1]]
+
+
 def induced_arcs_oracle(graph, nodes):
     """Arcs with both ends in ``nodes``, as sorted (i, j) positions in ``nodes``."""
     position = {u: i for i, u in enumerate(nodes)}
     return sorted((position[u], position[v]) for u in nodes
-                  for v in graph.neighbors_of(u).tolist() if v in position)
+                  for v in neighbors_of(graph, u).tolist() if v in position)
 
 
 def reachability_oracle(adjacency, hops):
@@ -150,7 +155,7 @@ def canonical_edges_oracle(graph):
     """(sorted (u, v) pairs with u < v, sorted self-loop nodes) of an undirected graph, via sets."""
     pairs, loops = set(), set()
     for u in range(graph.num_nodes):
-        for v in graph.neighbors_of(u).tolist():
+        for v in neighbors_of(graph, u).tolist():
             if u == v:
                 loops.add(u)
             else:
@@ -159,4 +164,4 @@ def canonical_edges_oracle(graph):
 
 
 def adjacency_from_graph(graph):
-    return {u: graph.neighbors_of(u).tolist() for u in range(graph.num_nodes)}
+    return {u: neighbors_of(graph, u).tolist() for u in range(graph.num_nodes)}

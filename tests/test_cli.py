@@ -198,6 +198,25 @@ def test_imbalance_command(small_ds, tmp_path):
     assert np.array_equal(reduced.units(Role.VAL), ds.split.units(Role.VAL))
 
 
+def test_unlabeled_train_units_are_not_an_imbalance_class(tmp_path):
+    # an unlabeled unit carries the label num_classes; as a train unit it must
+    # neither be counted as a class nor be kept
+    ds = make_node_dataset(name="imb", num_nodes=400, num_classes=4, seed=1)
+    unlabeled = ds.split.units(Role.TRAIN)[:30]
+    ds.graph.labels[unlabeled] = ds.graph.num_classes
+    excluded = ds.split.roles.copy()
+    excluded[unlabeled] = int(Role.EXCLUDED)
+    written = {}
+    for variant, split in (("unlabeled", ds.split), ("excluded", SplitAssignment(excluded))):
+        ds.split = split
+        manifest = save_dataset(ds, tmp_path / variant)
+        out = tmp_path / f"{variant}_imb"
+        assert main(["imbalance", "--dataset", str(manifest), "--rho", "10",
+                     "--out", str(out)]) == 0
+        written[variant] = [(out / name).read_bytes() for name in ("imbalance.json", "split.tsv")]
+    assert written["unlabeled"] == written["excluded"]
+
+
 # ---------------------------------------------------------------------------
 # refmodel and fairness
 # ---------------------------------------------------------------------------
@@ -444,11 +463,53 @@ def test_run_scores_an_external_interpret_cell_on_the_harness_targets(small_ds, 
     assert code == 0
     report = load_report(Path("r/report.json"))
     for name, cell in scored["cells"].items():
-        assert report.get("interpret", name, "tiny", "m_ext").mean == cell["mean"], name
+        assert report.cells["interpret", name, "tiny", "m_ext"].mean == cell["mean"], name
     ops = Path("r/ops/tiny/interpret_seed0")
     assert sorted(p.name for p in ops.iterdir()) == sorted(f"target_{t}.manifest" for t in targets)
     for path in ops.iterdir():
         assert path.read_bytes() == (Path("emit") / path.name).read_bytes()
+
+
+@pytest.mark.parametrize("table", ["pred", "probs", "saliency"])
+def test_a_repeated_key_in_an_external_table_exits_2_or_fails_its_cell(small_ds, tmp_path,
+                                                                       monkeypatch, capsys, table):
+    monkeypatch.chdir(tmp_path)
+    files = Path("preds/tiny/interpret")
+    files.mkdir(parents=True)
+    saliency, probs = files / "seed0.saliency", files / "seed0.probs"
+    write_saliency_file(saliency, SaliencyTable("node_grad_norm", np.arange(150),
+                                                np.arange(150) * 37 % 101 / 101))
+    assert main(["interpret", "emit", "--dataset", str(small_ds), "--saliency", str(saliency),
+                 "--num-targets", "3", "--out", "emit"]) == 0
+    t = json.loads(Path("emit/emit.json").read_text())["targets"][0]
+    conditions = read_manifest_file(f"emit/target_{t}.manifest").conditions
+    write_probs_file(probs, {(t, c): 0.5 for c in ["clean", *conditions]})
+    pred = Path("preds/tiny/fairness/clean/seed0.pred")
+    assert main(["refmodel", "--dataset", str(small_ds), "--out", str(pred)]) == 0
+    # a second row of one key, appended after the first
+    repeated, line, named, argv = {
+        "pred": (pred, pred.read_text().splitlines()[1] + "\n", "unit id 0",
+                 ["fairness", "--dataset", str(small_ds), "--kind", "structural",
+                  "--pred", str(pred), "--out", "f.json"]),
+        "probs": (probs, f"{t}\tclean\t0.1\n", f"target {t}, condition clean",
+                  ["interpret", "score", "--manifest", "emit", "--probs", str(probs),
+                   "--out", "f.json"]),
+        "saliency": (saliency, "5\t0.5\n", "unit id 5",
+                     ["interpret", "emit", "--dataset", str(small_ds), "--saliency",
+                      str(saliency), "--targets", str(t), "--out", "emit2"]),
+    }[table]
+    with open(repeated, "a") as f:
+        f.write(line)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"LengthMismatch: {repeated}: {named}" in err
+    config = _write_config(Path("config.json"), manifest=small_ds, seeds=[0],
+                           axes=["fairness" if table == "pred" else "interpret"],
+                           interpret_targets=1,
+                           methods=[{"kind": "external", "name": "m_ext", "pred_dir": "preds",
+                                     "has_saliency": True}])
+    assert main(["run", "--config", str(config), "--out", "r"]) == 1
+    assert f"LengthMismatch: {repeated}: {named}" in Path("r/errors.log").read_text()
 
 
 def test_interpret_score_without_emit_json_exits_2(tmp_path, capsys):
@@ -460,6 +521,55 @@ def test_interpret_score_without_emit_json_exits_2(tmp_path, capsys):
                  "--probs", str(probs_path), "--out", str(tmp_path / "fidelity.json")]) == 2
     err = capsys.readouterr().err
     assert "MissingFile" in err and "emit.json" in err
+
+
+def _without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize("document, change, named", [
+    ("manifest", lambda m: [m], "must be a JSON object"),
+    ("manifest", _without("num_nodes"), "lacks the key 'num_nodes'"),
+    ("manifest", _without("edge_file"), "lacks the key 'edge_file'"),
+    ("manifest", lambda m: {**m, "num_nodes": "x"}, "num_nodes must be a non-negative integer"),
+    ("manifest", lambda m: {**m, "num_classes": -1}, "num_classes must be a non-negative"),
+    ("manifest", lambda m: {**m, "label_file": 3}, "label_file must be a string"),
+    ("manifest", lambda m: {**m, "name": 5}, "name must be a string"),
+    ("manifest", lambda m: {**m, "undirected": "false"}, "undirected must be true or false"),
+    ("values", "{", "does not parse as JSON"),
+    ("values", _without("subcondition"), "lacks the key 'subcondition'"),
+    ("emit", "{", "does not parse as JSON"),
+    ("emit", _without("k_levels"), "lacks the key 'k_levels'"),
+], ids=["manifest-list", "manifest-no-num-nodes", "manifest-no-edge-file",
+        "manifest-num-nodes-string", "manifest-negative-count", "manifest-file-not-a-string",
+        "manifest-name-not-a-string", "manifest-undirected-string", "values-no-parse",
+        "values-no-subcondition", "emit-no-parse", "emit-no-k-levels"])
+def test_malformed_json_input_exits_2(tmp_path, monkeypatch, capsys, document, change, named):
+    monkeypatch.chdir(tmp_path)
+    manifest = save_dataset(make_node_dataset(name="tiny", num_nodes=60, num_classes=2, seed=4),
+                            Path("tiny"))
+    path, doc, argv = {
+        "manifest": (manifest, json.loads(manifest.read_text()),
+                     ["refmodel", "--dataset", str(manifest), "--out", "x.pred"]),
+        "values": (Path("r/values/fairness.head_tail_gap.tiny.refmodel.json"),
+                   {"axis": "fairness", "subcondition": "head_tail_gap", "dataset": "tiny",
+                    "method": "refmodel", "seeds": [0], "values": [1.0]},
+                   ["report", "--results", "r", "--out", "rep"]),
+        "emit": (Path("m/emit.json"), {"k_levels": [5], "targets": [], "skipped": []},
+                 ["interpret", "score", "--manifest", "m", "--probs", "x.probs",
+                  "--out", "f.json"]),
+    }[document]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(change if isinstance(change, str) else json.dumps(change(doc)))
+    write_probs_file("x.probs", {})
+    assert main(argv) == 2
+    assert f"LengthMismatch: {path}: {named}" in capsys.readouterr().err
+    if document == "manifest":
+        monkeypatch.setattr(cli.PipelineRunner, "_run_job",
+                            lambda self, job: pytest.fail(f"cell {job} ran"))
+        config = _write_config(Path("config.json"), manifest=manifest, seeds=1)
+        assert main(["run", "--config", str(config), "--out", "out"]) == 2
+        assert f"LengthMismatch: {path}: {named}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -475,17 +585,17 @@ def test_run_refmodel_all_axes(small_ds, tmp_path, capsys):
 
     report = load_report(out / "report.json")
     assert (out / "report.csv").is_file()
-    assert report.num_cells > 20
+    assert len(report.cells) > 20
     # refmodel ignores features: feature cells are inapplicable, edge cells real
-    assert report.get("corruption", "feature_sev1", "tiny", "refmodel").note == "inapplicable"
-    edge = report.get("corruption", "edge_sev5", "tiny", "refmodel")
+    assert report.cells["corruption", "feature_sev1", "tiny", "refmodel"].note == "inapplicable"
+    edge = report.cells["corruption", "edge_sev5", "tiny", "refmodel"]
     assert not edge.undefined and 0.0 <= edge.mean <= 100.0
-    clean = report.get("corruption", "clean", "tiny", "refmodel")
-    drop = report.get("corruption", "edge_drop", "tiny", "refmodel")
+    clean = report.cells["corruption", "clean", "tiny", "refmodel"]
+    drop = report.cells["corruption", "edge_drop", "tiny", "refmodel"]
     assert drop.mean == pytest.approx(clean.mean - edge.mean, abs=1e-9)
     assert clean.n == 2  # two seeds
     # interpret lift cells were derived
-    assert not report.get("interpret", "delta_char_5", "tiny", "refmodel").undefined
+    assert not report.cells["interpret", "delta_char_5", "tiny", "refmodel"].undefined
     # per-cell value files exist
     assert (out / "values" / "corruption.clean.tiny.refmodel.json").is_file()
 
@@ -540,9 +650,9 @@ def test_run_external_method_with_predictions(small_ds, tmp_path):
     assert main(["run", "--config", str(config), "--out", str(out)]) == 0
     report = load_report(out / "report.json")
     # feature cells are real for a feature-consuming method
-    assert not report.get("corruption", "feature_sev5", "tiny", "m_ext").undefined
+    assert not report.cells["corruption", "feature_sev5", "tiny", "m_ext"].undefined
     # no saliency interface: interpretation cells are inapplicable, not errors
-    assert report.get("interpret", "char_saliency_5", "tiny", "m_ext").note == "inapplicable"
+    assert report.cells["interpret", "char_saliency_5", "tiny", "m_ext"].note == "inapplicable"
 
 
 def test_run_missing_predictions_fails_with_named_cell(small_ds, tmp_path, capsys):
@@ -598,7 +708,7 @@ def test_reused_out_holds_only_the_last_run(small_ds, tmp_path, monkeypatch):
     assert (results / "notes.txt").read_text() == "mine\n"
     assert all(p.name.startswith("fairness.") for p in (results / "values").iterdir())
     assert main(["report", "--results", ".", "--out", str(tmp_path / "rebuilt")]) == 0
-    assert set(load_report(tmp_path / "rebuilt.json").cells) == {"fairness"}
+    assert {k[0] for k in load_report(tmp_path / "rebuilt.json").cells} == {"fairness"}
 
 
 def _failed_interpret_cell(tmp_path, ds) -> str:
@@ -634,10 +744,10 @@ def test_one_sided_sensitive_attribute_keeps_head_tail_gap(tmp_path):
     out = tmp_path / "results"
     assert main(["run", "--config", str(config), "--out", str(out)]) == 0
     report = load_report(out / "report.json")
-    gap = report.get("fairness", "head_tail_gap", "onesided", "refmodel")
+    gap = report.cells["fairness", "head_tail_gap", "onesided", "refmodel"]
     assert not gap.undefined
     for sub in ("d_sp", "d_eo", "d_util"):
-        cell = report.get("fairness", sub, "onesided", "refmodel")
+        cell = report.cells["fairness", sub, "onesided", "refmodel"]
         assert cell.undefined and cell.note != "inapplicable"
         rec = json.loads((out / "values" / f"fairness.{sub}.onesided.refmodel.json").read_text())
         assert rec["values"] == [None]
@@ -1011,9 +1121,9 @@ def test_report_command_regenerates_cells(small_ds, tmp_path):
     assert main(["report", "--results", str(out), "--out", str(prefix)]) == 0
     original = load_report(out / "report.json")
     rebuilt = load_report(prefix.with_suffix(".json"))
-    assert rebuilt.num_cells == original.num_cells
+    assert len(rebuilt.cells) == len(original.cells)
     for axis, sub, ds_name, method, cell in original.rows():
-        assert rebuilt.get(axis, sub, ds_name, method) == cell
+        assert rebuilt.cells[axis, sub, ds_name, method] == cell
     # CSV rows match modulo provenance
     run_csv = (out / "report.csv").read_bytes()
     rebuilt_csv = prefix.with_suffix(".csv").read_bytes()

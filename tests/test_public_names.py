@@ -1,6 +1,7 @@
-"""Every public module-level name in src/graphstress is used by the program.
+"""Every public module-level name and method in src/graphstress is used by the program.
 
-A function or class that no other code in ``src/`` or ``scripts/`` refers to
+A function or class that no other code in ``src/`` or ``scripts/`` refers to,
+or a public method of a class there that no such code reads as an attribute,
 is reachable from no protocol: it is either wired in or deleted. Names the
 program never calls but that stay public on purpose are listed below, each
 with its reason.
@@ -43,6 +44,8 @@ def _unreferenced() -> set:
     # one entry per top-level statement: (file, statement, names it uses)
     statements = [(path, stmt, _names_used(stmt))
                   for path in files for stmt in ast.parse(path.read_text()).body]
+    attributes = {sub.attr for _, stmt, _ in statements for sub in ast.walk(stmt)
+                  if isinstance(sub, ast.Attribute)}
     unreferenced = set()
     for path, stmt, _ in statements:
         if path.parent != PACKAGE or not isinstance(
@@ -51,6 +54,10 @@ def _unreferenced() -> set:
         if not any(stmt.name in used for _, other, used in statements
                    if other is not stmt):
             unreferenced.add(stmt.name)
+        if isinstance(stmt, ast.ClassDef):  # its methods, as Class.method
+            unreferenced |= {f"{stmt.name}.{m.name}" for m in stmt.body
+                             if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                             and m.name not in attributes}
     return unreferenced
 
 

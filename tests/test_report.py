@@ -102,11 +102,10 @@ def test_undef_cell_has_no_numbers():
 def _sample_report():
     r = Report(cells={}, provenance={"config_hash": "abc", "master_seed": 0,
                                      "tool_version": "0.1.0"})
-    r.put("corruption", "feature_sev3", "ds_a", "m1", aggregate_seeds([70.0, 72.0]))
-    r.put("corruption", "clean", "ds_a", "m1", aggregate_seeds([80.0, 82.0]))
-    r.put("fairness", "head_tail_gap", "ds_a", "m1", MetricCell.undef(2))
-    r.put("corruption", "clean", "ds_b", "m1",
-          MetricCell.undef(0, note="inapplicable"))
+    r.cells["corruption", "feature_sev3", "ds_a", "m1"] = aggregate_seeds([70.0, 72.0])
+    r.cells["corruption", "clean", "ds_a", "m1"] = aggregate_seeds([80.0, 82.0])
+    r.cells["fairness", "head_tail_gap", "ds_a", "m1"] = MetricCell.undef(2)
+    r.cells["corruption", "clean", "ds_b", "m1"] = MetricCell.undef(0, note="inapplicable")
     return r
 
 
@@ -114,7 +113,7 @@ def test_report_rows_sorted():
     r = _sample_report()
     keys = [(axis, sub, ds) for axis, sub, ds, _, _ in r.rows()]
     assert keys == sorted(keys)
-    assert r.num_cells == 4
+    assert len(r.cells) == 4
 
 
 def test_emit_and_load_round_trip(tmp_path):
@@ -123,9 +122,9 @@ def test_emit_and_load_round_trip(tmp_path):
     emit_report(r, json_path=jp, csv_path=cp)
     back = load_report(jp)
     assert back.provenance == r.provenance
-    assert back.num_cells == r.num_cells
+    assert len(back.cells) == len(r.cells)
     for axis, sub, ds, method, cell in r.rows():
-        assert back.get(axis, sub, ds, method) == cell
+        assert back.cells[axis, sub, ds, method] == cell
 
 
 def test_emission_byte_identical(tmp_path):
@@ -140,7 +139,7 @@ def test_emission_insertion_order_independent(tmp_path):
     r1 = _sample_report()
     r2 = Report(cells={}, provenance=r1.provenance)
     for axis, sub, ds, method, cell in reversed(list(r1.rows())):
-        r2.put(axis, sub, ds, method, cell)
+        r2.cells[axis, sub, ds, method] = cell
     emit_report(r1, json_path=tmp_path / "a.json", csv_path=tmp_path / "a.csv")
     emit_report(r2, json_path=tmp_path / "b.json", csv_path=tmp_path / "b.csv")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
@@ -153,9 +152,9 @@ def test_csv_and_json_carry_same_cells(tmp_path):
     header = csv_lines[0].split(",")
     assert header == ["axis", "subcondition", "dataset", "method",
                       "seed_count", "mean", "std", "undefined", "note"]
-    assert len(csv_lines) - 1 == r.num_cells
+    assert len(csv_lines) - 1 == len(r.cells)
     back = load_report(tmp_path / "r.json")
-    assert back.num_cells == r.num_cells
+    assert len(back.cells) == len(r.cells)
     # undefined rows leave the number columns empty
     undef_row = [l for l in csv_lines if l.startswith("fairness")][0]
     assert ",,," in undef_row or ",,true" in undef_row
@@ -165,7 +164,7 @@ def test_inapplicable_note_survives(tmp_path):
     r = _sample_report()
     emit_report(r, json_path=tmp_path / "r.json", csv_path=tmp_path / "r.csv")
     back = load_report(tmp_path / "r.json")
-    assert back.get("corruption", "clean", "ds_b", "m1").note == "inapplicable"
+    assert back.cells["corruption", "clean", "ds_b", "m1"].note == "inapplicable"
     assert "inapplicable" in (tmp_path / "r.csv").read_text()
 
 
@@ -179,10 +178,10 @@ def test_float_repr_round_trip(tmp_path):
     # awkward float survives JSON emission bit-exactly
     value = 0.1 + 0.2  # 0.30000000000000004
     r = Report(cells={}, provenance={})
-    r.put("a", "s", "d", "m", aggregate_seeds([value]))
+    r.cells["a", "s", "d", "m"] = aggregate_seeds([value])
     emit_report(r, json_path=tmp_path / "r.json", csv_path=tmp_path / "r.csv")
     back = load_report(tmp_path / "r.json")
-    assert back.get("a", "s", "d", "m").mean == value
+    assert back.cells["a", "s", "d", "m"].mean == value
 
 
 # ---------------------------------------------------------------------------
