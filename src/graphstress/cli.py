@@ -417,7 +417,7 @@ def cmd_interpret_emit(args) -> int:
 
 
 def cmd_interpret_score(args) -> int:
-    emit_meta = read_json(Path(args.manifest) / "emit.json", ("k_levels", "targets"))
+    emit_meta = read_json(Path(args.manifest) / "emit.json", EMIT_KEYS)
     k_levels, targets = emit_meta["k_levels"], emit_meta["targets"]
     probs = read_probs_file(args.probs)
     _check_probs(probs, targets, k_levels, args.probs)
@@ -442,8 +442,7 @@ def cmd_report(args) -> int:
     values_dir = Path(args.results) / "values"
     if not values_dir.is_dir():
         raise MissingInput(f"no values directory under {args.results}")
-    records = [read_json(path, ("axis", "subcondition", "dataset", "method", "values"))
-               for path in sorted(values_dir.glob("*.json"))]
+    records = [read_json(path, RECORD_KEYS) for path in sorted(values_dir.glob("*.json"))]
     report = _build_report(records, {"tool_version": __version__})
     out = Path(args.out)
     emit_report(report, json_path=out.with_suffix(".json"), csv_path=out.with_suffix(".csv"))
@@ -577,6 +576,16 @@ def _load_config(path: Path, seed: int | None = None) -> dict:
 
 
 INAPPLICABLE = "inapplicable"
+
+# the keys of a values/*.json record and of emit.json -> (test, what a valid value is)
+RECORD_KEYS = {**dict.fromkeys(("axis", "subcondition", "dataset", "method"),
+                               (lambda v: isinstance(v, str), "a string")),
+               "values": (lambda values: isinstance(values, list) and all(
+                              v is None or v == INAPPLICABLE or _is_number(v) for v in values),
+                          'a list of numbers, null or "inapplicable"')}
+EMIT_KEYS = {"k_levels": PARAMS["k_levels"][1:],
+             "targets": (lambda ts: isinstance(ts, list) and all(_is_int(t) and t >= 0 for t in ts),
+                         "a list of non-negative integers")}
 
 
 def _cell_from_values(values: list) -> MetricCell:

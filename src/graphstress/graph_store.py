@@ -154,8 +154,8 @@ class Graph:
     def from_arcs(cls, num_nodes, src, dst, *, undirected=True, symmetrize=False, **kwargs) -> "Graph":
         """Build a validated CSR graph from an arc list.
 
-        Sorts and deduplicates neighbor lists; with ``symmetrize`` the reverse
-        of every arc is added before deduplication.
+        Arcs are sorted and deduplicated by their key ``u * num_nodes + v``, whose
+        ascending order is the (u, v) order; ``symmetrize`` first adds every reverse arc.
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
@@ -165,19 +165,12 @@ class Graph:
             bad = src[(src < 0) | (src >= num_nodes)]
             bad = bad[0] if len(bad) else dst[(dst < 0) | (dst >= num_nodes)][0]
             raise BadId(f"arc endpoint {bad} out of range for {num_nodes} nodes")
-        if symmetrize:
-            loop = src == dst
-            src, dst = (np.concatenate([src, dst[~loop]]), np.concatenate([dst, src[~loop]]))
-        # sort by (src, dst) and drop duplicate arcs
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        if len(src):
-            keep = np.ones(len(src), dtype=bool)
-            keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-            src, dst = src[keep], dst[keep]
+        if symmetrize:  # a self-loop doubled here is one key, dropped below
+            src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+        keys = np.sort(src * num_nodes + dst)
+        src, dst = np.divmod(keys[np.diff(keys, prepend=-1) != 0], num_nodes)
         offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.add.at(offsets, src + 1, 1)
-        np.cumsum(offsets, out=offsets)
+        np.cumsum(np.bincount(src, minlength=num_nodes), out=offsets[1:])
         g = cls(num_nodes=num_nodes, offsets=offsets, neighbors=dst, undirected=undirected, **kwargs)
         validate_graph(g)
         return g
@@ -193,13 +186,11 @@ def validate_graph(g: Graph) -> None:
         raise LengthMismatch("offsets[-1] must equal len(neighbors)")
     if len(g.neighbors) and (g.neighbors.min() < 0 or g.neighbors.max() >= g.num_nodes):
         raise BadId(f"neighbor id out of range for {g.num_nodes} nodes")
-    src, dst = g.arcs()
-    # per-node neighbor lists sorted ascending with no duplicates
-    same_row = src[1:] == src[:-1]
-    if np.any(same_row & (dst[1:] <= dst[:-1])):
+    # the arc keys strictly ascend: each neighbor list is sorted and holds no duplicate
+    if np.any(np.diff(g.arcs()[0] * g.num_nodes + g.neighbors) <= 0):
         raise LengthMismatch("neighbor lists must be sorted ascending without duplicates")
     if g.undirected:
-        check_symmetry(g, src=src, dst=dst)
+        check_symmetry(g)
     if g.features is not None:
         if g.features.shape[0] != g.num_nodes:
             raise LengthMismatch("feature rows must equal num_nodes")
@@ -213,18 +204,17 @@ def validate_graph(g: Graph) -> None:
             raise LengthMismatch(f"meta {name} length must equal num_nodes")
 
 
-def check_symmetry(g: Graph, src=None, dst=None) -> None:
+def check_symmetry(g: Graph) -> None:
     """Verify the undirected invariant: reverse of every non-loop arc present."""
-    arc = _one_way_arc(g, src, dst)
+    arc = _one_way_arc(g)
     if arc is not None:
         u, v = arc
         raise AsymmetricGraph(f"arc ({u},{v}) has no reverse ({v},{u})")
 
 
-def _one_way_arc(g: Graph, src=None, dst=None) -> tuple[int, int] | None:
+def _one_way_arc(g: Graph) -> tuple[int, int] | None:
     """The smallest arc (u, v), u != v, whose reverse (v, u) is absent, or None."""
-    if src is None:
-        src, dst = g.arcs()
+    src, dst = g.arcs()
     non_loop = src != dst
     fwd = src[non_loop] * g.num_nodes + dst[non_loop]
     rev = dst[non_loop] * g.num_nodes + src[non_loop]
@@ -371,8 +361,9 @@ def write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def read_json(path, required=()) -> dict:
-    """The JSON object a file holds, with every key of ``required``; else a LengthMismatch."""
+def read_json(path, required: dict) -> dict:
+    """The JSON object a file holds, each key of ``required`` in it and passing that key's
+    (test, what a valid value is); else a LengthMismatch naming the file and the key."""
     path = require_file(path)
     try:
         doc = json.loads(path.read_text())
@@ -380,9 +371,11 @@ def read_json(path, required=()) -> dict:
         raise LengthMismatch(f"{path}: does not parse as JSON: {e}") from e
     if not isinstance(doc, dict):
         raise LengthMismatch(f"{path}: must be a JSON object, got {doc!r:.40}")
-    missing = [key for key in required if key not in doc]
-    if missing:
-        raise LengthMismatch(f"{path}: lacks the key {missing[0]!r}")
+    for key, (ok, expected) in required.items():
+        if key not in doc:
+            raise LengthMismatch(f"{path}: lacks the key {key!r}")
+        if not ok(doc[key]):
+            raise LengthMismatch(f"{path}: {key} must be {expected}, got {doc[key]!r:.40}")
     return doc
 
 
@@ -399,6 +392,16 @@ def _check_ids(path, ids: np.ndarray, n: int, what: str) -> None:
     bad = ids[(ids < 0) | (ids >= n)]
     if len(bad):
         raise BadId(f"{path}: {what} {bad[0]} out of range")
+
+
+def _read_id_table(path, n: int, what: str, dtypes) -> list[np.ndarray]:
+    """read_table of a file whose first column holds ids in [0, n), each on one row at most."""
+    ids, *values = read_table(path, (np.int64, *dtypes))
+    _check_ids(path, ids, n, what)
+    repeated = np.flatnonzero(np.bincount(ids, minlength=n) > 1)
+    if len(repeated):
+        raise LengthMismatch(f"{path}: {what} {repeated[0]} has more than one row")
+    return [ids, *values]
 
 
 def _dash_ints(path, tokens: np.ndarray, dtype) -> np.ndarray:
@@ -440,8 +443,7 @@ def write_feature_file(path: Path, features: np.ndarray) -> None:
 
 
 def read_label_file(path: Path, num_nodes: int, num_classes: int) -> np.ndarray:
-    nodes, values = read_table(path, (np.int64, np.int64))
-    _check_ids(path, nodes, num_nodes, "node id")
+    nodes, values = _read_id_table(path, num_nodes, "node id", (np.int64,))
     _check_ids(path, values, num_classes, "label")
     labels = np.full(num_nodes, num_classes, dtype=np.int64)  # sentinel = unlabeled
     labels[nodes] = values
@@ -454,8 +456,7 @@ def write_label_file(path: Path, labels: np.ndarray, num_classes: int) -> None:
 
 
 def read_split_file(path: Path, num_units: int) -> SplitAssignment:
-    units, names = read_table(path, (np.int64, object))
-    _check_ids(path, units, num_units, "unit id")
+    units, names = _read_id_table(path, num_units, "unit id", (object,))
     given = np.full(len(units), -1, dtype=np.int8)
     for name, role in ROLE_BY_NAME.items():
         given[names == name] = int(role)
@@ -472,8 +473,7 @@ def write_split_file(path: Path, split: SplitAssignment) -> None:
 
 
 def read_meta_file(path: Path, num_nodes: int) -> NodeMeta:
-    nodes, years, sens = read_table(path, (np.int64, object, object))
-    _check_ids(path, nodes, num_nodes, "node id")
+    nodes, years, sens = _read_id_table(path, num_nodes, "node id", (object, object))
     year = np.full(num_nodes, -1, dtype=np.int64)
     year[nodes] = _dash_ints(path, years, np.int64)
     sensitive = np.full(num_nodes, -1, dtype=np.int8)
@@ -514,9 +514,8 @@ MANIFEST_KEYS = {"node_graph": ("num_nodes", "edge_file"),
 
 def _read_manifest(path: Path) -> dict:
     """The manifest at path, checked: its kind's keys are there and each known key has its type."""
-    manifest = read_json(path, ("kind",))
-    if manifest["kind"] not in MANIFEST_KEYS:
-        raise LengthMismatch(f"{path}: unknown dataset kind {manifest['kind']!r}")
+    manifest = read_json(path, {"kind": (lambda kind: isinstance(kind, str) and kind in MANIFEST_KEYS,
+                                         f"one of {', '.join(MANIFEST_KEYS)}")})
     missing = [key for key in MANIFEST_KEYS[manifest["kind"]] if key not in manifest]
     if missing:
         raise LengthMismatch(f"{path}: lacks the key {missing[0]!r}")
@@ -548,8 +547,6 @@ def load_dataset(manifest_path) -> Dataset:
         features = None
         if manifest.get("feature_file"):
             features = read_feature_file(base / manifest["feature_file"])
-            if features.shape[0] != num_nodes:
-                raise LengthMismatch("feature rows do not match num_nodes")
             declared = manifest.get("feature_dim")
             if declared is not None and features.shape[1] != declared:
                 raise LengthMismatch("feature_dim does not match feature file")
@@ -586,8 +583,7 @@ def _load_collection(manifest: dict, base: Path, name: str) -> Dataset:
     num_graphs = manifest["num_graphs"]
     num_tasks = manifest.get("num_tasks", 1)
     path = base / manifest["graph_size_file"]
-    gids, graph_sizes = read_table(path, (np.int64, np.int64))
-    _check_ids(path, gids, num_graphs, "graph id")
+    gids, graph_sizes = _read_id_table(path, num_graphs, "graph id", (np.int64,))
     if np.any(graph_sizes < 0):
         raise BadId(f"{path}: graph size {graph_sizes[graph_sizes < 0][0]} is negative")
     sizes = np.zeros(num_graphs, dtype=np.int64)
@@ -597,16 +593,14 @@ def _load_collection(manifest: dict, base: Path, name: str) -> Dataset:
     _check_ids(path, gids, num_graphs, "graph id")
     graphs = _collection_graphs(path, sizes, gids, src, dst, manifest.get("undirected", True))
     path = base / manifest["graph_label_file"]
-    gids, *tasks = read_table(path, (np.int64,) + (object,) * num_tasks)
-    _check_ids(path, gids, num_graphs, "graph id")
+    gids, *tasks = _read_id_table(path, num_graphs, "graph id", (object,) * num_tasks)
     labels = np.full((num_graphs, num_tasks), -1, dtype=np.int8)
     for j, tokens in enumerate(tasks):
         labels[gids, j] = _dash_ints(path, tokens, np.int8)
     scaffold_ids = None
     if manifest.get("scaffold_file"):
         path = base / manifest["scaffold_file"]
-        gids, sids = read_table(path, (np.int64, np.int64))
-        _check_ids(path, gids, num_graphs, "graph id")
+        gids, sids = _read_id_table(path, num_graphs, "graph id", (np.int64,))
         scaffold_ids = np.full(num_graphs, -1, dtype=np.int64)
         scaffold_ids[gids] = sids
         if np.any(scaffold_ids < 0):

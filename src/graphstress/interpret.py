@@ -203,12 +203,11 @@ def build_edge_manifest(graph: Graph, target: int, node_scores: SaliencyTable,
                           conditions=conditions)
 
 
-def masked_graph(graph: Graph, manifest: TargetManifest, condition: str) -> tuple[Graph, np.ndarray]:
-    """Apply one masking condition; returns (masked graph, empty array).
+def masked_graph(graph: Graph, manifest: TargetManifest, condition: str) -> Graph:
+    """The graph under one masking condition.
 
     Filters both arcs of every masked edge out of the full graph's CSR with
-    ``graph_store.remove_edges``, the filter edge deletion uses too. The
-    second element is always an empty array; the return stays a pair.
+    ``graph_store.remove_edges``, the filter edge deletion uses too.
 
     This is the full-graph reference an external model re-scores. The
     built-in model reaches the same probabilities on the far smaller
@@ -216,7 +215,7 @@ def masked_graph(graph: Graph, manifest: TargetManifest, condition: str) -> tupl
     """
     rows = manifest.edges[manifest.conditions[condition]]
     drop = np.isin(graph.edge_keys(), rows[:, 0] * graph.num_nodes + rows[:, 1])
-    return remove_edges(graph, drop), np.empty(0, dtype=np.int64)
+    return remove_edges(graph, drop)
 
 
 # ---------------------------------------------------------------------------

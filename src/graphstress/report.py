@@ -107,7 +107,7 @@ def emit_report(report: Report, json_path, csv_path) -> None:
 
 
 def load_report(json_path) -> Report:
-    payload = read_json(json_path, ("results",))
+    payload = read_json(json_path, {"results": (lambda r: isinstance(r, dict), "a JSON object")})
     cells = {(axis, sub, ds, method): MetricCell.from_dict(d)
              for axis, subs in payload["results"].items()
              for sub, datasets in subs.items()

@@ -112,6 +112,17 @@ def neighbors_of(graph, node):
     return graph.neighbors[graph.offsets[node]:graph.offsets[node + 1]]
 
 
+def csr_oracle(num_nodes, pairs):
+    """(offsets, neighbors) of the CSR holding each distinct (u, v) of pairs once, rows sorted."""
+    arcs = sorted(set(pairs))
+    offsets = [0] * (num_nodes + 1)
+    for u, _ in arcs:
+        offsets[u + 1] += 1
+    for u in range(num_nodes):
+        offsets[u + 1] += offsets[u]
+    return offsets, [v for _, v in arcs]
+
+
 def induced_arcs_oracle(graph, nodes):
     """Arcs with both ends in ``nodes``, as sorted (i, j) positions in ``nodes``."""
     position = {u: i for i, u in enumerate(nodes)}

@@ -536,14 +536,22 @@ def _without(key):
     ("manifest", lambda m: {**m, "label_file": 3}, "label_file must be a string"),
     ("manifest", lambda m: {**m, "name": 5}, "name must be a string"),
     ("manifest", lambda m: {**m, "undirected": "false"}, "undirected must be true or false"),
+    ("manifest", lambda m: {**m, "kind": [m["kind"]]}, "kind must be one of node_graph"),
     ("values", "{", "does not parse as JSON"),
     ("values", _without("subcondition"), "lacks the key 'subcondition'"),
+    ("values", lambda r: {**r, "values": 5}, 'values must be a list of numbers, null or "inap'),
+    ("values", lambda r: {**r, "values": ["abc"]}, "values must be a list of numbers"),
+    ("values", lambda r: {**r, "axis": 3}, "axis must be a string, got 3"),
     ("emit", "{", "does not parse as JSON"),
     ("emit", _without("k_levels"), "lacks the key 'k_levels'"),
+    ("emit", lambda e: {**e, "k_levels": 5}, "k_levels must be a non-empty list of distinct"),
+    ("emit", lambda e: {**e, "targets": [3, -1]}, "targets must be a list of non-negative"),
 ], ids=["manifest-list", "manifest-no-num-nodes", "manifest-no-edge-file",
         "manifest-num-nodes-string", "manifest-negative-count", "manifest-file-not-a-string",
-        "manifest-name-not-a-string", "manifest-undirected-string", "values-no-parse",
-        "values-no-subcondition", "emit-no-parse", "emit-no-k-levels"])
+        "manifest-name-not-a-string", "manifest-undirected-string", "manifest-kind-list",
+        "values-no-parse", "values-no-subcondition", "values-not-a-list", "values-string",
+        "values-axis-not-a-string", "emit-no-parse", "emit-no-k-levels", "emit-k-levels-int",
+        "emit-negative-target"])
 def test_malformed_json_input_exits_2(tmp_path, monkeypatch, capsys, document, change, named):
     monkeypatch.chdir(tmp_path)
     manifest = save_dataset(make_node_dataset(name="tiny", num_nodes=60, num_classes=2, seed=4),
@@ -570,6 +578,27 @@ def test_malformed_json_input_exits_2(tmp_path, monkeypatch, capsys, document, c
         config = _write_config(Path("config.json"), manifest=manifest, seeds=1)
         assert main(["run", "--config", str(config), "--out", "out"]) == 2
         assert f"LengthMismatch: {path}: {named}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("file", ["labels.tsv", "split.tsv", "meta.tsv", "graph_sizes.tsv",
+                                  "graph_labels.tsv", "scaffolds.tsv"])
+def test_a_repeated_id_in_a_dataset_file_exits_2(tmp_path, monkeypatch, capsys, file):
+    monkeypatch.chdir(tmp_path)
+    on_nodes = file in ("labels.tsv", "split.tsv", "meta.tsv")
+    dataset = (make_node_dataset(name="tiny", num_nodes=60, num_classes=2, seed=4) if on_nodes
+               else make_molecule_collection(name="tinymol", num_graphs=60, seed=4))
+    manifest = save_dataset(dataset, Path("ds"))
+    path = Path("ds") / file
+    first = path.read_text().splitlines()[0]
+    with open(path, "a") as f:
+        f.write(first + "\n")  # the first id again, with its value
+    what = "unit id" if file == "split.tsv" else "node id" if on_nodes else "graph id"
+    named = f"LengthMismatch: {path}: {what} {first.split()[0]} has more than one row"
+    monkeypatch.setattr(cli.PipelineRunner, "_run_job",
+                        lambda self, job: pytest.fail(f"cell {job} ran"))
+    config = _write_config(Path("config.json"), manifest=manifest, seeds=1)
+    assert main(["run", "--config", str(config), "--out", "out"]) == 2
+    assert named in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from oracles import (
     adjacency_from_graph,
     bfs_hops_oracle,
     canonical_edges_oracle,
+    csr_oracle,
     induced_arcs_oracle,
     neighbors_of,
 )
@@ -470,17 +471,19 @@ arc_lists = st.integers(2, 20).flatmap(
 )
 
 
+@pytest.mark.parametrize("symmetrize", [True, False], ids=["symmetrize", "as-given"])
 @given(arc_lists)
 @settings(max_examples=200, deadline=None)
-def test_symmetrize_property(case):
+def test_from_arcs_matches_csr_oracle_property(symmetrize, case):
+    # unsorted, repeated and self-loop arcs, and no arcs at all
     n, pairs = case
-    src = [u for u, _ in pairs]
-    dst = [v for _, v in pairs]
-    g = Graph.from_arcs(n, src, dst, symmetrize=True)
-    validate_graph(g)  # sorted, deduped, symmetric
-    got = {(min(u, v), max(u, v)) for u, v in zip(*map(np.ndarray.tolist, g.arcs()))}
-    expected = {(min(u, v), max(u, v)) for u, v in pairs}
-    assert got == expected
+    g = Graph.from_arcs(n, [u for u, _ in pairs], [v for _, v in pairs],
+                        undirected=symmetrize, symmetrize=symmetrize)
+    validate_graph(g)  # sorted, deduped, and symmetric when symmetrized
+    offsets, neighbors = csr_oracle(n, pairs + [(v, u) for u, v in pairs] if symmetrize else pairs)
+    assert g.offsets.tolist() == offsets
+    assert g.neighbors.tolist() == neighbors
+    assert g.offsets.dtype == g.neighbors.dtype == np.int64
 
 
 @given(arc_lists, st.sampled_from(["random", "all", "none"]), st.data())

@@ -261,8 +261,7 @@ def test_masked_graph_edge_kind(random_graph):
     scores = _node_scores(random_graph.num_nodes)
     manifest = build_edge_manifest(random_graph, 7, scores, KEY)
     name = condition_name("saliency", "top", 50)
-    out, extra = masked_graph(random_graph, manifest, name)
-    assert extra.size == 0
+    out = masked_graph(random_graph, manifest, name)
     check_symmetry(out)
     removed = {tuple(e) for e in manifest.edges[manifest.conditions[name]].tolist()}
     remaining, loops = canonical_edges_oracle(out)
@@ -281,7 +280,7 @@ def test_masked_graph_equals_a_rebuild_for_every_condition(random_graph):
         gone = {tuple(e) for e in manifest.edges[masked].tolist()}
         keep = [(min(u, v), max(u, v)) not in gone for u, v in zip(src.tolist(), dst.tolist())]
         rebuilt = Graph.from_arcs(random_graph.num_nodes, src[keep], dst[keep])
-        out, _ = masked_graph(random_graph, manifest, name)
+        out = masked_graph(random_graph, manifest, name)
         assert np.array_equal(out.offsets, rebuilt.offsets), name
         assert np.array_equal(out.neighbors, rebuilt.neighbors), name
 

@@ -202,7 +202,7 @@ def test_scored_rows_equal_the_full_table_rows_property(seed, hops, undirected, 
 
 def _full_graph_prob(g, train, manifest, condition, clean_class):
     # the oracle: the propagate_predict row of the whole graph after masked_graph
-    masked = masked_graph(g, manifest, condition)[0]
+    masked = masked_graph(g, manifest, condition)
     row = propagate_predict(masked, train, g.num_classes).rows_for(np.array([manifest.target]))[0]
     return float(row[clean_class])
 
