@@ -229,11 +229,10 @@ def _demographic(dataset: Dataset, table: PredictionTable,
         return DemographicGaps(d_sp=None, d_eo=None, d_util=None)
 
 
-def _refmodel_table(graph: Graph, train_units: np.ndarray,
-                    config: PropagationConfig = PropagationConfig(),
-                    rows: np.ndarray | None = None) -> PredictionTable:
-    return propagate_predict(graph, _train_labels(graph, train_units), graph.num_classes, config,
-                             rows=rows)
+def _refmodel_tables(graph: Graph, trains: list, config: PropagationConfig = PropagationConfig(),
+                     rows: np.ndarray | None = None) -> list[PredictionTable]:
+    return propagate_predict(graph, [_train_labels(graph, train) for train in trains],
+                             graph.num_classes, config, rows=rows)
 
 
 def _edge_manifests(dataset: Dataset, saliency: SaliencyTable, targets: list, seed: int,
@@ -389,8 +388,8 @@ def cmd_fairness(args) -> int:
 def cmd_refmodel(args) -> int:
     dataset = load_dataset(args.dataset)
     _check_kind(dataset, "node_graph", "stress refmodel")
-    table = _refmodel_table(dataset.graph, _given_split(dataset).units(Role.TRAIN),
-                            PropagationConfig(hops=args.hops, alpha=args.alpha))
+    table, = _refmodel_tables(dataset.graph, [_given_split(dataset).units(Role.TRAIN)],
+                              PropagationConfig(hops=args.hops, alpha=args.alpha))
     write_prediction_file(args.out, table)
     return 0
 
@@ -632,7 +631,8 @@ class PipelineRunner:
         if method["kind"] == "refmodel":
             if train is None:
                 train = _given_split(dataset).units(Role.TRAIN)
-            return _refmodel_table(dataset.graph if graph is None else graph, train, rows=rows)
+            return _refmodel_tables(dataset.graph if graph is None else graph, [train],
+                                    rows=rows)[0]
         return read_prediction_file(
             _external_file(method, dataset, axis, sub, seed, f"{sub}/seed{seed}.pred"))
 
@@ -720,14 +720,19 @@ class PipelineRunner:
     def _axis_imbalance(self, dataset: Dataset, method: dict, seed: int) -> dict:
         g = dataset.graph
         test = _given_split(dataset).units(Role.TEST)
-        out: dict = {}
+        levels = {}  # sub -> (spec, kept train units, split)
         for rho in self.rhos:
             sub = f"rho{int(rho)}"
-            spec, kept, split = _imbalanced(dataset, rho, seed)
+            levels[sub] = _imbalanced(dataset, rho, seed)
             if self._writes_ops(method):
-                _write_split(self._op_dir(dataset, f"imbalance_{sub}_seed{seed}"), split)
-            table = self._score_table(dataset, method, "imbalance", sub, seed, test,
-                                      train=kept)
+                _write_split(self._op_dir(dataset, f"imbalance_{sub}_seed{seed}"), levels[sub][2])
+        # one propagation scores every rho; an external method's files are read one by one
+        tables = (_refmodel_tables(g, [kept for _, kept, _ in levels.values()], rows=test)
+                  if method["kind"] == "refmodel" else
+                  (self._score_table(dataset, method, "imbalance", sub, seed, test)
+                   for sub in levels))
+        out: dict = {}
+        for (sub, (spec, _, _)), table in zip(levels.items(), tables):
             major, minor = major_minor_recall(table, g.labels, spec, test)
             out[f"{sub}_major_recall"] = major * 100.0
             out[f"{sub}_minor_recall"] = minor * 100.0

@@ -56,7 +56,7 @@ def edge_delete(graph: Graph, p: float, key: StreamKey) -> Graph:
         raise DirectedGraph("edge deletion requires an undirected graph")
     if not 0.0 <= p <= 1.0:
         raise BadProbability(f"deletion probability {p} outside [0, 1]")
-    return remove_edges(graph, deleted_edge_mask(len(graph.edge_keys()), p, key))
+    return remove_edges(graph, deleted_edge_mask(len(graph._reverse_order), p, key))
 
 
 def deleted_edge_mask(num_edges: int, p: float, key: StreamKey) -> np.ndarray:

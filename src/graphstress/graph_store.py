@@ -35,6 +35,7 @@ import json
 import struct
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,12 @@ class Graph:
         src, dst = self.arcs()
         fwd = src < dst
         return src[fwd] * self.num_nodes + dst[fwd]
+
+    @cached_property
+    def _reverse_order(self) -> np.ndarray:
+        """Edge index, in ``edge_keys()`` order, of each arc v > u in CSR order; sorted once."""
+        src, dst = self.arcs()
+        return np.argsort(dst[src < dst], kind="stable")
 
     def _rows(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The neighbor lists of ``nodes`` concatenated, and the offsets of each in it."""
@@ -243,11 +250,9 @@ def remove_edges(g: Graph, drop: np.ndarray) -> Graph:
     if not np.any(drop):
         return g
     src, dst = g.arcs()
-    fwd = src < dst
     cut = np.zeros(g.num_arcs, dtype=bool)
-    cut[fwd] = drop
-    # the arcs (v, u) of edges u < v lie in (v, u) order: the edges stably sorted by v
-    cut[src > dst] = drop[np.argsort(dst[fwd], kind="stable")]
+    cut[src < dst] = drop
+    cut[src > dst] = drop[g._reverse_order]  # (v, u) order: the edges stably sorted by v
     kept = np.zeros(g.num_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(src[~cut], minlength=g.num_nodes), out=kept[1:])
     return replace(g, offsets=kept, neighbors=g.neighbors[~cut])

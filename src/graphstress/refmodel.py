@@ -10,8 +10,10 @@ prevents trivially perfect train accuracy).
 `propagate_predict` scores the rows a caller reads, all nodes by default.
 It builds the hop matrix ``(A + I)^hops`` one fixed-size chunk of those rows
 at a time, one sparse product per hop, and never holds the matrix for the
-whole graph; the counts are exact small integers, so neither the row set nor
-the chunking changes a bit.
+whole graph; its last hop reads only labeled columns, and one reach scores a
+whole stack of train labelings, since propagation is linear in the labels.
+The counts are exact small integers, so neither the rows, the chunking nor
+the stack changes a bit.
 `predict_node` scores one node from its `Graph.ball` alone, as the interpret
 axis does for each masked condition.
 """
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, NoTrainLabels
 from .graph_store import Graph
@@ -47,42 +48,46 @@ _CHUNK_ROWS = 8192  # rows of the hop matrix held at once
 def _train_mask(train_labels: np.ndarray, num_classes: int) -> np.ndarray:
     train_labels = np.asarray(train_labels, dtype=np.int64)
     mask = (train_labels >= 0) & (train_labels < num_classes)
-    if not mask.any():
+    if not mask.any(axis=-1).all():
         raise NoTrainLabels("propagation needs at least one labeled train node")
     return mask
 
 
 def propagate_predict(graph: Graph, train_labels: np.ndarray, num_classes: int,
                       config: PropagationConfig = PropagationConfig(),
-                      rows: np.ndarray | None = None) -> PredictionTable:
-    """Probability rows of the distinct node ids ``rows`` (every node when None).
+                      rows: np.ndarray | None = None) -> list[PredictionTable]:
+    """One table per train labeling: the probability rows of the distinct node ids ``rows``.
 
-    ``train_labels`` is per-node; any value outside [0, num_classes) means
-    the node is not a labeled training node. Each chunk of rows is expanded
-    by sparse products with ``A + I`` to its ``hops``-hop reach; every such
-    row holds its own node, so subtracting the node's own one-hot leaves the
-    count of the others.
+    ``train_labels`` stacks per-node labelings (a 1-D array is a stack of one);
+    a value outside [0, num_classes) marks no labeled training node. ``rows`` is
+    every node when None. Each chunk of rows is expanded by sparse products with
+    ``A + I`` to its ``hops``-hop reach, the last product into the labeled
+    columns alone, and all labelings share that reach. Every such row holds its
+    own node, so subtracting the node's own one-hot leaves the count of the others.
     """
-    mask = _train_mask(train_labels, num_classes)
+    import scipy.sparse as sp  # only the built-in model pays for the import
+
+    labelings = np.atleast_2d(np.asarray(train_labels, dtype=np.int64))
+    labeled = np.flatnonzero(_train_mask(labelings, num_classes).any(axis=0))
     n = graph.num_nodes
     rows = np.arange(n, dtype=np.int64) if rows is None else np.asarray(rows, dtype=np.int64)
     step = (sp.csr_matrix((np.ones(graph.num_arcs, dtype=bool), graph.neighbors, graph.offsets),
                           shape=(n, n))
             + sp.identity(n, dtype=bool, format="csr"))
-
-    onehot = np.zeros((n, num_classes), dtype=np.float64)
-    labeled = np.flatnonzero(mask)
-    onehot[labeled, np.asarray(train_labels)[labeled]] = 1.0
-    counts = np.empty((len(rows), num_classes), dtype=np.float64)
+    steps = [step] * (config.hops - 1) + [step[:, labeled]]
+    # labeling i's one-hots fill columns i * num_classes onward
+    onehot = (labelings.T[:, :, None] == np.arange(num_classes)).reshape(n, -1).astype(np.float64)
+    source = onehot[labeled]
+    counts = np.empty((len(rows), onehot.shape[1]), dtype=np.float64)
     for lo in range(0, len(rows), _CHUNK_ROWS):
         chunk = rows[lo:lo + _CHUNK_ROWS]
-        reach = step[chunk]
-        for _ in range(config.hops - 1):
-            reach = reach @ step
-        counts[lo:lo + len(chunk)] = reach @ onehot - onehot[chunk]
-    probs = counts + config.alpha
-    probs /= probs.sum(axis=1, keepdims=True)
-    return PredictionTable(rows, probs)
+        reach = steps[0][chunk]
+        for hop in steps[1:]:
+            reach = reach @ hop
+        counts[lo:lo + len(chunk)] = reach @ source - onehot[chunk]
+    probs = (counts + config.alpha).reshape(len(rows), len(labelings), num_classes)
+    probs /= probs.sum(axis=2, keepdims=True)
+    return [PredictionTable(rows, probs[:, i]) for i in range(len(labelings))]
 
 
 def predict_node(graph: Graph, train_labels: np.ndarray, num_classes: int, node: int,

@@ -906,8 +906,22 @@ def test_refmodel_cells_score_only_the_units_they_evaluate(small_ds, tmp_path, m
     want = {"corruption": [test] * 6,  # clean and five edge levels
             "ood": [cli._ood_split(dataset, m, 3).units(Role.OOD_TEST).tolist()
                     for m in ("degree", "temporal")],
-            "imbalance": [test] * 3, "fairness": [test], "interpret": []}[axis]
+            "imbalance": [test], "fairness": [test], "interpret": []}[axis]
     assert [rows.tolist() for rows in calls] == want
+
+
+def test_a_node100k_shaped_run_propagates_ten_times_per_seed(small_ds, tmp_path, monkeypatch):
+    # six corruption tables, two ood splits, one fairness table, and one call
+    # that scores the three default rhos' labelings together
+    stacks = []
+    real = cli.propagate_predict
+    monkeypatch.setattr(cli, "propagate_predict",
+                        lambda *a, **k: stacks.append(len(a[1])) or real(*a, **k))
+    config = _write_config(tmp_path / "config.json", manifest=small_ds, seeds=[3],
+                           axes=["corruption", "ood", "imbalance", "fairness"])
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "r")]) == 0
+    assert len(stacks) == 10
+    assert sorted(stacks) == [1] * 9 + [3]
 
 
 @pytest.fixture(scope="module")
@@ -1292,3 +1306,16 @@ def test_module_entry_point_help():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: stress")
+
+
+def test_importing_the_cli_leaves_scipy_unimported():
+    # only the built-in model's propagation needs scipy, so it imports it itself
+    src = str(Path(graphstress.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, graphstress.cli; print(sorted(m for m in sys.modules "
+                           "if m.split('.')[0] == 'scipy'))"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -486,14 +486,8 @@ def test_from_arcs_matches_csr_oracle_property(symmetrize, case):
     assert g.offsets.dtype == g.neighbors.dtype == np.int64
 
 
-@given(arc_lists, st.sampled_from(["random", "all", "none"]), st.data())
-@settings(max_examples=200, deadline=None)
-def test_remove_edges_matches_rebuild_property(case, fill, data):
-    # self-loops, isolated nodes, edgeless graphs, and all/none/some dropped
-    n, pairs = case
-    labels = np.arange(n, dtype=np.int64) % 2
-    g = Graph.from_arcs(n, [u for u, _ in pairs], [v for _, v in pairs], symmetrize=True,
-                        labels=labels, num_classes=2)
+def _removal_matches_rebuild(g, fill, data):
+    # remove_edges on g equals rebuilding g's arcs less the dropped edges
     edges, loops = canonical_edges_oracle(g)
     drop = np.array([fill == "all" or (fill == "random" and data.draw(st.booleans()))
                      for _ in edges], dtype=bool)
@@ -502,12 +496,30 @@ def test_remove_edges_matches_rebuild_property(case, fill, data):
     gone = {e for e, d in zip(edges, drop) if d}
     kept = [(u, v) for u, v in zip(*map(np.ndarray.tolist, g.arcs()))
             if (min(u, v), max(u, v)) not in gone]
-    rebuilt = Graph.from_arcs(n, [u for u, _ in kept], [v for _, v in kept])
+    rebuilt = Graph.from_arcs(g.num_nodes, [u for u, _ in kept], [v for _, v in kept])
     assert np.array_equal(out.offsets, rebuilt.offsets)
     assert np.array_equal(out.neighbors, rebuilt.neighbors)
     assert out.offsets.dtype == out.neighbors.dtype == np.int64
     assert canonical_edges_oracle(out) == ([e for e in edges if e not in gone], loops)
+    return out
+
+
+@given(arc_lists, st.sampled_from(["random", "all", "none"]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_remove_edges_matches_rebuild_property(case, fill, data):
+    # self-loops, isolated nodes, edgeless graphs, and all/none/some dropped
+    n, pairs = case
+    labels = np.arange(n, dtype=np.int64) % 2
+    g = Graph.from_arcs(n, [u for u, _ in pairs], [v for _, v in pairs], symmetrize=True,
+                        labels=labels, num_classes=2)
+    out = _removal_matches_rebuild(g, fill, data)
     assert out.labels is labels and out.num_classes == 2 and out.undirected
+    # each graph object sorts its own reverse arcs: a second removal from g, a
+    # removal from the result and one from an induced subgraph match their rebuilds
+    _removal_matches_rebuild(g, "random", data)
+    _removal_matches_rebuild(out, "random", data)
+    nodes = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))), np.int64)
+    _removal_matches_rebuild(g.induced(nodes), "random", data)
 
 
 @given(arc_lists, st.integers(0, 3), st.booleans(), st.data())

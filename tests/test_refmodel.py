@@ -39,7 +39,7 @@ def test_probabilities_concentrate_on_neighborhood_label():
     # chain 0-1-2-3-4 with train labels 0 at node 0 and 1 at node 4
     g = _chain(5)
     train = np.array([0, -1, -1, -1, 1], dtype=np.int64)
-    table = propagate_predict(g, train, 2)
+    table = propagate_predict(g, train, 2)[0]
     rows = table.rows_for(np.arange(5))
     assert rows[1, 0] > rows[1, 1]  # node 1 sees the class-0 node
     assert rows[3, 1] > rows[3, 0]
@@ -49,7 +49,7 @@ def test_probabilities_concentrate_on_neighborhood_label():
 def test_uniform_fallback_when_nothing_reachable():
     g = Graph.from_arcs(3, [0], [1], symmetrize=True)
     train = np.array([-1, -1, 0], dtype=np.int64)  # only the isolated node labeled
-    rows = propagate_predict(g, train, 2).rows_for(np.arange(3))
+    rows = propagate_predict(g, train, 2)[0].rows_for(np.arange(3))
     assert rows[0].tolist() == [0.5, 0.5]  # sees no labels: smoothing only
     assert rows[2].tolist() == [0.5, 0.5]  # own label never counts for itself
 
@@ -57,7 +57,7 @@ def test_uniform_fallback_when_nothing_reachable():
 def test_self_label_excluded():
     g = _chain(2)
     train = np.array([0, 1], dtype=np.int64)
-    rows = propagate_predict(g, train, 2).rows_for(np.arange(2))
+    rows = propagate_predict(g, train, 2)[0].rows_for(np.arange(2))
     # node 0 counts only node 1's label: (alpha, alpha+1) normalized
     assert rows[0].tolist() == pytest.approx([1 / 3, 2 / 3])
     assert rows[1].tolist() == pytest.approx([2 / 3, 1 / 3])
@@ -69,7 +69,7 @@ def test_matches_bfs_count_oracle():
                         symmetrize=True)
     train = np.where(rng.random(50) < 0.4, rng.integers(0, 3, 50), -1).astype(np.int64)
     config = PropagationConfig(hops=2, alpha=1.0)
-    table = propagate_predict(g, train, 3, config)
+    table = propagate_predict(g, train, 3, config)[0]
     adjacency = adjacency_from_graph(g)
     rows = table.rows_for(np.arange(50))
     for node in range(50):
@@ -80,7 +80,7 @@ def test_matches_bfs_count_oracle():
 def test_rows_sum_to_one(random_graph):
     train = np.full(100, -1, dtype=np.int64)
     train[:30] = np.random.default_rng(1).integers(0, 4, 30)
-    rows = propagate_predict(random_graph, train, 4).rows_for(np.arange(100))
+    rows = propagate_predict(random_graph, train, 4)[0].rows_for(np.arange(100))
     assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(rows > 0)  # smoothing keeps every class possible
 
@@ -89,16 +89,16 @@ def test_hop_locality():
     # labels beyond the hop horizon must not influence the row
     g = _chain(6)
     train = np.array([-1, -1, -1, -1, -1, 0], dtype=np.int64)
-    rows1 = propagate_predict(g, train, 2, PropagationConfig(hops=1)).rows_for(np.arange(6))
+    rows1 = propagate_predict(g, train, 2, PropagationConfig(hops=1))[0].rows_for(np.arange(6))
     assert rows1[0].tolist() == [0.5, 0.5]
-    rows5 = propagate_predict(g, train, 2, PropagationConfig(hops=5)).rows_for(np.arange(6))
+    rows5 = propagate_predict(g, train, 2, PropagationConfig(hops=5))[0].rows_for(np.arange(6))
     assert rows5[0, 0] > 0.5  # now reachable
 
 
 def test_predict_node_equals_matrix_row(random_graph):
     rng = np.random.default_rng(4)
     train = np.where(rng.random(100) < 0.3, rng.integers(0, 4, 100), -1).astype(np.int64)
-    table = propagate_predict(random_graph, train, 4)
+    table = propagate_predict(random_graph, train, 4)[0]
     rows = table.rows_for(np.arange(100))
     for node in [0, 7, 42, 99]:
         local = predict_node(random_graph, train, 4, node)
@@ -131,7 +131,7 @@ def test_predict_node_matches_matrix_property(seed, hops):
     if not ((train >= 0) & (train < 3)).any():
         train[0] = 0
     config = PropagationConfig(hops=hops)
-    rows = propagate_predict(g, train, 3, config).rows_for(np.arange(n))
+    rows = propagate_predict(g, train, 3, config)[0].rows_for(np.arange(n))
     node = int(rng.integers(0, n))
     assert predict_node(g, train, 3, node, config).tobytes() == rows[node].tobytes()
 
@@ -154,17 +154,57 @@ def test_reachability_matches_bfs_oracle_property(seed, hops, undirected, chunk)
     n = g.num_nodes
     config = PropagationConfig(hops=hops)
     with mock.patch.object(refmodel, "_CHUNK_ROWS", chunk):
-        own = propagate_predict(g, np.arange(n), n, config).rows
+        own = propagate_predict(g, np.arange(n), n, config)[0].rows
     rows, cols = np.nonzero(own > own.diagonal()[:, None])
     got = set(zip(rows.tolist(), cols.tolist()))
     adjacency = adjacency_from_graph(g)
     assert got == reachability_oracle(adjacency, hops)
     train = np.where(rng.random(n) < 0.5, rng.integers(0, 3, n), -1).astype(np.int64)
     train[int(rng.integers(0, n))] = 0
-    full = propagate_predict(g, train, 3, config)
+    full = propagate_predict(g, train, 3, config)[0]
     for node in range(n):
         want = propagation_oracle(adjacency, train, 3, hops, 1.0, node)
         assert np.allclose(full.rows[node], want, atol=1e-12)
+
+
+def _labeling(rng, kind, n, previous):
+    # "relabel" keeps the previous labeling's nodes and moves each to another class
+    if kind == "relabel" and previous is not None:
+        return np.where(previous >= 0, (previous + 1) % 3, -1)
+    out = np.full(n, -1, dtype=np.int64)
+    if kind != "single":
+        share = 0.1 if kind == "sparse" else 0.7
+        out = np.where(rng.random(n) < share, rng.integers(0, 3, n), -1).astype(np.int64)
+    out[int(rng.integers(0, n))] = int(rng.integers(0, 3))  # one labeled node at least
+    return out
+
+
+@given(st.integers(0, 10_000), st.integers(1, 3), st.booleans(), st.sampled_from([1, 3, 8192]),
+       st.lists(st.sampled_from(["sparse", "dense", "single", "relabel"]), min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_stacked_labelings_equal_each_labeling_alone_property(seed, hops, undirected, chunk,
+                                                              kinds):
+    # one reach into the labeled columns of the whole stack scores every labeling
+    # as it scores alone, whether the labelings overlap, are sparse or hold one node
+    rng = np.random.default_rng(seed)
+    g = _self_loop_graph(rng, undirected)
+    n = g.num_nodes
+    stack = []
+    for kind in kinds:
+        stack.append(_labeling(rng, kind, n, stack[-1] if stack else None))
+    rows = rng.permutation(n)[:int(rng.integers(0, n + 1))]
+    config = PropagationConfig(hops=hops)
+    with mock.patch.object(refmodel, "_CHUNK_ROWS", chunk):
+        tables = propagate_predict(g, np.array(stack), 3, config, rows=rows)
+        alone = [propagate_predict(g, train, 3, config, rows=rows) for train in stack]
+    assert len(tables) == len(stack) and all(len(a) == 1 for a in alone)
+    adjacency = adjacency_from_graph(g)
+    for table, (single,), train in zip(tables, alone, stack):
+        assert table.unit_ids.tolist() == rows.tolist()
+        assert table.rows.tobytes() == single.rows.tobytes()
+        for row, node in zip(table.rows, rows.tolist()):
+            assert np.allclose(row, propagation_oracle(adjacency, train, 3, hops, 1.0, node),
+                               atol=1e-12)
 
 
 @pytest.mark.parametrize("hops", [1, 2, 3])
@@ -173,10 +213,10 @@ def test_given_reachability_is_bit_equal_to_building_it(random_graph, hops):
     rng = np.random.default_rng(hops)
     train = np.where(rng.random(100) < 0.3, rng.integers(0, 4, 100), -1).astype(np.int64)
     config = PropagationConfig(hops=hops)
-    built = propagate_predict(random_graph, train, 4, config)
+    built = propagate_predict(random_graph, train, 4, config)[0]
     assert built.unit_ids.tolist() == list(range(100))
     rows = rng.permutation(100)[:37]
-    given = propagate_predict(random_graph, train, 4, config, rows=rows)
+    given = propagate_predict(random_graph, train, 4, config, rows=rows)[0]
     assert given.unit_ids.tolist() == rows.tolist()
     assert given.rows.tobytes() == built.rows[rows].tobytes()
 
@@ -191,11 +231,11 @@ def test_scored_rows_equal_the_full_table_rows_property(seed, hops, undirected, 
     train = np.where(rng.random(n) < 0.5, rng.integers(0, 3, n), -1).astype(np.int64)
     train[int(rng.integers(0, n))] = 0
     config = PropagationConfig(hops=hops)
-    full = propagate_predict(g, train, 3, config)
+    full = propagate_predict(g, train, 3, config)[0]
     assert full.unit_ids.tolist() == list(range(n))
     rows = rng.permutation(n)[:int(rng.integers(0, n + 1))]
     with mock.patch.object(refmodel, "_CHUNK_ROWS", chunk):
-        part = propagate_predict(g, train, 3, config, rows=rows)
+        part = propagate_predict(g, train, 3, config, rows=rows)[0]
     assert part.unit_ids.tolist() == rows.tolist()
     assert part.rows.tobytes() == full.rows[rows].tobytes()
 
@@ -203,8 +243,8 @@ def test_scored_rows_equal_the_full_table_rows_property(seed, hops, undirected, 
 def _full_graph_prob(g, train, manifest, condition, clean_class):
     # the oracle: the propagate_predict row of the whole graph after masked_graph
     masked = masked_graph(g, manifest, condition)
-    row = propagate_predict(masked, train, g.num_classes).rows_for(np.array([manifest.target]))[0]
-    return float(row[clean_class])
+    table = propagate_predict(masked, train, g.num_classes)[0]
+    return float(table.rows_for(np.array([manifest.target]))[0][clean_class])
 
 
 @given(st.integers(0, 10_000), st.integers(2, 3), st.sampled_from([0.05, 0.5]))
@@ -228,7 +268,7 @@ def test_masked_traversal_equals_full_graph_masking_property(seed, manifest_hops
         return
     probs = _refmodel_probs(g, train, {target: manifest})
     assert sorted(probs) == sorted((target, c) for c in ["clean", *manifest.conditions])
-    clean_row = propagate_predict(g, train, 3).rows_for(np.array([target]))[0]
+    clean_row = propagate_predict(g, train, 3)[0].rows_for(np.array([target]))[0]
     clean_class = int(np.argmax(clean_row))
     assert probs[(target, "clean")] == float(clean_row[clean_class])
     for name in manifest.conditions:
