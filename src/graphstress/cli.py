@@ -199,8 +199,11 @@ def _imbalanced(dataset: Dataset, rho: float, seed: int):
     spec = build_spec(np.bincount(g.labels[train], minlength=g.num_classes + 1)[:-1], rho)
     key = derive_key("imbalance", dataset.name, "downsample", int(rho), seed)
     kept = step_downsample(train_units_by_class(g.labels, train, g.num_classes), spec, key)
+    dropped = np.zeros(split.num_units, dtype=bool)
+    dropped[train] = True
+    dropped[kept] = False
     roles = split.roles.copy()
-    roles[np.setdiff1d(train, kept)] = int(Role.EXCLUDED)
+    roles[dropped] = int(Role.EXCLUDED)
     return spec, kept, SplitAssignment(roles)
 
 

@@ -1309,7 +1309,7 @@ def test_module_entry_point_help():
 
 
 def test_importing_the_cli_leaves_scipy_unimported():
-    # only the built-in model's propagation needs scipy, so it imports it itself
+    # nothing in graphstress needs scipy, so importing the cli must not load it
     src = str(Path(graphstress.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -1319,3 +1319,20 @@ def test_importing_the_cli_leaves_scipy_unimported():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_built_in_method_runs_every_axis_with_scipy_unimportable(small_ds, tmp_path):
+    # ``sys.modules["scipy"] = None`` makes any scipy import raise ImportError
+    config = _write_config(tmp_path / "config.json", manifest=small_ds)
+    src = str(Path(graphstress.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    script = ("import sys; sys.modules['scipy'] = None; from graphstress.cli import main; "
+              "sys.exit(main(sys.argv[1:]))")
+    for args in (["run", "--config", str(config), "--out", str(tmp_path / "r")],
+                 ["refmodel", "--dataset", str(small_ds), "--out", str(tmp_path / "all.pred")]):
+        proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "r" / "report.json").read_text())
+    assert report and (tmp_path / "all.pred").is_file()

@@ -136,21 +136,36 @@ def test_predict_node_matches_matrix_property(seed, hops):
     assert predict_node(g, train, 3, node, config).tobytes() == rows[node].tobytes()
 
 
-def _self_loop_graph(rng, undirected):
-    # directed or undirected graphs with self-loops and, often, isolated nodes
+CHUNKS = [1, 3, refmodel._CHUNK_ROWS]
+
+
+def _self_loop_graph(rng, undirected, arcs=True):
+    # directed or undirected graphs with self-loops and, often, isolated nodes; or no arcs at all
     n = int(rng.integers(1, 30))
+    if not arcs:
+        return Graph.from_arcs(n, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+                               undirected=undirected)
     src = np.append(rng.integers(0, n, 2 * n), rng.integers(0, n, 3))
     dst = np.append(rng.integers(0, n, 2 * n), src[-3:])
     return Graph.from_arcs(n, src, dst, undirected=undirected, symmetrize=undirected)
 
 
-@given(st.integers(0, 10_000), st.integers(1, 3), st.booleans(), st.sampled_from([1, 3, 8192]))
+def _row_subset(rng, n, order):
+    # distinct node ids to score: a shuffled subset, a descending one, or none
+    if order == "empty":
+        return np.empty(0, dtype=np.int64)
+    rows = rng.permutation(n)[:int(rng.integers(0, n + 1))]
+    return np.sort(rows)[::-1] if order == "descending" else rows
+
+
+@given(st.integers(0, 10_000), st.integers(1, 3), st.booleans(), st.sampled_from(CHUNKS),
+       st.booleans(), st.sampled_from(["shuffled", "descending", "empty"]))
 @settings(max_examples=100, deadline=None)
-def test_reachability_matches_bfs_oracle_property(seed, hops, undirected, chunk):
+def test_reachability_matches_bfs_oracle_property(seed, hops, undirected, chunk, arcs, order):
     # with every node labeled as its own class, row i reads off the set of
     # nodes the hop matrix reaches from i: those j != i get count 1, the rest 0
     rng = np.random.default_rng(seed)
-    g = _self_loop_graph(rng, undirected)
+    g = _self_loop_graph(rng, undirected, arcs)
     n = g.num_nodes
     config = PropagationConfig(hops=hops)
     with mock.patch.object(refmodel, "_CHUNK_ROWS", chunk):
@@ -161,10 +176,15 @@ def test_reachability_matches_bfs_oracle_property(seed, hops, undirected, chunk)
     assert got == reachability_oracle(adjacency, hops)
     train = np.where(rng.random(n) < 0.5, rng.integers(0, 3, n), -1).astype(np.int64)
     train[int(rng.integers(0, n))] = 0
-    full = propagate_predict(g, train, 3, config)[0]
+    rows = _row_subset(rng, n, order)
+    with mock.patch.object(refmodel, "_CHUNK_ROWS", chunk):
+        full = propagate_predict(g, train, 3, config)[0]
+        part = propagate_predict(g, train, 3, config, rows=rows)[0]
     for node in range(n):
         want = propagation_oracle(adjacency, train, 3, hops, 1.0, node)
         assert np.allclose(full.rows[node], want, atol=1e-12)
+    assert part.unit_ids.tolist() == rows.tolist()
+    assert part.rows.tobytes() == full.rows[rows].tobytes()
 
 
 def _labeling(rng, kind, n, previous):
@@ -179,20 +199,21 @@ def _labeling(rng, kind, n, previous):
     return out
 
 
-@given(st.integers(0, 10_000), st.integers(1, 3), st.booleans(), st.sampled_from([1, 3, 8192]),
-       st.lists(st.sampled_from(["sparse", "dense", "single", "relabel"]), min_size=1, max_size=4))
+@given(st.integers(0, 10_000), st.integers(1, 3), st.booleans(), st.sampled_from(CHUNKS),
+       st.lists(st.sampled_from(["sparse", "dense", "single", "relabel"]), min_size=1, max_size=4),
+       st.booleans(), st.sampled_from(["shuffled", "descending", "empty"]))
 @settings(max_examples=150, deadline=None)
 def test_stacked_labelings_equal_each_labeling_alone_property(seed, hops, undirected, chunk,
-                                                              kinds):
+                                                              kinds, arcs, order):
     # one reach into the labeled columns of the whole stack scores every labeling
     # as it scores alone, whether the labelings overlap, are sparse or hold one node
     rng = np.random.default_rng(seed)
-    g = _self_loop_graph(rng, undirected)
+    g = _self_loop_graph(rng, undirected, arcs)
     n = g.num_nodes
     stack = []
     for kind in kinds:
         stack.append(_labeling(rng, kind, n, stack[-1] if stack else None))
-    rows = rng.permutation(n)[:int(rng.integers(0, n + 1))]
+    rows = _row_subset(rng, n, order)
     config = PropagationConfig(hops=hops)
     with mock.patch.object(refmodel, "_CHUNK_ROWS", chunk):
         tables = propagate_predict(g, np.array(stack), 3, config, rows=rows)
@@ -221,7 +242,7 @@ def test_given_reachability_is_bit_equal_to_building_it(random_graph, hops):
     assert given.rows.tobytes() == built.rows[rows].tobytes()
 
 
-@given(st.integers(0, 10_000), st.integers(1, 3), st.booleans(), st.sampled_from([1, 3, 8192]))
+@given(st.integers(0, 10_000), st.integers(1, 3), st.booleans(), st.sampled_from(CHUNKS))
 @settings(max_examples=100, deadline=None)
 def test_scored_rows_equal_the_full_table_rows_property(seed, hops, undirected, chunk):
     # any duplicate-free row set in any order, cut into chunks of any size
