@@ -139,6 +139,11 @@ def _given_split(dataset: Dataset) -> SplitAssignment:
     return dataset.split
 
 
+def _edge_key(dataset: Dataset, seed: int):
+    # severity enters through p only, so one key serves every level and deletion sets nest
+    return derive_key("corruption", dataset.name, "edge_delete", 0, seed)
+
+
 def _corrupted(dataset: Dataset, channel: str, idx: int, seed: int):
     """(dataset, level, key) at severity index idx of channel feature|edge; 0 is clean."""
     levels = FEATURE_LEVELS if channel == "feature" else EDGE_LEVELS
@@ -151,16 +156,14 @@ def _corrupted(dataset: Dataset, channel: str, idx: int, seed: int):
         train = _given_split(dataset).units(Role.TRAIN)
         key = derive_key("corruption", dataset.name, "feature_noise", idx, seed)
     else:
-        # severity enters through p only, so deletion sets nest across levels
-        key = derive_key("corruption", dataset.name, "edge_delete", 0, seed)
+        key = _edge_key(dataset, seed)
     if idx == 0:
         graph = g
     elif channel == "feature":
         graph = replace(g, features=feature_noise(g.features, train, level, key))
     else:
-        graph = edge_delete(g, level, key)
-    corrupted = Dataset(kind=dataset.kind, name=dataset.name, graph=graph, split=dataset.split)
-    return corrupted, level, key
+        graph = remove_edges(g, edge_delete(g, EDGE_LEVELS, key) < idx)
+    return replace(dataset, graph=graph), level, key
 
 
 def _ood_split(dataset: Dataset, mechanism: str, seed: int):
@@ -233,9 +236,13 @@ def _demographic(dataset: Dataset, table: PredictionTable,
 
 
 def _refmodel_tables(graph: Graph, trains: list, config: PropagationConfig = PropagationConfig(),
-                     rows: np.ndarray | None = None) -> list[PredictionTable]:
+                     rows: np.ndarray | None = None,
+                     survived: np.ndarray | None = None) -> list[PredictionTable]:
+    """propagate_predict of each train unit set; with ``survived``, of the clean graph and
+    then of every EDGE_LEVELS deletion level, level-major."""
     return propagate_predict(graph, [_train_labels(graph, train) for train in trains],
-                             graph.num_classes, config, rows=rows)
+                             graph.num_classes, config, rows=rows, survived=survived,
+                             num_levels=0 if survived is None else len(EDGE_LEVELS))
 
 
 def _edge_manifests(dataset: Dataset, saliency: SaliencyTable, targets: list, seed: int,
@@ -629,20 +636,29 @@ class PipelineRunner:
     # -- axis drivers: return {subcondition: value | None | INAPPLICABLE} --
 
     def _score_table(self, dataset: Dataset, method: dict, axis: str, sub: str,
-                     seed: int, rows: np.ndarray, graph=None, train=None) -> PredictionTable:
+                     seed: int, rows: np.ndarray, train=None) -> PredictionTable:
         """The cell's prediction table; the built-in model scores only the units ``rows``."""
         if method["kind"] == "refmodel":
             if train is None:
                 train = _given_split(dataset).units(Role.TRAIN)
-            return _refmodel_tables(dataset.graph if graph is None else graph, [train],
-                                    rows=rows)[0]
+            return _refmodel_tables(dataset.graph, [train], rows=rows)[0]
         return read_prediction_file(
             _external_file(method, dataset, axis, sub, seed, f"{sub}/seed{seed}.pred"))
 
     def _axis_corruption(self, dataset: Dataset, method: dict, seed: int) -> dict:
         g = dataset.graph
-        test = _given_split(dataset).units(Role.TEST)
-        clean = self._score_table(dataset, method, "corruption", "clean", seed, test)
+        split = _given_split(dataset)
+        test = split.units(Role.TEST)
+        refmodel = method["kind"] == "refmodel"
+        # one draw gives every deletion level; an external method never reads
+        # the deleted graphs, so they are drawn only for the ops/ copies
+        survived = (edge_delete(g, EDGE_LEVELS, _edge_key(dataset, seed))
+                    if refmodel or self._writes_ops(method) else None)
+        if refmodel:  # one propagation scores the clean graph and every level
+            edge_tables = _refmodel_tables(g, [split.units(Role.TRAIN)], rows=test,
+                                           survived=survived)
+        clean = (edge_tables[0] if refmodel else
+                 self._score_table(dataset, method, "corruption", "clean", seed, test))
         out: dict = {"clean": accuracy(clean, g.labels, test) * 100.0}
 
         feature_ok = g.features is not None and method["kind"] == "external"
@@ -661,15 +677,13 @@ class PipelineRunner:
         out["feature_drop"] = (drop_metric(out["clean"], out["feature_sev5"])
                                if feature_ok else INAPPLICABLE)
 
-        # likewise an external method never reads the deleted graph
-        deletes = method["kind"] == "refmodel" or self._writes_ops(method)
         for i in range(1, len(EDGE_LEVELS) + 1):
             sub = f"edge_sev{i}"
-            deleted = _corrupted(dataset, "edge", i, seed)[0] if deletes else dataset
             if self._writes_ops(method):
-                save_dataset(deleted, self._op_dir(dataset, f"corrupt_{sub}_seed{seed}"))
-            table = self._score_table(dataset, method, "corruption", sub, seed, test,
-                                      graph=deleted.graph)
+                save_dataset(replace(dataset, graph=remove_edges(g, survived < i)),
+                             self._op_dir(dataset, f"corrupt_{sub}_seed{seed}"))
+            table = (edge_tables[i] if refmodel else
+                     self._score_table(dataset, method, "corruption", sub, seed, test))
             out[sub] = accuracy(table, g.labels, test) * 100.0
         out["edge_drop"] = drop_metric(out["clean"], out["edge_sev5"])
         return out

@@ -3,8 +3,10 @@
 Both operators are pure and counter-addressed, so output is byte-identical
 for a given (input, parameters, key) no matter how work is chunked. Severity
 only scales the corruption; the underlying random field is fixed by the key,
-which makes edge-deletion sets nest across severities and noise fields
-comparable across sigma levels.
+which makes noise fields comparable across sigma levels and edge-deletion
+sets nest across severities. Edge deletion therefore draws its field once
+for all levels and returns how many levels each edge survives, from which
+each level's graph, or one propagation over all of them, is derived.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from .determinism import StreamKey, gaussian, uniform
 from .errors import BadProbability, DirectedGraph, EmptyTrainMask, NonFiniteFeature
-from .graph_store import Graph, remove_edges
+from .graph_store import Graph
 
 FEATURE_LEVELS = (0.1, 0.25, 0.5, 1.0, 2.0)
 EDGE_LEVELS = (0.05, 0.10, 0.20, 0.30, 0.50)
@@ -45,23 +47,26 @@ def feature_noise(features: np.ndarray, train_mask: np.ndarray, sigma_rel: float
     return out.astype(features.dtype)
 
 
-def edge_delete(graph: Graph, p: float, key: StreamKey) -> Graph:
-    """Drop each undirected edge with probability p; both arcs go together.
+def edge_delete(graph: Graph, levels, key: StreamKey) -> np.ndarray:
+    """How many of the ascending deletion probabilities ``levels`` each undirected edge survives.
 
-    The decision for edge i of ``graph.edge_keys()`` is uniform(key, i) < p,
-    so the deleted set for a smaller p is a subset of the deleted set for a
-    larger p under the same key. Self-loops are never deleted.
+    Edge i of ``graph.edge_keys()`` draws u = uniform(key, i) once; its int8
+    count s = searchsorted(levels, u, side="right") is the number of levels
+    p <= u. The graph at severity j (1-based) is
+    ``remove_edges(graph, survived < j)``, since s < j exactly when u < p_j:
+    both arcs of an edge go together, self-loops are never deleted, and the
+    deleted set of a level is a subset of the next level's.
     """
     if not graph.undirected:
         raise DirectedGraph("edge deletion requires an undirected graph")
-    if not 0.0 <= p <= 1.0:
-        raise BadProbability(f"deletion probability {p} outside [0, 1]")
-    return remove_edges(graph, deleted_edge_mask(len(graph._reverse_order), p, key))
-
-
-def deleted_edge_mask(num_edges: int, p: float, key: StreamKey) -> np.ndarray:
-    """Boolean per edge index below num_edges: True where edge_delete drops it."""
-    return uniform(key, np.arange(num_edges, dtype=np.int64)) < p
+    levels = np.asarray(levels, dtype=np.float64)
+    if not np.all((levels >= 0.0) & (levels <= 1.0)):
+        raise BadProbability(f"deletion probabilities {levels.tolist()} outside [0, 1]")
+    if np.any(np.diff(levels) < 0) or len(levels) > np.iinfo(np.int8).max:
+        raise BadProbability(f"deletion probabilities {levels.tolist()} must ascend, "
+                             f"at most {np.iinfo(np.int8).max} of them")
+    u = uniform(key, np.arange(len(graph._reverse_order), dtype=np.int64))
+    return np.searchsorted(levels, u, side="right").astype(np.int8)
 
 
 def drop_metric(clean: float, perturbed: float) -> float:

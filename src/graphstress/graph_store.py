@@ -124,6 +124,15 @@ class Graph:
         src, dst = self.arcs()
         return np.argsort(dst[src < dst], kind="stable")
 
+    def _arc_values(self, per_edge: np.ndarray, loop) -> np.ndarray:
+        """Each arc's entry of ``per_edge``, one per edge in ``edge_keys()`` order, in CSR
+        order; both arcs of an edge share it, and a self-loop gets ``loop``."""
+        src, dst = self.arcs()
+        out = np.full(self.num_arcs, loop, dtype=per_edge.dtype)
+        out[src < dst] = per_edge
+        out[src > dst] = per_edge[self._reverse_order]  # (v, u) order: the edges stably sorted by v
+        return out
+
     def _rows(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The neighbor lists of ``nodes`` concatenated, and the offsets of each in it."""
         starts = self.offsets[nodes]
@@ -249,13 +258,9 @@ def remove_edges(g: Graph, drop: np.ndarray) -> Graph:
         raise DirectedGraph("edge removal requires an undirected graph")
     if not np.any(drop):
         return g
-    src, dst = g.arcs()
-    cut = np.zeros(g.num_arcs, dtype=bool)
-    cut[src < dst] = drop
-    cut[src > dst] = drop[g._reverse_order]  # (v, u) order: the edges stably sorted by v
-    kept = np.zeros(g.num_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src[~cut], minlength=g.num_nodes), out=kept[1:])
-    return replace(g, offsets=kept, neighbors=g.neighbors[~cut])
+    kept = g._arc_values(~np.asarray(drop, dtype=bool), True)
+    return replace(g, offsets=np.append(0, np.cumsum(kept))[g.offsets],
+                   neighbors=g.neighbors[kept])
 
 
 @dataclass
@@ -337,13 +342,13 @@ def read_table(path, dtypes) -> list[np.ndarray]:
         line = f.readline()
         while line.startswith("#") or line == "\n":
             line = f.readline()
-        if not line:  # no data row (np.loadtxt would warn)
-            return [np.empty(0, dtype=dt) for dt in dtypes]
-        f.seek(0)
-        try:
-            table = np.loadtxt(f, dtype=row, delimiter="\t", comments="#", ndmin=1)
-        except (ValueError, OverflowError) as e:
-            raise LengthMismatch(f"{path}: {e}") from e
+    if not line:  # no data row (np.loadtxt would warn)
+        return [np.empty(0, dtype=dt) for dt in dtypes]
+    try:
+        # given the path, not an open file, numpy reads in blocks rather than line by line
+        table = np.loadtxt(path, dtype=row, delimiter="\t", comments="#", ndmin=1)
+    except (ValueError, OverflowError) as e:
+        raise LengthMismatch(f"{path}: {e}") from e
     return [np.ascontiguousarray(table[name]) for name in row.names]
 
 

@@ -13,8 +13,11 @@ each chunk's reach as sorted int64 keys ``row * num_nodes + node``: each hop
 adds every key's CSR neighbours, sorts and drops repeats, and the last hop
 walks only arcs into labeled nodes. It never holds the reach of the whole
 graph, and one reach scores a whole stack of train labelings, since
-propagation is linear in the labels. The counts are exact small integers,
-so neither the rows, the chunking nor the stack changes a bit.
+propagation is linear in the labels. Given how many nested edge-deletion
+levels each edge survives, the same reach, each key tagged with the
+bottleneck level of its best path, scores the clean graph and every level
+at once. The counts are exact small integers, so neither the rows, the
+chunking, the stack nor the levels change a bit.
 `predict_node` scores one node from its `Graph.ball` alone, as the interpret
 axis does for each masked condition.
 """
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NoTrainLabels
+from .errors import ConfigError, DirectedGraph, NoTrainLabels
 from .graph_store import Graph
 from .metrics import PredictionTable
 
@@ -54,26 +57,46 @@ def _train_mask(train_labels: np.ndarray, num_classes: int) -> np.ndarray:
     return mask
 
 
-def _hop(keys: np.ndarray, n: int, offsets: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Sorted distinct keys ``row * n + k``: the non-empty ``keys`` and the CSR targets of each k.
+def _hop(keys: np.ndarray, n: int, offsets: np.ndarray, targets: np.ndarray, shift: int = 0,
+         arc_bits: np.ndarray | None = None) -> np.ndarray:
+    """Sorted keys ``(row * n + k) << shift | b``, one per (row, k): the non-empty ``keys``
+    and the CSR targets of each k.
 
-    The default sort kind is what keeps this cheap: on a chunk's keys a
-    stable sort is about three times slower, and ``np.unique`` fifty.
+    A key walked along an arc takes the larger of its source's low bits b and
+    the arc's ``arc_bits``; of the keys of one (row, k), the sort puts the one
+    with the least bits first, and only it is kept. The default sort kind is
+    what keeps this cheap: on a chunk's keys a stable sort is about three times
+    slower, and ``np.unique`` fifty.
     """
-    nodes = keys % n
+    cells = keys >> shift if shift else keys
+    nodes = cells % n
     starts = offsets[nodes]
     lengths = offsets[nodes + 1] - starts
     ends = np.cumsum(lengths)
-    walked = targets[np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])]
-    keys = np.concatenate([keys, np.repeat(keys - nodes, lengths) + walked])
+    arcs = np.repeat(starts - ends + lengths, lengths)
+    arcs += np.arange(ends[-1])
+    walked = targets[arcs]
+    if shift:
+        walked <<= shift
+    walked += np.repeat(keys - (nodes << shift), lengths)  # the source's row and bits
+    if arc_bits is not None:  # raise the bits to the arc's where it survives fewer levels
+        gain = arc_bits[arcs]
+        gain -= np.repeat((keys - (cells << shift)).astype(np.int8), lengths)
+        walked += np.maximum(gain, 0, out=gain)
+    keys = np.concatenate([keys, walked])
+    del arcs, walked, cells  # freed before the sort: the keys are then the one large array held
     keys.sort()
-    return keys[np.append(True, keys[1:] != keys[:-1])]
+    cells = keys >> shift if shift else keys
+    first = np.append(True, cells[1:] != cells[:-1])
+    del cells
+    return keys[first]
 
 
 def propagate_predict(graph: Graph, train_labels: np.ndarray, num_classes: int,
                       config: PropagationConfig = PropagationConfig(),
-                      rows: np.ndarray | None = None) -> list[PredictionTable]:
-    """One table per train labeling: the probability rows of the distinct node ids ``rows``.
+                      rows: np.ndarray | None = None, survived: np.ndarray | None = None,
+                      num_levels: int = 0) -> list[PredictionTable]:
+    """One table per (edge level, labeling): the probability rows of the distinct node ids ``rows``.
 
     ``train_labels`` stacks per-node labelings (a 1-D array is a stack of one);
     a value outside [0, num_classes) marks no labeled training node. ``rows`` is
@@ -81,36 +104,71 @@ def propagate_predict(graph: Graph, train_labels: np.ndarray, num_classes: int,
     ``row * n + node`` keys, the last hop along arcs into labeled nodes alone,
     and all labelings share that reach. Every row's reach holds its own node,
     so subtracting the node's own one-hot leaves the count of the others.
+
+    Without ``survived`` the tables are one per labeling. With it, ``survived``
+    holds how many of ``num_levels`` nested levels each edge of
+    ``graph.edge_keys()`` survives (as ``corruption.edge_delete`` returns), and
+    the tables run level-major over levels 0..num_levels, level 0 being the
+    graph as given and level i ``remove_edges(graph, survived < i)``. The keys
+    then carry num_levels minus the levels an arc survives in their low bits,
+    a walked key the max of its path's; the key kept for a (row, node) is its
+    best path's, so the node is in the row's ball at level i exactly when its
+    bits are at most num_levels - i, and a cumulative sum of the bits' counts
+    gives each level's exact counts.
     """
     labelings = np.atleast_2d(np.asarray(train_labels, dtype=np.int64))
     mask = _train_mask(labelings, num_classes)
     labeled = mask.any(axis=0)
     n = graph.num_nodes
     rows = np.arange(n, dtype=np.int64) if rows is None else np.asarray(rows, dtype=np.int64)
+    if survived is None:
+        num_levels, arc_bits = 0, None
+    else:
+        if not graph.undirected:
+            raise DirectedGraph("edge levels need an undirected graph")
+        survived = np.asarray(survived, dtype=np.int8)
+        if np.any((survived < 0) | (survived > num_levels)):
+            raise ConfigError(f"edge survival counts must lie in 0..{num_levels}")
+        arc_bits = graph._arc_values(survived, num_levels)
+        np.subtract(num_levels, arc_bits, out=arc_bits)
+    shift = num_levels.bit_length()
+    depth = num_levels + 1
     keep = labeled[graph.neighbors]
     labeled_offsets = np.append(0, np.cumsum(keep))[graph.offsets]
     labeled_targets = graph.neighbors[keep]
+    labeled_bits = None if arc_bits is None else arc_bits[keep]
     # an unlabeled node's class is num_classes, a column that is dropped
     classes = np.where(mask, labelings, num_classes)
     width = num_classes + 1
-    counts = np.empty((len(rows), len(labelings) * num_classes), dtype=np.float64)
+    counts = np.empty((len(rows), depth, len(labelings), num_classes), dtype=np.float64)
     for lo in range(0, len(rows), _CHUNK_ROWS):
         chunk = rows[lo:lo + _CHUNK_ROWS]
         own = np.arange(len(chunk))
-        keys = own * n + chunk
+        keys = (own * n + chunk) << shift
         for _ in range(config.hops - 1):
-            keys = _hop(keys, n, graph.offsets, graph.neighbors)
-        keys = _hop(keys, n, labeled_offsets, labeled_targets)
+            keys = _hop(keys, n, graph.offsets, graph.neighbors, shift, arc_bits)
+        keys = _hop(keys, n, labeled_offsets, labeled_targets, shift, labeled_bits)
+        if shift:
+            bits = (keys & ((1 << shift) - 1)).astype(np.int8)
+            keys >>= shift
         row = keys // n
-        node = keys - row * n
+        keys -= row * n  # each key is now its node
+        row *= width
         for i, cls in enumerate(classes):
-            tally = np.bincount(row * width + cls[node], minlength=len(chunk) * width)
-            tally = tally.reshape(len(chunk), width)
-            tally[own, cls[chunk]] -= 1
-            counts[lo:lo + len(chunk), i * num_classes:(i + 1) * num_classes] = tally[:, :-1]
-    probs = (counts + config.alpha).reshape(len(rows), len(labelings), num_classes)
+            index = cls[keys]
+            index += row
+            if shift:
+                index *= depth
+                index += bits
+            tally = np.bincount(index, minlength=len(chunk) * width * depth)
+            tally = tally.reshape(len(chunk), width, depth)
+            tally[own, cls[chunk], 0] -= 1
+            # level i counts the keys whose bits are at most num_levels - i
+            tally = tally.cumsum(axis=2)[:, :-1, ::-1]
+            counts[lo:lo + len(chunk), :, i] = tally.transpose(0, 2, 1)
+    probs = (counts + config.alpha).reshape(len(rows), depth * len(labelings), num_classes)
     probs /= probs.sum(axis=2, keepdims=True)
-    return [PredictionTable(rows, probs[:, i]) for i in range(len(labelings))]
+    return [PredictionTable(rows, probs[:, i]) for i in range(depth * len(labelings))]
 
 
 def predict_node(graph: Graph, train_labels: np.ndarray, num_classes: int, node: int,

@@ -22,6 +22,7 @@ from graphstress.graph_store import (
     Role,
     TripleStore,
     check_symmetry,
+    remove_edges,
     save_dataset,
     validate_graph,
 )
@@ -156,7 +157,7 @@ def test_criterion_2_edge_deletion_statistics():
         bound = 3.0 * np.sqrt(m * p * (1 - p))  # ~137.5
         for seed in range(20):
             key = derive_key("corruption", "edgestats", "edge_delete", 0, seed)
-            deleted_graph = edge_delete(g, p, key)
+            deleted_graph = remove_edges(g, edge_delete(g, [p], key) < 1)
             validate_graph(deleted_graph)
             check_symmetry(deleted_graph)
             edges, self_loops = canonical_edges_oracle(deleted_graph)
@@ -476,7 +477,7 @@ def test_criterion_9_scale_envelope():
         key = derive_key("corruption", "scale", "edge_delete", 0, 0)
         tracemalloc.start()
         t0 = time.perf_counter()
-        deleted = edge_delete(g, 0.3, key)
+        deleted = remove_edges(g, edge_delete(g, [0.3], key) < 1)
         dt_edge = time.perf_counter() - t0
         _, peak_edge = tracemalloc.get_traced_memory()
         tracemalloc.stop()

@@ -874,7 +874,7 @@ def test_colliding_or_fractional_rhos_exit_2_before_loading(small_ds, tmp_path, 
 
 
 @pytest.mark.parametrize("kind, write_ops, deletions", [
-    ("external", False, 0), ("external", True, 5), ("refmodel", False, 5)])
+    ("external", False, 0), ("external", True, 1), ("refmodel", False, 1)])
 def test_edges_are_deleted_only_for_a_reader_of_the_deleted_graph(small_ds, tmp_path,
                                                                   monkeypatch, kind,
                                                                   write_ops, deletions):
@@ -903,16 +903,17 @@ def test_refmodel_cells_score_only_the_units_they_evaluate(small_ds, tmp_path, m
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "r")]) == 0
     dataset = load_dataset(small_ds)
     test = dataset.split.units(Role.TEST).tolist()
-    want = {"corruption": [test] * 6,  # clean and five edge levels
+    want = {"corruption": [test],  # clean and five edge levels in one call
             "ood": [cli._ood_split(dataset, m, 3).units(Role.OOD_TEST).tolist()
                     for m in ("degree", "temporal")],
             "imbalance": [test], "fairness": [test], "interpret": []}[axis]
     assert [rows.tolist() for rows in calls] == want
 
 
-def test_a_node100k_shaped_run_propagates_ten_times_per_seed(small_ds, tmp_path, monkeypatch):
-    # six corruption tables, two ood splits, one fairness table, and one call
-    # that scores the three default rhos' labelings together
+def test_a_node100k_shaped_run_propagates_five_times_per_seed(small_ds, tmp_path, monkeypatch):
+    # one call for the clean and five edge-level corruption tables, two ood
+    # splits, one fairness table, and one call that scores the three default
+    # rhos' labelings together
     stacks = []
     real = cli.propagate_predict
     monkeypatch.setattr(cli, "propagate_predict",
@@ -920,8 +921,8 @@ def test_a_node100k_shaped_run_propagates_ten_times_per_seed(small_ds, tmp_path,
     config = _write_config(tmp_path / "config.json", manifest=small_ds, seeds=[3],
                            axes=["corruption", "ood", "imbalance", "fairness"])
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "r")]) == 0
-    assert len(stacks) == 10
-    assert sorted(stacks) == [1] * 9 + [3]
+    assert len(stacks) == 5
+    assert sorted(stacks) == [1, 1, 1, 1, 3]
 
 
 @pytest.fixture(scope="module")

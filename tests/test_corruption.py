@@ -7,18 +7,27 @@ from hypothesis import strategies as st
 
 from graphstress.corruption import (
     EDGE_LEVELS,
-    deleted_edge_mask,
     drop_metric,
     edge_delete,
     feature_noise,
 )
-from graphstress.determinism import derive_key
+from graphstress.determinism import derive_key, uniform
 from graphstress.errors import BadProbability, DirectedGraph, EmptyTrainMask, NonFiniteFeature
-from graphstress.graph_store import Graph, check_symmetry
+from graphstress.graph_store import Graph, check_symmetry, remove_edges
 from oracles import canonical_edges_oracle
 
 KEY = derive_key("corruption", "unit", "feature_noise", 1, 0)
 EDGE_KEY = derive_key("corruption", "unit", "edge_deletion", 0, 0)
+
+
+def _deleted(graph, p, key):
+    # the graph at the one severity p: edges that survive no level go
+    return remove_edges(graph, edge_delete(graph, [p], key) < 1)
+
+
+def _deleted_edge_mask(num_edges, p, key):
+    # the per-edge decision written out: edge i goes when uniform(key, i) < p
+    return uniform(key, np.arange(num_edges, dtype=np.int64)) < p
 
 
 def _features(n=30, d=5, seed=0):
@@ -105,11 +114,11 @@ def test_noise_input_validation():
 # ---------------------------------------------------------------------------
 
 def test_p_zero_returns_graph_unchanged(random_graph):
-    assert edge_delete(random_graph, 0.0, EDGE_KEY) is random_graph
+    assert _deleted(random_graph, 0.0, EDGE_KEY) is random_graph
 
 
 def test_p_one_keeps_only_self_loops(random_graph):
-    out = edge_delete(random_graph, 1.0, EDGE_KEY)
+    out = _deleted(random_graph, 1.0, EDGE_KEY)
     edges, loops = canonical_edges_oracle(out)
     assert edges == []
     assert loops == canonical_edges_oracle(random_graph)[1]
@@ -120,7 +129,7 @@ def test_deletion_preserves_symmetry_and_payload(random_graph):
     random_graph.features = _features(random_graph.num_nodes, 4)
     random_graph.labels = np.zeros(random_graph.num_nodes, dtype=np.int64)
     random_graph.num_classes = 2
-    out = edge_delete(random_graph, 0.3, EDGE_KEY)
+    out = _deleted(random_graph, 0.3, EDGE_KEY)
     check_symmetry(out)
     assert out.features is random_graph.features
     assert out.labels is random_graph.labels
@@ -136,35 +145,43 @@ def test_deletion_rate_binomial_bound(random_graph):
     m = len(canonical_edges_oracle(random_graph)[0])
     for seed in range(20):
         key = derive_key("corruption", "unit", "edge_deletion", 0, seed)
-        out = edge_delete(random_graph, p, key)
+        out = _deleted(random_graph, p, key)
         deleted = m - len(canonical_edges_oracle(out)[0])
         bound = 3.0 * np.sqrt(m * p * (1 - p))
         assert abs(deleted - m * p) <= bound
-        assert deleted == int(deleted_edge_mask(m, p, key).sum())
+        assert deleted == int(_deleted_edge_mask(m, p, key).sum())
 
 
 def test_deletions_nest_across_severities(random_graph):
     m = len(random_graph.edge_keys())
-    masks = [deleted_edge_mask(m, p, EDGE_KEY) for p in EDGE_LEVELS]
+    survived = edge_delete(random_graph, EDGE_LEVELS, EDGE_KEY)
+    assert survived.dtype == np.int8 and len(survived) == m
+    masks = [survived < i for i in range(1, len(EDGE_LEVELS) + 1)]
+    for p, mask in zip(EDGE_LEVELS, masks):
+        assert np.array_equal(mask, _deleted_edge_mask(m, p, EDGE_KEY))
     for low, high in zip(masks, masks[1:]):
         assert not np.any(low & ~high)  # deleted at p_low implies deleted at p_high
 
 
 def test_surviving_edges_are_subset(random_graph):
     before = set(canonical_edges_oracle(random_graph)[0])
-    out = edge_delete(random_graph, 0.2, EDGE_KEY)
+    out = _deleted(random_graph, 0.2, EDGE_KEY)
     after = set(canonical_edges_oracle(out)[0])
     assert after <= before
 
 
 def test_edge_delete_validation(random_graph):
     with pytest.raises(BadProbability):
-        edge_delete(random_graph, -0.1, EDGE_KEY)
+        edge_delete(random_graph, [-0.1], EDGE_KEY)
     with pytest.raises(BadProbability):
-        edge_delete(random_graph, 1.5, EDGE_KEY)
+        edge_delete(random_graph, [1.5], EDGE_KEY)
+    with pytest.raises(BadProbability):
+        edge_delete(random_graph, [0.1, float("nan")], EDGE_KEY)
+    with pytest.raises(BadProbability):
+        edge_delete(random_graph, [0.3, 0.2], EDGE_KEY)  # levels must ascend
     directed = Graph.from_arcs(3, [0], [1], undirected=False)
     with pytest.raises(DirectedGraph):
-        edge_delete(directed, 0.5, EDGE_KEY)
+        edge_delete(directed, [0.5], EDGE_KEY)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +212,8 @@ def test_deletion_mask_matches_graph_property(p, seed):
     g = Graph.from_arcs(30, src, dst, symmetrize=True)
     key = derive_key("corruption", "prop", "edge_deletion", 0, seed)
     edges = canonical_edges_oracle(g)[0]
-    mask = deleted_edge_mask(len(edges), p, key)
-    out = edge_delete(g, p, key)
+    mask = _deleted_edge_mask(len(edges), p, key)
+    out = _deleted(g, p, key)
     # edge i of the (u, v)-sorted listing goes exactly when mask[i] is set
     assert canonical_edges_oracle(out)[0] == [e for e, d in zip(edges, mask) if not d]
     check_symmetry(out)

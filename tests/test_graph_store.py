@@ -324,6 +324,8 @@ def test_text_tables_skip_comment_and_blank_lines(tmp_path):
 @pytest.mark.parametrize("read, text", [
     (read_edge_file, "0\t1\n1\n"),
     (read_edge_file, "0\t1\n1\t0\t2\n"),
+    (read_edge_file, "0\t1\t2\n1\t0\t3\n"),
+    (read_triple_file, "0\t1\n2\t0\n"),
     (read_triple_file, "0\t1\tz\n"),
     (lambda p: read_label_file(p, 3, 2), "2\tfoo\n"),
     (lambda p: read_split_file(p, 3), "0\ttrain\textra\n"),
@@ -333,7 +335,7 @@ def test_text_tables_skip_comment_and_blank_lines(tmp_path):
     (read_ranking_file, "0\t1\t0.5\n0\t2\n"),
     (read_saliency_file, "#kind\tnode_grad_norm\n0\thigh\n"),
     (read_probs_file, "3\tclean\t0.5\t0.5\n"),
-], ids=["edge-short", "edge-long", "triple", "label", "split", "meta", "pred-token",
+], ids=["edge-short", "edge-long", "edge-all-wide", "triple-all-narrow", "triple", "label", "split", "meta", "pred-token",
         "pred-header", "ranking", "saliency", "probs"])
 def test_ragged_row_or_bad_token_is_a_length_mismatch(tmp_path, read, text):
     p = tmp_path / "t.tsv"

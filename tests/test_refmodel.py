@@ -1,4 +1,4 @@
-"""Label-propagation scorer: counting semantics and locality."""
+"""Label-propagation scorer: counting semantics, locality and nested edge levels."""
 
 from unittest import mock
 
@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphstress.determinism import derive_key
-from graphstress.errors import ConfigError, EmptySubgraph, NoTrainLabels
-from graphstress.graph_store import Graph
+from graphstress.corruption import edge_delete
+from graphstress.determinism import derive_key, uniform
+from graphstress.errors import ConfigError, DirectedGraph, EmptySubgraph, NoTrainLabels
+from graphstress.graph_store import Graph, remove_edges
 from graphstress.cli import _refmodel_probs
 from graphstress.interpret import SaliencyTable, TargetManifest, build_edge_manifest, masked_graph
 from graphstress import refmodel
@@ -226,6 +227,58 @@ def test_stacked_labelings_equal_each_labeling_alone_property(seed, hops, undire
         for row, node in zip(table.rows, rows.tolist()):
             assert np.allclose(row, propagation_oracle(adjacency, train, 3, hops, 1.0, node),
                                atol=1e-12)
+
+
+@given(st.integers(0, 10_000), st.integers(1, 3), st.sampled_from(CHUNKS), st.booleans(),
+       st.lists(st.sampled_from(["sparse", "dense", "single", "relabel"]), min_size=1, max_size=3),
+       st.sampled_from(["shuffled", "descending", "empty"]), st.integers(1, 5))
+@settings(max_examples=150, deadline=None)
+def test_edge_levels_equal_each_deleted_graph_alone_property(seed, hops, chunk, arcs, kinds,
+                                                             order, num_levels):
+    # one call over the clean graph scores every nested deletion level as
+    # scoring that level's own graph does, for every labeling of the stack
+    rng = np.random.default_rng(seed)
+    g = _self_loop_graph(rng, True, arcs)
+    n = g.num_nodes
+    stack = []
+    for kind in kinds:
+        stack.append(_labeling(rng, kind, n, stack[-1] if stack else None))
+    rows = _row_subset(rng, n, order)
+    levels = np.sort(rng.random(num_levels))
+    key = derive_key("corruption", "prop", "edge_delete", 0, seed)
+    survived = edge_delete(g, levels, key)
+    u = uniform(key, np.arange(len(g.edge_keys()), dtype=np.int64))
+    config = PropagationConfig(hops=hops)
+    with mock.patch.object(refmodel, "_CHUNK_ROWS", chunk):
+        tables = propagate_predict(g, np.array(stack), 3, config, rows=rows, survived=survived,
+                                   num_levels=num_levels)
+        assert len(tables) == (num_levels + 1) * len(stack)
+        for level in range(num_levels + 1):
+            if level:
+                assert np.array_equal(survived < level, u < levels[level - 1])
+            deleted = remove_edges(g, survived < level)
+            alone = propagate_predict(deleted, np.array(stack), 3, config, rows=rows)
+            adjacency = adjacency_from_graph(deleted)
+            for j, (single, train) in enumerate(zip(alone, stack)):
+                table = tables[level * len(stack) + j]
+                assert table.unit_ids.tolist() == rows.tolist()
+                assert table.rows.tobytes() == single.rows.tobytes(), (level, j)
+                for row, node in zip(table.rows, rows.tolist()):
+                    want = propagation_oracle(adjacency, train, 3, hops, 1.0, node)
+                    assert np.allclose(row, want, atol=1e-12)
+
+
+def test_edge_levels_need_an_undirected_graph_and_counts_in_range():
+    train = np.array([0, -1, 1], dtype=np.int64)
+    directed = Graph.from_arcs(3, [0, 1], [1, 2], undirected=False)
+    with pytest.raises(DirectedGraph):
+        propagate_predict(directed, train, 2, survived=np.zeros(2, np.int8), num_levels=1)
+    g = _chain(3)
+    with pytest.raises(ConfigError):
+        propagate_predict(g, train, 2, survived=np.array([0, 2], np.int8), num_levels=1)
+    # every edge surviving every level: each level's table is the clean one
+    tables = propagate_predict(g, train, 2, survived=np.full(2, 3, np.int8), num_levels=3)
+    assert len({t.rows.tobytes() for t in tables}) == 1
 
 
 @pytest.mark.parametrize("hops", [1, 2, 3])
