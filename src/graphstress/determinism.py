@@ -61,27 +61,29 @@ def derive_key(axis: str, dataset: str, op: str, severity_index: int, seed: int)
     return StreamKey(_splitmix64(h))
 
 
-def _raw64(key: StreamKey, index) -> np.ndarray:
-    """splitmix64 output at position index+1 of the sequence seeded at key."""
-    idx = np.asarray(index, dtype=np.uint64)
-    with np.errstate(over="ignore"):  # mod-2**64 wraparound is the algorithm
-        z = _U(key.key) + (idx + _U(1)) * _U(_GAMMA)
-        z = (z ^ (z >> _U(30))) * _U(_MIX1)
-        z = (z ^ (z >> _U(27))) * _U(_MIX2)
-        return z ^ (z >> _U(31))
+_BLOCK = 1 << 14  # draws computed at once, so the splitmix64 temporaries stay small
 
 
 def uniform(key: StreamKey, index):
-    """Uniform real in [0, 1) at (key, index).
+    """Uniform real in [0, 1) at (key, index): the top 53 bits of the
+    splitmix64 output at position index+1 of the sequence seeded at key.
 
     Accepts a scalar index or an integer array; returns a float or a float64
     array of the same shape.
     """
-    bits = _raw64(key, index) >> _U(11)  # top 53 bits
-    out = bits.astype(np.float64) * (1.0 / (1 << 53))
-    if np.ndim(index) == 0:
-        return float(out)
-    return out
+    index = np.asarray(index)
+    flat = index.reshape(-1)
+    out = np.empty(len(flat), dtype=np.float64)
+    with np.errstate(over="ignore"):  # mod-2**64 wraparound is the algorithm
+        for lo in range(0, len(flat), _BLOCK):
+            z = _U(key.key) + (flat[lo:lo + _BLOCK].astype(np.uint64) + _U(1)) * _U(_GAMMA)
+            z = (z ^ (z >> _U(30))) * _U(_MIX1)
+            z = (z ^ (z >> _U(27))) * _U(_MIX2)
+            out[lo:lo + _BLOCK] = (z ^ (z >> _U(31))) >> _U(11)  # exact: below 2**53
+    out *= 1.0 / (1 << 53)
+    if index.ndim == 0:
+        return float(out[0])
+    return out.reshape(index.shape)
 
 
 def gaussian(key: StreamKey, index):

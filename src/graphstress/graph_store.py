@@ -122,7 +122,12 @@ class Graph:
     def _reverse_order(self) -> np.ndarray:
         """Edge index, in ``edge_keys()`` order, of each arc v > u in CSR order; sorted once."""
         src, dst = self.arcs()
-        return np.argsort(dst[src < dst], kind="stable")
+        fwd = src < dst
+        src = src[fwd]
+        keys = dst[fwd]
+        keys *= self.num_nodes
+        keys += src  # v * n + u: unique, so any sort kind gives the stable order
+        return np.argsort(keys)
 
     def _arc_values(self, per_edge: np.ndarray, loop) -> np.ndarray:
         """Each arc's entry of ``per_edge``, one per edge in ``edge_keys()`` order, in CSR
@@ -183,11 +188,16 @@ class Graph:
             raise BadId(f"arc endpoint {bad} out of range for {num_nodes} nodes")
         if symmetrize:  # a self-loop doubled here is one key, dropped below
             src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-        keys = np.sort(src * num_nodes + dst)
-        src, dst = np.divmod(keys[np.diff(keys, prepend=-1) != 0], num_nodes)
-        offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=num_nodes), out=offsets[1:])
-        g = cls(num_nodes=num_nodes, offsets=offsets, neighbors=dst, undirected=undirected, **kwargs)
+        keys = src * num_nodes
+        keys += dst
+        keys.sort()
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+        del first
+        offsets = np.searchsorted(keys, np.arange(num_nodes + 1, dtype=np.int64) * num_nodes)
+        neighbors = np.remainder(keys, num_nodes, out=keys)
+        g = cls(num_nodes=num_nodes, offsets=offsets, neighbors=neighbors, undirected=undirected, **kwargs)
         validate_graph(g)
         return g
 
@@ -202,11 +212,20 @@ def validate_graph(g: Graph) -> None:
         raise LengthMismatch("offsets[-1] must equal len(neighbors)")
     if len(g.neighbors) and (g.neighbors.min() < 0 or g.neighbors.max() >= g.num_nodes):
         raise BadId(f"neighbor id out of range for {g.num_nodes} nodes")
-    # the arc keys strictly ascend: each neighbor list is sorted and holds no duplicate
-    if np.any(np.diff(g.arcs()[0] * g.num_nodes + g.neighbors) <= 0):
+    # each neighbor list strictly ascends: sorted, no duplicate; a row's first entry is exempt
+    ascends = np.empty(len(g.neighbors) + 1, dtype=bool)
+    np.greater(g.neighbors[1:], g.neighbors[:-1], out=ascends[1:-1])
+    ascends[g.offsets] = True
+    if not ascends.all():
         raise LengthMismatch("neighbor lists must be sorted ascending without duplicates")
+    del ascends
     if g.undirected:
         check_symmetry(g)
+    check_node_fields(g)
+
+
+def check_node_fields(g: Graph) -> None:
+    """Check that features, labels and meta, where given, have one row per node."""
     if g.features is not None:
         if g.features.shape[0] != g.num_nodes:
             raise LengthMismatch("feature rows must equal num_nodes")
@@ -230,19 +249,19 @@ def check_symmetry(g: Graph) -> None:
 
 def _one_way_arc(g: Graph) -> tuple[int, int] | None:
     """The smallest arc (u, v), u != v, whose reverse (v, u) is absent, or None."""
-    src, dst = g.arcs()
-    non_loop = src != dst
-    fwd = src[non_loop] * g.num_nodes + dst[non_loop]
-    rev = dst[non_loop] * g.num_nodes + src[non_loop]
-    fwd.sort()
+    fwd, dst = g.arcs()
+    rev = dst * g.num_nodes
+    rev += fwd
     rev.sort()
+    fwd *= g.num_nodes  # in the arcs() source buffer; CSR order is ascending key order
+    fwd += dst
     if np.array_equal(fwd, rev):
         return None
-    # rev holds the key of every arc's reverse, so a key of fwd absent from
-    # it is an arc whose reverse is missing. Neighbor lists hold no
-    # duplicates, so fwd and rev are two unequal sets of one size and fwd
-    # has such a key.
-    u, v = divmod(int(np.setdiff1d(fwd, rev)[0]), g.num_nodes)
+    # rev holds the key of every arc's reverse (a self-loop's is its own), so
+    # a key of fwd absent from it is an arc whose reverse is missing. Neighbor
+    # lists hold no duplicates, so fwd and rev are two unequal sets of one
+    # size and fwd has such a key.
+    u, v = divmod(int(np.setdiff1d(fwd, rev, assume_unique=True)[0]), g.num_nodes)
     return u, v
 
 
@@ -335,6 +354,8 @@ def read_table(path, dtypes) -> list[np.ndarray]:
     ``#`` are skipped; an ``object`` column holds its tokens as str. Raises
     MissingFile for an absent file, and LengthMismatch for a row without
     exactly ``len(dtypes)`` columns or a token its column's dtype cannot parse.
+    The columns are strided views of one parsed record array, not copies, so
+    a caller that keeps only some of them copies those.
     """
     path = require_file(path)
     row = np.dtype([(f"c{i}", dt) for i, dt in enumerate(dtypes)])
@@ -349,7 +370,7 @@ def read_table(path, dtypes) -> list[np.ndarray]:
         table = np.loadtxt(path, dtype=row, delimiter="\t", comments="#", ndmin=1)
     except (ValueError, OverflowError) as e:
         raise LengthMismatch(f"{path}: {e}") from e
-    return [np.ascontiguousarray(table[name]) for name in row.names]
+    return [table[name] for name in row.names]
 
 
 def write_table(path, columns, header: str | None = None) -> None:
@@ -554,6 +575,9 @@ def load_dataset(manifest_path) -> Dataset:
     if kind == "node_graph":
         num_nodes = manifest["num_nodes"]
         src, dst = read_edge_file(base / manifest["edge_file"])
+        # the graph first, so the arc columns are gone before the node files are read
+        graph = Graph.from_arcs(num_nodes, src, dst, undirected=manifest.get("undirected", True))
+        del src, dst
         features = None
         if manifest.get("feature_file"):
             features = read_feature_file(base / manifest["feature_file"])
@@ -567,11 +591,8 @@ def load_dataset(manifest_path) -> Dataset:
         meta = NodeMeta()
         if manifest.get("meta_file"):
             meta = read_meta_file(base / manifest["meta_file"], num_nodes)
-        graph = Graph.from_arcs(
-            num_nodes, src, dst,
-            undirected=manifest.get("undirected", True),
-            features=features, labels=labels, num_classes=num_classes, meta=meta,
-        )
+        graph = replace(graph, features=features, labels=labels, num_classes=num_classes, meta=meta)
+        check_node_fields(graph)
         split = None
         if manifest.get("split_file"):
             split = read_split_file(base / manifest["split_file"], num_nodes)

@@ -223,7 +223,7 @@ def read_prediction_file(path) -> PredictionTable:
     ids, *columns = read_table(path, (np.int64,) + (np.float64,) * int(num_classes))
     if not len(ids):
         raise EmptyEvalSet(f"{path}: no prediction rows")
-    return PredictionTable(ids, np.column_stack(columns), source=str(path))
+    return PredictionTable(ids.copy(), np.column_stack(columns), source=str(path))
 
 
 def write_prediction_file(path, table: PredictionTable) -> None:

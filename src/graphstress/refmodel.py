@@ -133,10 +133,11 @@ def propagate_predict(graph: Graph, train_labels: np.ndarray, num_classes: int,
         np.subtract(num_levels, arc_bits, out=arc_bits)
     shift = num_levels.bit_length()
     depth = num_levels + 1
-    keep = labeled[graph.neighbors]
-    labeled_offsets = np.append(0, np.cumsum(keep))[graph.offsets]
+    keep = np.flatnonzero(labeled[graph.neighbors])
+    labeled_offsets = np.searchsorted(keep, graph.offsets)
     labeled_targets = graph.neighbors[keep]
     labeled_bits = None if arc_bits is None else arc_bits[keep]
+    del keep  # int64 positions: not held through the chunk loop
     # an unlabeled node's class is num_classes, a column that is dropped
     classes = np.where(mask, labelings, num_classes)
     width = num_classes + 1

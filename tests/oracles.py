@@ -123,6 +123,18 @@ def csr_oracle(num_nodes, pairs):
     return offsets, [v for _, v in arcs]
 
 
+def rows_ascend_oracle(graph):
+    """Whether every CSR row lists distinct neighbors in ascending order, row by row."""
+    return all(neighbors_of(graph, u).tolist() == sorted(set(neighbors_of(graph, u).tolist()))
+               for u in range(graph.num_nodes))
+
+
+def one_way_arc_oracle(graph):
+    """The smallest arc (u, v), u != v, whose reverse (v, u) is absent, via a set; or None."""
+    arcs = {(u, v) for u in range(graph.num_nodes) for v in neighbors_of(graph, u).tolist()}
+    return min(((u, v) for u, v in arcs if u != v and (v, u) not in arcs), default=None)
+
+
 def induced_arcs_oracle(graph, nodes):
     """Arcs with both ends in ``nodes``, as sorted (i, j) positions in ``nodes``."""
     position = {u: i for i, u in enumerate(nodes)}

@@ -1,5 +1,7 @@
 """Feature-noise and edge-deletion operators: scaling, nesting, invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,6 +184,23 @@ def test_edge_delete_validation(random_graph):
     directed = Graph.from_arcs(3, [0], [1], undirected=False)
     with pytest.raises(DirectedGraph):
         edge_delete(directed, [0.5], EDGE_KEY)
+
+
+def test_edge_delete_holds_at_most_24_bytes_per_edge():
+    # the counts are 1 B per edge; the draws and their indices 16 B more
+    rng = np.random.default_rng(3)
+    g = Graph.from_arcs(20_000, rng.integers(0, 20_000, 100_000), rng.integers(0, 20_000, 100_000),
+                        symmetrize=True)
+    edge_delete(g, EDGE_LEVELS, EDGE_KEY)  # the graph's reverse-arc order is cached from here on
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        survived = edge_delete(g, EDGE_LEVELS, EDGE_KEY)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(survived) > 99_000
+    assert peak <= 24 * len(survived)
 
 
 # ---------------------------------------------------------------------------

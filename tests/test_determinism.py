@@ -1,11 +1,13 @@
 """Counter-addressed RNG: replay identity, stream quality, key separation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphstress.determinism import StreamKey, derive_key, gaussian, permutation, uniform
+from graphstress.determinism import StreamKey, _splitmix64, derive_key, gaussian, permutation, uniform
 
 
 def test_same_tuple_same_key():
@@ -100,6 +102,34 @@ def test_chunked_evaluation_matches_whole():
     whole = uniform(k, np.arange(1000, dtype=np.int64))
     parts = [uniform(k, np.arange(s, s + 100, dtype=np.int64)) for s in range(0, 1000, 100)]
     assert np.array_equal(whole, np.concatenate(parts))
+
+
+def test_uniform_matches_scalar_splitmix64_across_blocks():
+    # draws are computed a block of indices at a time: indices on both sides of
+    # block edges, at the top of the uint64 range and in a 2-D shape match the
+    # scalar definition, the top 53 bits of splitmix64(key + (i + 1) * gamma)
+    k = derive_key("blocks", "x", "y", 0, 0)
+    idx = np.array([0, 1, 65535, 65536, 65537, 131072, 2**63, 2**64 - 1], dtype=np.uint64)
+    want = [(_splitmix64(k.key + (i + 1) * 0x9E3779B97F4A7C15) >> 11) / 2**53
+            for i in idx.tolist()]
+    assert uniform(k, idx).tolist() == want
+    assert uniform(k, idx.reshape(2, 4)).tolist() == [want[:4], want[4:]]
+    assert uniform(k, np.arange(200_000))[[65535, 65536, 131072]].tolist() == [want[2], want[3], want[5]]
+
+
+def test_uniform_holds_no_full_size_temporary():
+    # one float64 per draw is the result; the splitmix64 steps run in place
+    k = derive_key("mem", "x", "y", 0, 0)
+    idx = np.arange(1_000_000, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        u = uniform(k, idx)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert u.nbytes == 8 * len(idx)
+    assert peak <= 10 * len(idx)  # the result plus one block of scratch
 
 
 def test_stream_key_validates_range():

@@ -1,8 +1,11 @@
 """CSR graph container, edge keys and removal, and file formats."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphstress.errors import (
@@ -21,6 +24,7 @@ from graphstress.graph_store import (
     Role,
     SplitAssignment,
     TripleStore,
+    _one_way_arc,
     check_symmetry,
     load_dataset,
     read_edge_file,
@@ -49,6 +53,8 @@ from oracles import (
     csr_oracle,
     induced_arcs_oracle,
     neighbors_of,
+    one_way_arc_oracle,
+    rows_ascend_oracle,
 )
 
 
@@ -371,6 +377,38 @@ def test_node_dataset_round_trip(tmp_path):
     assert np.array_equal(ds.split.roles, back.split.roles)
 
 
+def test_node_dataset_load_peaks_below_three_and_a_half_times_what_it_keeps(tmp_path):
+    # the arc columns are freed before the node files are read, and the arc
+    # keys are built, sorted and checked in place
+    manifest = save_dataset(make_node_dataset(num_nodes=20_000, seed=0), tmp_path / "d")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ds = load_dataset(manifest)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    g = ds.graph
+    kept = sum(a.nbytes for a in (g.offsets, g.neighbors, g.features, g.labels, g.meta.year,
+                                  g.meta.sensitive_attr, ds.split.roles))
+    assert g.num_arcs > 100_000
+    assert peak <= 3.5 * kept
+
+
+def test_a_bad_arc_is_reported_before_a_bad_label_file(tmp_path):
+    # the edge file is read and checked first, the label file after it
+    out = tmp_path / "d"
+    save_dataset(make_node_dataset(num_nodes=50, seed=0), out)
+    with open(out / "edges.tsv", "a") as f:
+        f.write("3\t999\n")
+    (out / "labels.tsv").write_text("0\t1\t2\n")
+    with pytest.raises(BadId, match="arc endpoint 999 out of range for 50 nodes"):
+        load_dataset(out / "manifest.json")
+    (out / "edges.tsv").write_text("0\t1\n1\t0\n")
+    with pytest.raises(LengthMismatch, match="labels.tsv"):
+        load_dataset(out / "manifest.json")
+
+
 def test_triple_dataset_round_trip(tmp_path):
     ds = make_triple_store(seed=2)
     back = load_dataset(save_dataset(ds, tmp_path / "kg"))
@@ -486,6 +524,51 @@ def test_from_arcs_matches_csr_oracle_property(symmetrize, case):
     assert g.offsets.tolist() == offsets
     assert g.neighbors.tolist() == neighbors
     assert g.offsets.dtype == g.neighbors.dtype == np.int64
+
+
+csr_rows = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.lists(st.integers(0, n - 1), max_size=5),
+                                             min_size=n, max_size=n)))
+
+
+@given(csr_rows)
+@example((3, [[], [0, 2], [1]]))       # empty first row
+@example((3, [[1, 2], [], [0]]))       # empty middle row
+@example((3, [[1], [0, 2], []]))       # empty last row
+@example((3, [[1, 1], [0], []]))       # a duplicate arc
+@example((3, [[2, 1], [0], [0]]))      # an unsorted row
+@example((3, [[2], [0, 1], [0, 1]]))   # ascending across a row start only
+@settings(max_examples=300, deadline=None)
+def test_ascending_check_matches_set_oracle_property(case):
+    n, rows = case
+    g = Graph(num_nodes=n, offsets=np.cumsum([0] + [len(r) for r in rows], dtype=np.int64),
+              neighbors=np.array([v for r in rows for v in r], dtype=np.int64), undirected=False)
+    if rows_ascend_oracle(g):
+        validate_graph(g)
+    else:
+        with pytest.raises(LengthMismatch, match="sorted ascending without duplicates"):
+            validate_graph(g)
+
+
+@given(arc_lists, st.sets(st.integers(0, 119)))
+@example((3, [(0, 1), (1, 1)]), {1})        # a self-loop, and (0,1) without its reverse
+@example((4, [(0, 1), (2, 2)]), set())      # symmetric with a self-loop
+@example((4, [(0, 3), (1, 2)]), {0, 1, 3})  # only (2,1) is left
+@settings(max_examples=300, deadline=None)
+def test_one_way_arc_matches_set_oracle_property(case, drop):
+    # a symmetric arc set with self-loops, less the arcs at the positions in drop
+    n, pairs = case
+    arcs = sorted(set(pairs) | {(v, u) for u, v in pairs})
+    arcs = [a for i, a in enumerate(arcs) if i not in drop]
+    g = Graph.from_arcs(n, [u for u, _ in arcs], [v for _, v in arcs], undirected=False)
+    want = one_way_arc_oracle(g)
+    assert _one_way_arc(g) == want
+    if want is None:
+        validate_graph(replace(g, undirected=True))
+    else:
+        u, v = want
+        with pytest.raises(AsymmetricGraph, match=rf"^arc \({u},{v}\) has no reverse \({v},{u}\)$"):
+            validate_graph(replace(g, undirected=True))
 
 
 def _removal_matches_rebuild(g, fill, data):
