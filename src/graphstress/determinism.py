@@ -90,17 +90,28 @@ def gaussian(key: StreamKey, index):
     """Standard normal variate at (key, index) via trigonometric Box-Muller.
 
     Consumes the two uniforms at sub-indices (2*index, 2*index + 1), so
-    distinct indices never share raw draws.
+    distinct indices never share raw draws. Computed one block of indices at
+    a time into the float64 result.
     """
-    idx = np.asarray(index, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        sub = idx * _U(2)
-        u1 = uniform(key, sub)
-        u2 = uniform(key, sub + _U(1))
-    out = np.sqrt(-2.0 * np.log1p(-np.asarray(u1))) * np.cos(2.0 * np.pi * np.asarray(u2))
-    if np.ndim(index) == 0:
-        return float(out)
-    return out
+    index = np.asarray(index)
+    flat = index.reshape(-1)
+    out = np.empty(len(flat), dtype=np.float64)
+    for lo in range(0, len(flat), _BLOCK):
+        with np.errstate(over="ignore"):
+            sub = flat[lo:lo + _BLOCK].astype(np.uint64) * _U(2)
+        radius = uniform(key, sub)
+        sub += _U(1)
+        angle = uniform(key, sub)
+        np.negative(radius, out=radius)
+        np.log1p(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle *= 2.0 * np.pi
+        np.cos(angle, out=angle)
+        np.multiply(radius, angle, out=out[lo:lo + _BLOCK])
+    if index.ndim == 0:
+        return float(out[0])
+    return out.reshape(index.shape)
 
 
 def permutation(key: StreamKey, n: int) -> np.ndarray:

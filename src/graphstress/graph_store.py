@@ -32,7 +32,9 @@ Datasets are immutable after load and safe to share across threads.
 from __future__ import annotations
 
 import json
+import operator
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from functools import cached_property
@@ -305,11 +307,42 @@ class TripleStore:
                 raise LengthMismatch("duplicate triples")
 
 
+class GraphBlock(Sequence):
+    """Many small graphs kept as one block-diagonal CSR, sliced into a Graph on access.
+
+    Graph g's atoms are rows ``ptr[g]..ptr[g+1]-1`` of the block, whose arc
+    offsets are ``offsets``; ``neighbors`` holds each arc's head as a local
+    atom id of its own graph. Read-only: indexing (negative indices
+    included) and iteration build each Graph only when it is asked for.
+    """
+
+    def __init__(self, ptr: np.ndarray, offsets: np.ndarray, neighbors: np.ndarray,
+                 undirected: bool):
+        self.ptr = ptr              # int64, len num_graphs + 1
+        self.offsets = offsets      # int64, len ptr[-1] + 1
+        self.neighbors = neighbors  # int64, len offsets[-1], local atom ids
+        self.undirected = undirected
+
+    def __len__(self) -> int:
+        return len(self.ptr) - 1
+
+    def __getitem__(self, g) -> Graph:
+        g = operator.index(g)
+        if g < 0:
+            g += len(self)
+        if not 0 <= g < len(self):
+            raise IndexError("graph index out of range")
+        lo, hi = int(self.ptr[g]), int(self.ptr[g + 1])
+        a, b = int(self.offsets[lo]), int(self.offsets[hi])
+        return Graph(num_nodes=hi - lo, offsets=self.offsets[lo:hi + 1] - a,
+                     neighbors=self.neighbors[a:b], undirected=self.undirected)
+
+
 @dataclass
 class GraphCollection:
     """Many small graphs (molecules) with per-graph label rows."""
 
-    graphs: list[Graph]
+    graphs: Sequence[Graph]          # a list, or the GraphBlock a load keeps
     labels: np.ndarray               # (num_graphs, num_tasks) int8, -1 = missing
     scaffold_ids: np.ndarray | None = None  # (num_graphs,) int64
 
@@ -617,12 +650,13 @@ def _load_collection(manifest: dict, base: Path, name: str) -> Dataset:
     gids, graph_sizes = _read_id_table(path, num_graphs, "graph id", (np.int64,))
     if np.any(graph_sizes < 0):
         raise BadId(f"{path}: graph size {graph_sizes[graph_sizes < 0][0]} is negative")
-    sizes = np.zeros(num_graphs, dtype=np.int64)
+    sizes = np.full(num_graphs, -1, dtype=np.int64)
     sizes[gids] = graph_sizes
-    path = base / manifest["graph_file"]
-    gids, src, dst = read_table(path, (np.int64,) * 3)
-    _check_ids(path, gids, num_graphs, "graph id")
-    graphs = _collection_graphs(path, sizes, gids, src, dst, manifest.get("undirected", True))
+    if np.any(sizes < 0):
+        raise LengthMismatch(f"{path}: graph sizes must cover every graph; "
+                             f"graph {np.argmax(sizes < 0)} has no row")
+    # the arc columns are parsed and freed inside, before the other files are read
+    graphs = _collection_graphs(base / manifest["graph_file"], sizes, manifest.get("undirected", True))
     path = base / manifest["graph_label_file"]
     gids, *tasks = _read_id_table(path, num_graphs, "graph id", (object,) * num_tasks)
     labels = np.full((num_graphs, num_tasks), -1, dtype=np.int8)
@@ -644,16 +678,18 @@ def _load_collection(manifest: dict, base: Path, name: str) -> Dataset:
     return Dataset(kind="graph_collection", name=name, collection=collection, split=split)
 
 
-def _collection_graphs(path, sizes: np.ndarray, gids: np.ndarray, src: np.ndarray,
-                       dst: np.ndarray, undirected: bool) -> list[Graph]:
-    """One validated CSR per graph from the arcs (gids, src, dst) in local atom ids.
+def _collection_graphs(path, sizes: np.ndarray, undirected: bool) -> GraphBlock:
+    """The validated graphs of the arc file ``path`` (rows graph_id, u, v in local atom ids).
 
     All graphs are built and checked as one block-diagonal CSR in which graph
     g's atoms get the global ids ptr[g]..ptr[g+1]-1. No arc crosses two
     blocks, so sorting, deduplicating and checking the whole arc set does
-    the same as doing it per graph; each graph is then a slice of the block.
-    BadId and AsymmetricGraph name the graph id and its local atom ids.
+    the same as doing it per graph. The block is kept as it is, with its
+    neighbors turned back into local atom ids. BadId and AsymmetricGraph
+    name the graph id and its local atom ids.
     """
+    gids, src, dst = read_table(path, (np.int64,) * 3)
+    _check_ids(path, gids, len(sizes), "graph id")
     n = sizes[gids]
     bad = np.flatnonzero((src < 0) | (src >= n) | (dst < 0) | (dst >= n))
     if len(bad):
@@ -662,20 +698,22 @@ def _collection_graphs(path, sizes: np.ndarray, gids: np.ndarray, src: np.ndarra
         raise BadId(f"{path}: graph {gids[i]}: atom id {atom} out of range for {n[i]} atoms")
     ptr = np.zeros(len(sizes) + 1, dtype=np.int64)
     np.cumsum(sizes, out=ptr[1:])
-    shift = ptr[gids]
-    block = Graph.from_arcs(int(ptr[-1]), src + shift, dst + shift, undirected=False)
+    shift = np.take(ptr, gids, out=n)  # each arc's first global atom id, in n's buffer
+    del n, gids
+    src += shift  # in the parsed columns: they are not read again
+    dst += shift
+    del shift
+    block = Graph.from_arcs(int(ptr[-1]), src, dst, undirected=False)
+    del src, dst
     if undirected:
         arc = _one_way_arc(block)
         if arc is not None:
             g = int(np.searchsorted(ptr, arc[0], side="right")) - 1
             u, v = arc[0] - int(ptr[g]), arc[1] - int(ptr[g])
             raise AsymmetricGraph(f"{path}: graph {g}: arc ({u},{v}) has no reverse ({v},{u})")
-    arc_ptr = block.offsets[ptr]
-    local = block.neighbors - np.repeat(ptr[:-1], np.diff(arc_ptr))
-    return [Graph(num_nodes=hi - lo, offsets=block.offsets[lo:hi + 1] - a, neighbors=local[a:b],
-                  undirected=undirected)
-            for lo, hi, a, b in zip(ptr[:-1].tolist(), ptr[1:].tolist(),
-                                    arc_ptr[:-1].tolist(), arc_ptr[1:].tolist())]
+    neighbors = block.neighbors
+    neighbors -= np.repeat(ptr[:-1], np.diff(block.offsets[ptr]))
+    return GraphBlock(ptr, block.offsets, neighbors, undirected)
 
 
 def save_dataset(dataset: Dataset, out_dir) -> Path:

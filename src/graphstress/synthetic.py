@@ -91,13 +91,16 @@ def make_molecule_collection(name: str = "synthmol", num_graphs: int = 60,
                              seed: int = 0) -> Dataset:
     """Small ring-with-tail molecules grouped into scaffold families.
 
-    A molecule is a ring of r atoms with a tail of t atoms; its scaffold id
-    is the ring size, so several molecules share each scaffold. The binary
+    A molecule is a ring of r atoms with a tail of t atoms. Its scaffold id
+    is drawn from max(1, num_graphs // 4) ids, about four molecules per
+    scaffold, by draws placed after the ring and tail draws. The binary
     label marks large rings, which a structure-aware scorer can recover.
     """
     k = derive_key("synthetic", name, "molecules", 0, seed)
-    draws = uniform(k, np.arange(num_graphs * 2, dtype=np.int64))
-    graphs, labels, scaffolds = [], [], []
+    draws = uniform(k, np.arange(num_graphs * 3, dtype=np.int64))
+    num_scaffolds = max(1, num_graphs // 4)
+    scaffolds = (draws[2 * num_graphs:] * num_scaffolds).astype(np.int64)
+    graphs, labels = [], []
     for g in range(num_graphs):
         ring = 3 + int(draws[2 * g] * 6)        # 3..8 atoms in the ring
         tail = 1 + int(draws[2 * g + 1] * 4)    # 1..4 tail atoms
@@ -107,11 +110,10 @@ def make_molecule_collection(name: str = "synthmol", num_graphs: int = 60,
         graphs.append(Graph.from_arcs(n, np.array(src), np.array(dst),
                                       undirected=True, symmetrize=True))
         labels.append(1 if ring >= 6 else 0)
-        scaffolds.append(ring)
     collection = GraphCollection(
         graphs=graphs,
         labels=np.array(labels, dtype=np.int8).reshape(-1, 1),
-        scaffold_ids=np.array(scaffolds, dtype=np.int64),
+        scaffold_ids=scaffolds,
     )
     collection.validate()
     return Dataset(kind="graph_collection", name=name, collection=collection)

@@ -15,7 +15,7 @@ import pytest
 import graphstress
 import graphstress.cli as cli
 from graphstress.cli import main
-from graphstress.graph_store import Role, SplitAssignment, load_dataset, read_split_file, save_dataset
+from graphstress.graph_store import Graph, Role, SplitAssignment, load_dataset, read_split_file, save_dataset
 from graphstress.interpret import (
     SaliencyTable,
     read_manifest_file,
@@ -163,6 +163,15 @@ def test_split_scaffold(mol_ds, tmp_path):
     ids = ds.collection.scaffold_ids
     for gid in np.unique(ids):
         assert len(np.unique(split.roles[ids == gid])) == 1
+
+
+def test_split_scaffold_of_the_demo_molecules_has_a_test_set(tmp_path):
+    # the 60-molecule seed-0 collection that scripts/make_synthetic_dataset.py writes
+    manifest = save_dataset(make_molecule_collection(seed=0), tmp_path / "synthmol")
+    assert main(["split", "--mechanism", "scaffold", "--dataset", str(manifest), "--seed", "0",
+                 "--out", str(tmp_path / "scaf")]) == 0
+    split = read_split_file(tmp_path / "scaf" / "split.tsv", 60)
+    assert split.counts()["test"] > 0
 
 
 def test_split_kg(kg_ds, tmp_path):
@@ -599,6 +608,22 @@ def test_a_repeated_id_in_a_dataset_file_exits_2(tmp_path, monkeypatch, capsys, 
     config = _write_config(Path("config.json"), manifest=manifest, seeds=1)
     assert main(["run", "--config", str(config), "--out", "out"]) == 2
     assert named in capsys.readouterr().err
+
+
+def test_a_graph_missing_from_graph_sizes_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    dataset = make_molecule_collection(name="tinymol", num_graphs=8, seed=4)
+    dataset.collection.graphs[3] = Graph.from_arcs(2, [], [])  # two atoms, no bonds
+    manifest = save_dataset(dataset, Path("ds"))
+    path = Path("ds") / "graph_sizes.tsv"
+    rows = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(rows[:3] + rows[4:]))  # no row for graph 3
+    monkeypatch.setattr(cli.PipelineRunner, "_run_job",
+                        lambda self, job: pytest.fail(f"cell {job} ran"))
+    config = _write_config(Path("config.json"), manifest=manifest, seeds=1)
+    assert main(["run", "--config", str(config), "--out", "out"]) == 2
+    assert (f"LengthMismatch: {path}: graph sizes must cover every graph; graph 3 has no row"
+            in capsys.readouterr().err)
 
 
 # ---------------------------------------------------------------------------
@@ -1219,7 +1244,7 @@ GOLDEN_SHA256 = {
     "mol/graph_labels.tsv": "6ade3e126ef243f4393858c84aa68b1ab9e59089dd95381b7f27a1ff0afdcb84",
     "mol/graph_sizes.tsv": "dc69af6d83c1c514e2b0c23c9e92a44765b5596e4b6406531466224d9644b2c4",
     "mol/manifest.json": "ea52c4a86779385cb6cf9d39b3dc250fc9d5ffb47f8f706e12fd385c2f5640ee",
-    "mol/scaffolds.tsv": "7ab258ae86a49a84a1d42d61982642c0aba480fe849918b15101c5313f73bf10",
+    "mol/scaffolds.tsv": "7a193b12fe1644486dc2ab7cdade945b658d5a0c423c97687c6432c1c8c1c7b6",
     "multi.pred": "277e2bbaf067c57cb405ab8f92accc918835b9348aaa1206da7f84bb82b50b73",
     "node/edges.tsv": "35a02d8b196ba2010b6220603f3ab826b29f388c060c9f08f8d5bf758e038134",
     "node/labels.tsv": "f124866ea3f24041bf69a0dece932c5b72b170fd88204318dffdc8f03bfc1abc",

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphstress.determinism import StreamKey, _splitmix64, derive_key, gaussian, permutation, uniform
+from graphstress.determinism import (
+    _BLOCK,
+    StreamKey,
+    _splitmix64,
+    derive_key,
+    gaussian,
+    permutation,
+    uniform,
+)
 
 
 def test_same_tuple_same_key():
@@ -130,6 +138,37 @@ def test_uniform_holds_no_full_size_temporary():
         tracemalloc.stop()
     assert u.nbytes == 8 * len(idx)
     assert peak <= 10 * len(idx)  # the result plus one block of scratch
+
+
+@pytest.mark.parametrize("n", [1, 7, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 13])
+def test_gaussian_matches_the_unblocked_formula(n):
+    # gaussian is computed a block of indices at a time and in place; each
+    # draw keeps the bits of the whole-array Box-Muller formula
+    k = derive_key("gauss", "x", "y", 0, 0)
+    for idx in (np.arange(n, dtype=np.int64), np.arange(2**63 - n // 2, 2**63 + n - n // 2,
+                                                         dtype=np.uint64)):
+        sub = idx.astype(np.uint64) * np.uint64(2)
+        want = (np.sqrt(-2.0 * np.log1p(-uniform(k, sub)))
+                * np.cos(2.0 * np.pi * uniform(k, sub + np.uint64(1))))
+        assert gaussian(k, idx).tobytes() == want.tobytes()
+        assert gaussian(k, int(idx[-1])) == float(want[-1])  # a scalar index gives a float
+    flat = gaussian(k, np.arange(n, dtype=np.int64))
+    assert gaussian(k, np.arange(n).reshape(1, n, 1)).tobytes() == flat.tobytes()
+
+
+def test_gaussian_holds_no_full_size_temporary():
+    # one float64 per draw is the result; Box-Muller runs a block at a time
+    k = derive_key("mem", "x", "y", 0, 0)
+    idx = np.arange(1_000_000, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = gaussian(k, idx)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert g.nbytes == 8 * len(idx)
+    assert peak <= 10 * len(idx)  # the result plus a few blocks of scratch
 
 
 def test_stream_key_validates_range():

@@ -459,6 +459,52 @@ def test_collection_load_matches_per_graph_oracle(tmp_path):
         validate_graph(g)
 
 
+def test_loaded_collection_indexes_and_iterates_like_a_list(tmp_path):
+    ds = make_molecule_collection(num_graphs=12, seed=5)
+    want = list(ds.collection.graphs)
+    graphs = load_dataset(save_dataset(ds, tmp_path / "mol")).collection.graphs
+    assert len(graphs) == 12
+    for got, g in [(graphs[-1], want[-1]), (graphs[-12], want[0]), (graphs[np.int64(3)], want[3]),
+                   *zip(graphs, want, strict=True)]:
+        assert got.num_nodes == g.num_nodes and got.undirected
+        assert np.array_equal(got.offsets, g.offsets) and np.array_equal(got.neighbors, g.neighbors)
+    for index in (12, -13):
+        with pytest.raises(IndexError):
+            graphs[index]
+
+
+def test_collection_load_then_save_writes_the_same_bytes(tmp_path):
+    ds = make_molecule_collection(num_graphs=30, seed=6)
+    ds.collection.graphs[4] = Graph.from_arcs(2, [], [])  # a molecule with no bonds
+    save_dataset(ds, tmp_path / "a")
+    save_dataset(load_dataset(tmp_path / "a" / "manifest.json"), tmp_path / "b")
+    names = ["graph_sizes.tsv", "graph_edges.tsv", "graph_labels.tsv", "scaffolds.tsv",
+             "manifest.json"]
+    assert sorted(p.name for p in (tmp_path / "b").iterdir()) == sorted(names)
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_collection_load_keeps_about_the_bytes_of_its_arrays(tmp_path):
+    # the molecules stay one block-diagonal CSR, sliced into a Graph on access
+    ds = make_molecule_collection(num_graphs=4000, seed=1)
+    graphs = ds.collection.graphs
+    atoms, arcs = sum(g.num_nodes for g in graphs), sum(g.num_arcs for g in graphs)
+    # ptr, arc offsets and neighbors (int64), one int8 label and one int64 scaffold id each
+    arrays = 8 * ((len(graphs) + 1) + (atoms + 1) + arcs) + len(graphs) * (1 + 8)
+    manifest = save_dataset(ds, tmp_path / "mol")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        back = load_dataset(manifest)
+        kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert back.collection.num_graphs == 4000
+    assert kept <= 1.25 * arrays
+    assert peak <= 5 * arrays
+
+
 def test_empty_collection_loads(tmp_path):
     ds = Dataset(kind="graph_collection", name="none", collection=GraphCollection(
         graphs=[], labels=np.empty((0, 1), dtype=np.int8), scaffold_ids=None))
