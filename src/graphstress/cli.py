@@ -89,7 +89,6 @@ from .ood_splits import (
 )
 from .refmodel import (
     PropagationConfig,
-    predict_node,
     predicted_class_prob,
     propagate_predict,
 )
@@ -280,28 +279,49 @@ def _check_probs(probs: dict, targets, k_levels, source) -> None:
             raise MissingInput(f"{source} lacks the {c} probability of target {t}")
 
 
-def _refmodel_probs(graph: Graph, train_labels: np.ndarray, manifests: dict) -> dict:
+FAMILIES = [(r, side) for r in RANKINGS for side in ("top", "comp")]
+FAMILY_LEVELS = 127  # edge survival counts are int8
+
+
+def _refmodel_probs(graph: Graph, train_labels: np.ndarray, manifests: dict, k_levels) -> dict:
     """(target, condition) -> the built-in model's predicted-class probability, clean included.
 
-    Each condition is scored on the target's ``graph.induced(manifest.nodes)`` less its
-    edges; that subgraph holds the target's propagation ball, so the result equals scoring
-    ``masked_graph``'s output.
+    A (ranking, side) family's masked edge sets nest across k: ``top``'s grow with k,
+    ``comp``'s as k falls. So a target is scored on one block-diagonal graph of four copies
+    of its ``graph.induced(manifest.nodes)``, one per family, each edge surviving the
+    family's levels that leave it unmasked: one leveled propagation per at most
+    FAMILY_LEVELS k levels gives clean and every condition. That subgraph holds the
+    target's propagation ball, so the result equals scoring ``masked_graph``'s output.
     """
     if not np.any((train_labels >= 0) & (train_labels < graph.num_classes)):
         raise NoTrainLabels("propagation needs at least one labeled train node")
+    ks = sorted(k_levels)
+    copies = np.arange(len(FAMILIES))[:, None]
     probs = {}
     for t, m in manifests.items():
         sub = graph.induced(m.nodes)
+        block = Graph(num_nodes=len(FAMILIES) * sub.num_nodes,
+                      offsets=np.append(sub.offsets[:-1] + copies * sub.num_arcs,
+                                        len(FAMILIES) * sub.num_arcs),
+                      neighbors=(sub.neighbors + copies * sub.num_nodes).ravel(),
+                      undirected=graph.undirected)
         node = int(np.searchsorted(m.nodes, t))
         labels = train_labels[m.nodes]
         labels[node] = 0  # t never counts itself: a label-free ball raises no NoTrainLabels
-        row = predict_node(sub, labels, graph.num_classes, node)
-        probs[(t, "clean")] = float(row.max())
-        for condition, masked in m.conditions.items():
-            drop = np.zeros(len(m.edges), dtype=bool)  # in sub.edge_keys() order
-            drop[masked] = True
-            probs[(t, condition)] = predicted_class_prob(
-                remove_edges(sub, drop), labels, graph.num_classes, node, int(np.argmax(row)))
+        for lo in range(0, len(ks), FAMILY_LEVELS):
+            chain = ks[lo:lo + FAMILY_LEVELS]
+            names = [[condition_name(r, side, k) for k in (chain if side == "top" else chain[::-1])]
+                     for r, side in FAMILIES]
+            survived = np.full((len(FAMILIES), len(m.edges)), len(chain), dtype=np.int8)
+            for f, family in enumerate(names):
+                for name in family:
+                    survived[f, m.conditions[name]] -= 1
+            p = predicted_class_prob(block, np.tile(labels, len(FAMILIES)), graph.num_classes,
+                                     node + copies.ravel() * sub.num_nodes, survived.ravel(),
+                                     len(chain))
+            probs[(t, "clean")] = float(p[0, 0])
+            for f, family in enumerate(names):
+                probs.update({(t, name): float(q) for name, q in zip(family, p[1:, f])})
     return probs
 
 
@@ -786,7 +806,8 @@ class PipelineRunner:
             probs = read_probs_file(path)
             _check_probs(probs, manifests, self.k_levels, path)
         else:
-            probs = _refmodel_probs(dataset.graph, _train_labels(dataset.graph, train), manifests)
+            probs = _refmodel_probs(dataset.graph, _train_labels(dataset.graph, train), manifests,
+                                    self.k_levels)
         records = _fidelity_records(probs, manifests, self.k_levels)
         return {f"char_{r}_{k}": float(np.mean(_chars(records, r, k))) if records else None
                 for r in RANKINGS for k in self.k_levels}

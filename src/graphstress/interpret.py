@@ -64,25 +64,6 @@ class SaliencyTable:
         return self.scores[rows]
 
 
-@dataclass
-class Subgraph:
-    """K-hop receptive field: sorted node set and induced canonical edges."""
-
-    nodes: np.ndarray  # sorted int64
-    edges: np.ndarray  # (m, 2) int64, u < v, canonical order
-
-
-def khop_subgraph(graph: Graph, center: int, hops: int = 2) -> Subgraph:
-    """Nodes within `hops` undirected hops of center, plus induced edges.
-
-    Induced edges are listed canonically (u < v), in ``induced(nodes).edge_keys()``
-    order; self-loops never enter the maskable edge set.
-    """
-    nodes = graph.ball(center, hops)
-    local = np.divmod(graph.induced(nodes).edge_keys(), len(nodes))
-    return Subgraph(nodes=nodes, edges=nodes[np.stack(local, axis=1)])
-
-
 def edge_saliency_from_node_grads(node_scores: SaliencyTable, edges: np.ndarray) -> np.ndarray:
     """Edge score = endpoint score sum."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -186,21 +167,24 @@ def build_edge_manifest(graph: Graph, target: int, node_scores: SaliencyTable,
                         k_levels=K_PERCENT_LEVELS) -> TargetManifest:
     """Edge-masking manifest for one node-level target.
 
-    Raises EmptySubgraph when the receptive field has no maskable edge; the
-    caller skips and logs such targets.
+    The receptive field is the nodes within ``hops`` undirected hops of the
+    target and the edges among them, listed canonically (u < v) in
+    ``induced(nodes).edge_keys()`` order; self-loops never enter the maskable
+    edge set. Raises EmptySubgraph when it has no maskable edge; the caller
+    skips and logs such targets.
     """
-    sub = khop_subgraph(graph, target, hops)
-    if len(sub.edges) == 0:
+    nodes = graph.ball(target, hops)
+    edges = nodes[np.stack(np.divmod(graph.induced(nodes).edge_keys(), len(nodes)), axis=1)]
+    if len(edges) == 0:
         raise EmptySubgraph(f"target {target}: receptive field has no edges")
-    scores = edge_saliency_from_node_grads(node_scores, sub.edges)
+    scores = edge_saliency_from_node_grads(node_scores, edges)
     conditions: dict[str, np.ndarray] = {}
     for ranking in RANKINGS:
         for k in k_levels:
             masked, comp = rank_and_mask(scores, k, key, ranking)
             conditions[condition_name(ranking, "top", k)] = masked
             conditions[condition_name(ranking, "comp", k)] = comp
-    return TargetManifest(target=int(target), nodes=sub.nodes, edges=sub.edges,
-                          conditions=conditions)
+    return TargetManifest(target=int(target), nodes=nodes, edges=edges, conditions=conditions)
 
 
 def masked_graph(graph: Graph, manifest: TargetManifest, condition: str) -> Graph:
@@ -211,7 +195,8 @@ def masked_graph(graph: Graph, manifest: TargetManifest, condition: str) -> Grap
 
     This is the full-graph reference an external model re-scores. The
     built-in model reaches the same probabilities on the far smaller
-    ``graph.induced(manifest.nodes)``, filtered by the same function.
+    ``graph.induced(manifest.nodes)``, scoring every condition of a target
+    at once as nested edge levels (``cli._refmodel_probs``).
     """
     rows = manifest.edges[manifest.conditions[condition]]
     drop = np.isin(graph.edge_keys(), rows[:, 0] * graph.num_nodes + rows[:, 1])

@@ -18,8 +18,6 @@ levels each edge survives, the same reach, each key tagged with the
 bottleneck level of its best path, scores the clean graph and every level
 at once. The counts are exact small integers, so neither the rows, the
 chunking, the stack nor the levels change a bit.
-`predict_node` scores one node from its `Graph.ball` alone, as the interpret
-axis does for each masked condition.
 """
 
 from __future__ import annotations
@@ -172,22 +170,12 @@ def propagate_predict(graph: Graph, train_labels: np.ndarray, num_classes: int,
     return [PredictionTable(rows, probs[:, i]) for i in range(depth * len(labelings))]
 
 
-def predict_node(graph: Graph, train_labels: np.ndarray, num_classes: int, node: int,
-                 config: PropagationConfig = PropagationConfig()) -> np.ndarray:
-    """One node's propagate_predict row, bit for bit, at the cost of its ball alone.
-
-    Every train-labeled node of ``graph.ball(node, config.hops)`` but ``node``
-    adds one count to its class.
-    """
-    mask = _train_mask(train_labels, num_classes)
-    ball = graph.ball(node, config.hops)
-    ball = ball[(ball != node) & mask[ball]]
-    probs = np.bincount(np.asarray(train_labels)[ball], minlength=num_classes) + config.alpha
-    return probs / probs.sum()
-
-
 def predicted_class_prob(graph: Graph, train_labels: np.ndarray, num_classes: int,
-                         node: int, clean_class: int,
-                         config: PropagationConfig = PropagationConfig()) -> float:
-    """Probability the masked-input scorer assigns to the clean predicted class."""
-    return float(predict_node(graph, train_labels, num_classes, node, config)[clean_class])
+                         rows: np.ndarray, survived: np.ndarray, num_levels: int,
+                         config: PropagationConfig = PropagationConfig()) -> np.ndarray:
+    """(num_levels + 1, len(rows)) probabilities: what each level assigns to the class
+    level 0 predicts for the row, the levels being ``propagate_predict``'s."""
+    tables = propagate_predict(graph, train_labels, num_classes, config, rows=rows,
+                               survived=survived, num_levels=num_levels)
+    probs = np.stack([t.rows for t in tables])
+    return probs[:, np.arange(len(rows)), probs[0].argmax(axis=1)]

@@ -23,7 +23,6 @@ from graphstress.interpret import (
     condition_name,
     edge_saliency_from_node_grads,
     fidelity,
-    khop_subgraph,
     mask_count,
     masked_graph,
     rank_and_mask,
@@ -74,36 +73,40 @@ def test_saliency_validation():
 def test_khop_star():
     # star centered at 0 with leaves 1..4, plus distant pair 5-6
     g = Graph.from_arcs(7, [0, 0, 0, 0, 5], [1, 2, 3, 4, 6], symmetrize=True)
-    sub = khop_subgraph(g, 0, hops=1)
-    assert sub.nodes.tolist() == [0, 1, 2, 3, 4]
-    assert {tuple(e) for e in sub.edges.tolist()} == {(0, 1), (0, 2), (0, 3), (0, 4)}
+    manifest = build_edge_manifest(g, 0, _node_scores(7), KEY, hops=1)
+    assert manifest.nodes.tolist() == [0, 1, 2, 3, 4]
+    assert {tuple(e) for e in manifest.edges.tolist()} == {(0, 1), (0, 2), (0, 3), (0, 4)}
 
 
 def test_khop_isolated_node():
-    g = Graph.from_arcs(3, [0], [1], symmetrize=True)
-    sub = khop_subgraph(g, 2, hops=2)
-    assert sub.nodes.tolist() == [2]
-    assert len(sub.edges) == 0
+    # a target whose only arc is a self-loop has a receptive field of itself and no maskable edge
+    g = Graph.from_arcs(3, [0, 2], [1, 2], symmetrize=True)
+    with pytest.raises(EmptySubgraph):
+        build_edge_manifest(g, 2, _node_scores(3), KEY, hops=2)
+    manifest = build_edge_manifest(g, 0, _node_scores(3), KEY, hops=2)
+    assert manifest.nodes.tolist() == [0, 1]
+    assert manifest.edges.tolist() == [[0, 1]]
 
 
 def test_khop_excludes_self_loops(random_graph):
-    sub = khop_subgraph(random_graph, 7, hops=1)
-    assert 7 in sub.nodes
-    for u, v in sub.edges.tolist():
+    manifest = build_edge_manifest(random_graph, 7, _node_scores(100), KEY, hops=1)
+    assert 7 in manifest.nodes
+    for u, v in manifest.edges.tolist():
         assert u < v  # strict: no loops, canonical orientation
 
 
 def test_khop_matches_bfs_oracle(random_graph):
     adjacency = adjacency_from_graph(random_graph)
+    scores = _node_scores(100)
     for center in [0, 7, 31, 99]:
         for hops in (1, 2, 3):
-            sub = khop_subgraph(random_graph, center, hops)
-            assert set(sub.nodes.tolist()) == bfs_hops_oracle(adjacency, center, hops)
+            manifest = build_edge_manifest(random_graph, center, scores, KEY, hops=hops)
+            assert set(manifest.nodes.tolist()) == bfs_hops_oracle(adjacency, center, hops)
             # induced edges: every canonical non-loop edge with both ends inside
-            inside = set(sub.nodes.tolist())
+            inside = set(manifest.nodes.tolist())
             expected = {e for e in canonical_edges_oracle(random_graph)[0]
                         if e[0] in inside and e[1] in inside}
-            assert {tuple(e) for e in sub.edges.tolist()} == expected
+            assert {tuple(e) for e in manifest.edges.tolist()} == expected
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +388,17 @@ def test_partition_property_random_subgraphs(seed, extra):
     dst = rng.integers(0, n, size=3 * n)
     g = Graph.from_arcs(n, src, dst, symmetrize=True)
     center = int(rng.integers(0, n))
-    sub = khop_subgraph(g, center, 2)
-    if len(sub.edges) == 0:
+    try:
+        edges = build_edge_manifest(g, center, _node_scores(n, seed), KEY).edges
+    except EmptySubgraph:
         return
-    scores = rng.random(len(sub.edges))
+    scores = rng.random(len(edges))
     key = derive_key("interpret", "prop", "mask", 0, seed)
     for ranking in ("saliency", "random"):
         for k in K_PERCENT_LEVELS:
             masked, comp = rank_and_mask(scores, k, key, ranking)
             assert np.array_equal(np.sort(np.concatenate([masked, comp])),
-                                  np.arange(len(sub.edges)))
+                                  np.arange(len(edges)))
 
 
 @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))

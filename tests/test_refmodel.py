@@ -16,7 +16,6 @@ from graphstress.interpret import SaliencyTable, TargetManifest, build_edge_mani
 from graphstress import refmodel
 from graphstress.refmodel import (
     PropagationConfig,
-    predict_node,
     predicted_class_prob,
     propagate_predict,
 )
@@ -96,21 +95,13 @@ def test_hop_locality():
     assert rows5[0, 0] > 0.5  # now reachable
 
 
-def test_predict_node_equals_matrix_row(random_graph):
-    rng = np.random.default_rng(4)
-    train = np.where(rng.random(100) < 0.3, rng.integers(0, 4, 100), -1).astype(np.int64)
-    table = propagate_predict(random_graph, train, 4)[0]
-    rows = table.rows_for(np.arange(100))
-    for node in [0, 7, 42, 99]:
-        local = predict_node(random_graph, train, 4, node)
-        assert local.tobytes() == rows[node].tobytes()
-
-
 def test_predicted_class_prob():
+    # chain 0-1-2; level 1 drops edge (1, 2), level 2 both edges
     g = _chain(3)
     train = np.array([0, -1, 1], dtype=np.int64)
-    p = predicted_class_prob(g, train, 2, 1, clean_class=0)
-    assert p == pytest.approx(0.5)
+    p = predicted_class_prob(g, train, 2, np.array([0, 1, 2]), np.array([1, 0], np.int8), 2)
+    # clean classes 1, 0, 0: each level's probability of them
+    assert p == pytest.approx(np.array([[2 / 3, 0.5, 2 / 3], [0.5, 2 / 3, 0.5], [0.5, 0.5, 0.5]]))
 
 
 def test_no_train_labels():
@@ -118,23 +109,8 @@ def test_no_train_labels():
     with pytest.raises(NoTrainLabels):
         propagate_predict(g, np.full(3, -1, dtype=np.int64), 2)
     with pytest.raises(NoTrainLabels):
-        predict_node(g, np.full(3, -1, dtype=np.int64), 2, 0)
-
-
-@given(st.integers(0, 10_000), st.integers(1, 3))
-@settings(max_examples=100, deadline=None)
-def test_predict_node_matches_matrix_property(seed, hops):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(3, 25))
-    g = Graph.from_arcs(n, rng.integers(0, n, 3 * n), rng.integers(0, n, 3 * n),
-                        symmetrize=True)
-    train = np.where(rng.random(n) < 0.5, rng.integers(0, 3, n), -1).astype(np.int64)
-    if not ((train >= 0) & (train < 3)).any():
-        train[0] = 0
-    config = PropagationConfig(hops=hops)
-    rows = propagate_predict(g, train, 3, config)[0].rows_for(np.arange(n))
-    node = int(rng.integers(0, n))
-    assert predict_node(g, train, 3, node, config).tobytes() == rows[node].tobytes()
+        predicted_class_prob(g, np.full(3, -1, dtype=np.int64), 2, np.array([0]),
+                             np.zeros(2, np.int8), 1)
 
 
 CHUNKS = [1, 3, refmodel._CHUNK_ROWS]
@@ -321,9 +297,28 @@ def _full_graph_prob(g, train, manifest, condition, clean_class):
     return float(table.rows_for(np.array([manifest.target]))[0][clean_class])
 
 
-@given(st.integers(0, 10_000), st.integers(2, 3), st.sampled_from([0.05, 0.5]))
+def _assert_probs_equal_the_oracle(g, train, manifest, k_levels):
+    target = manifest.target
+    probs = _refmodel_probs(g, train, {target: manifest}, k_levels)
+    assert sorted(probs) == sorted((target, c) for c in ["clean", *manifest.conditions])
+    clean_row = propagate_predict(g, train, g.num_classes)[0].rows_for(np.array([target]))[0]
+    clean_class = int(np.argmax(clean_row))
+    assert probs[(target, "clean")] == float(clean_row[clean_class])
+    for name in manifest.conditions:
+        want = _full_graph_prob(g, train, manifest, name, clean_class)
+        assert probs[(target, name)] == want, name
+
+
+# distinct k levels drawn in any order: whole and fractional, and small ones whose
+# mask counts tie on a small receptive field
+K_LEVELS = st.lists(st.sampled_from([0.1, 1, 1.5, 2, 5, 10, 20, 33.3, 50, 75, 99.9, 100]),
+                    min_size=1, max_size=6, unique=True)
+
+
+@given(st.integers(0, 10_000), st.integers(2, 3), st.sampled_from([0.05, 0.5]), K_LEVELS)
 @settings(max_examples=100, deadline=None)
-def test_masked_traversal_equals_full_graph_masking_property(seed, manifest_hops, labeled):
+def test_masked_traversal_equals_full_graph_masking_property(seed, manifest_hops, labeled,
+                                                             k_levels):
     # graphs with self-loops; every condition of a manifest whose ball is at
     # least the propagation ball; sparse labels leave some balls without any
     rng = np.random.default_rng(seed)
@@ -337,29 +332,42 @@ def test_masked_traversal_equals_full_graph_masking_property(seed, manifest_hops
     target = int(rng.integers(0, n))
     try:
         manifest = build_edge_manifest(g, target, scores, derive_key("t", "p", "m", 0, seed),
-                                       hops=manifest_hops)
+                                       hops=manifest_hops, k_levels=k_levels)
     except EmptySubgraph:
         return
-    probs = _refmodel_probs(g, train, {target: manifest})
-    assert sorted(probs) == sorted((target, c) for c in ["clean", *manifest.conditions])
-    clean_row = propagate_predict(g, train, 3)[0].rows_for(np.array([target]))[0]
-    clean_class = int(np.argmax(clean_row))
-    assert probs[(target, "clean")] == float(clean_row[clean_class])
-    for name in manifest.conditions:
-        want = _full_graph_prob(g, train, manifest, name, clean_class)
-        assert probs[(target, name)] == want, name
+    _assert_probs_equal_the_oracle(g, train, manifest, k_levels)
+
+
+def test_more_k_levels_than_one_propagation_carries():
+    # 200 shuffled levels: scored in slices of at most 127, each slice a nested chain
+    rng = np.random.default_rng(11)
+    g = Graph.from_arcs(12, rng.integers(0, 12, 30), rng.integers(0, 12, 30), symmetrize=True,
+                        num_classes=3)
+    train = np.where(rng.random(12) < 0.5, rng.integers(0, 3, 12), -1).astype(np.int64)
+    train[0] = 1
+    k_levels = rng.permutation(np.arange(1, 201) / 2).tolist()
+    manifest = build_edge_manifest(g, 3, SaliencyTable("node_grad_norm", np.arange(12),
+                                                       rng.random(12)),
+                                   derive_key("t", "p", "m", 0, 11), k_levels=k_levels)
+    assert len(manifest.edges) > 5
+    _assert_probs_equal_the_oracle(g, train, manifest, k_levels)
 
 
 def test_masked_edges_block_both_directions():
     # chain 0-1-2 with (1, 2) masked: no label crosses that edge either way
     g = Graph.from_arcs(3, [0, 1], [1, 2], symmetrize=True, num_classes=2)
     train = np.array([-1, 0, 1], dtype=np.int64)
+    mask_01, mask_12 = np.array([0]), np.array([1])
+    conditions = {"saliency_top_50": mask_12, "saliency_comp_50": mask_01,
+                  "random_top_50": mask_01, "random_comp_50": mask_12}
     manifests = {t: TargetManifest(target=t, nodes=np.arange(3), edges=np.array([[0, 1], [1, 2]]),
-                                   conditions={"mask_12": np.array([1])}) for t in range(3)}
-    probs = _refmodel_probs(g, train, manifests)
+                                   conditions=conditions) for t in range(3)}
+    probs = _refmodel_probs(g, train, manifests, [50])
     clean = [probs[(t, "clean")] for t in range(3)]
     assert clean == [0.5, 2 / 3, 2 / 3]  # clean classes 0, 1, 0
-    masked = [probs[(t, "mask_12")] for t in range(3)]
-    assert masked == [2 / 3, 0.5, 0.5]
-    for t, clean_class in enumerate([0, 1, 0]):
-        assert masked[t] == _full_graph_prob(g, train, manifests[t], "mask_12", clean_class)
+    for name, masked in conditions.items():
+        got = [probs[(t, name)] for t in range(3)]
+        # (0, 1) masked: 0 sees no label, and 1 and 2 still see each other
+        assert got == ([2 / 3, 0.5, 0.5] if masked is mask_12 else [0.5, 2 / 3, 2 / 3]), name
+        for t, clean_class in enumerate([0, 1, 0]):
+            assert got[t] == _full_graph_prob(g, train, manifests[t], name, clean_class)
