@@ -290,8 +290,8 @@ def _refmodel_probs(graph: Graph, train_labels: np.ndarray, manifests: dict, k_l
     ``comp``'s as k falls. So a target is scored on one block-diagonal graph of four copies
     of its ``graph.induced(manifest.nodes)``, one per family, each edge surviving the
     family's levels that leave it unmasked: one leveled propagation per at most
-    FAMILY_LEVELS k levels gives clean and every condition. That subgraph holds the
-    target's propagation ball, so the result equals scoring ``masked_graph``'s output.
+    FAMILY_LEVELS k levels gives clean and every condition. A manifest's nodes are the
+    propagation's own ``reach``, so the result equals scoring ``masked_graph``'s output.
     """
     if not np.any((train_labels >= 0) & (train_labels < graph.num_classes)):
         raise NoTrainLabels("propagation needs at least one labeled train node")
@@ -303,8 +303,7 @@ def _refmodel_probs(graph: Graph, train_labels: np.ndarray, manifests: dict, k_l
         block = Graph(num_nodes=len(FAMILIES) * sub.num_nodes,
                       offsets=np.append(sub.offsets[:-1] + copies * sub.num_arcs,
                                         len(FAMILIES) * sub.num_arcs),
-                      neighbors=(sub.neighbors + copies * sub.num_nodes).ravel(),
-                      undirected=graph.undirected)
+                      neighbors=(sub.neighbors + copies * sub.num_nodes).ravel())
         node = int(np.searchsorted(m.nodes, t))
         labels = train_labels[m.nodes]
         labels[node] = 0  # t never counts itself: a label-free ball raises no NoTrainLabels
@@ -771,8 +770,9 @@ class PipelineRunner:
         out: dict = {}
         for (sub, (spec, _, _)), table in zip(levels.items(), tables):
             major, minor = major_minor_recall(table, g.labels, spec, test)
-            out[f"{sub}_major_recall"] = major * 100.0
-            out[f"{sub}_minor_recall"] = minor * 100.0
+            # a group with no test support has a NaN recall: its cell is undefined
+            out[f"{sub}_major_recall"] = None if math.isnan(major) else major * 100.0
+            out[f"{sub}_minor_recall"] = None if math.isnan(minor) else minor * 100.0
         return out
 
     def _axis_fairness(self, dataset: Dataset, method: dict, seed: int) -> dict:

@@ -140,31 +140,15 @@ class Graph:
         out[src > dst] = per_edge[self._reverse_order]  # (v, u) order: the edges stably sorted by v
         return out
 
-    def _rows(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The neighbor lists of ``nodes`` concatenated, and the offsets of each in it."""
+    def induced(self, nodes: np.ndarray) -> "Graph":
+        """The arcs among sorted ids ``nodes``, node i being ``nodes[i]``: a sorted CSR slice."""
         starts = self.offsets[nodes]
         lengths = self.offsets[nodes + 1] - starts
         ptr = np.zeros(len(nodes) + 1, dtype=np.int64)
         np.cumsum(lengths, out=ptr[1:])
-        return self.neighbors[np.repeat(starts - ptr[:-1], lengths) + np.arange(ptr[-1])], ptr
-
-    def ball(self, center: int, hops: int) -> np.ndarray:
-        """Sorted ids of the nodes within ``hops`` arcs of ``center``, center included."""
-        seen = np.zeros(self.num_nodes, dtype=bool)
-        seen[center] = True
-        frontier = np.array([center], dtype=np.int64)
-        for _ in range(hops):
-            before = seen.copy()
-            seen[self._rows(frontier)[0]] = True
-            frontier = np.flatnonzero(seen > before)  # newly reached, sorted and distinct
-        return np.flatnonzero(seen)
-
-    def induced(self, nodes: np.ndarray) -> "Graph":
-        """The arcs among sorted ids ``nodes``, node i being ``nodes[i]``: a sorted CSR slice."""
-        dst, ptr = self._rows(nodes)
         local = np.full(self.num_nodes, -1, dtype=np.int64)
         local[nodes] = np.arange(len(nodes))
-        local = local[dst]
+        local = local[self.neighbors[np.repeat(starts - ptr[:-1], lengths) + np.arange(ptr[-1])]]
         return Graph(num_nodes=len(nodes), offsets=np.append(0, np.cumsum(local >= 0))[ptr],
                      neighbors=local[local >= 0], undirected=self.undirected)
 
@@ -749,15 +733,16 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
         coll = dataset.collection
         manifest["num_graphs"] = coll.num_graphs
         manifest["num_tasks"] = int(coll.labels.shape[1])
-        manifest["undirected"] = all(g.undirected for g in coll.graphs)
+        graphs = list(coll.graphs)  # a loaded collection's block builds each graph on access
+        manifest["undirected"] = all(g.undirected for g in graphs)
         manifest["graph_size_file"] = "graph_sizes.tsv"
         manifest["graph_file"] = "graph_edges.tsv"
         manifest["graph_label_file"] = "graph_labels.tsv"
         write_table(out / "graph_sizes.tsv",
-                    (np.arange(coll.num_graphs), [g.num_nodes for g in coll.graphs]))
-        arcs = [g.arcs() for g in coll.graphs] or [(np.empty(0, np.int64),) * 2]
+                    (np.arange(coll.num_graphs), [g.num_nodes for g in graphs]))
+        arcs = [g.arcs() for g in graphs] or [(np.empty(0, np.int64),) * 2]
         write_table(out / "graph_edges.tsv", (
-            np.repeat(np.arange(coll.num_graphs), [g.num_arcs for g in coll.graphs]),
+            np.repeat(np.arange(coll.num_graphs), [g.num_arcs for g in graphs]),
             np.concatenate([src for src, _ in arcs]), np.concatenate([dst for _, dst in arcs])))
         write_table(out / "graph_labels.tsv", (
             np.arange(coll.num_graphs),

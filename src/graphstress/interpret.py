@@ -26,6 +26,7 @@ import numpy as np
 from .determinism import StreamKey, permutation
 from .errors import (
     BadProbability,
+    DirectedGraph,
     EmptySubgraph,
     LengthMismatch,
     MissingNodeScore,
@@ -33,6 +34,7 @@ from .errors import (
 )
 from .graph_store import Graph, read_header, read_table, remove_edges, require_file, write_table
 from .metrics import lookup_rows, unit_order
+from .refmodel import reach
 from .report import MetricCell
 
 K_PERCENT_LEVELS = (5, 10, 20, 50)
@@ -167,13 +169,15 @@ def build_edge_manifest(graph: Graph, target: int, node_scores: SaliencyTable,
                         k_levels=K_PERCENT_LEVELS) -> TargetManifest:
     """Edge-masking manifest for one node-level target.
 
-    The receptive field is the nodes within ``hops`` undirected hops of the
-    target and the edges among them, listed canonically (u < v) in
-    ``induced(nodes).edge_keys()`` order; self-loops never enter the maskable
-    edge set. Raises EmptySubgraph when it has no maskable edge; the caller
-    skips and logs such targets.
+    The receptive field is ``refmodel.reach(graph, target, hops)``, the nodes the
+    propagation walks, and the edges among them, listed canonically (u < v) in
+    ``induced(nodes).edge_keys()`` order; self-loops never enter the maskable edge
+    set. Raises DirectedGraph on a directed graph and EmptySubgraph when the field
+    has no maskable edge; the caller skips and logs the latter targets.
     """
-    nodes = graph.ball(target, hops)
+    if not graph.undirected:
+        raise DirectedGraph("edge masking needs an undirected graph: a one-way arc is no edge")
+    nodes = reach(graph, target, hops)
     edges = nodes[np.stack(np.divmod(graph.induced(nodes).edge_keys(), len(nodes)), axis=1)]
     if len(edges) == 0:
         raise EmptySubgraph(f"target {target}: receptive field has no edges")

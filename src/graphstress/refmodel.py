@@ -17,7 +17,8 @@ propagation is linear in the labels. Given how many nested edge-deletion
 levels each edge survives, the same reach, each key tagged with the
 bottleneck level of its best path, scores the clean graph and every level
 at once. The counts are exact small integers, so neither the rows, the
-chunking, the stack nor the levels change a bit.
+chunking, the stack nor the levels change a bit. `reach` walks the same hops
+from one node: the receptive field that interpret manifests mask.
 """
 
 from __future__ import annotations
@@ -88,6 +89,14 @@ def _hop(keys: np.ndarray, n: int, offsets: np.ndarray, targets: np.ndarray, shi
     first = np.append(True, cells[1:] != cells[:-1])
     del cells
     return keys[first]
+
+
+def reach(graph: Graph, center: int, hops: int) -> np.ndarray:
+    """Sorted ids of the nodes within ``hops`` arcs of ``center``: the propagation's reach."""
+    keys = np.array([center], dtype=np.int64)
+    for _ in range(hops):
+        keys = _hop(keys, graph.num_nodes, graph.offsets, graph.neighbors)
+    return keys
 
 
 def propagate_predict(graph: Graph, train_labels: np.ndarray, num_classes: int,

@@ -16,8 +16,11 @@ import graphstress
 import graphstress.cli as cli
 from graphstress.cli import main
 from graphstress.graph_store import Graph, Role, SplitAssignment, load_dataset, read_split_file, save_dataset
+from graphstress.imbalance import partition_classes
 from graphstress.interpret import (
+    RANKINGS,
     SaliencyTable,
+    condition_name,
     read_manifest_file,
     write_probs_file,
     write_saliency_file,
@@ -783,6 +786,37 @@ def test_directed_graph_fails_the_refmodel_interpret_cell(tmp_path):
     assert "DirectedGraph" in _failed_interpret_cell(tmp_path, ds)
 
 
+def test_directed_graph_fails_interpret_emit_and_an_external_interpret_cell(tmp_path, monkeypatch,
+                                                                           capsys):
+    # a one-way arc is in no maskable edge list, so no method is scored on such masks
+    monkeypatch.chdir(tmp_path)
+    ds = make_node_dataset(name="arcs", num_nodes=150, num_classes=2, seed=3)
+    ds.graph.undirected = False
+    manifest = save_dataset(ds, tmp_path / "arcs")
+    files = Path("preds/arcs/interpret")
+    files.mkdir(parents=True)
+    saliency = files / "seed0.saliency"
+    write_saliency_file(saliency, SaliencyTable("node_grad_norm", np.arange(150),
+                                                np.arange(150) * 37 % 101 / 101))
+    assert main(["interpret", "emit", "--dataset", str(manifest), "--saliency", str(saliency),
+                 "--num-targets", "1", "--out", "emit"]) == 2
+    assert "error: DirectedGraph" in capsys.readouterr().err
+    assert not Path("emit/emit.json").exists()
+    # probs a scorer could read for the first test target, so only masking can fail the cell
+    t = int(ds.split.units(Role.TEST)[0])
+    write_probs_file(files / "seed0.probs", {
+        (t, c): 0.5 for c in ["clean", *(condition_name(r, side, k) for r in RANKINGS
+                                         for side in ("top", "comp") for k in (5, 10, 20, 50))]})
+    config = _write_config(Path("config.json"), manifest=manifest, seeds=[0], axes=["interpret"],
+                           interpret_targets=1,
+                           methods=[{"kind": "external", "name": "m_ext", "pred_dir": "preds",
+                                     "has_saliency": True}])
+    assert main(["run", "--config", str(config), "--out", "r"]) == 1
+    log = Path("r/errors.log").read_text().splitlines()
+    assert len(log) == 1 and "(interpret, arcs, m_ext, seed 0)" in log[0]
+    assert "DirectedGraph" in log[0]
+
+
 def test_split_without_train_nodes_fails_the_refmodel_interpret_cell(tmp_path):
     ds = make_node_dataset(name="arcs", num_nodes=150, num_classes=2, seed=3)
     ds.split.roles[ds.split.roles == int(Role.TRAIN)] = int(Role.EXCLUDED)
@@ -804,6 +838,26 @@ def test_one_sided_sensitive_attribute_keeps_head_tail_gap(tmp_path):
         cell = report.cells["fairness", sub, "onesided", "refmodel"]
         assert cell.undefined and cell.note != "inapplicable"
         rec = json.loads((out / "values" / f"fairness.{sub}.onesided.refmodel.json").read_text())
+        assert rec["values"] == [None]
+
+
+def test_a_test_split_without_a_minor_class_leaves_its_recall_undefined(tmp_path):
+    # a group with no test support has no recall; the run still writes every cell
+    ds = make_node_dataset(name="skew", num_nodes=300, num_classes=2, seed=3)
+    train_counts = np.bincount(ds.graph.labels[ds.split.units(Role.TRAIN)], minlength=2)
+    (major,), _ = partition_classes(train_counts)
+    ds.graph.labels[ds.split.units(Role.TEST)] = major
+    config = _write_config(tmp_path / "config.json", manifest=save_dataset(ds, tmp_path / "skew"),
+                           seeds=1, axes=["imbalance"])
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    report = load_report(out / "report.json")
+    for rho in (5, 10, 20):
+        assert not report.cells["imbalance", f"rho{rho}_major_recall", "skew", "refmodel"].undefined
+        cell = report.cells["imbalance", f"rho{rho}_minor_recall", "skew", "refmodel"]
+        assert cell.undefined and cell.note != "inapplicable"
+        rec = json.loads((out / "values" / f"imbalance.rho{rho}_minor_recall.skew.refmodel.json")
+                         .read_text())
         assert rec["values"] == [None]
 
 

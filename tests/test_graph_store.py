@@ -45,6 +45,7 @@ from graphstress.graph_store import (
 )
 from graphstress.interpret import read_probs_file, read_saliency_file
 from graphstress.metrics import read_prediction_file, read_ranking_file
+from graphstress.refmodel import reach
 from graphstress.synthetic import make_molecule_collection, make_node_dataset, make_triple_store
 from oracles import (
     adjacency_from_graph,
@@ -656,12 +657,13 @@ def test_remove_edges_matches_rebuild_property(case, fill, data):
 @given(arc_lists, st.integers(0, 3), st.booleans(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_ball_and_induced_match_oracles_property(case, hops, undirected, data):
-    # self-loops, isolated nodes and edgeless graphs; balls and arbitrary node sets
+    # self-loops, isolated nodes and edgeless graphs; the propagation's balls
+    # (the interpret receptive field) and arbitrary node sets
     n, pairs = case
     g = Graph.from_arcs(n, [u for u, _ in pairs], [v for _, v in pairs],
                         undirected=undirected, symmetrize=undirected)
     center = data.draw(st.integers(0, n - 1))
-    ball = g.ball(center, hops)
+    ball = reach(g, center, hops)
     assert ball.dtype == np.int64
     assert ball.tolist() == sorted(bfs_hops_oracle(adjacency_from_graph(g), center, hops))
     for nodes in (ball, np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), np.int64)):

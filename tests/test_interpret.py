@@ -9,6 +9,7 @@ from graphstress.cli import PipelineRunner
 from graphstress.determinism import derive_key
 from graphstress.errors import (
     BadProbability,
+    DirectedGraph,
     EmptySubgraph,
     LengthMismatch,
     MissingNodeScore,
@@ -258,6 +259,13 @@ def test_edge_manifest_empty_receptive_field():
     g = Graph.from_arcs(3, [0], [1], symmetrize=True)
     with pytest.raises(EmptySubgraph):
         build_edge_manifest(g, 2, _node_scores(3), KEY)
+
+
+def test_edge_manifest_rejects_a_directed_graph():
+    # target 2 reaches 0, 1 and 3, but its one-way arc (2, 0) is no edge u < v
+    g = Graph.from_arcs(4, [0, 2, 0], [1, 0, 3], undirected=False)
+    with pytest.raises(DirectedGraph):
+        build_edge_manifest(g, 2, _node_scores(4), KEY)
 
 
 def test_masked_graph_edge_kind(random_graph):
