@@ -81,7 +81,12 @@ def mask_count(k_percent: float, m: int) -> int:
 
 def rank_and_mask(edge_scores: np.ndarray, k_percent: float, key: StreamKey,
                   ranking: str) -> tuple[np.ndarray, np.ndarray]:
-    """Split unit indices into (masked, complement) under one ranking.
+    """Split unit indices into (masked, complement) under one ranking."""
+    return _split(_mask_order(edge_scores, key, ranking), k_percent)
+
+
+def _mask_order(edge_scores: np.ndarray, key: StreamKey, ranking: str) -> np.ndarray:
+    """Unit indices in the order a ranking masks them, the same at every sparsity.
 
     saliency: descending score, canonical order breaking ties. random: one
     deterministic shuffle per key; every sparsity level takes a prefix of the
@@ -92,12 +97,15 @@ def rank_and_mask(edge_scores: np.ndarray, k_percent: float, key: StreamKey,
     if m == 0:
         raise EmptySubgraph("no maskable units in subgraph")
     if ranking == "saliency":
-        order = np.lexsort((np.arange(m), -edge_scores))
-    elif ranking == "random":
-        order = permutation(key, m)
-    else:
-        raise LengthMismatch(f"unknown ranking {ranking!r}")
-    k = mask_count(k_percent, m)
+        return np.lexsort((np.arange(m), -edge_scores))
+    if ranking == "random":
+        return permutation(key, m)
+    raise LengthMismatch(f"unknown ranking {ranking!r}")
+
+
+def _split(order: np.ndarray, k_percent: float) -> tuple[np.ndarray, np.ndarray]:
+    # the first mask_count units of the order are masked, the rest its complement
+    k = mask_count(k_percent, len(order))
     return np.sort(order[:k]), np.sort(order[k:])
 
 
@@ -184,8 +192,9 @@ def build_edge_manifest(graph: Graph, target: int, node_scores: SaliencyTable,
     scores = edge_saliency_from_node_grads(node_scores, edges)
     conditions: dict[str, np.ndarray] = {}
     for ranking in RANKINGS:
+        order = _mask_order(scores, key, ranking)
         for k in k_levels:
-            masked, comp = rank_and_mask(scores, k, key, ranking)
+            masked, comp = _split(order, k)
             conditions[condition_name(ranking, "top", k)] = masked
             conditions[condition_name(ranking, "comp", k)] = comp
     return TargetManifest(target=int(target), nodes=nodes, edges=edges, conditions=conditions)

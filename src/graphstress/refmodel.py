@@ -7,18 +7,22 @@ probabilities are proportional to alpha plus the count of each class among
 train-labeled nodes within `hops` hops (the node itself excluded, which
 prevents trivially perfect train accuracy).
 
-`propagate_predict` scores the rows a caller reads, all nodes by default,
-in numpy alone. It takes those rows one fixed-size chunk at a time and holds
-each chunk's reach as sorted int64 keys ``row * num_nodes + node``: each hop
-adds every key's CSR neighbours, sorts and drops repeats, and the last hop
-walks only arcs into labeled nodes. It never holds the reach of the whole
-graph, and one reach scores a whole stack of train labelings, since
-propagation is linear in the labels. Given how many nested edge-deletion
-levels each edge survives, the same reach, each key tagged with the
-bottleneck level of its best path, scores the clean graph and every level
-at once. The counts are exact small integers, so neither the rows, the
-chunking, the stack nor the levels change a bit. `reach` walks the same hops
-from one node: the receptive field that interpret manifests mask.
+`propagate_predict` scores the rows a caller reads, all nodes by default, in
+numpy alone. It takes those rows one chunk at a time and holds each chunk's
+reach as sorted node-major keys ``node << low | row << shift``, row being
+the position in the chunk: uint32 whenever a one-row chunk's keys fit in 32
+bits, the chunk's rows cut to the bits left. Each hop adds every key's CSR
+neighbours, sorts and drops repeats, and the last hop walks only arcs into
+labeled nodes. Sorted node first, the keys read the CSR and the labels in
+ascending order, and a shift and a mask split a key into node and row. It
+never holds the reach of the whole graph, and one reach scores a whole stack
+of train labelings, since propagation is linear in the labels. Given how
+many nested edge-deletion levels each edge survives, the same reach, each
+key tagged with the bottleneck level of its best path, scores the clean
+graph and every level at once. The counts are exact small integers, so
+neither the rows, the chunking, the stack nor the levels change a bit.
+`reach` walks the same hops from one node: the receptive field that
+interpret manifests mask.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ class PropagationConfig:
 
 
 _CHUNK_ROWS = 2048  # rows whose reach is held at once
+_NARROW_BITS = 32  # keys are uint32 when a node and its level bits fit in this many bits
 
 
 def _train_mask(train_labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -56,34 +61,33 @@ def _train_mask(train_labels: np.ndarray, num_classes: int) -> np.ndarray:
     return mask
 
 
-def _hop(keys: np.ndarray, n: int, offsets: np.ndarray, targets: np.ndarray, shift: int = 0,
+def _hop(keys: np.ndarray, low: int, offsets: np.ndarray, targets: np.ndarray, shift: int = 0,
          arc_bits: np.ndarray | None = None) -> np.ndarray:
-    """Sorted keys ``(row * n + k) << shift | b``, one per (row, k): the non-empty ``keys``
-    and the CSR targets of each k.
+    """Sorted keys ``k << low | r``, one per (k, r >> shift): the non-empty ``keys``
+    and the CSR targets of each node k, ``r`` holding a row and, below ``shift``, bits b.
 
     A key walked along an arc takes the larger of its source's low bits b and
-    the arc's ``arc_bits``; of the keys of one (row, k), the sort puts the one
-    with the least bits first, and only it is kept. The default sort kind is
-    what keeps this cheap: on a chunk's keys a stable sort is about three times
+    the arc's ``arc_bits``; of the keys of one (k, row), the sort puts the one
+    with the least bits first, and only it is kept. Node-major keys gather
+    ``offsets`` and ``targets`` in ascending order. The default sort kind is
+    what keeps this cheap: on a chunk's keys a stable sort is about sixteen times
     slower, and ``np.unique`` fifty.
     """
-    cells = keys >> shift if shift else keys
-    nodes = cells % n
+    nodes = keys >> low
     starts = offsets[nodes]
     lengths = offsets[nodes + 1] - starts
     ends = np.cumsum(lengths)
     arcs = np.repeat(starts - ends + lengths, lengths)
     arcs += np.arange(ends[-1])
-    walked = targets[arcs]
-    if shift:
-        walked <<= shift
-    walked += np.repeat(keys - (nodes << shift), lengths)  # the source's row and bits
+    walked = targets[arcs].astype(keys.dtype, copy=False)
+    walked <<= low
+    walked += np.repeat(keys - (nodes << low), lengths)  # the source's row and bits
     if arc_bits is not None:  # raise the bits to the arc's where it survives fewer levels
         gain = arc_bits[arcs]
-        gain -= np.repeat((keys - (cells << shift)).astype(np.int8), lengths)
-        walked += np.maximum(gain, 0, out=gain)
+        gain -= np.repeat((keys & ((1 << shift) - 1)).astype(np.int8), lengths)
+        walked += np.maximum(gain, 0, out=gain).view(np.uint8)
     keys = np.concatenate([keys, walked])
-    del arcs, walked, cells  # freed before the sort: the keys are then the one large array held
+    del arcs, walked, nodes  # freed before the sort: the keys are then the one large array held
     keys.sort()
     cells = keys >> shift if shift else keys
     first = np.append(True, cells[1:] != cells[:-1])
@@ -95,7 +99,7 @@ def reach(graph: Graph, center: int, hops: int) -> np.ndarray:
     """Sorted ids of the nodes within ``hops`` arcs of ``center``: the propagation's reach."""
     keys = np.array([center], dtype=np.int64)
     for _ in range(hops):
-        keys = _hop(keys, graph.num_nodes, graph.offsets, graph.neighbors)
+        keys = _hop(keys, 0, graph.offsets, graph.neighbors)
     return keys
 
 
@@ -108,9 +112,11 @@ def propagate_predict(graph: Graph, train_labels: np.ndarray, num_classes: int,
     ``train_labels`` stacks per-node labelings (a 1-D array is a stack of one);
     a value outside [0, num_classes) marks no labeled training node. ``rows`` is
     every node when None. Each chunk of rows is walked ``hops`` hops as sorted
-    ``row * n + node`` keys, the last hop along arcs into labeled nodes alone,
-    and all labelings share that reach. Every row's reach holds its own node,
-    so subtracting the node's own one-hot leaves the count of the others.
+    ``node << low | row << shift`` keys, the last hop along arcs into labeled
+    nodes alone, and all labelings share that reach. The keys are uint32 when
+    a one-row chunk's fit in 32 bits, the chunk's rows then cut to fit, and
+    int64 otherwise. Every row's reach holds its own node, so subtracting the
+    node's own one-hot leaves the count of the others.
 
     Without ``survived`` the tables are one per labeling. With it, ``survived``
     holds how many of ``num_levels`` nested levels each edge of
@@ -140,28 +146,34 @@ def propagate_predict(graph: Graph, train_labels: np.ndarray, num_classes: int,
         np.subtract(num_levels, arc_bits, out=arc_bits)
     shift = num_levels.bit_length()
     depth = num_levels + 1
+    node_bits = int(n).bit_length()
+    narrow = node_bits + shift <= _NARROW_BITS
+    dtype = np.uint32 if narrow else np.int64
+    chunk_rows = min(_CHUNK_ROWS, 1 << ((_NARROW_BITS if narrow else 63) - node_bits - shift))
+    row_bits = (chunk_rows - 1).bit_length()
+    low = row_bits + shift
     keep = np.flatnonzero(labeled[graph.neighbors])
     labeled_offsets = np.searchsorted(keep, graph.offsets)
-    labeled_targets = graph.neighbors[keep]
     labeled_bits = None if arc_bits is None else arc_bits[keep]
-    del keep  # int64 positions: not held through the chunk loop
+    labeled_targets = graph.neighbors[keep]
+    del keep  # int64 positions, dropped before the targets are narrowed
+    labeled_targets = labeled_targets.astype(dtype, copy=False)
     # an unlabeled node's class is num_classes, a column that is dropped
     classes = np.where(mask, labelings, num_classes)
     width = num_classes + 1
     counts = np.empty((len(rows), depth, len(labelings), num_classes), dtype=np.float64)
-    for lo in range(0, len(rows), _CHUNK_ROWS):
-        chunk = rows[lo:lo + _CHUNK_ROWS]
+    for lo in range(0, len(rows), chunk_rows):
+        chunk = rows[lo:lo + chunk_rows]
         own = np.arange(len(chunk))
-        keys = (own * n + chunk) << shift
+        keys = (chunk << low | own << shift).astype(dtype)
         for _ in range(config.hops - 1):
-            keys = _hop(keys, n, graph.offsets, graph.neighbors, shift, arc_bits)
-        keys = _hop(keys, n, labeled_offsets, labeled_targets, shift, labeled_bits)
+            keys = _hop(keys, low, graph.offsets, graph.neighbors, shift, arc_bits)
+        keys = _hop(keys, low, labeled_offsets, labeled_targets, shift, labeled_bits)
         if shift:
             bits = (keys & ((1 << shift) - 1)).astype(np.int8)
-            keys >>= shift
-        row = keys // n
-        keys -= row * n  # each key is now its node
+        row = (keys >> shift) & ((1 << row_bits) - 1)
         row *= width
+        keys >>= low  # each key is now its node
         for i, cls in enumerate(classes):
             index = cls[keys]
             index += row

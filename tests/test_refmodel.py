@@ -19,7 +19,8 @@ from graphstress.refmodel import (
     predicted_class_prob,
     propagate_predict,
 )
-from oracles import adjacency_from_graph, propagation_oracle, reachability_oracle
+from oracles import (adjacency_from_graph, neighbors_of, propagation_oracle,
+                     reachability_oracle)
 
 
 def _chain(n):
@@ -114,6 +115,13 @@ def test_no_train_labels():
 
 
 CHUNKS = [1, 3, refmodel._CHUNK_ROWS]
+# key widths: the narrow one, and 0, which no node fits, so every key is an int64
+WIDTHS = [refmodel._NARROW_BITS, 0]
+
+
+def _layout(chunk, width):
+    # the rows whose reach is held at once and the narrow key width
+    return mock.patch.multiple(refmodel, _CHUNK_ROWS=chunk, _NARROW_BITS=width)
 
 
 def _self_loop_graph(rng, undirected, arcs=True):
@@ -136,16 +144,17 @@ def _row_subset(rng, n, order):
 
 
 @given(st.integers(0, 10_000), st.integers(1, 3), st.booleans(), st.sampled_from(CHUNKS),
-       st.booleans(), st.sampled_from(["shuffled", "descending", "empty"]))
+       st.sampled_from(WIDTHS), st.booleans(), st.sampled_from(["shuffled", "descending", "empty"]))
 @settings(max_examples=100, deadline=None)
-def test_reachability_matches_bfs_oracle_property(seed, hops, undirected, chunk, arcs, order):
+def test_reachability_matches_bfs_oracle_property(seed, hops, undirected, chunk, width, arcs,
+                                                  order):
     # with every node labeled as its own class, row i reads off the set of
     # nodes the hop matrix reaches from i: those j != i get count 1, the rest 0
     rng = np.random.default_rng(seed)
     g = _self_loop_graph(rng, undirected, arcs)
     n = g.num_nodes
     config = PropagationConfig(hops=hops)
-    with mock.patch.object(refmodel, "_CHUNK_ROWS", chunk):
+    with _layout(chunk, width):
         own = propagate_predict(g, np.arange(n), n, config)[0].rows
     rows, cols = np.nonzero(own > own.diagonal()[:, None])
     got = set(zip(rows.tolist(), cols.tolist()))
@@ -154,7 +163,7 @@ def test_reachability_matches_bfs_oracle_property(seed, hops, undirected, chunk,
     train = np.where(rng.random(n) < 0.5, rng.integers(0, 3, n), -1).astype(np.int64)
     train[int(rng.integers(0, n))] = 0
     rows = _row_subset(rng, n, order)
-    with mock.patch.object(refmodel, "_CHUNK_ROWS", chunk):
+    with _layout(chunk, width):
         full = propagate_predict(g, train, 3, config)[0]
         part = propagate_predict(g, train, 3, config, rows=rows)[0]
     for node in range(n):
@@ -177,11 +186,12 @@ def _labeling(rng, kind, n, previous):
 
 
 @given(st.integers(0, 10_000), st.integers(1, 3), st.booleans(), st.sampled_from(CHUNKS),
+       st.sampled_from(WIDTHS),
        st.lists(st.sampled_from(["sparse", "dense", "single", "relabel"]), min_size=1, max_size=4),
        st.booleans(), st.sampled_from(["shuffled", "descending", "empty"]))
 @settings(max_examples=150, deadline=None)
 def test_stacked_labelings_equal_each_labeling_alone_property(seed, hops, undirected, chunk,
-                                                              kinds, arcs, order):
+                                                              width, kinds, arcs, order):
     # one reach into the labeled columns of the whole stack scores every labeling
     # as it scores alone, whether the labelings overlap, are sparse or hold one node
     rng = np.random.default_rng(seed)
@@ -192,7 +202,7 @@ def test_stacked_labelings_equal_each_labeling_alone_property(seed, hops, undire
         stack.append(_labeling(rng, kind, n, stack[-1] if stack else None))
     rows = _row_subset(rng, n, order)
     config = PropagationConfig(hops=hops)
-    with mock.patch.object(refmodel, "_CHUNK_ROWS", chunk):
+    with _layout(chunk, width):
         tables = propagate_predict(g, np.array(stack), 3, config, rows=rows)
         alone = [propagate_predict(g, train, 3, config, rows=rows) for train in stack]
     assert len(tables) == len(stack) and all(len(a) == 1 for a in alone)
@@ -205,12 +215,13 @@ def test_stacked_labelings_equal_each_labeling_alone_property(seed, hops, undire
                                atol=1e-12)
 
 
-@given(st.integers(0, 10_000), st.integers(1, 3), st.sampled_from(CHUNKS), st.booleans(),
+@given(st.integers(0, 10_000), st.integers(1, 3), st.sampled_from(CHUNKS),
+       st.sampled_from(WIDTHS), st.booleans(),
        st.lists(st.sampled_from(["sparse", "dense", "single", "relabel"]), min_size=1, max_size=3),
        st.sampled_from(["shuffled", "descending", "empty"]), st.integers(1, 5))
 @settings(max_examples=150, deadline=None)
-def test_edge_levels_equal_each_deleted_graph_alone_property(seed, hops, chunk, arcs, kinds,
-                                                             order, num_levels):
+def test_edge_levels_equal_each_deleted_graph_alone_property(seed, hops, chunk, width, arcs,
+                                                             kinds, order, num_levels):
     # one call over the clean graph scores every nested deletion level as
     # scoring that level's own graph does, for every labeling of the stack
     rng = np.random.default_rng(seed)
@@ -225,7 +236,7 @@ def test_edge_levels_equal_each_deleted_graph_alone_property(seed, hops, chunk, 
     survived = edge_delete(g, levels, key)
     u = uniform(key, np.arange(len(g.edge_keys()), dtype=np.int64))
     config = PropagationConfig(hops=hops)
-    with mock.patch.object(refmodel, "_CHUNK_ROWS", chunk):
+    with _layout(chunk, width):
         tables = propagate_predict(g, np.array(stack), 3, config, rows=rows, survived=survived,
                                    num_levels=num_levels)
         assert len(tables) == (num_levels + 1) * len(stack)
@@ -271,9 +282,10 @@ def test_given_reachability_is_bit_equal_to_building_it(random_graph, hops):
     assert given.rows.tobytes() == built.rows[rows].tobytes()
 
 
-@given(st.integers(0, 10_000), st.integers(1, 3), st.booleans(), st.sampled_from(CHUNKS))
+@given(st.integers(0, 10_000), st.integers(1, 3), st.booleans(), st.sampled_from(CHUNKS),
+       st.sampled_from(WIDTHS))
 @settings(max_examples=100, deadline=None)
-def test_scored_rows_equal_the_full_table_rows_property(seed, hops, undirected, chunk):
+def test_scored_rows_equal_the_full_table_rows_property(seed, hops, undirected, chunk, width):
     # any duplicate-free row set in any order, cut into chunks of any size
     rng = np.random.default_rng(seed)
     g = _self_loop_graph(rng, undirected)
@@ -284,10 +296,54 @@ def test_scored_rows_equal_the_full_table_rows_property(seed, hops, undirected, 
     full = propagate_predict(g, train, 3, config)[0]
     assert full.unit_ids.tolist() == list(range(n))
     rows = rng.permutation(n)[:int(rng.integers(0, n + 1))]
-    with mock.patch.object(refmodel, "_CHUNK_ROWS", chunk):
+    with _layout(chunk, width):
         part = propagate_predict(g, train, 3, config, rows=rows)[0]
     assert part.unit_ids.tolist() == rows.tolist()
     assert part.rows.tobytes() == full.rows[rows].tobytes()
+
+
+def _recording_hop(calls):
+    # refmodel._hop, recording the dtype and the largest key of every reach it returns
+    hop = refmodel._hop
+
+    def recorded(*args, **kwargs):
+        keys = hop(*args, **kwargs)
+        calls.append((keys.dtype, int(keys.max())))
+        return keys
+    return recorded
+
+
+@pytest.mark.parametrize("num_levels, step", [(0, 2048), (1, 1024)])
+def test_keys_that_fill_the_narrow_width_match_the_oracle(num_levels, step):
+    # 2**20 + 2**19 nodes take 21 bits: with no level bit, a 2048-row chunk's 11 row
+    # bits fill the 32 bits exactly; one level bit is a bit over, so a chunk holds
+    # 1024 rows. The arcs join the top 2100 ids, scored shuffled, so keys reach 2**31
+    rng = np.random.default_rng(num_levels)
+    n, m = 2**20 + 2**19, 2100
+    base = n - m
+    src = rng.integers(0, m, 3 * m) + base
+    dst = rng.integers(0, m, 3 * m) + base
+    dst[:5] = src[:5]  # five self-loops
+    g = Graph.from_arcs(n, src, dst, symmetrize=True)
+    train = np.full(n, -1, dtype=np.int64)
+    train[base:] = np.where(rng.random(m) < 0.5, rng.integers(0, 3, m), -1)
+    rows = rng.permutation(m) + base
+    survived = edge_delete(g, np.sort(rng.random(num_levels)),
+                           derive_key("corruption", "prop", "edge_delete", 0, num_levels))
+    calls = []
+    with mock.patch.object(refmodel, "_hop", _recording_hop(calls)):
+        tables = propagate_predict(g, train, 3, rows=rows,
+                                   survived=survived if num_levels else None,
+                                   num_levels=num_levels)
+    hops = PropagationConfig().hops
+    assert len(calls) == hops * -(-m // step)
+    assert {dtype for dtype, _ in calls} == {np.dtype(np.uint32)}
+    assert max(top for _, top in calls) >= 2**31
+    for level, table in enumerate(tables):
+        deleted = remove_edges(g, survived < level)
+        adjacency = {u: neighbors_of(deleted, u).tolist() for u in range(base, n)}
+        want = [propagation_oracle(adjacency, train, 3, hops, 1.0, node) for node in rows.tolist()]
+        assert table.rows.tobytes() == np.array(want).tobytes(), level
 
 
 def _full_graph_prob(g, train, manifest, condition, clean_class):
