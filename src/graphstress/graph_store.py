@@ -390,18 +390,27 @@ def read_table(path, dtypes) -> list[np.ndarray]:
     return [table[name] for name in row.names]
 
 
+_WRITE_ROWS = 1 << 14  # rows converted to Python values at once by write_table
+
+
 def write_table(path, columns, header: str | None = None) -> None:
     """Write equal-length columns as tab-separated rows, after an optional header line.
 
-    Each value is written as str() of its Python value (ndarray columns are
-    converted with ``tolist``).
+    Each value is written as str() of its Python value, in blocks of
+    ``_WRITE_ROWS`` rows: an ndarray column is converted with ``tolist`` one
+    block at a time. Columns of unequal length raise ValueError before the file is opened.
     """
-    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    lengths = {len(c) for c in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"{path}: columns of unequal lengths {sorted(lengths)}")
     line = "\t".join(["%s"] * len(columns)) + "\n"
     with open(path, "w") as f:
         if header is not None:
             f.write(header + "\n")
-        f.writelines(line % row for row in zip(*columns, strict=True))
+        for lo in range(0, max(lengths, default=0), _WRITE_ROWS):
+            block = [c[lo:lo + _WRITE_ROWS] for c in columns]
+            block = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
+            f.writelines(line % row for row in zip(*block))
 
 
 def write_json(path, obj) -> None:
@@ -460,6 +469,13 @@ def _dash_ints(path, tokens: np.ndarray, dtype) -> np.ndarray:
         raise LengthMismatch(f"{path}: {e}") from e
 
 
+def _dashed(col: np.ndarray) -> np.ndarray:
+    """An object column of col's values, '-' where one is negative: the writing twin of _dash_ints."""
+    out = col.astype(object)
+    out[col < 0] = "-"
+    return out
+
+
 def read_edge_file(path: Path) -> tuple[np.ndarray, np.ndarray]:
     src, dst = read_table(path, (np.int64, np.int64))
     return src, dst
@@ -516,7 +532,7 @@ def read_split_file(path: Path, num_units: int) -> SplitAssignment:
 
 
 def write_split_file(path: Path, split: SplitAssignment) -> None:
-    names = np.array([ROLE_NAMES[role] for role in Role])
+    names = np.array([ROLE_NAMES[role] for role in Role], dtype=object)  # six shared str objects
     write_table(path, (np.arange(split.num_units), names[split.roles]))
 
 
@@ -537,8 +553,7 @@ def write_meta_file(path: Path, meta: NodeMeta, num_nodes: int) -> None:
     year = absent if meta.year is None else meta.year
     sens = absent if meta.sensitive_attr is None else meta.sensitive_attr
     nodes = np.flatnonzero((year >= 0) | (sens >= 0))
-    write_table(path, (nodes, *(np.where(col[nodes] >= 0, col[nodes].astype(str), "-")
-                                for col in (year, sens))))
+    write_table(path, (nodes, _dashed(year[nodes]), _dashed(sens[nodes])))
 
 
 def read_triple_file(path: Path) -> np.ndarray:
@@ -744,9 +759,8 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
         write_table(out / "graph_edges.tsv", (
             np.repeat(np.arange(coll.num_graphs), [g.num_arcs for g in graphs]),
             np.concatenate([src for src, _ in arcs]), np.concatenate([dst for _, dst in arcs])))
-        write_table(out / "graph_labels.tsv", (
-            np.arange(coll.num_graphs),
-            *(np.where(task < 0, "-", task.astype(str)) for task in coll.labels.T)))
+        write_table(out / "graph_labels.tsv",
+                    (np.arange(coll.num_graphs), *(_dashed(task) for task in coll.labels.T)))
         if coll.scaffold_ids is not None:
             manifest["scaffold_file"] = "scaffolds.tsv"
             write_table(out / "scaffolds.tsv", (np.arange(coll.num_graphs), coll.scaffold_ids))

@@ -188,3 +188,12 @@ def canonical_edges_oracle(graph):
 
 def adjacency_from_graph(graph):
     return {u: neighbors_of(graph, u).tolist() for u in range(graph.num_nodes)}
+
+
+def table_text_oracle(columns, header=None):
+    """write_table's text: the header line, then per row its values' str() joined by tabs."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    lines = [] if header is None else [header + "\n"]
+    for row in zip(*columns):
+        lines.append("\t".join(map(str, row)) + "\n")
+    return "".join(lines)

@@ -1,13 +1,18 @@
 """CSR graph container, edge keys and removal, and file formats."""
 
+import math
+import tempfile
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graphstress import graph_store
 from graphstress.errors import (
     AsymmetricGraph,
     BadId,
@@ -24,6 +29,7 @@ from graphstress.graph_store import (
     Role,
     SplitAssignment,
     TripleStore,
+    _WRITE_ROWS,
     _one_way_arc,
     check_symmetry,
     load_dataset,
@@ -41,6 +47,7 @@ from graphstress.graph_store import (
     write_label_file,
     write_meta_file,
     write_split_file,
+    write_table,
     write_triple_file,
 )
 from graphstress.interpret import read_probs_file, read_saliency_file
@@ -56,6 +63,7 @@ from oracles import (
     neighbors_of,
     one_way_arc_oracle,
     rows_ascend_oracle,
+    table_text_oracle,
 )
 
 
@@ -296,6 +304,7 @@ def test_meta_file_round_trip(tmp_path):
     )
     p = tmp_path / "meta.tsv"
     write_meta_file(p, meta, num_nodes=3)
+    assert p.read_text() == "0\t2010\t-\n1\t-\t1\n2\t2020\t0\n"
     back = read_meta_file(p, num_nodes=3)
     assert np.array_equal(back.year, meta.year)
     assert np.array_equal(back.sensitive_attr, meta.sensitive_attr)
@@ -313,6 +322,71 @@ def test_triple_file_round_trip(tmp_path):
     p = tmp_path / "t.tsv"
     write_triple_file(p, triples)
     assert np.array_equal(read_triple_file(p), triples)
+
+
+int64s = st.sampled_from([-2**63, 2**63 - 1]) | st.integers(-2**63, 2**63 - 1)
+float64s = st.sampled_from([-0.0, 5e-324, 1e-05, 0.1 + 0.2, 1e16, math.nan, math.inf]) | st.floats()
+words = st.text(st.characters(exclude_categories=("Cs", "Cc")), max_size=5)  # no tab or newline
+scalars = int64s | float64s | words
+# each kind of 1-D column: the values drawn, and how the drawn list becomes the column
+column_kinds = {
+    "int64": (int64s, lambda v: np.array(v, dtype=np.int64)),
+    "float64": (float64s, lambda v: np.array(v, dtype=np.float64)),
+    "str": (words, lambda v: np.array(v, dtype=str)),
+    "object": (scalars, lambda v: np.array(v + [None], dtype=object)[:-1]),  # None keeps it 1-D
+    "list": (scalars, list),
+    "tuple": (scalars, tuple),
+}
+
+
+@st.composite
+def text_tables(draw):
+    """(columns, header) for write_table: 1-D columns of each kind, or a 2-D array's .T."""
+    rows = draw(st.integers(0, 8))
+    header = draw(st.none() | words)
+    if draw(st.booleans()):
+        dtype, values = draw(st.sampled_from([(np.int64, int64s), (np.float64, float64s)]))
+        width = draw(st.integers(1, 3))
+        flat = draw(st.lists(values, min_size=rows * width, max_size=rows * width))
+        return np.array(flat, dtype=dtype).reshape(rows, width).T, header
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        values, make = column_kinds[draw(st.sampled_from(sorted(column_kinds)))]
+        columns.append(make(draw(st.lists(values, min_size=rows, max_size=rows))))
+    return tuple(columns), header
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, _WRITE_ROWS])
+@given(text_tables())
+@settings(max_examples=100, deadline=None)
+def test_write_table_matches_oracle_property(block, table):
+    # every block size writes the bytes of one str() per value, extreme ints and floats included
+    columns, header = table
+    with tempfile.TemporaryDirectory() as tmp, patch.object(graph_store, "_WRITE_ROWS", block):
+        p = Path(tmp) / "t.tsv"
+        write_table(p, columns, header)
+        assert p.read_text() == table_text_oracle(columns, header)
+
+
+def test_write_table_rejects_unequal_columns_before_creating_the_file(tmp_path):
+    p = tmp_path / "t.tsv"
+    with pytest.raises(ValueError, match=r"unequal lengths \[3, 5\]"):
+        write_table(p, (np.arange(5), [1, 2, 3]))
+    assert not p.exists()
+
+
+def test_split_file_write_of_1e5_units_peaks_at_four_mib(tmp_path):
+    # rows are converted in blocks, and each role name is one of six shared str objects
+    split = SplitAssignment(np.random.default_rng(0).integers(0, 6, 100_000).astype(np.int8))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write_split_file(tmp_path / "split.tsv", split)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+    assert np.array_equal(read_split_file(tmp_path / "split.tsv", 100_000).roles, split.roles)
 
 
 def test_text_tables_skip_comment_and_blank_lines(tmp_path):
