@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import operator
 import struct
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
@@ -45,6 +46,8 @@ import numpy as np
 from .errors import AsymmetricGraph, BadId, DirectedGraph, LengthMismatch, MissingFile, NonFiniteFeature
 
 _FEATURE_MAGIC = b"GSFH"
+# read_table passes max_rows, so numpy warns once per file with a blank or # line among its rows
+warnings.filterwarnings("ignore", r"Input line \d+ contained no data", UserWarning, __name__)
 
 
 class Role(IntEnum):
@@ -371,20 +374,30 @@ def read_table(path, dtypes) -> list[np.ndarray]:
     ``#`` are skipped; an ``object`` column holds its tokens as str. Raises
     MissingFile for an absent file, and LengthMismatch for a row without
     exactly ``len(dtypes)`` columns or a token its column's dtype cannot parse.
-    The columns are strided views of one parsed record array, not copies, so
-    a caller that keeps only some of them copies those.
+    A first pass counts the line breaks, so numpy allocates the record array
+    once and trims it, rather than growing it. The columns are strided views
+    of it, not copies, so a caller that keeps only some of them copies those.
     """
     path = require_file(path)
     row = np.dtype([(f"c{i}", dt) for i, dt in enumerate(dtypes)])
+    skip = 0  # leading blank and # lines
     with open(path) as f:
         line = f.readline()
         while line.startswith("#") or line == "\n":
+            skip += 1
             line = f.readline()
     if not line:  # no data row (np.loadtxt would warn)
         return [np.empty(0, dtype=dt) for dt in dtypes]
+    lines = 1  # an unterminated last line; numpy splits at \n, \r\n and a lone \r
+    with open(path, "rb") as f:
+        while block := f.read(1 << 18):
+            lines += np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
+            if cr := np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\r")):
+                lines += cr - block.count(b"\r\n")
     try:
         # given the path, not an open file, numpy reads in blocks rather than line by line
-        table = np.loadtxt(path, dtype=row, delimiter="\t", comments="#", ndmin=1)
+        table = np.loadtxt(path, dtype=row, delimiter="\t", comments="#", ndmin=1,
+                           skiprows=skip, max_rows=lines - skip)
     except (ValueError, OverflowError) as e:
         raise LengthMismatch(f"{path}: {e}") from e
     return [table[name] for name in row.names]

@@ -248,6 +248,9 @@ def write_ranking_file(path, queries: np.ndarray, cands: np.ndarray, scores: np.
     write_table(path, (queries, cands, np.asarray(scores, dtype=np.float64)))
 
 
+_RANK_ROWS = 1 << 16  # table rows ranked at once by ranks_from_ranking
+
+
 def ranks_from_ranking(queries: np.ndarray, cands: np.ndarray, scores: np.ndarray,
                        truth: dict[int, int]) -> np.ndarray:
     """Average-tie rank of the true candidate within each query's score list.
@@ -257,18 +260,23 @@ def ranks_from_ranking(queries: np.ndarray, cands: np.ndarray, scores: np.ndarra
     order that holds the true candidate. Every query of the table must have
     a scored true candidate in ``truth``, and every query of ``truth`` must
     be in the table; otherwise MissingPrediction names the first bad query.
+    It works on ``_RANK_ROWS`` rows at a time: no temporary spans the table.
     """
     if len(queries) == 0:
         raise EmptyQuerySet("ranking table is empty")
-    qids = np.unique(queries)
-    seg = np.searchsorted(qids, queries)  # each row's query, as an index into qids
+    blocks = [slice(lo, lo + _RANK_ROWS) for lo in range(0, len(queries), _RANK_ROWS)]
+    # return_counts takes numpy's sorting path, several times faster than its hashing one here
+    qids = np.unique(np.concatenate([np.unique(queries[b], return_counts=True)[0] for b in blocks]))
     known = np.array([q in truth for q in qids.tolist()])
     true_cand = np.array([truth.get(q, -1) for q in qids.tolist()], dtype=np.int64)
-    hits = np.flatnonzero(cands == true_cand[seg])
-    hits = hits[known[seg[hits]]]
-    # hits ascend in table order, so each query's first index is its first true row
-    scored_q, first = np.unique(seg[hits], return_index=True)
-    unscored = np.setdiff1d(np.arange(len(qids)), scored_q)
+    first = np.full(len(qids), -1, dtype=np.int64)  # each query's first true row, -1 if none
+    for b in reversed(blocks):  # an earlier block's true row overwrites a later block's
+        seg = np.searchsorted(qids, queries[b])  # each row's query, as an index into qids
+        hits = np.flatnonzero((cands[b] == true_cand[seg]) & known[seg])
+        # hits ascend in table order, so each query's first index is its first true row
+        scored_q, at = np.unique(seg[hits], return_index=True)
+        first[scored_q] = b.start + hits[at]
+    unscored = np.flatnonzero(first < 0)
     if len(unscored):
         q = int(qids[unscored[0]])
         if not known[unscored[0]]:
@@ -277,7 +285,10 @@ def ranks_from_ranking(queries: np.ndarray, cands: np.ndarray, scores: np.ndarra
     unranked = np.setdiff1d(np.fromiter(truth, dtype=np.int64, count=len(truth)), qids)
     if len(unranked):
         raise MissingPrediction(f"query {int(unranked[0])}: no rows in the ranking table")
-    s = scores[hits[first]][seg]
-    better = np.bincount(seg[scores > s], minlength=len(qids))
-    equal = np.bincount(seg[scores == s], minlength=len(qids))
+    better = equal = 0
+    for b in blocks:
+        seg = np.searchsorted(qids, queries[b])
+        s = scores[first][seg]  # each row's true score
+        better = better + np.bincount(seg[scores[b] > s], minlength=len(qids))
+        equal = equal + np.bincount(seg[scores[b] == s], minlength=len(qids))
     return better + (equal - 1) / 2.0 + 1.0

@@ -197,3 +197,10 @@ def table_text_oracle(columns, header=None):
     for row in zip(*columns):
         lines.append("\t".join(map(str, row)) + "\n")
     return "".join(lines)
+
+
+def table_read_oracle(path, dtypes):
+    """The columns of one np.loadtxt call that sizes its record array as it reads."""
+    row = np.dtype([(f"c{i}", dt) for i, dt in enumerate(dtypes)])
+    table = np.loadtxt(path, dtype=row, delimiter="\t", comments="#", ndmin=1)
+    return [table[name] for name in row.names]

@@ -1388,6 +1388,31 @@ def test_module_entry_point_help():
     assert proc.stdout.startswith("usage: stress")
 
 
+@pytest.mark.filterwarnings("ignore:Input line")  # the in-process load below, as in test_graph_store
+def test_no_data_warnings_stay_silent_in_a_stress_process(tmp_path):
+    # read_table passes np.loadtxt max_rows, so numpy warns of every file with a blank or # line
+    # among its rows unless graph_store's own filter holds. pytest drops filters added while it
+    # collects, so only a fresh process shows it; -W always makes an unfiltered warning print
+    ds = make_node_dataset(name="gaps", num_nodes=60, num_classes=2, seed=1)
+    manifest = save_dataset(ds, tmp_path / "gaps")
+    labels = manifest.parent / json.loads(manifest.read_text())["label_file"]
+    lines = labels.read_text().splitlines(keepends=True)
+    labels.write_text("".join(lines[:3] + ["\n", "# gap\n"] + lines[3:]))
+    pred = tmp_path / "ref.pred"
+    assert main(["refmodel", "--dataset", str(manifest), "--out", str(pred)]) == 0
+    assert pred.read_text().startswith("#num_classes\t2\n")
+    src = str(Path(graphstress.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-W", "always::UserWarning", "-m", "graphstress.cli",
+                           "fairness", "--dataset", str(manifest), "--kind", "structural",
+                           "--pred", str(pred), "--out", str(tmp_path / "fair.json")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "contained no data" not in proc.stderr
+    assert json.loads((tmp_path / "fair.json").read_text())["head_size"] > 0
+
+
 def test_importing_the_cli_leaves_scipy_unimported():
     # nothing in graphstress needs scipy, so importing the cli must not load it
     src = str(Path(graphstress.__file__).resolve().parents[1])

@@ -38,6 +38,7 @@ from graphstress.graph_store import (
     read_label_file,
     read_meta_file,
     read_split_file,
+    read_table,
     read_triple_file,
     remove_edges,
     save_dataset,
@@ -63,6 +64,7 @@ from oracles import (
     neighbors_of,
     one_way_arc_oracle,
     rows_ascend_oracle,
+    table_read_oracle,
     table_text_oracle,
 )
 
@@ -389,6 +391,7 @@ def test_split_file_write_of_1e5_units_peaks_at_four_mib(tmp_path):
     assert np.array_equal(read_split_file(tmp_path / "split.tsv", 100_000).roles, split.roles)
 
 
+@pytest.mark.filterwarnings("ignore:Input line")  # see test_read_table_keeps_every_row_for_any_line_end
 def test_text_tables_skip_comment_and_blank_lines(tmp_path):
     p = tmp_path / "t.tsv"
     p.write_text("# labels\n0\t1\n\n2\t0\n#\n")
@@ -400,6 +403,64 @@ def test_text_tables_skip_comment_and_blank_lines(tmp_path):
     assert meta.year.tolist() == [-1, 2001] and meta.sensitive_attr is None
     p.write_text("# only comments\n\n")
     assert read_edge_file(p)[0].size == 0
+
+
+TABLE_ROWS = ["3\t-1.5\tx", "9223372036854775807\t1e-05\ty", "-4\tnan\tzz", "0\t0.1\tw"]
+TABLE_DTYPES = (np.int64, np.float64, object)
+
+
+def _cells(columns):
+    return [c.tolist() if c.dtype == object else c.tobytes() for c in columns]
+
+
+def _spy_loadtxt(monkeypatch):
+    """(max_rows, rows parsed) of each np.loadtxt call, appended as numpy returns."""
+    calls, loadtxt = [], np.loadtxt
+
+    def spy(*args, **kwargs):
+        table = loadtxt(*args, **kwargs)
+        calls.append((kwargs["max_rows"], len(table)))
+        return table
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return calls
+
+
+# pytest's collection drops the filter graph_store adds at import for these warnings;
+# test_no_data_warnings_stay_silent_in_a_stress_process checks that filter itself
+@pytest.mark.filterwarnings("ignore:Input line")
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("terminated", [True, False])
+@pytest.mark.parametrize("lead, mid, tail", [
+    ([], [], []), (["", "# head"], [], []), ([], ["", "#"], []), ([], [], ["", "# end"]),
+    (["#a", ""], ["", "#b", ""], ["#c", ""]),
+], ids=["plain", "leading", "mid", "trailing", "all"])
+def test_read_table_keeps_every_row_for_any_line_end(tmp_path, monkeypatch, end, terminated, lead, mid,
+                                                     tail):
+    p = tmp_path / "t.tsv"
+    p.write_bytes((end.join(lead + TABLE_ROWS[:2] + mid + TABLE_ROWS[2:] + tail)
+                   + (end if terminated else "")).encode())
+    expected = table_read_oracle(p, TABLE_DTYPES)
+    calls = _spy_loadtxt(monkeypatch)
+    got = read_table(p, TABLE_DTYPES)
+    assert len(got[0]) == len(TABLE_ROWS)
+    assert _cells(got) == _cells(expected)
+    # numpy sized the array for every data row, and a \r\n counted once
+    [(max_rows, rows)] = calls
+    assert rows <= max_rows <= rows + len(mid) + len(tail) + 1
+
+
+def test_read_table_counts_a_line_end_split_across_its_count_blocks(tmp_path, monkeypatch):
+    # 13-byte lines put a \r at byte 2**18 - 1 and its \n at 2**18, across the 256 KiB read blocks
+    n = (2**18 + 1) // 13
+    p = tmp_path / "t.tsv"
+    p.write_bytes(b"".join(b"%05d\t%05d\r\n" % (i, n - i) for i in range(n)))
+    assert p.read_bytes()[2**18 - 1:2**18 + 1] == b"\r\n"
+    calls = _spy_loadtxt(monkeypatch)
+    u, v = read_table(p, (np.int64, np.int64))
+    assert u.tolist() == list(range(n)) and v[-1] == 1
+    [(max_rows, rows)] = calls
+    assert rows == n <= max_rows <= n + 2
 
 
 @pytest.mark.parametrize("read, text", [

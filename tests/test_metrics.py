@@ -1,10 +1,14 @@
 """Classification, ranking, and AUC metrics against brute-force references."""
 
+import tracemalloc
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphstress import metrics
 from graphstress.errors import (
     BadProbability,
     EmptyEvalSet,
@@ -14,6 +18,7 @@ from graphstress.errors import (
     OneClassOnly,
 )
 from graphstress.metrics import (
+    _RANK_ROWS,
     PredictionTable,
     accuracy,
     balanced_accuracy,
@@ -273,9 +278,69 @@ def test_ranks_from_ranking_matches_oracle_per_query(seed):
         q_rows = [(c, sc) for qq, c, sc in rows if qq == q]
         first = [c for c, _ in q_rows].index(truth[q])  # first row in table order
         expected.append(rank_oracle([sc for _, sc in q_rows], first))
-    got = ranks_from_ranking(queries, cands, scores.astype(np.float64), truth)
-    assert got.dtype == np.float64
-    assert got.tolist() == expected
+    for block in (1, 2, 3, _RANK_ROWS):  # small blocks split queries and repeated true rows
+        with patch.object(metrics, "_RANK_ROWS", block):
+            got = ranks_from_ranking(queries, cands, scores.astype(np.float64), truth)
+        assert got.dtype == np.float64
+        assert got.tolist() == expected, block
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_ranks_from_ranking_takes_the_first_true_row_across_a_block_boundary(block):
+    # query 1's true candidate 7 is the last row of block 0 (score 0.9) and the first of block 1
+    # (score 0.2); query 0's true row comes after query 1's in the table
+    lead = [(0, 5, 0.3)] * (block - 1)
+    rows = lead + [(1, 7, 0.9), (1, 7, 0.2), (1, 6, 0.5), (0, 4, 0.6), (1, 8, 0.95)]
+    queries, cands, scores = (np.array(col) for col in zip(*rows))
+    with patch.object(metrics, "_RANK_ROWS", block):
+        got = ranks_from_ranking(queries, cands, scores.astype(np.float64), {0: 4, 1: 7})
+    q0 = [sc for q, _, sc in rows if q == 0]
+    assert got.tolist() == [rank_oracle(q0, len(q0) - 1), rank_oracle([0.9, 0.2, 0.5, 0.95], 0)]
+    assert got[1] == 2.0  # the later row of candidate 7 would rank 4th
+
+
+GOOD_TRUTH = {0: 6, 1: 5, 2: 7, 3: 9}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({0: None}, "no true candidate recorded for query 0"),
+    ({3: None}, "no true candidate recorded for query 3"),
+    ({2: 99}, "query 2: true candidate not scored"),
+    ({2: 99, 3: None}, "query 2: true candidate not scored"),
+    ({4: 1}, "query 4: no rows in the ranking table"),
+    ({3: 99, 4: 1}, "query 3: true candidate not scored"),
+])
+def test_ranks_from_ranking_errors_name_the_same_query_for_every_block_size(change, message):
+    # each query's rows straddle the blocks, and the true rows of queries 2 and 3 come late
+    queries = np.array([3, 0, 2, 1, 0, 2, 3, 1, 2, 3, 0, 1])
+    cands = np.array([1, 6, 2, 5, 4, 3, 2, 8, 7, 9, 1, 2])
+    scores = np.linspace(0.1, 0.9, len(queries))
+    truth = {q: c for q, c in {**GOOD_TRUTH, **change}.items() if c is not None}
+    for block in (1, 2, 3, 5, _RANK_ROWS):
+        with patch.object(metrics, "_RANK_ROWS", block), pytest.raises(MissingPrediction) as e:
+            ranks_from_ranking(queries, cands, scores, truth)
+        assert str(e.value) == message, block
+    assert len(ranks_from_ranking(queries, cands, scores, GOOD_TRUTH)) == 4
+
+
+def test_ranks_from_ranking_of_2_18_rows_peaks_at_two_mib_above_the_table():
+    # 1024 queries of 256 candidates; only one block of rows has temporaries at a time
+    rng = np.random.default_rng(5)
+    queries = np.repeat(np.arange(1024), 256)
+    cands = np.tile(np.arange(256), 1024)
+    scores = rng.random(len(queries))
+    truth = {q: int(c) for q, c in enumerate(rng.integers(0, 256, 1024))}
+    # a process's first np.unique call imports numpy.ma, ~1 MiB of module objects
+    ranks_from_ranking(queries[:512], cands[:512], scores[:512], {0: truth[0], 1: truth[1]})
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ranks = ranks_from_ranking(queries, cands, scores, truth)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(ranks) == 1024
+    assert peak <= 2 * 2**20
 
 
 # ---------------------------------------------------------------------------
