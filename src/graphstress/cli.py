@@ -132,6 +132,11 @@ def _check_kind(dataset: Dataset, kind: str, what: str) -> None:
         raise MissingInput(f"{dataset.name}: {what} needs a {KIND_NOUNS[kind]}")
 
 
+def _check_labels(dataset: Dataset) -> None:
+    if dataset.graph.labels is None:
+        raise MissingInput(f"{dataset.name}: no node labels (label_file) in its manifest")
+
+
 def _given_split(dataset: Dataset) -> SplitAssignment:
     if dataset.split is None:
         raise MissingInput(f"{dataset.name}: no train/test split (split_file) in its manifest")
@@ -177,6 +182,8 @@ def _ood_split(dataset: Dataset, mechanism: str, seed: int):
             raise MissingInput(f"{dataset.name}: temporal split needs per-node years")
         return temporal_split(g.meta.year, g.labeled_nodes())
     if mechanism == "scaffold":
+        if dataset.collection.scaffold_ids is None:
+            raise MissingInput(f"{dataset.name}: scaffold split needs scaffold ids (scaffold_file)")
         key = derive_key("ood", dataset.name, "scaffold", 0, seed)
         return scaffold_split(dataset.collection.scaffold_ids, key)
     key = derive_key("ood", dataset.name, "kg_inductive", 0, seed)
@@ -194,6 +201,7 @@ def _write_split(out_dir: Path, split) -> None:
 def _imbalanced(dataset: Dataset, rho: float, seed: int):
     """(spec, kept train units, reduced split) of a step-imbalance downsample."""
     _check_kind(dataset, "node_graph", "an imbalanced split")
+    _check_labels(dataset)
     g = dataset.graph
     split = _given_split(dataset)
     train = split.units(Role.TRAIN)
@@ -401,6 +409,7 @@ def cmd_imbalance(args) -> int:
 def cmd_fairness(args) -> int:
     dataset = load_dataset(args.dataset)
     _check_kind(dataset, "node_graph", "stress fairness")
+    _check_labels(dataset)
     preds = read_prediction_file(args.pred)
     result: dict = {"dataset": dataset.name, "kind": args.kind}
     if args.kind == "structural":
@@ -417,6 +426,7 @@ def cmd_fairness(args) -> int:
 def cmd_refmodel(args) -> int:
     dataset = load_dataset(args.dataset)
     _check_kind(dataset, "node_graph", "stress refmodel")
+    _check_labels(dataset)
     table, = _refmodel_tables(dataset.graph, [_given_split(dataset).units(Role.TRAIN)],
                               PropagationConfig(hops=args.hops, alpha=args.alpha))
     write_prediction_file(args.out, table)
@@ -631,7 +641,7 @@ RUN_OUTPUTS = ("values", "ops", "errors.log", "report.json", "report.csv")
 class PipelineRunner:
     """Executes the requested cell grid and writes the result tree."""
 
-    def __init__(self, config: dict, out_dir: Path, workers: int = PARAMS["workers"][0]):
+    def __init__(self, config: dict, out_dir: Path, workers: int):
         self.config = config
         self.out = out_dir
         self.workers = workers
@@ -876,6 +886,8 @@ class PipelineRunner:
         try:
             if axis != "ood":
                 _check_kind(dataset, "node_graph", f"the {axis} axis")
+            if dataset.kind == "node_graph" and (axis != "interpret" or method["kind"] == "refmodel"):
+                _check_labels(dataset)  # an external attribution cell reads no label
             return getattr(self, f"_axis_{axis}")(dataset, method, seed)
         except StressError as e:  # collected into the per-cell error log
             return e

@@ -28,7 +28,7 @@ class GroupSpec:
     q: float | None = None
 
 
-def head_tail_groups(test_nodes: np.ndarray, degrees: np.ndarray, q: float = 0.2) -> GroupSpec:
+def head_tail_groups(test_nodes: np.ndarray, degrees: np.ndarray, q: float) -> GroupSpec:
     """Top and bottom degree quantiles of the test set; middle stays unassigned.
 
     Test nodes are sorted ascending by (degree, node id); the last floor(q*n)

@@ -658,15 +658,7 @@ def load_dataset(manifest_path) -> Dataset:
 def _load_collection(manifest: dict, base: Path, name: str) -> Dataset:
     num_graphs = manifest["num_graphs"]
     num_tasks = manifest.get("num_tasks", 1)
-    path = base / manifest["graph_size_file"]
-    gids, graph_sizes = _read_id_table(path, num_graphs, "graph id", (np.int64,))
-    if np.any(graph_sizes < 0):
-        raise BadId(f"{path}: graph size {graph_sizes[graph_sizes < 0][0]} is negative")
-    sizes = np.full(num_graphs, -1, dtype=np.int64)
-    sizes[gids] = graph_sizes
-    if np.any(sizes < 0):
-        raise LengthMismatch(f"{path}: graph sizes must cover every graph; "
-                             f"graph {np.argmax(sizes < 0)} has no row")
+    sizes = _per_graph(base / manifest["graph_size_file"], num_graphs, "graph size")
     # the arc columns are parsed and freed inside, before the other files are read
     graphs = _collection_graphs(base / manifest["graph_file"], sizes, manifest.get("undirected", True))
     path = base / manifest["graph_label_file"]
@@ -676,18 +668,26 @@ def _load_collection(manifest: dict, base: Path, name: str) -> Dataset:
         labels[gids, j] = _dash_ints(path, tokens, np.int8)
     scaffold_ids = None
     if manifest.get("scaffold_file"):
-        path = base / manifest["scaffold_file"]
-        gids, sids = _read_id_table(path, num_graphs, "graph id", (np.int64,))
-        scaffold_ids = np.full(num_graphs, -1, dtype=np.int64)
-        scaffold_ids[gids] = sids
-        if np.any(scaffold_ids < 0):
-            raise LengthMismatch("scaffold ids must cover every graph")
+        scaffold_ids = _per_graph(base / manifest["scaffold_file"], num_graphs, "scaffold id")
     collection = GraphCollection(graphs=graphs, labels=labels, scaffold_ids=scaffold_ids)
     collection.validate()
     split = None
     if manifest.get("split_file"):
         split = read_split_file(base / manifest["split_file"], num_graphs)
     return Dataset(kind="graph_collection", name=name, collection=collection, split=split)
+
+
+def _per_graph(path, num_graphs: int, what: str) -> np.ndarray:
+    """The non-negative ``what`` of every graph, from ``path``'s graph id rows."""
+    gids, values = _read_id_table(path, num_graphs, "graph id", (np.int64,))
+    if np.any(values < 0):
+        raise BadId(f"{path}: {what} {values[values < 0][0]} is negative")
+    out = np.full(num_graphs, -1, dtype=np.int64)
+    out[gids] = values
+    if np.any(out < 0):
+        raise LengthMismatch(f"{path}: {what}s must cover every graph; "
+                             f"graph {np.argmax(out < 0)} has no row")
+    return out
 
 
 def _collection_graphs(path, sizes: np.ndarray, undirected: bool) -> GraphBlock:

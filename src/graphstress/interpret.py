@@ -69,8 +69,6 @@ class SaliencyTable:
 def edge_saliency_from_node_grads(node_scores: SaliencyTable, edges: np.ndarray) -> np.ndarray:
     """Edge score = endpoint score sum."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if len(edges) == 0:
-        return np.empty(0, dtype=np.float64)
     return node_scores.scores_for(edges[:, 0]) + node_scores.scores_for(edges[:, 1])
 
 
@@ -113,18 +111,15 @@ def _split(order: np.ndarray, k_percent: float) -> tuple[np.ndarray, np.ndarray]
 class FidelityRecord:
     """Raw and combined fidelity for one (target, condition) pair."""
 
-    p0: float
-    p_plus: float
-    p_minus: float
     fid_plus: float   # p0 - p_plus, raw (may be negative)
     fid_minus: float  # p0 - p_minus, raw
     char: float       # bounded combination in [0, 1]
 
 
-def fidelity(p0: float, p_plus: float, p_minus: float, epsilon: float = 1e-8) -> FidelityRecord:
+def fidelity(p0: float, p_plus: float, p_minus: float) -> FidelityRecord:
     """Combine masked-probability drops into the bounded characterization score.
 
-    char = 2ab / (a + b + epsilon) with a = clamp(Fid+, 0, 1) and
+    char = 2ab / (a + b + 1e-8) with a = clamp(Fid+, 0, 1) and
     b = clamp(1 - Fid-, 0, 1). Raw Fid values are kept unclamped.
     """
     for name, p in (("p0", p0), ("p_plus", p_plus), ("p_minus", p_minus)):
@@ -134,9 +129,8 @@ def fidelity(p0: float, p_plus: float, p_minus: float, epsilon: float = 1e-8) ->
     fid_minus = p0 - p_minus
     a = min(1.0, max(0.0, fid_plus))
     b = min(1.0, max(0.0, 1.0 - fid_minus))
-    char = 2.0 * a * b / (a + b + epsilon)
-    return FidelityRecord(p0=p0, p_plus=p_plus, p_minus=p_minus,
-                          fid_plus=fid_plus, fid_minus=fid_minus, char=char)
+    char = 2.0 * a * b / (a + b + 1e-8)
+    return FidelityRecord(fid_plus=fid_plus, fid_minus=fid_minus, char=char)
 
 
 def char_lift(char_sal: MetricCell, char_rand: MetricCell) -> MetricCell:
@@ -173,8 +167,7 @@ def condition_name(ranking: str, side: str, k_percent: float) -> str:
 
 
 def build_edge_manifest(graph: Graph, target: int, node_scores: SaliencyTable,
-                        key: StreamKey, hops: int = 2,
-                        k_levels=K_PERCENT_LEVELS) -> TargetManifest:
+                        key: StreamKey, hops: int, k_levels) -> TargetManifest:
     """Edge-masking manifest for one node-level target.
 
     The receptive field is ``refmodel.reach(graph, target, hops)``, the nodes the

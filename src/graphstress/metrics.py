@@ -162,13 +162,10 @@ def macro_f1(preds: PredictionTable, labels: np.ndarray, eval_set: np.ndarray,
     return float(np.mean(f1[support > 0]))
 
 
-def roc_auc(scores: np.ndarray, labels: np.ndarray, eval_set: np.ndarray | None = None) -> float:
+def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Mann-Whitney AUC with midrank tie handling: P(s+ > s-) + P(s+ = s-)/2."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    if eval_set is not None:
-        eval_set = _check_eval_set(eval_set)
-        scores, labels = scores[eval_set], labels[eval_set]
     pos = labels == 1
     n_pos, n_neg = int(pos.sum()), int((~pos).sum())
     if n_pos == 0 or n_neg == 0:

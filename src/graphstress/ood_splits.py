@@ -65,31 +65,27 @@ def degree_shift_split(graph: Graph, labeled: np.ndarray) -> SplitAssignment:
     return split
 
 
-def temporal_split(years: np.ndarray, labeled: np.ndarray | None = None,
-                   train_max: int = 2010, ood_min: int = 2017) -> SplitAssignment:
-    """Partition by publication year: past -> train, gap -> ood_val, future -> ood_test."""
+def temporal_split(years: np.ndarray, labeled: np.ndarray) -> SplitAssignment:
+    """Partition labeled nodes by year: <= 2010 train, 2011-2016 ood_val, >= 2017 ood_test."""
     years = np.asarray(years, dtype=np.int64)
-    if labeled is None:
-        labeled = np.arange(len(years), dtype=np.int64)
     labeled = np.asarray(labeled, dtype=np.int64)
     if np.any(years[labeled] < 0):
         bad = labeled[years[labeled] < 0][0]
         raise MissingYear(f"node {int(bad)} has no publication year")
     split = SplitAssignment.all_excluded(len(years))
     y = years[labeled]
-    split.roles[labeled[y <= train_max]] = int(Role.TRAIN)
-    split.roles[labeled[(y > train_max) & (y < ood_min)]] = int(Role.OOD_VAL)
-    split.roles[labeled[y >= ood_min]] = int(Role.OOD_TEST)
+    split.roles[labeled[y <= 2010]] = int(Role.TRAIN)
+    split.roles[labeled[(y > 2010) & (y < 2017)]] = int(Role.OOD_VAL)
+    split.roles[labeled[y >= 2017]] = int(Role.OOD_TEST)
     return split
 
 
-def scaffold_split(scaffold_ids: np.ndarray, key: StreamKey,
-                   ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)) -> SplitAssignment:
-    """Group-disjoint split: whole scaffold groups fill train, then val, then test.
+def scaffold_split(scaffold_ids: np.ndarray, key: StreamKey) -> SplitAssignment:
+    """Group-disjoint 80/10/10 split: whole scaffold groups fill train, then val, then test.
 
     Groups are visited in a key-shuffled order and assigned greedily: to train
-    until at least ratios[0] of the molecules are covered, to val until
-    ratios[0]+ratios[1], remainder to test. No scaffold spans two partitions.
+    until at least 80% of the molecules are covered, to val until 90%,
+    remainder to test. No scaffold spans two partitions.
     """
     scaffold_ids = np.asarray(scaffold_ids, dtype=np.int64)
     if len(scaffold_ids) == 0 or np.any(scaffold_ids < 0):
@@ -99,9 +95,8 @@ def scaffold_split(scaffold_ids: np.ndarray, key: StreamKey,
     n = len(scaffold_ids)
     # molecules already assigned when each group is visited, in visit order
     assigned = np.cumsum(sizes[order]) - sizes[order]
-    visit_roles = np.where(assigned < ratios[0] * n, int(Role.TRAIN),
-                           np.where(assigned < (ratios[0] + ratios[1]) * n,
-                                    int(Role.VAL), int(Role.TEST)))
+    visit_roles = np.where(assigned < 0.8 * n, int(Role.TRAIN),
+                           np.where(assigned < 0.9 * n, int(Role.VAL), int(Role.TEST)))
     group_roles = np.empty(len(sizes), dtype=np.int8)
     group_roles[order] = visit_roles
     split = SplitAssignment(group_roles[inverse])
@@ -112,19 +107,16 @@ def scaffold_split(scaffold_ids: np.ndarray, key: StreamKey,
     return split
 
 
-def inductive_entity_split(store: TripleStore, key: StreamKey,
-                           train_fraction: float = 0.75) -> KgInductiveSplit:
-    """Hold out a fraction of entities; score triples that cross the boundary.
+def inductive_entity_split(store: TripleStore, key: StreamKey) -> KgInductiveSplit:
+    """Hold out a quarter of the entities; score triples that cross the boundary.
 
-    Entities are shuffled by key; the first floor(f*E) form the train pool.
+    Entities are shuffled by key; the first floor(0.75 E) form the train pool.
     Triples with both endpoints in the pool train the model; triples with
     exactly one held-out endpoint become ranking queries for that endpoint;
     triples with both endpoints held out are discarded (counted and logged).
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ScaleMismatch("train_fraction must lie strictly between 0 and 1")
     shuffled = permutation(key, store.num_entities)
-    n_train = int(train_fraction * store.num_entities)
+    n_train = int(0.75 * store.num_entities)
     train_entities = np.sort(shuffled[:n_train])
     test_entities = np.sort(shuffled[n_train:])
     in_train = np.zeros(store.num_entities, dtype=bool)

@@ -192,11 +192,10 @@ def propagate_predict(graph: Graph, train_labels: np.ndarray, num_classes: int,
 
 
 def predicted_class_prob(graph: Graph, train_labels: np.ndarray, num_classes: int,
-                         rows: np.ndarray, survived: np.ndarray, num_levels: int,
-                         config: PropagationConfig = PropagationConfig()) -> np.ndarray:
-    """(num_levels + 1, len(rows)) probabilities: what each level assigns to the class
-    level 0 predicts for the row, the levels being ``propagate_predict``'s."""
-    tables = propagate_predict(graph, train_labels, num_classes, config, rows=rows,
+                         rows: np.ndarray, survived: np.ndarray, num_levels: int) -> np.ndarray:
+    """(num_levels + 1, len(rows)) probabilities: what each level assigns to the class level 0
+    predicts for the row, the levels being ``propagate_predict``'s at its default config."""
+    tables = propagate_predict(graph, train_labels, num_classes, rows=rows,
                                survived=survived, num_levels=num_levels)
     probs = np.stack([t.rows for t in tables])
     return probs[:, np.arange(len(rows)), probs[0].argmax(axis=1)]

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,8 @@ import pytest
 import graphstress
 import graphstress.cli as cli
 from graphstress.cli import main
-from graphstress.graph_store import Graph, Role, SplitAssignment, load_dataset, read_split_file, save_dataset
+from graphstress.graph_store import (Graph, Role, SplitAssignment, load_dataset, read_split_file,
+                                     remove_edges, save_dataset)
 from graphstress.imbalance import partition_classes
 from graphstress.interpret import (
     RANKINGS,
@@ -330,6 +332,62 @@ def test_node_dataset_without_split_exits_2(tmp_path, capsys):
     assert "MissingInput" in log and "split" in log
 
 
+@pytest.fixture(scope="module")
+def unlabeled_ds(tmp_path_factory):
+    """A 200-node graph saved without labels: its manifest has no label_file."""
+    ds = make_node_dataset(name="nolab", num_nodes=200, seed=2)
+    ds.graph = replace(ds.graph, labels=None, num_classes=0)
+    return save_dataset(ds, tmp_path_factory.mktemp("nolab") / "nolab")
+
+
+def test_an_unlabeled_node_graph_fails_each_cell_that_reads_labels(unlabeled_ds, tmp_path,
+                                                                   monkeypatch):
+    # the operators and the external attribution cell that read no label still run
+    monkeypatch.chdir(tmp_path)
+    assert main(["corrupt", "--dataset", str(unlabeled_ds), "--channel", "edge",
+                 "--severity-index", "2", "--out", "corrupt"]) == 0
+    assert main(["split", "--mechanism", "temporal", "--dataset", str(unlabeled_ds),
+                 "--out", "split"]) == 0
+    files = Path("preds/nolab/interpret")
+    files.mkdir(parents=True)
+    write_saliency_file(files / "seed0.saliency",
+                        SaliencyTable("node_grad_norm", np.arange(200), np.arange(200) % 7 / 7))
+    assert main(["interpret", "emit", "--dataset", str(unlabeled_ds), "--saliency",
+                 str(files / "seed0.saliency"), "--num-targets", "3", "--out", "emit"]) == 0
+    targets = json.loads(Path("emit/emit.json").read_text())["targets"]
+    write_probs_file(files / "seed0.probs", {
+        (t, c): 0.5 for t in targets
+        for c in ["clean", *read_manifest_file(f"emit/target_{t}.manifest").conditions]})
+    config = _write_config(Path("config.json"), manifest=unlabeled_ds, seeds=[0],
+                           methods=[{"kind": "refmodel", "name": "refmodel"},
+                                    {"kind": "external", "name": "m_ext", "pred_dir": "preds",
+                                     "has_saliency": True}])
+    assert main(["run", "--config", str(config), "--out", "r"]) == 1
+    log = Path("r/errors.log").read_text().splitlines()
+    failed = [(axis, "refmodel") for axis in cli.AXES] + [
+        (axis, "m_ext") for axis in cli.AXES if axis != "interpret"]
+    assert sorted(log) == sorted(
+        f"({axis}, nolab, {method}, seed 0)\tMissingInput: nolab: no node labels (label_file) "
+        "in its manifest" for axis, method in failed)
+    assert {k[1] for k in load_report(Path("r/report.json")).cells} == {
+        f"char_{r}_{k}" for r in RANKINGS for k in (5, 10, 20, 50)} | {
+        f"delta_char_{k}" for k in (5, 10, 20, 50)}
+
+
+@pytest.mark.parametrize("argv", [
+    ["refmodel"], ["imbalance", "--rho", "10"],
+    ["fairness", "--kind", "structural", "--pred", "any.pred"],
+    ["fairness", "--kind", "demographic", "--pred", "any.pred"],
+], ids=["refmodel", "imbalance", "fairness-structural", "fairness-demographic"])
+def test_a_labels_reading_subcommand_on_an_unlabeled_graph_exits_2(unlabeled_ds, tmp_path,
+                                                                    monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    write_prediction_file("any.pred", PredictionTable(np.arange(200), np.full((200, 2), 0.5)))
+    assert main(argv + ["--dataset", str(unlabeled_ds), "--out", "out"]) == 2
+    assert ("error: MissingInput: nolab: no node labels (label_file) in its manifest"
+            in capsys.readouterr().err)
+
+
 # ---------------------------------------------------------------------------
 # interpret emit / score
 # ---------------------------------------------------------------------------
@@ -629,6 +687,42 @@ def test_a_graph_missing_from_graph_sizes_exits_2(tmp_path, monkeypatch, capsys)
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("change, named", [
+    ("negative", "BadId: {path}: scaffold id -1 is negative"),
+    ("no-row", "LengthMismatch: {path}: scaffold ids must cover every graph; graph 3 has no row"),
+], ids=["negative", "no-row"])
+def test_a_bad_scaffolds_file_exits_2_naming_it(tmp_path, monkeypatch, capsys, change, named):
+    monkeypatch.chdir(tmp_path)
+    manifest = save_dataset(make_molecule_collection(name="tinymol", num_graphs=8, seed=4),
+                            Path("ds"))
+    path = Path("ds") / "scaffolds.tsv"
+    rows = path.read_text().splitlines(keepends=True)
+    rows[3] = "3\t-1\n" if change == "negative" else ""
+    path.write_text("".join(rows))
+    monkeypatch.setattr(cli.PipelineRunner, "_run_job",
+                        lambda self, job: pytest.fail(f"cell {job} ran"))
+    config = _write_config(Path("config.json"), manifest=manifest, seeds=1)
+    assert main(["run", "--config", str(config), "--out", "out"]) == 2
+    assert named.format(path=path) in capsys.readouterr().err
+
+
+def test_a_collection_without_scaffold_ids_fails_its_ood_cells(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    ds = make_molecule_collection(name="noscaf", num_graphs=20, seed=3)
+    ds.collection.scaffold_ids = None
+    manifest = save_dataset(ds, Path("ds"))
+    missing = "MissingInput: noscaf: scaffold split needs scaffold ids (scaffold_file)"
+    assert main(["split", "--mechanism", "scaffold", "--dataset", str(manifest),
+                 "--out", "split"]) == 2
+    assert f"error: {missing}" in capsys.readouterr().err
+    config = _write_config(Path("config.json"), manifest=manifest, seeds=[0], axes=["ood"],
+                           methods=[{"kind": "refmodel", "name": "refmodel"},
+                                    {"kind": "external", "name": "m_ext", "pred_dir": "preds"}])
+    assert main(["run", "--config", str(config), "--out", "r"]) == 1
+    assert sorted(Path("r/errors.log").read_text().splitlines()) == [
+        f"(ood, noscaf, {method}, seed 0)\t{missing}" for method in ("m_ext", "refmodel")]
+
+
 # ---------------------------------------------------------------------------
 # pipeline runner
 # ---------------------------------------------------------------------------
@@ -815,6 +909,87 @@ def test_directed_graph_fails_interpret_emit_and_an_external_interpret_cell(tmp_
     log = Path("r/errors.log").read_text().splitlines()
     assert len(log) == 1 and "(interpret, arcs, m_ext, seed 0)" in log[0]
     assert "DirectedGraph" in log[0]
+
+
+def _isolated_first_target(tmp_path, name: str, in_test: bool = True) -> tuple:
+    """(manifest, t): a graph "iso" whose first test node t has no edge; with in_test
+    false, t is excluded from the split instead, and every other role stays."""
+    ds = make_node_dataset(name="iso", num_nodes=150, num_classes=2, seed=3)
+    g = ds.graph
+    t = int(ds.split.units(Role.TEST)[0])
+    keys = g.edge_keys()
+    ds.graph = remove_edges(g, (keys // g.num_nodes == t) | (keys % g.num_nodes == t))
+    if not in_test:
+        ds.split.roles[t] = int(Role.EXCLUDED)
+    return save_dataset(ds, tmp_path / name), t
+
+
+def test_a_target_without_edges_is_skipped_by_emit_and_fails_an_external_row(tmp_path,
+                                                                            monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    manifest, t = _isolated_first_target(tmp_path, "iso")
+    files = Path("preds/iso/interpret")
+    files.mkdir(parents=True)
+    write_saliency_file(files / "seed0.saliency",
+                        SaliencyTable("node_grad_norm", np.arange(150), np.arange(150) % 7 / 7))
+    assert main(["interpret", "emit", "--dataset", str(manifest), "--saliency",
+                 str(files / "seed0.saliency"), "--num-targets", "3", "--out", "emit"]) == 0
+    emitted = json.loads(Path("emit/emit.json").read_text())
+    test = load_dataset(manifest).split.units(Role.TEST)
+    assert emitted["skipped"] == [t] and emitted["targets"] == test[1:3].tolist()
+    assert not Path(f"emit/target_{t}.manifest").exists()
+    # probs for every emitted target, plus the skipped one's: no manifest holds that row
+    conditions = ["clean", *read_manifest_file(f"emit/target_{test[1]}.manifest").conditions]
+    write_probs_file(files / "seed0.probs",
+                     {(u, c): 0.5 for u in [t, *emitted["targets"]] for c in conditions})
+    config = _write_config(Path("config.json"), manifest=manifest, seeds=[0], axes=["interpret"],
+                           methods=[{"kind": "external", "name": "m_ext", "pred_dir": "preds",
+                                     "has_saliency": True}])
+    assert main(["run", "--config", str(config), "--out", "r"]) == 1
+    log = Path("r/errors.log").read_text()
+    assert "(interpret, iso, m_ext, seed 0)\tBadId" in log and f"target {t}," in log
+
+
+def test_the_refmodel_interpret_cell_averages_the_targets_left_after_a_skip(tmp_path):
+    # the same graph with the edgeless target out of the test set and one target fewer
+    results = {}
+    for in_test, targets in ((True, 3), (False, 2)):
+        manifest, _ = _isolated_first_target(tmp_path, f"iso_{in_test}", in_test)
+        config = _write_config(tmp_path / "config.json", manifest=manifest, seeds=2,
+                               axes=["interpret"], interpret_targets=targets)
+        out = tmp_path / f"r_{in_test}"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        results[in_test] = {p.name: p.read_bytes() for p in (out / "values").iterdir()}
+    assert results[True] == results[False] and len(results[True]) == 8
+
+
+def test_a_graph_without_years_has_an_inapplicable_temporal_cell(tmp_path):
+    ds = make_node_dataset(name="noyears", num_nodes=150, num_classes=2, seed=3)
+    ds.graph.meta.year = None
+    config = _write_config(tmp_path / "config.json", manifest=save_dataset(ds, tmp_path / "ds"),
+                           seeds=1, axes=["ood"])
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "r")]) == 0
+    cells = load_report(tmp_path / "r" / "report.json").cells
+    assert cells["ood", "temporal", "noyears", "refmodel"].note == cli.INAPPLICABLE
+    assert not cells["ood", "degree", "noyears", "refmodel"].undefined
+
+
+@pytest.mark.parametrize("field, argv, named", [
+    ("year", ["split", "--mechanism", "temporal"], "temporal split needs per-node years"),
+    ("features", ["corrupt", "--channel", "feature", "--severity-index", "1"],
+     "feature noise needs node features"),
+    ("sensitive_attr", ["fairness", "--kind", "demographic", "--pred", "any.pred"],
+     "demographic gaps need a sensitive attribute"),
+], ids=["years", "features", "sensitive-attribute"])
+def test_an_operator_without_its_node_field_exits_2(tmp_path, monkeypatch, capsys, field, argv,
+                                                    named):
+    monkeypatch.chdir(tmp_path)
+    ds = make_node_dataset(name="lacking", num_nodes=60, num_classes=2, seed=4)
+    setattr(ds.graph if field == "features" else ds.graph.meta, field, None)
+    manifest = save_dataset(ds, Path("ds"))
+    write_prediction_file("any.pred", PredictionTable(np.arange(60), np.full((60, 2), 0.5)))
+    assert main(argv + ["--dataset", str(manifest), "--out", "out"]) == 2
+    assert f"error: MissingInput: lacking: {named}" in capsys.readouterr().err
 
 
 def test_split_without_train_nodes_fails_the_refmodel_interpret_cell(tmp_path):
@@ -1083,8 +1258,11 @@ def test_unknown_config_key_exits_2_before_loading(small_ds, tmp_path, monkeypat
     ({"seeds": []}, "seeds"),
     ({"seeds": [1, 1]}, "seeds"),
     ({"seeds": [0, -1]}, "seeds"),
+    ({"datasets": ["ds/manifest.json"]}, "a dataset entry must be a JSON object"),
+    ({"methods": ["refmodel"]}, "a method entry must be a JSON object"),
 ], ids=["no-manifest", "manifest-not-a-string", "seeds-0", "seeds-negative", "seeds-bool",
-        "seeds-empty", "seeds-repeat", "seeds-negative-entry"])
+        "seeds-empty", "seeds-repeat", "seeds-negative-entry", "dataset-not-an-object",
+        "method-not-an-object"])
 def test_bad_dataset_entry_or_seeds_exit_2_before_loading(small_ds, tmp_path, monkeypatch,
                                                           capsys, overrides, key):
     def no_load(manifest):

@@ -1,5 +1,6 @@
 """CSR graph container, edge keys and removal, and file formats."""
 
+import json
 import math
 import tempfile
 import tracemalloc
@@ -122,6 +123,17 @@ def test_validate_offsets():
               neighbors=np.array([1], dtype=np.int64), undirected=False)
     with pytest.raises(LengthMismatch):
         validate_graph(g)
+    # each further structural check on a hand-built CSR of two nodes
+    for offsets, neighbors, error, message in [
+        ([1, 1, 2], [1, 0], LengthMismatch, "start at 0 and be nondecreasing"),
+        ([0, 2, 1], [1, 0], LengthMismatch, "start at 0 and be nondecreasing"),
+        ([0, 1, 3], [1, 0], LengthMismatch, r"offsets\[-1\] must equal len\(neighbors\)"),
+        ([0, 1, 2], [2, 0], BadId, "neighbor id out of range for 2 nodes"),
+    ]:
+        g = Graph(num_nodes=2, offsets=np.array(offsets, dtype=np.int64),
+                  neighbors=np.array(neighbors, dtype=np.int64), undirected=False)
+        with pytest.raises(error, match=message):
+            validate_graph(g)
 
 
 def test_validate_nonfinite_features():
@@ -129,6 +141,16 @@ def test_validate_nonfinite_features():
     feats[1, 1] = np.nan
     with pytest.raises(NonFiniteFeature):
         Graph.from_arcs(2, [0, 1], [1, 0], features=feats)
+
+
+def test_validate_feature_rows():
+    with pytest.raises(LengthMismatch, match="feature rows must equal num_nodes"):
+        Graph.from_arcs(2, [0, 1], [1, 0], features=np.zeros((3, 4), dtype=np.float32))
+
+
+def test_from_arcs_rejects_arc_columns_of_unequal_length():
+    with pytest.raises(LengthMismatch, match="src/dst arc arrays differ: 2 vs 1"):
+        Graph.from_arcs(3, [0, 1], [1], undirected=False)
 
 
 def test_validate_label_length():
@@ -210,6 +232,9 @@ def test_triple_store_validate():
         TripleStore(2, 1, t).validate()  # relation 1 out of range
     with pytest.raises(BadId):
         TripleStore(2, 2, np.array([[2, 0, 0]], dtype=np.int64)).validate()
+    for shape in ((2, 2), (6,)):
+        with pytest.raises(LengthMismatch, match=r"triples must be an \(m, 3\) array"):
+            TripleStore(2, 2, np.zeros(shape, dtype=np.int64)).validate()
 
 
 def test_collection_validate():
@@ -511,6 +536,14 @@ def test_node_dataset_round_trip(tmp_path):
     assert np.array_equal(g.meta.year, g2.meta.year)
     assert np.array_equal(g.meta.sensitive_attr, g2.meta.sensitive_attr)
     assert np.array_equal(ds.split.roles, back.split.roles)
+
+
+def test_declared_feature_dim_must_match_the_feature_file(tmp_path):
+    manifest = save_dataset(make_node_dataset(num_nodes=30, seed=5), tmp_path / "d")
+    declared = json.loads(manifest.read_text())
+    manifest.write_text(json.dumps({**declared, "feature_dim": declared["feature_dim"] + 1}))
+    with pytest.raises(LengthMismatch, match="feature_dim does not match feature file"):
+        load_dataset(manifest)
 
 
 def test_node_dataset_load_peaks_below_three_and_a_half_times_what_it_keeps(tmp_path):

@@ -74,7 +74,7 @@ def test_saliency_validation():
 def test_khop_star():
     # star centered at 0 with leaves 1..4, plus distant pair 5-6
     g = Graph.from_arcs(7, [0, 0, 0, 0, 5], [1, 2, 3, 4, 6], symmetrize=True)
-    manifest = build_edge_manifest(g, 0, _node_scores(7), KEY, hops=1)
+    manifest = build_edge_manifest(g, 0, _node_scores(7), KEY, 1, K_PERCENT_LEVELS)
     assert manifest.nodes.tolist() == [0, 1, 2, 3, 4]
     assert {tuple(e) for e in manifest.edges.tolist()} == {(0, 1), (0, 2), (0, 3), (0, 4)}
 
@@ -83,14 +83,14 @@ def test_khop_isolated_node():
     # a target whose only arc is a self-loop has a receptive field of itself and no maskable edge
     g = Graph.from_arcs(3, [0, 2], [1, 2], symmetrize=True)
     with pytest.raises(EmptySubgraph):
-        build_edge_manifest(g, 2, _node_scores(3), KEY, hops=2)
-    manifest = build_edge_manifest(g, 0, _node_scores(3), KEY, hops=2)
+        build_edge_manifest(g, 2, _node_scores(3), KEY, 2, K_PERCENT_LEVELS)
+    manifest = build_edge_manifest(g, 0, _node_scores(3), KEY, 2, K_PERCENT_LEVELS)
     assert manifest.nodes.tolist() == [0, 1]
     assert manifest.edges.tolist() == [[0, 1]]
 
 
 def test_khop_excludes_self_loops(random_graph):
-    manifest = build_edge_manifest(random_graph, 7, _node_scores(100), KEY, hops=1)
+    manifest = build_edge_manifest(random_graph, 7, _node_scores(100), KEY, 1, K_PERCENT_LEVELS)
     assert 7 in manifest.nodes
     for u, v in manifest.edges.tolist():
         assert u < v  # strict: no loops, canonical orientation
@@ -101,7 +101,8 @@ def test_khop_matches_bfs_oracle(random_graph):
     scores = _node_scores(100)
     for center in [0, 7, 31, 99]:
         for hops in (1, 2, 3):
-            manifest = build_edge_manifest(random_graph, center, scores, KEY, hops=hops)
+            manifest = build_edge_manifest(random_graph, center, scores, KEY, hops,
+                                           K_PERCENT_LEVELS)
             assert set(manifest.nodes.tolist()) == bfs_hops_oracle(adjacency, center, hops)
             # induced edges: every canonical non-loop edge with both ends inside
             inside = set(manifest.nodes.tolist())
@@ -240,7 +241,7 @@ def test_char_lift_undefined_and_mismatch():
 
 def test_edge_manifest_conditions(random_graph):
     scores = _node_scores(random_graph.num_nodes)
-    manifest = build_edge_manifest(random_graph, 7, scores, KEY)
+    manifest = build_edge_manifest(random_graph, 7, scores, KEY, 2, K_PERCENT_LEVELS)
     assert set(manifest.conditions) == {
         condition_name(r, side, k)
         for r in ("saliency", "random") for side in ("top", "comp") for k in K_PERCENT_LEVELS
@@ -258,19 +259,19 @@ def test_edge_manifest_conditions(random_graph):
 def test_edge_manifest_empty_receptive_field():
     g = Graph.from_arcs(3, [0], [1], symmetrize=True)
     with pytest.raises(EmptySubgraph):
-        build_edge_manifest(g, 2, _node_scores(3), KEY)
+        build_edge_manifest(g, 2, _node_scores(3), KEY, 2, K_PERCENT_LEVELS)
 
 
 def test_edge_manifest_rejects_a_directed_graph():
     # target 2 reaches 0, 1 and 3, but its one-way arc (2, 0) is no edge u < v
     g = Graph.from_arcs(4, [0, 2, 0], [1, 0, 3], undirected=False)
     with pytest.raises(DirectedGraph):
-        build_edge_manifest(g, 2, _node_scores(4), KEY)
+        build_edge_manifest(g, 2, _node_scores(4), KEY, 2, K_PERCENT_LEVELS)
 
 
 def test_masked_graph_edge_kind(random_graph):
     scores = _node_scores(random_graph.num_nodes)
-    manifest = build_edge_manifest(random_graph, 7, scores, KEY)
+    manifest = build_edge_manifest(random_graph, 7, scores, KEY, 2, K_PERCENT_LEVELS)
     name = condition_name("saliency", "top", 50)
     out = masked_graph(random_graph, manifest, name)
     check_symmetry(out)
@@ -285,7 +286,7 @@ def test_masked_graph_edge_kind(random_graph):
 def test_masked_graph_equals_a_rebuild_for_every_condition(random_graph):
     # the arcs left after dropping both arcs of each masked edge, rebuilt from scratch
     manifest = build_edge_manifest(random_graph, 7, _node_scores(random_graph.num_nodes), KEY,
-                                   hops=3)
+                                   3, K_PERCENT_LEVELS)
     src, dst = random_graph.arcs()
     for name, masked in manifest.conditions.items():
         gone = {tuple(e) for e in manifest.edges[masked].tolist()}
@@ -297,7 +298,7 @@ def test_masked_graph_equals_a_rebuild_for_every_condition(random_graph):
 
 
 def test_refmodel_interpret_job_builds_no_graph(tmp_path, monkeypatch, node_dataset):
-    runner = PipelineRunner({"interpret_targets": 4}, tmp_path)
+    runner = PipelineRunner({"interpret_targets": 4}, tmp_path, workers=1)
     built = []
     from_arcs = Graph.__dict__["from_arcs"].__func__
 
@@ -317,7 +318,7 @@ def test_refmodel_interpret_job_builds_no_graph(tmp_path, monkeypatch, node_data
 # ---------------------------------------------------------------------------
 
 def test_manifest_round_trip(tmp_path, random_graph):
-    manifest = build_edge_manifest(random_graph, 31, _node_scores(100), KEY)
+    manifest = build_edge_manifest(random_graph, 31, _node_scores(100), KEY, 2, K_PERCENT_LEVELS)
     p = tmp_path / "t31.manifest"
     write_manifest_file(p, manifest)
     back = read_manifest_file(p)
@@ -346,7 +347,7 @@ def test_malformed_manifest_line_names_file_and_line(tmp_path, line):
 
 
 def test_manifest_file_writes_edge_unit_kind_and_rejects_others(tmp_path, random_graph):
-    manifest = build_edge_manifest(random_graph, 31, _node_scores(100), KEY)
+    manifest = build_edge_manifest(random_graph, 31, _node_scores(100), KEY, 2, K_PERCENT_LEVELS)
     p = tmp_path / "t31.manifest"
     write_manifest_file(p, manifest)
     lines = p.read_text().splitlines()
@@ -397,7 +398,8 @@ def test_partition_property_random_subgraphs(seed, extra):
     g = Graph.from_arcs(n, src, dst, symmetrize=True)
     center = int(rng.integers(0, n))
     try:
-        edges = build_edge_manifest(g, center, _node_scores(n, seed), KEY).edges
+        edges = build_edge_manifest(g, center, _node_scores(n, seed), KEY, 2,
+                                    K_PERCENT_LEVELS).edges
     except EmptySubgraph:
         return
     scores = rng.random(len(edges))

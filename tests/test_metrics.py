@@ -165,7 +165,7 @@ def test_auc_one_class_raises():
     with pytest.raises(OneClassOnly):
         roc_auc(np.array([0.1, 0.2]), np.array([1, 1]))
     with pytest.raises(OneClassOnly):
-        roc_auc(np.array([0.1, 0.2, 0.3]), np.array([1, 1, 0]), eval_set=np.array([0, 1]))
+        roc_auc(np.array([0.1, 0.2, 0.3])[[0, 1]], np.array([1, 1, 0])[[0, 1]])
 
 
 def test_auc_matches_pairwise_oracle_with_ties():

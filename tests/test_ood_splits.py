@@ -90,23 +90,16 @@ def test_degree_split_empty_labeled(random_graph):
 
 def test_temporal_boundaries():
     years = np.array([2009, 2010, 2011, 2016, 2017, 2020])
-    split = temporal_split(years)
+    split = temporal_split(years, np.arange(6))
     assert split.roles[0] == int(Role.TRAIN) and split.roles[1] == int(Role.TRAIN)
     assert split.roles[2] == int(Role.OOD_VAL) and split.roles[3] == int(Role.OOD_VAL)
     assert split.roles[4] == int(Role.OOD_TEST) and split.roles[5] == int(Role.OOD_TEST)
 
 
-def test_temporal_custom_boundaries():
-    years = np.array([1999, 2000, 2001, 2002])
-    split = temporal_split(years, train_max=2000, ood_min=2002)
-    assert split.counts() == {"train": 2, "val": 0, "test": 0,
-                              "ood_val": 1, "ood_test": 1, "excluded": 0}
-
-
 def test_temporal_missing_year_raises():
     years = np.array([2009, -1, 2018])
     with pytest.raises(MissingYear):
-        temporal_split(years)
+        temporal_split(years, np.arange(3))
     # but a missing year on an unlabeled node is fine
     split = temporal_split(years, labeled=np.array([0, 2]))
     assert split.roles[1] == int(Role.EXCLUDED)
@@ -220,14 +213,6 @@ def test_inductive_train_triples_stay_internal():
     assert np.all(in_train[split.train_triples[:, 2]])
 
 
-def test_inductive_fraction_validation():
-    ds = make_triple_store(num_entities=20, seed=1)
-    with pytest.raises(ScaleMismatch):
-        inductive_entity_split(ds.store, KEY, train_fraction=0.0)
-    with pytest.raises(ScaleMismatch):
-        inductive_entity_split(ds.store, KEY, train_fraction=1.0)
-
-
 # ---------------------------------------------------------------------------
 # scaffold generalization gap
 # ---------------------------------------------------------------------------
@@ -281,7 +266,7 @@ def test_degree_split_partition_property(n_labeled, seed):
 @settings(max_examples=1000, deadline=None)
 def test_temporal_partition_property(year_list):
     years = np.array(year_list, dtype=np.int64)
-    split = temporal_split(years)
+    split = temporal_split(years, np.arange(len(years)))
     counts = split.counts()
     assert counts["train"] == int(np.sum(years <= 2010))
     assert counts["ood_val"] == int(np.sum((years > 2010) & (years < 2017)))
@@ -303,9 +288,9 @@ def test_scaffold_partition_property(id_list, seed):
         assert len(np.unique(split.roles[ids == gid])) == 1
 
 
-@given(st.integers(4, 60), st.integers(0, 20), st.floats(0.2, 0.9))
+@given(st.integers(4, 60), st.integers(0, 20))
 @settings(max_examples=1000, deadline=None)
-def test_inductive_split_property(num_entities, seed, fraction):
+def test_inductive_split_property(num_entities, seed):
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 80))
     triples = np.column_stack([
@@ -316,7 +301,6 @@ def test_inductive_split_property(num_entities, seed, fraction):
     keys = (triples[:, 0] * 3 + triples[:, 1]) * num_entities + triples[:, 2]
     triples = triples[np.sort(np.unique(keys, return_index=True)[1])]
     store = TripleStore(num_entities=num_entities, num_relations=3, triples=triples)
-    split = inductive_entity_split(store, derive_key("ood", "prop", "kg", 0, seed),
-                                   train_fraction=fraction)
-    assert len(split.train_entities) == int(fraction * num_entities)
+    split = inductive_entity_split(store, derive_key("ood", "prop", "kg", 0, seed))
+    assert len(split.train_entities) == int(0.75 * num_entities)
     assert len(split.train_triples) + len(split.test_queries) + split.num_discarded == len(triples)

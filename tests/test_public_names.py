@@ -5,6 +5,10 @@ or a public method of a class there that no such code reads as an attribute,
 is reachable from no protocol: it is either wired in or deleted. Names the
 program never calls but that stay public on purpose are listed below, each
 with its reason.
+
+Likewise every defaulted parameter of a public function, method or class
+``__init__`` is set by some call in ``src/``, ``scripts/`` or ``perfbench/``
+(tests excluded): a default no caller overrides is a constant, written as one.
 """
 
 import ast
@@ -24,6 +28,13 @@ UNREFERENCED_ON_PURPOSE = {
     "write_probs_file": "external side of the probabilities exchange",
     "write_saliency_file": "external side of the saliency exchange",
     "write_ranking_file": "external side of the ranking exchange",
+}
+
+# "function.parameter" -> why its default stays a parameter although no program call sets it
+DEFAULTS_SET_BY_TESTS_ON_PURPOSE = {
+    "make_molecule_collection.name": "tests name their collections to keep datasets apart",
+    "make_molecule_collection.num_graphs": "tests size their collections; the benchmark's "
+                                           "molecules are to come from it at 2e4 graphs",
 }
 
 
@@ -68,3 +79,79 @@ def test_every_public_name_is_referenced():
     assert not unused, f"public names no code in src/ or scripts/ refers to: {unused}"
     stale = sorted(set(UNREFERENCED_ON_PURPOSE) - unreferenced)
     assert not stale, f"allowlisted names that are now referenced or gone: {stale}"
+
+
+def _defaulted(func: ast.FunctionDef, skip: int) -> list:
+    """(parameter, position in a call or None if keyword-only) of each defaulted parameter;
+    ``skip`` leading parameters (self, cls) take no position in a call."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return ([(arg.arg, i - skip) for i, arg in enumerate(positional) if i >= first]
+            + [(arg.arg, None) for arg, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None])
+
+
+def _public_defaults() -> dict:
+    """Qualified name -> (the name its calls use, its defaulted parameters)."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+                out[stmt.name] = (stmt.name, _defaulted(stmt, 0))
+            if isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+                for m in stmt.body:
+                    if isinstance(m, ast.FunctionDef) and (
+                            m.name == "__init__" or not m.name.startswith("_")):
+                        static = any(getattr(d, "id", None) == "staticmethod"
+                                     for d in m.decorator_list)
+                        out[f"{stmt.name}.{m.name}"] = (
+                            stmt.name if m.name == "__init__" else m.name,
+                            _defaulted(m, 0 if static else 1))
+    return out
+
+
+def _calls() -> dict:
+    """Called name -> [(positional arguments before any *, whether a * follows, keywords)];
+    a ``**`` argument is the keyword None. ``import ... as`` aliases resolve to the name."""
+    files = [path for folder in ("src", "scripts", "perfbench")
+             for path in sorted((ROOT / folder).rglob("*.py"))
+             if "tests" not in path.relative_to(ROOT).parts]
+    calls = {}
+    for path in files:
+        tree = ast.parse(path.read_text())
+        alias = {a.asname: a.name.rsplit(".", 1)[-1] for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names if a.asname}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (alias.get(func.id, func.id) if isinstance(func, ast.Name)
+                        else getattr(func, "attr", None))
+                star = next((i for i, arg in enumerate(node.args)
+                             if isinstance(arg, ast.Starred)), len(node.args))
+                calls.setdefault(name, []).append(
+                    (star, star < len(node.args), {kw.arg for kw in node.keywords}))
+    return calls
+
+
+def _unset_defaults() -> set:
+    calls = _calls()
+    unset = set()
+    for qualified, (name, params) in _public_defaults().items():
+        if qualified in UNREFERENCED_ON_PURPOSE:
+            continue
+        for param, pos in params:
+            if not any(param in keywords or None in keywords
+                       or (pos is not None and (pos < n or starred))
+                       for n, starred, keywords in calls.get(name, [])):
+                unset.add(f"{qualified}.{param}")
+    return unset
+
+
+def test_every_default_is_set_by_some_call():
+    unset = _unset_defaults()
+    constants = sorted(unset - set(DEFAULTS_SET_BY_TESTS_ON_PURPOSE))
+    assert not constants, ("defaulted parameters no call in src/, scripts/ or perfbench/ sets: "
+                           f"{constants}")
+    stale = sorted(set(DEFAULTS_SET_BY_TESTS_ON_PURPOSE) - unset)
+    assert not stale, f"allowlisted defaults that a call now sets or that are gone: {stale}"

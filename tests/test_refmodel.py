@@ -404,7 +404,7 @@ def test_more_k_levels_than_one_propagation_carries():
     k_levels = rng.permutation(np.arange(1, 201) / 2).tolist()
     manifest = build_edge_manifest(g, 3, SaliencyTable("node_grad_norm", np.arange(12),
                                                        rng.random(12)),
-                                   derive_key("t", "p", "m", 0, 11), k_levels=k_levels)
+                                   derive_key("t", "p", "m", 0, 11), hops=2, k_levels=k_levels)
     assert len(manifest.edges) > 5
     _assert_probs_equal_the_oracle(g, train, manifest, k_levels)
 
