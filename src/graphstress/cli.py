@@ -143,6 +143,15 @@ def _given_split(dataset: Dataset) -> SplitAssignment:
     return dataset.split
 
 
+def _test_units(dataset: Dataset) -> np.ndarray:
+    """The given split's test units; an unlabeled one is a MissingInput naming it."""
+    test = _given_split(dataset).units(Role.TEST)
+    unlabeled = test[dataset.graph.labels[test] == dataset.graph.num_classes]
+    if len(unlabeled):
+        raise MissingInput(f"{dataset.name}: test unit {unlabeled[0]} has no label")
+    return test
+
+
 def _edge_key(dataset: Dataset, seed: int):
     # severity enters through p only, so one key serves every level and deletion sets nest
     return derive_key("corruption", dataset.name, "edge_delete", 0, seed)
@@ -220,7 +229,7 @@ def _imbalanced(dataset: Dataset, rho: float, seed: int):
 def _head_tail(dataset: Dataset, table: PredictionTable, quantile: float):
     """(groups, gap) of the test split's degree head and tail; gap is None for empty groups."""
     g = dataset.graph
-    groups = head_tail_groups(_given_split(dataset).units(Role.TEST), g.degrees(), quantile)
+    groups = head_tail_groups(_test_units(dataset), g.degrees(), quantile)
     gap = head_tail_gap(table, g.labels, groups) if len(groups.first) else None
     return groups, gap
 
@@ -232,7 +241,9 @@ def _demographic(dataset: Dataset, table: PredictionTable,
     sens = g.meta.sensitive_attr
     if sens is None:
         raise MissingInput(f"{dataset.name}: demographic gaps need a sensitive attribute")
-    test = _given_split(dataset).units(Role.TEST)
+    if g.num_classes != 2:
+        raise MissingInput(f"{dataset.name}: demographic gaps need 2 classes, not {g.num_classes}")
+    test = _test_units(dataset)
     binary = table.predicted_classes(test, threshold=threshold)
     scores = table.scores_for(test)
     try:
@@ -677,7 +688,7 @@ class PipelineRunner:
     def _axis_corruption(self, dataset: Dataset, method: dict, seed: int) -> dict:
         g = dataset.graph
         split = _given_split(dataset)
-        test = split.units(Role.TEST)
+        test = _test_units(dataset)
         refmodel = method["kind"] == "refmodel"
         # one draw gives every deletion level; an external method never reads
         # the deleted graphs, so they are drawn only for the ops/ copies
@@ -758,14 +769,13 @@ class PipelineRunner:
             return {"kg_mrr": INAPPLICABLE, "kg_hits10": INAPPLICABLE}
         queries, cands, scores = read_ranking_file(
             _external_file(method, dataset, "ood", "kg", seed, f"kg/seed{seed}.ranking"))
-        truth = {i: ksplit.held_out_entity(row)
-                 for i, row in enumerate(ksplit.test_queries)}
-        ranks = ranks_from_ranking(queries, cands, scores, truth)
+        ranks = ranks_from_ranking(queries, cands, scores,
+                                   ksplit.held_out_entity(ksplit.test_queries))
         return {"kg_mrr": mrr(ranks), "kg_hits10": hits_at_k(ranks, 10)}
 
     def _axis_imbalance(self, dataset: Dataset, method: dict, seed: int) -> dict:
         g = dataset.graph
-        test = _given_split(dataset).units(Role.TEST)
+        test = _test_units(dataset)
         levels = {}  # sub -> (spec, kept train units, split)
         for rho in self.rhos:
             sub = f"rho{int(rho)}"
@@ -788,8 +798,7 @@ class PipelineRunner:
     def _axis_fairness(self, dataset: Dataset, method: dict, seed: int) -> dict:
         g = dataset.graph
         # head/tail and demographic gaps read only the test units
-        table = self._score_table(dataset, method, "fairness", "clean", seed,
-                                  _given_split(dataset).units(Role.TEST))
+        table = self._score_table(dataset, method, "fairness", "clean", seed, _test_units(dataset))
         out: dict = {"head_tail_gap": _head_tail(dataset, table, self.quantile)[1]}
         if g.meta.sensitive_attr is None or g.num_classes != 2:
             return {**out, **dict.fromkeys(("d_sp", "d_eo", "d_util"), INAPPLICABLE)}

@@ -249,43 +249,42 @@ _RANK_ROWS = 1 << 16  # table rows ranked at once by ranks_from_ranking
 
 
 def ranks_from_ranking(queries: np.ndarray, cands: np.ndarray, scores: np.ndarray,
-                       truth: dict[int, int]) -> np.ndarray:
+                       truth: np.ndarray) -> np.ndarray:
     """Average-tie rank of the true candidate within each query's score list.
 
-    One rank per query, in ascending query id order; the rank is that of
-    ``rank_of_true`` over the query's rows, taking the first row in table
-    order that holds the true candidate. Every query of the table must have
-    a scored true candidate in ``truth``, and every query of ``truth`` must
-    be in the table; otherwise MissingPrediction names the first bad query.
-    It works on ``_RANK_ROWS`` rows at a time: no temporary spans the table.
+    Query q's true candidate is ``truth[q]``. One rank per query, in id order:
+    ``rank_of_true`` over its rows at the first row in table order holding the
+    true candidate. MissingPrediction names the least table id outside
+    0..len(truth)-1 or whose true candidate is not scored, else the least query
+    with no rows. Works on ``_RANK_ROWS`` rows at a time: no temporary spans the table.
     """
     if len(queries) == 0:
         raise EmptyQuerySet("ranking table is empty")
-    blocks = [slice(lo, lo + _RANK_ROWS) for lo in range(0, len(queries), _RANK_ROWS)]
-    # return_counts takes numpy's sorting path, several times faster than its hashing one here
-    qids = np.unique(np.concatenate([np.unique(queries[b], return_counts=True)[0] for b in blocks]))
-    known = np.array([q in truth for q in qids.tolist()])
-    true_cand = np.array([truth.get(q, -1) for q in qids.tolist()], dtype=np.int64)
-    first = np.full(len(qids), -1, dtype=np.int64)  # each query's first true row, -1 if none
-    for b in reversed(blocks):  # an earlier block's true row overwrites a later block's
-        seg = np.searchsorted(qids, queries[b])  # each row's query, as an index into qids
-        hits = np.flatnonzero((cands[b] == true_cand[seg]) & known[seg])
-        # hits ascend in table order, so each query's first index is its first true row
-        scored_q, at = np.unique(seg[hits], return_index=True)
-        first[scored_q] = b.start + hits[at]
-    unscored = np.flatnonzero(first < 0)
-    if len(unscored):
-        q = int(qids[unscored[0]])
-        if not known[unscored[0]]:
-            raise MissingPrediction(f"no true candidate recorded for query {q}")
-        raise MissingPrediction(f"query {q}: true candidate not scored")
-    unranked = np.setdiff1d(np.fromiter(truth, dtype=np.int64, count=len(truth)), qids)
-    if len(unranked):
-        raise MissingPrediction(f"query {int(unranked[0])}: no rows in the ranking table")
+    n, lo, hi = len(truth), int(queries.min()), int(queries.max())
+    if not 0 <= lo < n:  # the least id has no true candidate
+        raise MissingPrediction(f"no true candidate recorded for query {lo}")
+    blocks = [slice(at, at + _RANK_ROWS) for at in range(0, len(queries), _RANK_ROWS)]
+    first = np.full(n, len(queries))  # each query's first true row; len(queries) if none
+    seen = np.zeros(n, dtype=bool)  # queries with a row in the table
+    stray = hi  # the least id >= n, if hi >= n
+    for b in blocks:
+        q = queries[b]
+        inside = q < n
+        stray = q.min(where=~inside, initial=stray)
+        seen[q[inside]] = True
+        hits = np.flatnonzero(inside & (cands[b] == truth.take(q, mode="clip")))
+        np.minimum.at(first, q[hits], b.start + hits)
+    unscored = np.flatnonzero(seen & (first == len(queries)))
+    if len(unscored):  # an in-range id is less than any id >= n
+        raise MissingPrediction(f"query {unscored[0]}: true candidate not scored")
+    if hi >= n:
+        raise MissingPrediction(f"no true candidate recorded for query {stray}")
+    if not seen.all():
+        raise MissingPrediction(f"query {np.argmin(seen)}: no rows in the ranking table")
     better = equal = 0
     for b in blocks:
-        seg = np.searchsorted(qids, queries[b])
-        s = scores[first][seg]  # each row's true score
-        better = better + np.bincount(seg[scores[b] > s], minlength=len(qids))
-        equal = equal + np.bincount(seg[scores[b] == s], minlength=len(qids))
+        q = queries[b]
+        s = scores[first][q]  # each row's true score
+        better = better + np.bincount(q[scores[b] > s], minlength=n)
+        equal = equal + np.bincount(q[scores[b] == s], minlength=n)
     return better + (equal - 1) / 2.0 + 1.0

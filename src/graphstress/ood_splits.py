@@ -30,7 +30,7 @@ class KgInductiveSplit:
     test_queries rows are (head, relation, tail, direction) with direction
     HEAD_CORRUPT when the held-out candidate is the head entity and
     TAIL_CORRUPT when it is the tail. Candidates for every query are all
-    entities.
+    entities. A query's id in a ranking file is its row of test_queries.
     """
 
     train_triples: np.ndarray   # (m, 3) int64
@@ -39,9 +39,9 @@ class KgInductiveSplit:
     test_entities: np.ndarray   # int64
     num_discarded: int = 0      # triples with both endpoints held out
 
-    def held_out_entity(self, query_row: np.ndarray) -> int:
-        h, _, t, direction = query_row
-        return int(h) if direction == HEAD_CORRUPT else int(t)
+    def held_out_entity(self, queries: np.ndarray) -> np.ndarray:
+        """The held-out entity of one query row (0-d) or of each row of a (q, 4) table."""
+        return np.where(queries[..., 3] == HEAD_CORRUPT, queries[..., 0], queries[..., 2])
 
 
 def degree_shift_split(graph: Graph, labeled: np.ndarray) -> SplitAssignment:
@@ -135,7 +135,7 @@ def inductive_entity_split(store: TripleStore, key: StreamKey) -> KgInductiveSpl
     queries = np.concatenate([
         np.column_stack([head_out, np.full(len(head_out), HEAD_CORRUPT, dtype=np.int64)]),
         np.column_stack([tail_out, np.full(len(tail_out), TAIL_CORRUPT, dtype=np.int64)]),
-    ]) if len(head_out) + len(tail_out) else np.empty((0, 4), dtype=np.int64)
+    ])
     return KgInductiveSplit(
         train_triples=train_triples, test_queries=queries,
         train_entities=train_entities, test_entities=test_entities,

@@ -1036,6 +1036,63 @@ def test_a_test_split_without_a_minor_class_leaves_its_recall_undefined(tmp_path
         assert rec["values"] == [None]
 
 
+def test_an_unlabeled_test_unit_fails_the_cells_that_score_the_test_split(tmp_path, capsys):
+    ds = make_node_dataset(name="one", num_nodes=150, num_classes=2, seed=3)
+    unit = int(ds.split.units(Role.TEST)[2])
+    ds.graph.labels[unit] = ds.graph.num_classes
+    manifest = save_dataset(ds, tmp_path / "one")
+    config = _write_config(tmp_path / "config.json", manifest=manifest, seeds=[0])
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    assert sorted((out / "errors.log").read_text().splitlines()) == [
+        f"({axis}, one, refmodel, seed 0)\tMissingInput: one: test unit {unit} has no label"
+        for axis in ("corruption", "fairness", "imbalance")]
+    computed = {cell[:2] for cell in load_report(out / "report.json").cells}
+    assert ("ood", "degree") in computed and ("interpret", "char_saliency_5") in computed
+    assert {axis for axis, _ in computed} == {"ood", "interpret"}
+
+    pred = tmp_path / "ref.pred"
+    assert main(["refmodel", "--dataset", str(manifest), "--out", str(pred)]) == 0
+    capsys.readouterr()
+    assert main(["fairness", "--dataset", str(manifest), "--kind", "structural",
+                 "--pred", str(pred), "--out", str(tmp_path / "fair.json")]) == 2
+    assert (f"error: MissingInput: one: test unit {unit} has no label"
+            in capsys.readouterr().err)
+
+
+def test_demographic_fairness_of_a_multiclass_graph_exits_2_naming_the_class_count(
+        tmp_path, capsys):
+    manifest = save_dataset(make_node_dataset(name="three", num_nodes=150, num_classes=3,
+                                              seed=3), tmp_path / "three")
+    pred = tmp_path / "ref.pred"
+    assert main(["refmodel", "--dataset", str(manifest), "--out", str(pred)]) == 0
+    assert main(["fairness", "--dataset", str(manifest), "--kind", "demographic",
+                 "--pred", str(pred), "--out", str(tmp_path / "demo.json")]) == 2
+    assert ("error: MissingInput: three: demographic gaps need 2 classes, not 3"
+            in capsys.readouterr().err)
+
+
+def test_a_ranking_keyed_by_1_based_query_ids_fails_the_kg_cell(kg_ds, tmp_path, capsys):
+    # a .ranking query id is the 0-based row of the queries.tsv that stress split writes
+    assert main(["split", "--mechanism", "kg", "--dataset", str(kg_ds), "--seed", "0",
+                 "--out", str(tmp_path / "split")]) == 0
+    num_queries = len((tmp_path / "split" / "queries.tsv").read_text().splitlines())
+    ranking = tmp_path / "preds" / "tinykg" / "ood" / "kg" / "seed0.ranking"
+    ranking.parent.mkdir(parents=True)
+    queries = np.repeat(np.arange(num_queries), 60)
+    cands = np.tile(np.arange(60), num_queries)
+    config = _write_config(tmp_path / "config.json", manifest=kg_ds, seeds=[0], axes=["ood"],
+                           methods=[{"kind": "external", "name": "m_ext",
+                                     "pred_dir": str(tmp_path / "preds")}])
+    for base, code in ((0, 0), (1, 1)):
+        write_ranking_file(ranking, queries + base, cands, (cands * 7 % 11) / 11.0)
+        out = tmp_path / f"results{base}"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == code
+    assert (out / "errors.log").read_text().splitlines() == [
+        "(ood, tinykg, m_ext, seed 0)\tMissingPrediction: no true candidate recorded for query "
+        f"{num_queries}"]
+
+
 def test_programming_error_in_a_cell_propagates(small_ds, tmp_path, monkeypatch):
     def broken(self, dataset, method, seed):
         return 1 / 0

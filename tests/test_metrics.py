@@ -238,15 +238,14 @@ def test_ranks_from_ranking_full_sort():
     queries = np.array([0, 0, 0, 1, 1])
     cands = np.array([5, 6, 7, 5, 6])
     scores = np.array([0.9, 0.9, 0.1, 0.2, 0.8])
-    truth = {0: 6, 1: 5}
-    ranks = ranks_from_ranking(queries, cands, scores, truth)
+    ranks = ranks_from_ranking(queries, cands, scores, np.array([6, 5]))
     assert ranks.tolist() == [1.5, 2.0]
-    with pytest.raises(MissingPrediction):
-        ranks_from_ranking(queries, cands, scores, {0: 6, 1: 99})
-    with pytest.raises(MissingPrediction):
-        ranks_from_ranking(queries, cands, scores, {1: 5})
+    with pytest.raises(MissingPrediction, match="query 1: true candidate not scored"):
+        ranks_from_ranking(queries, cands, scores, np.array([6, 99]))
+    with pytest.raises(MissingPrediction, match="no true candidate recorded for query 1"):
+        ranks_from_ranking(queries, cands, scores, np.array([6]))
     with pytest.raises(EmptyQuerySet):
-        ranks_from_ranking(np.array([]), np.array([]), np.array([]), {})
+        ranks_from_ranking(np.array([]), np.array([]), np.array([]), np.array([], dtype=np.int64))
 
 
 def test_ranks_from_ranking_requires_every_truth_query():
@@ -254,27 +253,38 @@ def test_ranks_from_ranking_requires_every_truth_query():
     cands = np.array([6, 5, 5, 7])
     scores = np.array([0.9, 0.1, 0.3, 0.2])
     with pytest.raises(MissingPrediction, match="query 2: no rows"):
-        ranks_from_ranking(queries, cands, scores, {0: 6, 1: 5, 2: 7})
+        ranks_from_ranking(queries, cands, scores, np.array([6, 5, 7]))
+
+
+def test_ranks_from_ranking_of_zero_queries():
+    none = np.array([], dtype=np.int64)
+    with pytest.raises(EmptyQuerySet):
+        ranks_from_ranking(none, none, np.array([]), none)
+    # every id of a non-empty table lies outside an empty truth: the least is named
+    for ids, least in (([0, 0, 1], 0), ([3, -2, 5], -2)):
+        with pytest.raises(MissingPrediction) as e:
+            ranks_from_ranking(np.array(ids), np.array([4, 5, 4]), np.array([0.1, 0.2, 0.3]), none)
+        assert str(e.value) == f"no true candidate recorded for query {least}"
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
 def test_ranks_from_ranking_matches_oracle_per_query(seed):
     rng = np.random.default_rng(seed)
-    qids = rng.choice(1000, size=int(rng.integers(1, 10)), replace=False).tolist()
-    rows, truth = [], {}
-    for q in qids:
+    truth = np.empty(int(rng.integers(1, 10)), dtype=np.int64)
+    rows = []
+    for q in range(len(truth)):
         n = int(rng.integers(1, 12))
         cands = rng.choice(40, size=n, replace=False)
-        truth[q] = int(cands[rng.integers(0, n)])
+        truth[q] = cands[rng.integers(0, n)]
         # one decimal forces ties; the true candidate may appear twice
         rows += [(q, int(c), round(float(rng.random()), 1)) for c in cands]
         if rng.random() < 0.5:
-            rows.append((q, truth[q], round(float(rng.random()), 1)))
+            rows.append((q, int(truth[q]), round(float(rng.random()), 1)))
     rows = [rows[i] for i in rng.permutation(len(rows))]
     queries, cands, scores = (np.array(col) for col in zip(*rows))
     expected = []
-    for q in sorted(qids):
+    for q in range(len(truth)):
         q_rows = [(c, sc) for qq, c, sc in rows if qq == q]
         first = [c for c, _ in q_rows].index(truth[q])  # first row in table order
         expected.append(rank_oracle([sc for _, sc in q_rows], first))
@@ -293,34 +303,37 @@ def test_ranks_from_ranking_takes_the_first_true_row_across_a_block_boundary(blo
     rows = lead + [(1, 7, 0.9), (1, 7, 0.2), (1, 6, 0.5), (0, 4, 0.6), (1, 8, 0.95)]
     queries, cands, scores = (np.array(col) for col in zip(*rows))
     with patch.object(metrics, "_RANK_ROWS", block):
-        got = ranks_from_ranking(queries, cands, scores.astype(np.float64), {0: 4, 1: 7})
+        got = ranks_from_ranking(queries, cands, scores.astype(np.float64), np.array([4, 7]))
     q0 = [sc for q, _, sc in rows if q == 0]
     assert got.tolist() == [rank_oracle(q0, len(q0) - 1), rank_oracle([0.9, 0.2, 0.5, 0.95], 0)]
     assert got[1] == 2.0  # the later row of candidate 7 would rank 4th
 
 
-GOOD_TRUTH = {0: 6, 1: 5, 2: 7, 3: 9}
+GOOD_TRUTH = [6, 5, 7, 9]
 
 
 @pytest.mark.parametrize("change, message", [
-    ({0: None}, "no true candidate recorded for query 0"),
-    ({3: None}, "no true candidate recorded for query 3"),
-    ({2: 99}, "query 2: true candidate not scored"),
-    ({2: 99, 3: None}, "query 2: true candidate not scored"),
-    ({4: 1}, "query 4: no rows in the ranking table"),
-    ({3: 99, 4: 1}, "query 3: true candidate not scored"),
+    ({"ids": {0: -1}}, "no true candidate recorded for query -1"),
+    ({"truth": [6, 5, 7]}, "no true candidate recorded for query 3"),
+    ({"truth": [6, 5, 99, 9]}, "query 2: true candidate not scored"),
+    ({"truth": [6, 5, 99]}, "query 2: true candidate not scored"),
+    ({"truth": [6, 5, 7, 9, 1]}, "query 4: no rows in the ranking table"),
+    ({"truth": [6, 5, 7, 99, 1]}, "query 3: true candidate not scored"),
+    ({"ids": {1: 7, 3: 5}}, "no true candidate recorded for query 5"),
 ])
 def test_ranks_from_ranking_errors_name_the_same_query_for_every_block_size(change, message):
-    # each query's rows straddle the blocks, and the true rows of queries 2 and 3 come late
+    # each query's rows straddle the blocks, and the true rows of queries 2 and 3 come late;
+    # "ids" renames table ids, "truth" replaces the true candidates
     queries = np.array([3, 0, 2, 1, 0, 2, 3, 1, 2, 3, 0, 1])
     cands = np.array([1, 6, 2, 5, 4, 3, 2, 8, 7, 9, 1, 2])
     scores = np.linspace(0.1, 0.9, len(queries))
-    truth = {q: c for q, c in {**GOOD_TRUTH, **change}.items() if c is not None}
+    renamed = np.array([change.get("ids", {}).get(q, q) for q in queries.tolist()])
+    truth = np.array(change.get("truth", GOOD_TRUTH))
     for block in (1, 2, 3, 5, _RANK_ROWS):
         with patch.object(metrics, "_RANK_ROWS", block), pytest.raises(MissingPrediction) as e:
-            ranks_from_ranking(queries, cands, scores, truth)
+            ranks_from_ranking(renamed, cands, scores, truth)
         assert str(e.value) == message, block
-    assert len(ranks_from_ranking(queries, cands, scores, GOOD_TRUTH)) == 4
+    assert len(ranks_from_ranking(queries, cands, scores, np.array(GOOD_TRUTH))) == 4
 
 
 def test_ranks_from_ranking_of_2_18_rows_peaks_at_two_mib_above_the_table():
@@ -329,9 +342,9 @@ def test_ranks_from_ranking_of_2_18_rows_peaks_at_two_mib_above_the_table():
     queries = np.repeat(np.arange(1024), 256)
     cands = np.tile(np.arange(256), 1024)
     scores = rng.random(len(queries))
-    truth = {q: int(c) for q, c in enumerate(rng.integers(0, 256, 1024))}
-    # a process's first np.unique call imports numpy.ma, ~1 MiB of module objects
-    ranks_from_ranking(queries[:512], cands[:512], scores[:512], {0: truth[0], 1: truth[1]})
+    truth = rng.integers(0, 256, 1024)
+    # a process's first call of some numpy functions imports modules (~1 MiB of objects)
+    ranks_from_ranking(queries[:512], cands[:512], scores[:512], truth[:2])
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -204,6 +204,20 @@ def test_inductive_membership_oracle():
         assert split.held_out_entity(row) == (h if direction == HEAD_CORRUPT else t)
 
 
+def test_held_out_entity_of_the_query_table_is_that_of_each_row():
+    split = inductive_entity_split(make_triple_store(num_entities=50, seed=4).store, KEY)
+    held = split.held_out_entity(split.test_queries)
+    assert held.dtype == np.int64 and held.shape == (len(split.test_queries),)
+    assert held.tolist() == [int(split.held_out_entity(row)) for row in split.test_queries]
+    none = split.held_out_entity(np.empty((0, 4), dtype=np.int64))
+    assert none.dtype == np.int64 and none.shape == (0,)
+    # a store without triples has a (0, 4) query table
+    empty = inductive_entity_split(
+        TripleStore(num_entities=8, num_relations=1, triples=np.empty((0, 3), dtype=np.int64)),
+        KEY).test_queries
+    assert empty.dtype == np.int64 and empty.shape == (0, 4)
+
+
 def test_inductive_train_triples_stay_internal():
     ds = make_triple_store(num_entities=40, seed=9)
     split = inductive_entity_split(ds.store, KEY)
