@@ -19,6 +19,7 @@ import json
 import logging
 import math
 import os
+import re
 import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -523,6 +524,11 @@ def _is_positive_int(value) -> bool:
     return _is_int(value) and value > 0
 
 
+def _is_name(value) -> bool:
+    # a dataset or method name is part of the run directory's file names
+    return isinstance(value, str) and re.fullmatch(r"[A-Za-z0-9_-]+", value) is not None
+
+
 def _distinct_list(values, ok, level=lambda v: v) -> bool:
     """A non-empty list whose every value passes ``ok``, no two values at the same level."""
     return (isinstance(values, list) and values != [] and all(map(ok, values))
@@ -558,7 +564,7 @@ PARAMS = {
     "write_operator_outputs": (False, lambda v: isinstance(v, bool), "true or false"),
     "out": ("results", lambda v: isinstance(v, str), "a path string"),
     "manifest": (REQUIRED, lambda v: isinstance(v, str), "a path string"),
-    "name": (None, lambda v: isinstance(v, str), "a string"),
+    "name": (None, _is_name, "a string of letters, digits, _ and -"),
     "pred_dir": (None, lambda v: isinstance(v, str), "a path string"),
     "has_saliency": (False, lambda v: isinstance(v, bool), "true or false"),
     "hops": (PropagationConfig.hops, _is_positive_int, "a positive integer"),
@@ -757,6 +763,7 @@ class PipelineRunner:
                 return {"scaffold_auc": INAPPLICABLE, "scaffold_gap": INAPPLICABLE}
             labels = dataset.collection.labels[:, 0]
             test = split.units(Role.TEST)
+            test = test[labels[test] >= 0]  # a '-' task label is left out
             aucs = {}
             for sub in ("scaffold", "random"):
                 table = self._score_table(dataset, method, "ood", sub, seed, test)
@@ -844,6 +851,9 @@ class PipelineRunner:
             for spec, ds in zip(specs, pool.map(lambda d: load_dataset(d["manifest"]), specs)):
                 if "name" in spec:
                     ds.name = spec["name"]
+                elif not _is_name(ds.name):
+                    raise ConfigError(f"{spec['manifest']}: dataset name {ds.name!r} must be "
+                                      f"{PARAMS['name'][2]}; give the entry a 'name'")
                 if ds.name in self.datasets:
                     raise ConfigError(f"two dataset entries load as {ds.name!r}; "
                                       "give each a distinct 'name'")

@@ -59,10 +59,6 @@ class MissingScaffoldId(StressError):
     pass
 
 
-class ScaleMismatch(StressError):
-    pass
-
-
 # -- imbalance ---------------------------------------------------------------
 
 class TooFewClasses(StressError):
@@ -88,10 +84,6 @@ class EmptyQuerySet(StressError):
 
 
 # -- fairness ------------------------------------------------------------------
-
-class BadQuantile(StressError):
-    pass
-
 
 class EmptyGroup(StressError):
     pass

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadQuantile, DegenerateGroup, EmptyGroup, OneClassOnly
+from .errors import DegenerateGroup, EmptyGroup, OneClassOnly
 from .metrics import PredictionTable, accuracy, roc_auc
 
 log = logging.getLogger("graphstress")
@@ -34,8 +34,6 @@ def head_tail_groups(test_nodes: np.ndarray, degrees: np.ndarray, q: float) -> G
     Test nodes are sorted ascending by (degree, node id); the last floor(q*n)
     form the head group and the first floor(q*n) the tail group.
     """
-    if not 0.0 < q <= 0.5:
-        raise BadQuantile(f"head/tail quantile {q} outside (0, 0.5]")
     test_nodes = np.asarray(test_nodes, dtype=np.int64)
     if len(test_nodes) == 0:
         raise EmptyGroup("head/tail grouping needs a nonempty test set")
@@ -50,8 +48,6 @@ def head_tail_groups(test_nodes: np.ndarray, degrees: np.ndarray, q: float) -> G
 
 def head_tail_gap(predictions: PredictionTable, labels: np.ndarray, groups: GroupSpec) -> float:
     """Signed accuracy gap Acc(head) - Acc(tail) in percentage points."""
-    if len(groups.first) == 0 or len(groups.second) == 0:
-        raise EmptyGroup("head/tail gap undefined: a group is empty")
     acc_head = accuracy(predictions, labels, groups.first)
     acc_tail = accuracy(predictions, labels, groups.second)
     return (acc_head - acc_tail) * 100.0

@@ -18,8 +18,8 @@ On-disk layout (all paths relative to the manifest's directory):
 * triple file    text, one triple per line ``head<TAB>relation<TAB>tail``
 * collection     ``graph_file`` lines ``graph_id<TAB>u<TAB>v`` (local node
   ids), ``graph_size_file`` lines ``graph_id<TAB>num_nodes``,
-  ``graph_label_file`` lines ``graph_id<TAB>y0<TAB>y1...`` (``-`` = missing
-  task label), ``scaffold_file`` lines ``graph_id<TAB>scaffold_id``
+  ``graph_label_file`` lines ``graph_id<TAB>y0<TAB>y1...`` (each ``0``, ``1``
+  or ``-`` for a missing task label), ``scaffold_file`` lines ``graph_id<TAB>scaffold_id``
 
 Every text file above, and the prediction, ranking, saliency and probs files
 of ``metrics`` and ``interpret``, is read by ``read_table`` and written by
@@ -665,7 +665,11 @@ def _load_collection(manifest: dict, base: Path, name: str) -> Dataset:
     gids, *tasks = _read_id_table(path, num_graphs, "graph id", (object,) * num_tasks)
     labels = np.full((num_graphs, num_tasks), -1, dtype=np.int8)
     for j, tokens in enumerate(tasks):
-        labels[gids, j] = _dash_ints(path, tokens, np.int8)
+        bad = np.flatnonzero((tokens != "0") & (tokens != "1") & (tokens != "-"))
+        if len(bad):
+            raise BadId(f"{path}: graph {gids[bad[0]]}: task label {tokens[bad[0]]!r} "
+                        "is not 0, 1 or -")
+        labels[gids, j] = np.where(tokens == "-", -1, tokens == "1")
     scaffold_ids = None
     if manifest.get("scaffold_file"):
         scaffold_ids = _per_graph(base / manifest["scaffold_file"], num_graphs, "scaffold id")
@@ -757,7 +761,7 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
         manifest["num_relations"] = dataset.store.num_relations
         manifest["triple_file"] = "triples.tsv"
         write_triple_file(out / "triples.tsv", dataset.store.triples)
-    elif dataset.kind == "graph_collection":
+    else:  # graph_collection
         coll = dataset.collection
         manifest["num_graphs"] = coll.num_graphs
         manifest["num_tasks"] = int(coll.labels.shape[1])
@@ -777,8 +781,6 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
         if coll.scaffold_ids is not None:
             manifest["scaffold_file"] = "scaffolds.tsv"
             write_table(out / "scaffolds.tsv", (np.arange(coll.num_graphs), coll.scaffold_ids))
-    else:
-        raise LengthMismatch(f"unknown dataset kind {dataset.kind!r}")
 
     if dataset.split is not None:
         manifest["split_file"] = "split.tsv"

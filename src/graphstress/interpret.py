@@ -91,14 +91,9 @@ def _mask_order(edge_scores: np.ndarray, key: StreamKey, ranking: str) -> np.nda
     same shuffle, so masked sets nest across k.
     """
     edge_scores = np.asarray(edge_scores, dtype=np.float64)
-    m = len(edge_scores)
-    if m == 0:
-        raise EmptySubgraph("no maskable units in subgraph")
-    if ranking == "saliency":
-        return np.lexsort((np.arange(m), -edge_scores))
     if ranking == "random":
-        return permutation(key, m)
-    raise LengthMismatch(f"unknown ranking {ranking!r}")
+        return permutation(key, len(edge_scores))
+    return np.lexsort((np.arange(len(edge_scores)), -edge_scores))
 
 
 def _split(order: np.ndarray, k_percent: float) -> tuple[np.ndarray, np.ndarray]:

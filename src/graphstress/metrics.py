@@ -194,17 +194,11 @@ def rank_of_true(scores: np.ndarray, true_index: int) -> float:
 
 def mrr(ranks: np.ndarray) -> float:
     ranks = np.asarray(ranks, dtype=np.float64)
-    if len(ranks) == 0:
-        raise EmptyQuerySet("no query ranks")
-    if np.any(ranks < 1):
-        raise LengthMismatch("ranks are 1-based")
     return float(np.mean(1.0 / ranks))
 
 
 def hits_at_k(ranks: np.ndarray, k: int) -> float:
     ranks = np.asarray(ranks, dtype=np.float64)
-    if len(ranks) == 0:
-        raise EmptyQuerySet("no query ranks")
     return float(np.mean(ranks <= k))
 
 

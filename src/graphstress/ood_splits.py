@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .determinism import StreamKey, permutation
-from .errors import EmptyLabeledSet, MissingScaffoldId, MissingYear, ScaleMismatch
+from .errors import EmptyLabeledSet, MissingScaffoldId, MissingYear
 from .graph_store import Graph, Role, SplitAssignment, TripleStore
 
 log = logging.getLogger("graphstress")
@@ -146,11 +146,6 @@ def inductive_entity_split(store: TripleStore, key: StreamKey) -> KgInductiveSpl
 def scaffold_gap(auc_random: float, auc_scaffold: float) -> float:
     """Generalization gap between a random and a scaffold-disjoint split.
 
-    Positive values mean the scaffold split is harder. Both inputs must be on
-    the same scale (both fractions or both percentages).
+    Positive values mean the scaffold split is harder.
     """
-    frac_r, frac_s = 0.0 <= auc_random <= 1.0, 0.0 <= auc_scaffold <= 1.0
-    if frac_r != frac_s and max(auc_random, auc_scaffold) > 1.5:
-        raise ScaleMismatch(
-            f"mixed scales: auc_random={auc_random}, auc_scaffold={auc_scaffold}")
     return float(auc_random) - float(auc_scaffold)

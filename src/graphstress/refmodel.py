@@ -27,12 +27,11 @@ interpret manifests mask.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DirectedGraph, NoTrainLabels
+from .errors import NoTrainLabels
 from .graph_store import Graph
 from .metrics import PredictionTable
 
@@ -41,12 +40,6 @@ from .metrics import PredictionTable
 class PropagationConfig:
     hops: int = 2
     alpha: float = 1.0  # add-alpha smoothing
-
-    def __post_init__(self):
-        if self.hops < 1:
-            raise ConfigError("propagation needs hops >= 1")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ConfigError("smoothing alpha must be finite and positive")
 
 
 _CHUNK_ROWS = 2048  # rows whose reach is held at once
@@ -137,12 +130,7 @@ def propagate_predict(graph: Graph, train_labels: np.ndarray, num_classes: int,
     if survived is None:
         num_levels, arc_bits = 0, None
     else:
-        if not graph.undirected:
-            raise DirectedGraph("edge levels need an undirected graph")
-        survived = np.asarray(survived, dtype=np.int8)
-        if np.any((survived < 0) | (survived > num_levels)):
-            raise ConfigError(f"edge survival counts must lie in 0..{num_levels}")
-        arc_bits = graph._arc_values(survived, num_levels)
+        arc_bits = graph._arc_values(np.asarray(survived, dtype=np.int8), num_levels)
         np.subtract(num_levels, arc_bits, out=arc_bits)
     shift = num_levels.bit_length()
     depth = num_levels + 1

@@ -55,8 +55,6 @@ class MetricCell:
 def aggregate_seeds(values) -> MetricCell:
     """Mean and sample (n-1) std of per-seed values; std is 0 for one seed."""
     values = np.asarray(list(values), dtype=np.float64)
-    if len(values) == 0:
-        raise EmptyInput("no per-seed values to aggregate")
     if np.any(~np.isfinite(values)):
         raise EmptyInput("per-seed values must be finite")
     mean = float(values.mean())

@@ -723,6 +723,32 @@ def test_a_collection_without_scaffold_ids_fails_its_ood_cells(tmp_path, monkeyp
         f"(ood, noscaf, {method}, seed 0)\t{missing}" for method in ("m_ext", "refmodel")]
 
 
+def test_scaffold_auc_leaves_out_molecules_without_a_task_label(tmp_path, monkeypatch):
+    # a missing label scored 1.0 would count as a negative ranked first; over the labeled
+    # test molecules the scores are the true labels, so both AUCs are 100 and the gap 0
+    monkeypatch.chdir(tmp_path)
+    ds = make_molecule_collection(name="mol", num_graphs=400, seed=3)
+    labels = ds.collection.labels[:, 0]
+    labels[::3] = -1
+    manifest = save_dataset(ds, Path("ds"))
+    scores = np.where(labels < 0, 1.0, labels).astype(np.float64)
+    for sub in ("scaffold", "random"):
+        (Path("preds/mol/ood") / sub).mkdir(parents=True)
+        write_prediction_file(Path("preds/mol/ood") / sub / "seed0.pred",
+                              PredictionTable(np.arange(400), scores[:, None]))
+    config = _write_config(Path("config.json"), manifest=manifest, seeds=[0], axes=["ood"],
+                           methods=[{"kind": "external", "name": "m_ext", "pred_dir": "preds"}])
+    assert main(["run", "--config", str(config), "--out", "r"]) == 0
+    values = {sub: json.loads(Path(f"r/values/ood.{sub}.mol.m_ext.json").read_text())["values"]
+              for sub in ("scaffold_auc", "scaffold_gap")}
+    assert values == {"scaffold_auc": [100.0], "scaffold_gap": [0.0]}
+    # with no labeled test molecule left, the AUC is undefined: the cell fails
+    ds.collection.labels[:, 0] = -1
+    save_dataset(ds, Path("ds"))
+    assert main(["run", "--config", str(config), "--out", "r"]) == 1
+    assert "OneClassOnly" in Path("r/errors.log").read_text()
+
+
 # ---------------------------------------------------------------------------
 # pipeline runner
 # ---------------------------------------------------------------------------
@@ -1334,6 +1360,7 @@ def test_bad_dataset_entry_or_seeds_exit_2_before_loading(small_ds, tmp_path, mo
 
 
 EXTERNAL = {"kind": "external", "name": "ext", "pred_dir": "preds"}
+NAME_RULE = "name must be a string of letters, digits, _ and -"
 
 
 @pytest.mark.parametrize("overrides, argv, key", [
@@ -1364,11 +1391,18 @@ EXTERNAL = {"kind": "external", "name": "ext", "pred_dir": "preds"}
     ({"methods": 5}, [], "methods"),
     ({"axes": "fairness"}, [], "axes"),
     ({"axes": ["fairness", "fairness"]}, [], "axes"),
+    # a name is part of values/<axis>.<sub>.<dataset>.<method>.json: a '/' breaks the path,
+    # and dataset x.y with method z would write the file of dataset x with method y.z
+    ({"methods": [{**EXTERNAL, "name": "a/b"}]}, [], NAME_RULE + ", got 'a/b'"),
+    ({"methods": [{**EXTERNAL, "name": "y.z"}]}, [], NAME_RULE + ", got 'y.z'"),
+    ({"methods": [{**EXTERNAL, "name": ""}]}, [], NAME_RULE + ", got ''"),
+    ({"datasets": [{"manifest": "m.json", "name": "x.y"}]}, [], NAME_RULE + ", got 'x.y'"),
 ], ids=["seed-flag-negative", "targets-negative", "targets-0", "targets-str", "k-out-of-range",
         "k-str", "k-empty", "k-repeat", "workers-0", "workers-str", "workers-flag-0",
         "quantile-above-half", "quantile-0", "quantile-str", "out-int", "write-ops-str",
         "pred-dir-int", "has-saliency-str", "name-list", "no-methods", "two-default-names",
-        "one-name-twice", "datasets-int", "axes-int", "methods-int", "axes-str", "axes-repeat"])
+        "one-name-twice", "datasets-int", "axes-int", "methods-int", "axes-str", "axes-repeat",
+        "name-slash", "name-dot", "name-empty", "dataset-name-dot"])
 def test_out_of_range_run_value_exits_2_before_loading(small_ds, tmp_path, monkeypatch, capsys,
                                                        overrides, argv, key):
     def no_load(manifest):
@@ -1397,6 +1431,26 @@ def test_datasets_loading_under_one_name_exit_2_before_any_job(small_ds, tmp_pat
     err = capsys.readouterr().err
     assert "ConfigError" in err and "distinct 'name'" in err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("source", ["name", "file-stem"])
+def test_a_manifest_name_outside_the_name_rule_exits_2_before_any_job(tmp_path, monkeypatch,
+                                                                      capsys, source):
+    monkeypatch.chdir(tmp_path)
+    manifest = save_dataset(make_node_dataset(name="x.y", num_nodes=60, seed=4), Path("ds"))
+    if source == "file-stem":  # no name in the manifest: its file stem names the dataset
+        doc = json.loads(manifest.read_text())
+        del doc["name"]
+        manifest.unlink()
+        manifest = manifest.with_name("x.y.json")
+        manifest.write_text(json.dumps(doc))
+    monkeypatch.setattr(cli.PipelineRunner, "_run_job",
+                        lambda self, job: pytest.fail(f"cell {job} ran"))
+    config = _write_config(Path("config.json"), manifest=manifest, seeds=1)
+    assert main(["run", "--config", str(config), "--out", "out"]) == 2
+    assert (f"ConfigError: {manifest}: dataset name 'x.y' must be a string of letters, digits, "
+            "_ and -; give the entry a 'name'") in capsys.readouterr().err
+    assert list(Path("out").iterdir()) == []
 
 
 def test_every_shipped_config_passes_the_key_check(small_ds, tmp_path, monkeypatch):

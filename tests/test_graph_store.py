@@ -697,6 +697,21 @@ def test_collection_arc_errors_name_the_graph(tmp_path, row, error, message):
         load_dataset(out / "manifest.json")
 
 
+@pytest.mark.parametrize("token", ["2", "-1", "x", "01"])
+def test_a_task_label_other_than_0_1_or_dash_is_a_bad_id(tmp_path, token):
+    out = tmp_path / "mol"
+    save_dataset(make_molecule_collection(num_graphs=6, seed=2), out)
+    path = out / "graph_labels.tsv"
+    rows = path.read_text().splitlines(keepends=True)
+    rows[3] = f"3\t{token}\n"
+    path.write_text("".join(rows))
+    with pytest.raises(BadId, match=f"{path}: graph 3: task label '{token}' is not 0, 1 or -"):
+        load_dataset(out / "manifest.json")
+    rows[3] = "3\t-\n"  # a missing label loads as -1
+    path.write_text("".join(rows))
+    assert load_dataset(out / "manifest.json").collection.labels[3, 0] == -1
+
+
 def test_negative_graph_size_is_a_bad_id(tmp_path):
     out = tmp_path / "mol"
     save_dataset(make_molecule_collection(num_graphs=4, seed=2), out)

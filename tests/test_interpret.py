@@ -168,12 +168,6 @@ def test_saliency_masks_nest_across_k():
         prev = masked
 
 
-def test_rank_and_mask_validation():
-    with pytest.raises(EmptySubgraph):
-        rank_and_mask(np.empty(0), 5, KEY, "saliency")
-    with pytest.raises(LengthMismatch):
-        rank_and_mask(np.array([0.5]), 5, KEY, "degree")
-
 
 # ---------------------------------------------------------------------------
 # fidelity combination

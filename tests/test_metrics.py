@@ -226,12 +226,6 @@ def test_mrr_and_hits():
     assert hits_at_k(ranks, 1) == pytest.approx(1 / 3)
     assert hits_at_k(ranks, 2) == pytest.approx(2 / 3)
     assert hits_at_k(ranks, 4) == 1.0  # boundary rank counts as a hit
-    with pytest.raises(EmptyQuerySet):
-        mrr(np.array([]))
-    with pytest.raises(EmptyQuerySet):
-        hits_at_k(np.array([]), 10)
-    with pytest.raises(LengthMismatch):
-        mrr(np.array([0.5]))
 
 
 def test_ranks_from_ranking_full_sort():

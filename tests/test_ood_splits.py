@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphstress.determinism import derive_key, permutation
-from graphstress.errors import EmptyLabeledSet, MissingScaffoldId, MissingYear, ScaleMismatch
+from graphstress.errors import EmptyLabeledSet, MissingScaffoldId, MissingYear
 from graphstress.graph_store import Graph, Role, TripleStore
 from graphstress.ood_splits import (
     HEAD_CORRUPT,
@@ -240,14 +240,6 @@ def test_scaffold_gap_fixtures():
     # fraction scale works too
     assert scaffold_gap(0.85, 0.61) == pytest.approx(0.24)
 
-
-def test_scaffold_gap_scale_mismatch():
-    with pytest.raises(ScaleMismatch):
-        scaffold_gap(0.85, 61.7)
-    with pytest.raises(ScaleMismatch):
-        scaffold_gap(85.0, 0.6)
-    # 1.1 vs 0.9 is ambiguous but close: allowed
-    assert scaffold_gap(1.1, 0.9) == pytest.approx(0.2)
 
 
 # ---------------------------------------------------------------------------

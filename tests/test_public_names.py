@@ -9,6 +9,9 @@ with its reason.
 Likewise every defaulted parameter of a public function, method or class
 ``__init__`` is set by some call in ``src/``, ``scripts/`` or ``perfbench/``
 (tests excluded): a default no caller overrides is a constant, written as one.
+
+And every error class of ``errors.py`` is raised somewhere in ``src/``: a class that
+no program path can raise is no part of the error vocabulary.
 """
 
 import ast
@@ -155,3 +158,23 @@ def test_every_default_is_set_by_some_call():
                            f"{constants}")
     stale = sorted(set(DEFAULTS_SET_BY_TESTS_ON_PURPOSE) - unset)
     assert not stale, f"allowlisted defaults that a call now sets or that are gone: {stale}"
+
+
+def test_every_error_class_is_raised():
+    """Each StressError subclass in errors.py is named in some ``raise`` of src/graphstress.
+
+    A class that a lambda builds also counts: such a lambda is an error factory that
+    a raise calls (``metrics.lookup_rows`` raises what its ``missing`` returns).
+    """
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    classes = {stmt.name for stmt in tree.body if isinstance(stmt, ast.ClassDef)
+               and stmt.name != "StressError"}
+    raised = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised |= _names_used(node.exc)
+            elif isinstance(node, ast.Lambda) and isinstance(node.body, ast.Call):
+                raised |= _names_used(node.body.func)
+    never = sorted(classes - raised)
+    assert not never, f"error classes no raise in src/graphstress names: {never}"

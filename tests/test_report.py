@@ -51,8 +51,6 @@ def test_aggregate_permutation_invariance():
 
 def test_aggregate_rejects_bad_input():
     with pytest.raises(EmptyInput):
-        aggregate_seeds([])
-    with pytest.raises(EmptyInput):
         aggregate_seeds([1.0, float("nan")])
     with pytest.raises(EmptyInput):
         aggregate_seeds([float("inf")])
