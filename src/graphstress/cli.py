@@ -105,7 +105,8 @@ def _setup_logging() -> None:
 
 
 def _train_labels(g: Graph, train_units: np.ndarray) -> np.ndarray:
-    out = np.full(g.num_nodes, -1, dtype=np.int64)
+    """Each node's label if it is a train unit, else -1, in the narrowest signed dtype."""
+    out = np.full(g.num_nodes, -1, dtype=np.min_scalar_type(-1 - g.num_classes))
     out[train_units] = g.labels[train_units]
     return out
 

@@ -19,6 +19,7 @@ from .graph_store import Graph
 
 FEATURE_LEVELS = (0.1, 0.25, 0.5, 1.0, 2.0)
 EDGE_LEVELS = (0.05, 0.10, 0.20, 0.30, 0.50)
+_DRAW_BLOCK = 1 << 16  # edges drawn and counted at once by edge_delete
 
 
 def feature_noise(features: np.ndarray, train_mask: np.ndarray, sigma_rel: float,
@@ -51,12 +52,16 @@ def edge_delete(graph: Graph, levels, key: StreamKey) -> np.ndarray:
     p <= u. The graph at severity j (1-based) is
     ``remove_edges(graph, survived < j)``, since s < j exactly when u < p_j:
     both arcs of an edge go together, self-loops are never deleted, and the
-    deleted set of a level is a subset of the next level's.
+    deleted set of a level is a subset of the next level's. The edges are drawn
+    ``_DRAW_BLOCK`` at a time into the int8 result.
     """
     if not graph.undirected:
         raise DirectedGraph("edge deletion requires an undirected graph")
-    u = uniform(key, np.arange(len(graph._reverse_order), dtype=np.int64))
-    return np.searchsorted(levels, u, side="right").astype(np.int8)
+    survived = np.empty(len(graph._reverse_order), dtype=np.int8)
+    for lo in range(0, len(survived), _DRAW_BLOCK):
+        u = uniform(key, np.arange(lo, min(lo + _DRAW_BLOCK, len(survived)), dtype=np.int64))
+        survived[lo:lo + _DRAW_BLOCK] = np.searchsorted(levels, u, side="right")
+    return survived
 
 
 def drop_metric(clean: float, perturbed: float) -> float:

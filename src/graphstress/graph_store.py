@@ -123,37 +123,87 @@ class Graph:
         fwd = src < dst
         return src[fwd] * self.num_nodes + dst[fwd]
 
+    def _row_blocks(self, descending: bool = False):
+        """(first row, end row, first arc, end arc) of consecutive row blocks of about
+        ``_ROW_BLOCK`` arcs, first to last or last to first: a block holds whole rows, so
+        one long row makes a longer block."""
+        starts = np.searchsorted(self.offsets, np.arange(0, self.num_arcs, _ROW_BLOCK), side="right")
+        bounds = sorted({0, self.num_nodes, *(starts - 1).tolist()})
+        blocks = list(zip(bounds[:-1], bounds[1:]))
+        for a, b in reversed(blocks) if descending else blocks:
+            yield a, b, int(self.offsets[a]), int(self.offsets[b])
+
+    def _sources(self, a: int, b: int) -> np.ndarray:
+        """The source of each arc of rows a..b-1, in CSR order."""
+        return np.repeat(np.arange(a, b), np.diff(self.offsets[a:b + 1]))
+
+    def _kept_offsets(self, keep) -> np.ndarray:
+        """CSR offsets of the arcs that ``keep(a, b, lo, hi)``, one bool per arc lo..hi-1 of
+        the rows a..b-1, keeps; counted one row block at a time."""
+        offsets = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        for a, b, lo, hi in self._row_blocks():
+            rows = np.flatnonzero(np.diff(self.offsets[a:b + 1]))  # reduceat takes non-empty rows only
+            offsets[a + 1 + rows] = np.add.reduceat(keep(a, b, lo, hi), self.offsets[a:b][rows] - lo)
+        return np.cumsum(offsets, out=offsets)
+
     @cached_property
     def _reverse_order(self) -> np.ndarray:
-        """Edge index, in ``edge_keys()`` order, of each arc v > u in CSR order; sorted once."""
-        src, dst = self.arcs()
-        fwd = src < dst
-        src = src[fwd]
-        keys = dst[fwd]
-        keys *= self.num_nodes
-        keys += src  # v * n + u: unique, so any sort kind gives the stable order
-        return np.argsort(keys)
+        """Edge index, in ``edge_keys()`` order, of each arc u > v in CSR order; built once.
+
+        Rows ascend, so the k-th last such arc into v, in CSR order, is the reverse of v's
+        k-th last edge: from the last row block to the first, each block's arcs u > v are
+        numbered in ``_down_keys`` order, down from a cursor per node that starts past
+        v's last edge index. int32 when the edges fit.
+        """
+        cursor = self._kept_offsets(lambda a, b, lo, hi: self.neighbors[lo:hi] > self._sources(a, b))
+        out = np.empty(int(cursor[-1]), dtype=np.int32 if cursor[-1] < 2**31 else np.int64)
+        end = len(out)
+        for a, b, lo, hi in self._row_blocks(descending=True):
+            keys, shift = _down_keys(a, b, self.neighbors[lo:hi], self._sources(a, b))
+            order = np.argsort(keys)
+            end -= len(order)
+            out[end:end + len(order)][order] = _claim(cursor[1:], keys[order] >> shift)
+        return out
 
     def _arc_values(self, per_edge: np.ndarray, loop) -> np.ndarray:
         """Each arc's entry of ``per_edge``, one per edge in ``edge_keys()`` order, in CSR
-        order; both arcs of an edge share it, and a self-loop gets ``loop``."""
-        src, dst = self.arcs()
+        order; both arcs of an edge share it, and a self-loop gets ``loop``. Filled one
+        row block at a time."""
         out = np.full(self.num_arcs, loop, dtype=per_edge.dtype)
-        out[src < dst] = per_edge
-        out[src > dst] = per_edge[self._reverse_order]  # (v, u) order: the edges stably sorted by v
+        fwd = back = 0  # edges and reverse arcs filled so far
+        for a, b, lo, hi in self._row_blocks():
+            src = self._sources(a, b)
+            block = out[lo:hi]
+            up = np.flatnonzero(src < self.neighbors[lo:hi])
+            block[up] = per_edge[fwd:fwd + len(up)]
+            fwd += len(up)
+            down = np.flatnonzero(src > self.neighbors[lo:hi])
+            block[down] = per_edge[self._reverse_order[back:back + len(down)]]
+            back += len(down)
         return out
 
     def induced(self, nodes: np.ndarray) -> "Graph":
-        """The arcs among sorted ids ``nodes``, node i being ``nodes[i]``: a sorted CSR slice."""
+        """The arcs among sorted ids ``nodes``, node i being ``nodes[i]``: a sorted CSR slice.
+
+        Each neighbour of the nodes is found by a binary search in ``nodes``, so a
+        small slice of a large graph allocates for the slice alone; when a table
+        over every node is no larger than that search's steps, the table is used.
+        """
         starts = self.offsets[nodes]
         lengths = self.offsets[nodes + 1] - starts
         ptr = np.zeros(len(nodes) + 1, dtype=np.int64)
         np.cumsum(lengths, out=ptr[1:])
-        local = np.full(self.num_nodes, -1, dtype=np.int64)
-        local[nodes] = np.arange(len(nodes))
-        local = local[self.neighbors[np.repeat(starts - ptr[:-1], lengths) + np.arange(ptr[-1])]]
-        return Graph(num_nodes=len(nodes), offsets=np.append(0, np.cumsum(local >= 0))[ptr],
-                     neighbors=local[local >= 0], undirected=self.undirected)
+        heads = self.neighbors[np.repeat(starts - ptr[:-1], lengths) + np.arange(ptr[-1])]
+        if self.num_nodes <= len(heads) * len(nodes).bit_length():
+            local = np.full(self.num_nodes, -1, dtype=np.int64)
+            local[nodes] = np.arange(len(nodes))
+            local = local[heads]
+            inside = local >= 0
+        else:
+            local = np.searchsorted(nodes, heads)
+            inside = nodes.take(local, mode="clip") == heads
+        return Graph(num_nodes=len(nodes), offsets=np.append(0, np.cumsum(inside))[ptr],
+                     neighbors=local[inside], undirected=self.undirected)
 
     def labeled_nodes(self) -> np.ndarray:
         if self.labels is None:
@@ -167,28 +217,69 @@ class Graph:
         Arcs are sorted and deduplicated by their key ``u * num_nodes + v``, whose
         ascending order is the (u, v) order; ``symmetrize`` first adds every reverse arc.
         """
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        if len(src) != len(dst):
-            raise LengthMismatch(f"src/dst arc arrays differ: {len(src)} vs {len(dst)}")
-        if len(src) and (src.min() < 0 or dst.min() < 0 or src.max() >= num_nodes or dst.max() >= num_nodes):
-            bad = src[(src < 0) | (src >= num_nodes)]
-            bad = bad[0] if len(bad) else dst[(dst < 0) | (dst >= num_nodes)][0]
-            raise BadId(f"arc endpoint {bad} out of range for {num_nodes} nodes")
+        keys = _arc_keys(num_nodes, src, dst)
         if symmetrize:  # a self-loop doubled here is one key, dropped below
-            src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-        keys = src * num_nodes
-        keys += dst
+            keys = np.concatenate([keys, _arc_keys(num_nodes, dst, src)])
+        return cls._from_keys(num_nodes, keys, undirected=undirected, **kwargs)
+
+    @classmethod
+    def _from_keys(cls, num_nodes: int, keys: np.ndarray, **kwargs) -> "Graph":
+        """The validated graph of the int64 arc keys ``keys``, whose buffer it sorts in place
+        and keeps as the neighbors."""
         keys.sort()
-        first = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        keys = keys[first]
-        del first
+        blocks = (keys[lo:lo + _ROW_BLOCK + 1] for lo in range(0, len(keys), _ROW_BLOCK))
+        if any(np.any(block[1:] == block[:-1]) for block in blocks):  # keep the first of each key
+            first = np.ones(len(keys), dtype=bool)
+            np.not_equal(keys[1:], keys[:-1], out=first[1:])
+            keys = keys[first]
+            del first
         offsets = np.searchsorted(keys, np.arange(num_nodes + 1, dtype=np.int64) * num_nodes)
         neighbors = np.remainder(keys, num_nodes, out=keys)
-        g = cls(num_nodes=num_nodes, offsets=offsets, neighbors=neighbors, undirected=undirected, **kwargs)
+        g = cls(num_nodes=num_nodes, offsets=offsets, neighbors=neighbors, **kwargs)
         validate_graph(g)
         return g
+
+
+_ROW_BLOCK = 1 << 16  # arcs a row-block loop over a graph handles at once
+
+
+def _arc_keys(num_nodes: int, src, dst) -> np.ndarray:
+    """The key ``u * num_nodes + v`` of each arc, as a new int64 array; BadId names the first
+    endpoint out of range, in src before dst."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    if len(src) != len(dst):
+        raise LengthMismatch(f"src/dst arc arrays differ: {len(src)} vs {len(dst)}")
+    if len(src) and (src.min() < 0 or dst.min() < 0 or src.max() >= num_nodes or dst.max() >= num_nodes):
+        bad = src[(src < 0) | (src >= num_nodes)]
+        bad = bad[0] if len(bad) else dst[(dst < 0) | (dst >= num_nodes)][0]
+        raise BadId(f"arc endpoint {bad} out of range for {num_nodes} nodes")
+    keys = src * num_nodes
+    keys += dst
+    return keys
+
+
+def _down_keys(a: int, b: int, heads: np.ndarray, src: np.ndarray) -> tuple[np.ndarray, int]:
+    """(keys, shift): ``v << shift | (b - 1 - u)`` of each arc (u, v), u > v, of the row
+    block of rows a..b-1, in CSR order. Sorted, the keys run by v, then by u descending."""
+    down = heads < src
+    shift = (b - a - 1).bit_length()
+    keys = np.compress(down, heads) << shift
+    keys += b - 1 - np.compress(down, src)
+    return keys, shift
+
+
+def _claim(cursor: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """``cursor[t] - 1`` less the count of earlier entries equal to t, for each t of the
+    ascending ``targets``; each cursor entry then moves down past its target's entries."""
+    if not len(targets):
+        return targets
+    first = np.flatnonzero(np.append(True, targets[1:] != targets[:-1]))
+    counts = np.diff(first, append=len(targets))
+    out = np.repeat(cursor[targets[first]] + first - 1, counts)
+    out -= np.arange(len(targets))
+    cursor[targets[first]] -= counts
+    return out
 
 
 def validate_graph(g: Graph) -> None:
@@ -202,12 +293,13 @@ def validate_graph(g: Graph) -> None:
     if len(g.neighbors) and (g.neighbors.min() < 0 or g.neighbors.max() >= g.num_nodes):
         raise BadId(f"neighbor id out of range for {g.num_nodes} nodes")
     # each neighbor list strictly ascends: sorted, no duplicate; a row's first entry is exempt
-    ascends = np.empty(len(g.neighbors) + 1, dtype=bool)
-    np.greater(g.neighbors[1:], g.neighbors[:-1], out=ascends[1:-1])
-    ascends[g.offsets] = True
-    if not ascends.all():
-        raise LengthMismatch("neighbor lists must be sorted ascending without duplicates")
-    del ascends
+    for a, b, lo, hi in g._row_blocks():
+        block = g.neighbors[lo:hi]
+        ascends = np.empty(hi - lo + 1, dtype=bool)
+        np.greater(block[1:], block[:-1], out=ascends[1:-1])
+        ascends[g.offsets[a:b + 1] - lo] = True
+        if not ascends.all():
+            raise LengthMismatch("neighbor lists must be sorted ascending without duplicates")
     if g.undirected:
         check_symmetry(g)
     check_node_fields(g)
@@ -237,19 +329,40 @@ def check_symmetry(g: Graph) -> None:
 
 
 def _one_way_arc(g: Graph) -> tuple[int, int] | None:
-    """The smallest arc (u, v), u != v, whose reverse (v, u) is absent, or None."""
+    """The smallest arc (u, v), u != v, whose reverse (v, u) is absent, or None.
+
+    Rows ascend, so when g is symmetric the arcs into v from larger nodes, largest
+    source first, have row v's last entries as their reverses, last first. From the
+    last row block to the first, each block's arcs u > v are matched to those positions,
+    in ``_down_keys`` order, by a cursor per node that moves down from its row's end. If
+    each matches, stays in its row, and the arcs u < v are as many, every arc has its
+    reverse. Only when that fails are the keys of every arc built, to name the smallest
+    one-way arc.
+    """
+    cursor = g.offsets[1:].copy()
+    surplus = 0  # arcs u > v less arcs u < v
+    for a, b, lo, hi in g._row_blocks(descending=True):
+        heads, src = g.neighbors[lo:hi], g._sources(a, b)
+        surplus += np.count_nonzero(heads < src) - np.count_nonzero(heads > src)
+        keys, shift = _down_keys(a, b, heads, src)
+        del src
+        keys.sort()
+        twin = _claim(cursor, keys >> shift)
+        keys &= (1 << shift) - 1
+        np.subtract(b - 1, keys, out=keys)  # each arc's source
+        if not np.array_equal(g.neighbors.take(twin, mode="clip"), keys):
+            break
+    else:
+        if surplus == 0 and np.all(cursor >= g.offsets[:-1]):  # no row matched past its start
+            return None
     fwd, dst = g.arcs()
     rev = dst * g.num_nodes
     rev += fwd
     rev.sort()
     fwd *= g.num_nodes  # in the arcs() source buffer; CSR order is ascending key order
     fwd += dst
-    if np.array_equal(fwd, rev):
-        return None
     # rev holds the key of every arc's reverse (a self-loop's is its own), so
-    # a key of fwd absent from it is an arc whose reverse is missing. Neighbor
-    # lists hold no duplicates, so fwd and rev are two unequal sets of one
-    # size and fwd has such a key.
+    # a key of fwd absent from it is an arc whose reverse is missing
     u, v = divmod(int(np.setdiff1d(fwd, rev, assume_unique=True)[0]), g.num_nodes)
     return u, v
 
@@ -267,7 +380,7 @@ def remove_edges(g: Graph, drop: np.ndarray) -> Graph:
     if not np.any(drop):
         return g
     kept = g._arc_values(~np.asarray(drop, dtype=bool), True)
-    return replace(g, offsets=np.append(0, np.cumsum(kept))[g.offsets],
+    return replace(g, offsets=g._kept_offsets(lambda a, b, lo, hi: kept[lo:hi]),
                    neighbors=g.neighbors[kept])
 
 
@@ -482,6 +595,15 @@ def _dash_ints(path, tokens: np.ndarray, dtype) -> np.ndarray:
         raise LengthMismatch(f"{path}: {e}") from e
 
 
+def _binary(path, ids: np.ndarray, tokens: np.ndarray, unit: str, what: str) -> np.ndarray:
+    """The tokens '0', '1' and '-' (missing) as 0, 1 and -1; BadId names the file, the
+    ``unit`` id and the first other token."""
+    bad = np.flatnonzero((tokens != "0") & (tokens != "1") & (tokens != "-"))
+    if len(bad):
+        raise BadId(f"{path}: {unit} {ids[bad[0]]}: {what} {tokens[bad[0]]!r} is not 0, 1 or -")
+    return np.where(tokens == "-", -1, tokens == "1")
+
+
 def _dashed(col: np.ndarray) -> np.ndarray:
     """An object column of col's values, '-' where one is negative: the writing twin of _dash_ints."""
     out = col.astype(object)
@@ -554,7 +676,7 @@ def read_meta_file(path: Path, num_nodes: int) -> NodeMeta:
     year = np.full(num_nodes, -1, dtype=np.int64)
     year[nodes] = _dash_ints(path, years, np.int64)
     sensitive = np.full(num_nodes, -1, dtype=np.int8)
-    sensitive[nodes] = _dash_ints(path, sens, np.int8)
+    sensitive[nodes] = _binary(path, nodes, sens, "node", "sensitive_attr")
     return NodeMeta(
         year=year if np.any(year >= 0) else None,
         sensitive_attr=sensitive if np.any(sensitive >= 0) else None,
@@ -619,10 +741,11 @@ def load_dataset(manifest_path) -> Dataset:
 
     if kind == "node_graph":
         num_nodes = manifest["num_nodes"]
-        src, dst = read_edge_file(base / manifest["edge_file"])
-        # the graph first, so the arc columns are gone before the node files are read
-        graph = Graph.from_arcs(num_nodes, src, dst, undirected=manifest.get("undirected", True))
-        del src, dst
+        # the parsed arc columns die once their keys exist, and the graph is built before
+        # the node files are read
+        keys = _arc_keys(num_nodes, *read_edge_file(base / manifest["edge_file"]))
+        graph = Graph._from_keys(num_nodes, keys, undirected=manifest.get("undirected", True))
+        del keys
         features = None
         if manifest.get("feature_file"):
             features = read_feature_file(base / manifest["feature_file"])
@@ -665,11 +788,7 @@ def _load_collection(manifest: dict, base: Path, name: str) -> Dataset:
     gids, *tasks = _read_id_table(path, num_graphs, "graph id", (object,) * num_tasks)
     labels = np.full((num_graphs, num_tasks), -1, dtype=np.int8)
     for j, tokens in enumerate(tasks):
-        bad = np.flatnonzero((tokens != "0") & (tokens != "1") & (tokens != "-"))
-        if len(bad):
-            raise BadId(f"{path}: graph {gids[bad[0]]}: task label {tokens[bad[0]]!r} "
-                        "is not 0, 1 or -")
-        labels[gids, j] = np.where(tokens == "-", -1, tokens == "1")
+        labels[gids, j] = _binary(path, gids, tokens, "graph", "task label")
     scaffold_ids = None
     if manifest.get("scaffold_file"):
         scaffold_ids = _per_graph(base / manifest["scaffold_file"], num_graphs, "scaffold id")
@@ -719,8 +838,10 @@ def _collection_graphs(path, sizes: np.ndarray, undirected: bool) -> GraphBlock:
     src += shift  # in the parsed columns: they are not read again
     dst += shift
     del shift
-    block = Graph.from_arcs(int(ptr[-1]), src, dst, undirected=False)
+    keys = _arc_keys(int(ptr[-1]), src, dst)
     del src, dst
+    block = Graph._from_keys(int(ptr[-1]), keys, undirected=False)
+    del keys
     if undirected:
         arc = _one_way_arc(block)
         if arc is not None:

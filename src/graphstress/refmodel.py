@@ -44,14 +44,34 @@ class PropagationConfig:
 
 _CHUNK_ROWS = 2048  # rows whose reach is held at once
 _NARROW_BITS = 32  # keys are uint32 when a node and its level bits fit in this many bits
+_PART = 1 << 15  # keys, or walked arcs, of a chunk given one temporary array at a time
 
 
-def _train_mask(train_labels: np.ndarray, num_classes: int) -> np.ndarray:
-    train_labels = np.asarray(train_labels, dtype=np.int64)
-    mask = (train_labels >= 0) & (train_labels < num_classes)
-    if not mask.any(axis=-1).all():
+def _classes(train_labels, num_classes: int, num_nodes: int) -> np.ndarray:
+    """(labelings, nodes) class of each node in each labeling of the stack ``train_labels``,
+    num_classes where it is no labeled train node, in the narrowest unsigned dtype."""
+    stack = train_labels if isinstance(train_labels, list) else np.atleast_2d(train_labels)
+    classes = np.full((len(stack), num_nodes), num_classes, dtype=np.min_scalar_type(num_classes))
+    for out, labels in zip(classes, stack):
+        np.copyto(out, labels, casting="unsafe", where=(labels >= 0) & (labels < num_classes))
+    if not (classes != num_classes).any(axis=1).all():
         raise NoTrainLabels("propagation needs at least one labeled train node")
-    return mask
+    return classes
+
+
+def _labeled_arcs(graph: Graph, labeled: np.ndarray, arc_bits: np.ndarray | None, dtype):
+    """(offsets, targets as ``dtype``, arc_bits or None) of the CSR of the arcs into
+    ``labeled`` nodes, built one row block at a time; the offsets are int32 when they fit."""
+    offsets = graph._kept_offsets(lambda a, b, lo, hi: labeled[graph.neighbors[lo:hi]])
+    offsets = offsets.astype(np.int32 if offsets[-1] < 2**31 else np.int64)
+    targets = np.empty(offsets[-1], dtype=dtype)
+    bits = None if arc_bits is None else np.empty(offsets[-1], dtype=np.int8)
+    for a, b, lo, hi in graph._row_blocks():
+        keep = labeled[graph.neighbors[lo:hi]]
+        targets[offsets[a]:offsets[b]] = np.compress(keep, graph.neighbors[lo:hi])
+        if bits is not None:
+            bits[offsets[a]:offsets[b]] = np.compress(keep, arc_bits[lo:hi])
+    return offsets, targets, bits
 
 
 def _hop(keys: np.ndarray, low: int, offsets: np.ndarray, targets: np.ndarray, shift: int = 0,
@@ -70,20 +90,28 @@ def _hop(keys: np.ndarray, low: int, offsets: np.ndarray, targets: np.ndarray, s
     starts = offsets[nodes]
     lengths = offsets[nodes + 1] - starts
     ends = np.cumsum(lengths)
-    arcs = np.repeat(starts - ends + lengths, lengths)
-    arcs += np.arange(ends[-1])
+    arcs = np.repeat(starts - ends + lengths, lengths)  # each walked arc's position in targets
+    del starts, ends
+    for lo in range(0, len(arcs), _PART):  # a whole arange would be a second int64 per walked arc
+        arcs[lo:lo + _PART] += np.arange(lo, min(lo + _PART, len(arcs)))
     walked = targets[arcs].astype(keys.dtype, copy=False)
+    if arc_bits is not None:
+        gain = arc_bits[arcs]
+    del arcs  # each array is freed once read: at most two walked-sized keys are held
     walked <<= low
     walked += np.repeat(keys - (nodes << low), lengths)  # the source's row and bits
+    del nodes
     if arc_bits is not None:  # raise the bits to the arc's where it survives fewer levels
-        gain = arc_bits[arcs]
         gain -= np.repeat((keys & ((1 << shift) - 1)).astype(np.int8), lengths)
         walked += np.maximum(gain, 0, out=gain).view(np.uint8)
+        del gain
     keys = np.concatenate([keys, walked])
-    del arcs, walked, nodes  # freed before the sort: the keys are then the one large array held
+    del walked
     keys.sort()
     cells = keys >> shift if shift else keys
-    first = np.append(True, cells[1:] != cells[:-1])
+    first = np.empty(len(keys), dtype=bool)
+    first[0] = True
+    np.not_equal(cells[1:], cells[:-1], out=first[1:])
     del cells
     return keys[first]
 
@@ -122,10 +150,9 @@ def propagate_predict(graph: Graph, train_labels: np.ndarray, num_classes: int,
     bits are at most num_levels - i, and a cumulative sum of the bits' counts
     gives each level's exact counts.
     """
-    labelings = np.atleast_2d(np.asarray(train_labels, dtype=np.int64))
-    mask = _train_mask(labelings, num_classes)
-    labeled = mask.any(axis=0)
     n = graph.num_nodes
+    # an unlabeled node's class is num_classes, a column that is dropped
+    classes = _classes(train_labels, num_classes, n)
     rows = np.arange(n, dtype=np.int64) if rows is None else np.asarray(rows, dtype=np.int64)
     if survived is None:
         num_levels, arc_bits = 0, None
@@ -140,43 +167,46 @@ def propagate_predict(graph: Graph, train_labels: np.ndarray, num_classes: int,
     chunk_rows = min(_CHUNK_ROWS, 1 << ((_NARROW_BITS if narrow else 63) - node_bits - shift))
     row_bits = (chunk_rows - 1).bit_length()
     low = row_bits + shift
-    keep = np.flatnonzero(labeled[graph.neighbors])
-    labeled_offsets = np.searchsorted(keep, graph.offsets)
-    labeled_bits = None if arc_bits is None else arc_bits[keep]
-    labeled_targets = graph.neighbors[keep]
-    del keep  # int64 positions, dropped before the targets are narrowed
-    labeled_targets = labeled_targets.astype(dtype, copy=False)
-    # an unlabeled node's class is num_classes, a column that is dropped
-    classes = np.where(mask, labelings, num_classes)
+    labeled_offsets, labeled_targets, labeled_bits = _labeled_arcs(
+        graph, (classes != num_classes).any(axis=0), arc_bits, dtype)
     width = num_classes + 1
-    counts = np.empty((len(rows), depth, len(labelings), num_classes), dtype=np.float64)
-    for lo in range(0, len(rows), chunk_rows):
+    counts = np.empty((len(rows), depth, len(classes), num_classes), dtype=np.int32)
+
+    def count_chunk(lo: int) -> None:  # a function, so no array of one chunk outlives it
         chunk = rows[lo:lo + chunk_rows]
         own = np.arange(len(chunk))
         keys = (chunk << low | own << shift).astype(dtype)
         for _ in range(config.hops - 1):
             keys = _hop(keys, low, graph.offsets, graph.neighbors, shift, arc_bits)
         keys = _hop(keys, low, labeled_offsets, labeled_targets, shift, labeled_bits)
-        if shift:
-            bits = (keys & ((1 << shift) - 1)).astype(np.int8)
-        row = (keys >> shift) & ((1 << row_bits) - 1)
-        row *= width
-        keys >>= low  # each key is now its node
-        for i, cls in enumerate(classes):
-            index = cls[keys]
-            index += row
+        # each (labeling, row, class, bits) cell counts its keys, _PART keys at a time
+        tally = np.zeros((len(classes), len(chunk) * width * depth), dtype=np.int64)
+        for part in (keys[i:i + _PART] for i in range(0, len(keys), _PART)):
+            nodes = part >> low
+            row = part >> shift
+            row &= (1 << row_bits) - 1
             if shift:
-                index *= depth
-                index += bits
-            tally = np.bincount(index, minlength=len(chunk) * width * depth)
-            tally = tally.reshape(len(chunk), width, depth)
-            tally[own, cls[chunk], 0] -= 1
-            # level i counts the keys whose bits are at most num_levels - i
-            tally = tally.cumsum(axis=2)[:, :-1, ::-1]
-            counts[lo:lo + len(chunk), :, i] = tally.transpose(0, 2, 1)
-    probs = (counts + config.alpha).reshape(len(rows), depth * len(labelings), num_classes)
+                bits = (part & ((1 << shift) - 1)).astype(np.int8)
+            for i, cls in enumerate(classes):
+                index = np.multiply(row, width, dtype=np.int64)
+                index += cls[nodes]
+                if shift:
+                    index *= depth
+                    index += bits
+                tally[i] += np.bincount(index, minlength=tally.shape[1])
+        tally = tally.reshape(len(classes), len(chunk), width, depth)
+        tally[np.arange(len(classes))[:, None], own, classes[:, chunk], 0] -= 1
+        # level i counts the keys whose bits are at most num_levels - i
+        tally = tally.cumsum(axis=3)[:, :, :-1, ::-1]
+        counts[lo:lo + len(chunk)] = tally.transpose(1, 3, 0, 2)
+
+    for lo in range(0, len(rows), chunk_rows):
+        count_chunk(lo)
+    del arc_bits, labeled_offsets, labeled_targets, labeled_bits  # freed before the float table
+    probs = (counts + config.alpha).reshape(len(rows), depth * len(classes), num_classes)
+    del counts
     probs /= probs.sum(axis=2, keepdims=True)
-    return [PredictionTable(rows, probs[:, i]) for i in range(depth * len(labelings))]
+    return [PredictionTable(rows, probs[:, i]) for i in range(depth * len(classes))]
 
 
 def predicted_class_prob(graph: Graph, train_labels: np.ndarray, num_classes: int,

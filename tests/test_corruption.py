@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from graphstress.corruption import (
     EDGE_LEVELS,
+    _DRAW_BLOCK,
     drop_metric,
     edge_delete,
     feature_noise,
@@ -188,6 +189,24 @@ def test_edge_delete_holds_at_most_24_bytes_per_edge():
         tracemalloc.stop()
     assert len(survived) > 99_000
     assert peak <= 24 * len(survived)
+
+
+def test_edge_delete_holds_its_counts_and_one_block_of_draws():
+    # 1 B per edge for the counts; the index, draw and count of one block are 8 B each
+    rng = np.random.default_rng(3)
+    n = 100_000
+    g = Graph.from_arcs(n, rng.integers(0, n, 500_000), rng.integers(0, n, 500_000),
+                        symmetrize=True)
+    edge_delete(g, EDGE_LEVELS, EDGE_KEY)  # the graph's reverse-arc order is cached from here on
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        survived = edge_delete(g, EDGE_LEVELS, EDGE_KEY)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(survived) > 490_000
+    assert peak <= 2 * len(survived) + 24 * _DRAW_BLOCK
 
 
 # ---------------------------------------------------------------------------

@@ -855,3 +855,76 @@ def test_ball_and_induced_match_oracles_property(case, hops, undirected, data):
         assert sub.num_nodes == len(nodes) and sub.undirected == undirected
         arcs = list(zip(*map(np.ndarray.tolist, sub.arcs())))
         assert arcs == induced_arcs_oracle(g, nodes.tolist())
+
+
+@given(arc_lists, st.sets(st.integers(0, 119)), st.sampled_from([1, 3, 7]))
+@settings(max_examples=200, deadline=None)
+def test_row_block_loops_match_set_oracles_property(case, drop, block):
+    # the ascending and symmetry checks, the reverse-arc order and the spread of per-edge
+    # values to the arcs work row block by row block: any block size gives the oracles' answer
+    n, pairs = case
+    arcs = sorted(set(pairs) | {(v, u) for u, v in pairs})
+    kept = [a for i, a in enumerate(arcs) if i not in drop]
+    with patch.object(graph_store, "_ROW_BLOCK", block):
+        g = Graph.from_arcs(n, [u for u, _ in kept], [v for _, v in kept], undirected=False)
+        assert _one_way_arc(g) == one_way_arc_oracle(g)
+        g = Graph.from_arcs(n, [u for u, _ in arcs], [v for _, v in arcs])
+        edges, _ = canonical_edges_oracle(g)
+        values = g._arc_values(np.arange(len(edges), dtype=np.int64), -1)
+    assert values.tolist() == [-1 if u == v else edges.index((min(u, v), max(u, v)))
+                               for u, v in zip(*map(np.ndarray.tolist, g.arcs()))]
+
+
+def test_node_dataset_load_peaks_below_one_and_three_quarter_times_what_it_keeps(tmp_path):
+    # the parsed arc columns die once their keys exist, and the checks of the built CSR
+    # hold one row block's temporaries, never a second array per arc
+    manifest = save_dataset(make_node_dataset(num_nodes=20_000, seed=0), tmp_path / "d")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ds = load_dataset(manifest)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    g = ds.graph
+    kept = sum(a.nbytes for a in (g.offsets, g.neighbors, g.features, g.labels, g.meta.year,
+                                  g.meta.sensitive_attr, ds.split.roles))
+    assert g.num_arcs > 100_000
+    assert peak <= 1.75 * kept
+
+
+def test_inducing_a_small_ball_allocates_for_the_ball_alone():
+    # the ball's neighbours are found in its sorted ids, not through an array over every node
+    rng = np.random.default_rng(5)
+    n = 100_000
+    g = Graph.from_arcs(n, rng.integers(0, n, 300_000), rng.integers(0, n, 300_000),
+                        symmetrize=True)
+    ball = reach(g, 0, 2)
+    touched = int(g.degrees()[ball].sum())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sub = g.induced(ball)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sub.num_nodes == len(ball) < 100
+    assert peak <= 64 * (len(ball) + touched) + 4096
+    assert list(zip(*map(np.ndarray.tolist, sub.arcs()))) == induced_arcs_oracle(g, ball.tolist())
+
+
+@pytest.mark.parametrize("token", ["2", "7", "-1", "x", "01"])
+def test_a_sensitive_attr_other_than_0_1_or_dash_is_a_bad_id(tmp_path, token):
+    # a unit of any other value would fall in neither demographic group
+    out = tmp_path / "d"
+    save_dataset(make_node_dataset(num_nodes=60, seed=1), out)
+    path = out / "meta.tsv"
+    rows = path.read_text().splitlines(keepends=True)
+    node, year, _ = rows[4].rstrip("\n").split("\t")
+    rows[4] = f"{node}\t{year}\t{token}\n"
+    path.write_text("".join(rows))
+    with pytest.raises(BadId, match=f"{path}: node {node}: sensitive_attr '{token}' is not 0, 1 or -"):
+        load_dataset(out / "manifest.json")
+    rows[4] = f"{node}\t{year}\t-\n"  # a missing value loads as -1
+    path.write_text("".join(rows))
+    assert load_dataset(out / "manifest.json").graph.meta.sensitive_attr[int(node)] == -1

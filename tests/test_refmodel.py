@@ -1,5 +1,7 @@
 """Label-propagation scorer: counting semantics, locality and nested edge levels."""
 
+import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -7,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphstress.corruption import edge_delete
+from graphstress.corruption import EDGE_LEVELS, edge_delete
 from graphstress.determinism import derive_key, uniform
 from graphstress.errors import EmptySubgraph, NoTrainLabels
 from graphstress.graph_store import Graph, remove_edges
 from graphstress.cli import _refmodel_probs
 from graphstress.interpret import SaliencyTable, TargetManifest, build_edge_manifest, masked_graph
-from graphstress import refmodel
+from graphstress import graph_store, refmodel
 from graphstress.refmodel import (
     PropagationConfig,
     predicted_class_prob,
@@ -412,3 +414,47 @@ def test_masked_edges_block_both_directions():
         assert got == ([2 / 3, 0.5, 0.5] if masked is mask_12 else [0.5, 2 / 3, 2 / 3]), name
         for t, clean_class in enumerate([0, 1, 0]):
             assert got[t] == _full_graph_prob(g, train, manifests[t], name, clean_class)
+
+
+def test_leveled_propagation_peaks_below_sixteen_bytes_per_arc():
+    # the labeled-arc CSR is built a row block at a time with 32-bit offsets, no labeling
+    # is widened to int64, and no chunk's arrays outlive the chunk
+    rng = np.random.default_rng(4)
+    n = 40_000
+    g = Graph.from_arcs(n, rng.integers(0, n, 120_000), rng.integers(0, n, 120_000),
+                        symmetrize=True)
+    train = np.where(rng.random(n) < 0.5, rng.integers(0, 3, n), -1).astype(np.int64)
+    survived = edge_delete(g, EDGE_LEVELS, derive_key("corruption", "peak", "edge_delete", 0, 0))
+    rows = np.arange(0, n, 4)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        propagate_predict(g, train, 3, rows=rows, survived=survived, num_levels=len(EDGE_LEVELS))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert g.num_arcs >= 200_000
+    assert peak <= 16 * g.num_arcs
+
+
+@given(st.integers(0, 10_000), st.sampled_from([1, 3]), st.sampled_from([1, 5]), st.booleans(),
+       st.booleans(), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_row_blocks_and_tally_parts_change_no_bit_property(seed, block, part, undirected, arcs,
+                                                           num_levels):
+    # the labeled-arc CSR, the reverse-arc order and the per-arc level bits are built one
+    # row block at a time, and a chunk's keys are counted in parts: no size changes a bit
+    rng = np.random.default_rng(seed)
+    g = _self_loop_graph(rng, undirected, arcs)
+    stack = np.array([_labeling(rng, kind, g.num_nodes, None) for kind in ("sparse", "dense")])
+    survived = None
+    if undirected and num_levels:
+        survived = edge_delete(g, np.sort(rng.random(num_levels)),
+                               derive_key("corruption", "prop", "edge_delete", 0, seed))
+    levels = num_levels if survived is not None else 0
+    want = propagate_predict(g, stack, 3, survived=survived, num_levels=levels)
+    with mock.patch.object(graph_store, "_ROW_BLOCK", block), \
+            mock.patch.object(refmodel, "_PART", part):
+        # a new Graph object builds its own reverse-arc order under the small blocks
+        got = propagate_predict(replace(g), stack, 3, survived=survived, num_levels=levels)
+    assert [t.rows.tobytes() for t in got] == [t.rows.tobytes() for t in want]
