@@ -127,6 +127,9 @@ class Graph:
         """(first row, end row, first arc, end arc) of consecutive row blocks of about
         ``_ROW_BLOCK`` arcs, first to last or last to first: a block holds whole rows, so
         one long row makes a longer block."""
+        if self.num_arcs <= _ROW_BLOCK:  # one block, with nothing to search
+            yield 0, self.num_nodes, 0, self.num_arcs
+            return
         starts = np.searchsorted(self.offsets, np.arange(0, self.num_arcs, _ROW_BLOCK), side="right")
         bounds = sorted({0, self.num_nodes, *(starts - 1).tolist()})
         blocks = list(zip(bounds[:-1], bounds[1:]))
@@ -142,9 +145,10 @@ class Graph:
         the rows a..b-1, keeps; counted one row block at a time."""
         offsets = np.zeros(self.num_nodes + 1, dtype=np.int64)
         for a, b, lo, hi in self._row_blocks():
-            rows = np.flatnonzero(np.diff(self.offsets[a:b + 1]))  # reduceat takes non-empty rows only
-            offsets[a + 1 + rows] = np.add.reduceat(keep(a, b, lo, hi), self.offsets[a:b][rows] - lo)
-        return np.cumsum(offsets, out=offsets)
+            kept = np.zeros(hi - lo + 1, dtype=np.int64)  # the block's arcs kept before each
+            np.cumsum(keep(a, b, lo, hi), out=kept[1:])
+            np.add(kept[self.offsets[a + 1:b + 1] - lo], offsets[a], out=offsets[a + 1:b + 1])
+        return offsets
 
     @cached_property
     def _reverse_order(self) -> np.ndarray:
@@ -183,27 +187,16 @@ class Graph:
         return out
 
     def induced(self, nodes: np.ndarray) -> "Graph":
-        """The arcs among sorted ids ``nodes``, node i being ``nodes[i]``: a sorted CSR slice.
-
-        Each neighbour of the nodes is found by a binary search in ``nodes``, so a
-        small slice of a large graph allocates for the slice alone; when a table
-        over every node is no larger than that search's steps, the table is used.
-        """
+        """The arcs among sorted ids ``nodes``, node i being ``nodes[i]``: a sorted CSR slice."""
         starts = self.offsets[nodes]
         lengths = self.offsets[nodes + 1] - starts
         ptr = np.zeros(len(nodes) + 1, dtype=np.int64)
         np.cumsum(lengths, out=ptr[1:])
-        heads = self.neighbors[np.repeat(starts - ptr[:-1], lengths) + np.arange(ptr[-1])]
-        if self.num_nodes <= len(heads) * len(nodes).bit_length():
-            local = np.full(self.num_nodes, -1, dtype=np.int64)
-            local[nodes] = np.arange(len(nodes))
-            local = local[heads]
-            inside = local >= 0
-        else:
-            local = np.searchsorted(nodes, heads)
-            inside = nodes.take(local, mode="clip") == heads
-        return Graph(num_nodes=len(nodes), offsets=np.append(0, np.cumsum(inside))[ptr],
-                     neighbors=local[inside], undirected=self.undirected)
+        local = np.full(self.num_nodes, -1, dtype=np.int64)
+        local[nodes] = np.arange(len(nodes))
+        local = local[self.neighbors[np.repeat(starts - ptr[:-1], lengths) + np.arange(ptr[-1])]]
+        return Graph(num_nodes=len(nodes), offsets=np.append(0, np.cumsum(local >= 0))[ptr],
+                     neighbors=local[local >= 0], undirected=self.undirected)
 
     def labeled_nodes(self) -> np.ndarray:
         if self.labels is None:
@@ -227,12 +220,10 @@ class Graph:
         """The validated graph of the int64 arc keys ``keys``, whose buffer it sorts in place
         and keeps as the neighbors."""
         keys.sort()
-        blocks = (keys[lo:lo + _ROW_BLOCK + 1] for lo in range(0, len(keys), _ROW_BLOCK))
-        if any(np.any(block[1:] == block[:-1]) for block in blocks):  # keep the first of each key
-            first = np.ones(len(keys), dtype=bool)
-            np.not_equal(keys[1:], keys[:-1], out=first[1:])
-            keys = keys[first]
-            del first
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+        del first
         offsets = np.searchsorted(keys, np.arange(num_nodes + 1, dtype=np.int64) * num_nodes)
         neighbors = np.remainder(keys, num_nodes, out=keys)
         g = cls(num_nodes=num_nodes, offsets=offsets, neighbors=neighbors, **kwargs)

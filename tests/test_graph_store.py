@@ -893,26 +893,6 @@ def test_node_dataset_load_peaks_below_one_and_three_quarter_times_what_it_keeps
     assert peak <= 1.75 * kept
 
 
-def test_inducing_a_small_ball_allocates_for_the_ball_alone():
-    # the ball's neighbours are found in its sorted ids, not through an array over every node
-    rng = np.random.default_rng(5)
-    n = 100_000
-    g = Graph.from_arcs(n, rng.integers(0, n, 300_000), rng.integers(0, n, 300_000),
-                        symmetrize=True)
-    ball = reach(g, 0, 2)
-    touched = int(g.degrees()[ball].sum())
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        sub = g.induced(ball)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert sub.num_nodes == len(ball) < 100
-    assert peak <= 64 * (len(ball) + touched) + 4096
-    assert list(zip(*map(np.ndarray.tolist, sub.arcs()))) == induced_arcs_oracle(g, ball.tolist())
-
-
 @pytest.mark.parametrize("token", ["2", "7", "-1", "x", "01"])
 def test_a_sensitive_attr_other_than_0_1_or_dash_is_a_bad_id(tmp_path, token):
     # a unit of any other value would fall in neither demographic group
