@@ -47,6 +47,7 @@ from .graph_store import (
     Graph,
     Role,
     SplitAssignment,
+    _id_dtype,
     load_dataset,
     read_json,
     remove_edges,
@@ -324,7 +325,8 @@ def _refmodel_probs(graph: Graph, train_labels: np.ndarray, manifests: dict, k_l
         block = Graph(num_nodes=len(FAMILIES) * sub.num_nodes,
                       offsets=np.append(sub.offsets[:-1] + copies * sub.num_arcs,
                                         len(FAMILIES) * sub.num_arcs),
-                      neighbors=(sub.neighbors + copies * sub.num_nodes).ravel())
+                      neighbors=np.add(sub.neighbors, copies * sub.num_nodes,
+                                       dtype=_id_dtype(len(FAMILIES) * sub.num_nodes)).ravel())
         node = int(np.searchsorted(m.nodes, t))
         labels = train_labels[m.nodes]
         labels[node] = 0  # t never counts itself: a label-free ball raises no NoTrainLabels

@@ -98,7 +98,7 @@ class Graph:
 
     num_nodes: int
     offsets: np.ndarray    # int64, len num_nodes + 1
-    neighbors: np.ndarray  # int64, len offsets[-1]
+    neighbors: np.ndarray  # _id_dtype(num_nodes): int32 below 2**31 nodes; len offsets[-1]
     undirected: bool = True
     features: np.ndarray | None = None  # float32 (num_nodes, dim)
     labels: np.ndarray | None = None    # int64; value == num_classes means unlabeled
@@ -113,7 +113,8 @@ class Graph:
         return np.diff(self.offsets)
 
     def arcs(self) -> tuple[np.ndarray, np.ndarray]:
-        """All arcs as (src, dst) arrays in CSR order."""
+        """All arcs as (src, dst) arrays in CSR order; src is int64, so ``src * num_nodes``
+        forms keys without wrapping."""
         src = np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.degrees())
         return src, self.neighbors
 
@@ -137,8 +138,9 @@ class Graph:
             yield a, b, int(self.offsets[a]), int(self.offsets[b])
 
     def _sources(self, a: int, b: int) -> np.ndarray:
-        """The source of each arc of rows a..b-1, in CSR order."""
-        return np.repeat(np.arange(a, b), np.diff(self.offsets[a:b + 1]))
+        """The source of each arc of rows a..b-1, in CSR order, in the neighbors' dtype: a
+        comparison of the two then runs in one dtype, with no cast."""
+        return np.repeat(np.arange(a, b, dtype=self.neighbors.dtype), np.diff(self.offsets[a:b + 1]))
 
     def _kept_offsets(self, keep) -> np.ndarray:
         """CSR offsets of the arcs that ``keep(a, b, lo, hi)``, one bool per arc lo..hi-1 of
@@ -160,7 +162,7 @@ class Graph:
         v's last edge index. int32 when the edges fit.
         """
         cursor = self._kept_offsets(lambda a, b, lo, hi: self.neighbors[lo:hi] > self._sources(a, b))
-        out = np.empty(int(cursor[-1]), dtype=np.int32 if cursor[-1] < 2**31 else np.int64)
+        out = np.empty(int(cursor[-1]), dtype=_id_dtype(int(cursor[-1])))
         end = len(out)
         for a, b, lo, hi in self._row_blocks(descending=True):
             keys, shift = _down_keys(a, b, self.neighbors[lo:hi], self._sources(a, b))
@@ -192,9 +194,10 @@ class Graph:
         lengths = self.offsets[nodes + 1] - starts
         ptr = np.zeros(len(nodes) + 1, dtype=np.int64)
         np.cumsum(lengths, out=ptr[1:])
-        local = np.full(self.num_nodes, -1, dtype=np.int64)
+        local = np.full(self.num_nodes, -1, dtype=_id_dtype(len(nodes)))
         local[nodes] = np.arange(len(nodes))
-        local = local[self.neighbors[np.repeat(starts - ptr[:-1], lengths) + np.arange(ptr[-1])]]
+        arcs = np.repeat(starts - ptr[:-1], lengths) + np.arange(ptr[-1])
+        local = np.take(local, self.neighbors[arcs])  # an int32 subscript gathers ~3x slower
         return Graph(num_nodes=len(nodes), offsets=np.append(0, np.cumsum(local >= 0))[ptr],
                      neighbors=local[local >= 0], undirected=self.undirected)
 
@@ -213,30 +216,49 @@ class Graph:
         keys = _arc_keys(num_nodes, src, dst)
         if symmetrize:  # a self-loop doubled here is one key, dropped below
             keys = np.concatenate([keys, _arc_keys(num_nodes, dst, src)])
-        return cls._from_keys(num_nodes, keys, undirected=undirected, **kwargs)
+        g = cls._from_keys(num_nodes, keys, undirected=undirected, **kwargs)
+        del keys
+        validate_graph(g)
+        return g
 
     @classmethod
     def _from_keys(cls, num_nodes: int, keys: np.ndarray, **kwargs) -> "Graph":
-        """The validated graph of the int64 arc keys ``keys``, whose buffer it sorts in place
-        and keeps as the neighbors."""
+        """The graph of the int64 arc keys ``keys``, not yet validated. It sorts them in place
+        and moves the first of each key to the front, a block at a time; the offsets are a
+        ``searchsorted`` of the row starts in them, and the neighbors, in ``_id_dtype``, their
+        remainders. The caller validates the graph once it has let the key buffer go."""
         keys.sort()
-        first = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        keys = keys[first]
-        del first
+        kept = 0  # distinct keys moved to the front so far
+        for lo in range(0, len(keys), _ROW_BLOCK):
+            block = keys[lo:lo + _ROW_BLOCK]
+            first = np.empty(len(block), dtype=bool)
+            first[0] = kept == 0 or block[0] != keys[kept - 1]
+            np.not_equal(block[1:], block[:-1], out=first[1:])
+            block = block[first]  # a copy: kept <= lo, so it is written at or before its place
+            keys[kept:kept + len(block)] = block
+            kept += len(block)
+        keys = keys[:kept]
         offsets = np.searchsorted(keys, np.arange(num_nodes + 1, dtype=np.int64) * num_nodes)
-        neighbors = np.remainder(keys, num_nodes, out=keys)
-        g = cls(num_nodes=num_nodes, offsets=offsets, neighbors=neighbors, **kwargs)
-        validate_graph(g)
-        return g
+        neighbors = np.empty(kept, dtype=_id_dtype(num_nodes))
+        np.remainder(keys, num_nodes, out=neighbors, casting="unsafe")  # each below num_nodes
+        return cls(num_nodes=num_nodes, offsets=offsets, neighbors=neighbors, **kwargs)
 
 
 _ROW_BLOCK = 1 << 16  # arcs a row-block loop over a graph handles at once
 
 
-def _arc_keys(num_nodes: int, src, dst) -> np.ndarray:
-    """The key ``u * num_nodes + v`` of each arc, as a new int64 array; BadId names the first
-    endpoint out of range, in src before dst."""
+def _id_dtype(n: int):
+    """The dtype of node ids, arc positions and edge numbers up to ``n``: int32 when
+    ``n < 2**31``, else int64. A key ``u * num_nodes + v``, or any product that forms one,
+    is int64 whatever this gives."""
+    return np.int32 if n < 2**31 else np.int64
+
+
+def _arc_keys(num_nodes: int, src, dst, out: np.ndarray | None = None) -> np.ndarray:
+    """The key ``u * num_nodes + v`` of each arc, int64, in ``out`` or a new array; BadId names
+    the first endpoint out of range, in src before dst. The keys are formed a block at a
+    time and each block is written after its arcs are read, so ``out`` may share the arcs'
+    buffer as long as its i-th entry lies at or before arc i's."""
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     if len(src) != len(dst):
@@ -245,9 +267,12 @@ def _arc_keys(num_nodes: int, src, dst) -> np.ndarray:
         bad = src[(src < 0) | (src >= num_nodes)]
         bad = bad[0] if len(bad) else dst[(dst < 0) | (dst >= num_nodes)][0]
         raise BadId(f"arc endpoint {bad} out of range for {num_nodes} nodes")
-    keys = src * num_nodes
-    keys += dst
-    return keys
+    out = np.empty(len(src), dtype=np.int64) if out is None else out
+    for lo in range(0, len(src), _ROW_BLOCK):
+        keys = src[lo:lo + _ROW_BLOCK] * num_nodes
+        keys += dst[lo:lo + _ROW_BLOCK]
+        out[lo:lo + len(keys)] = keys
+    return out
 
 
 def _down_keys(a: int, b: int, heads: np.ndarray, src: np.ndarray) -> tuple[np.ndarray, int]:
@@ -255,7 +280,7 @@ def _down_keys(a: int, b: int, heads: np.ndarray, src: np.ndarray) -> tuple[np.n
     block of rows a..b-1, in CSR order. Sorted, the keys run by v, then by u descending."""
     down = heads < src
     shift = (b - a - 1).bit_length()
-    keys = np.compress(down, heads) << shift
+    keys = np.left_shift(np.compress(down, heads), shift, dtype=np.int64)
     keys += b - 1 - np.compress(down, src)
     return keys, shift
 
@@ -347,7 +372,7 @@ def _one_way_arc(g: Graph) -> tuple[int, int] | None:
         if surplus == 0 and np.all(cursor >= g.offsets[:-1]):  # no row matched past its start
             return None
     fwd, dst = g.arcs()
-    rev = dst * g.num_nodes
+    rev = np.multiply(dst, g.num_nodes, dtype=np.int64)
     rev += fwd
     rev.sort()
     fwd *= g.num_nodes  # in the arcs() source buffer; CSR order is ascending key order
@@ -411,7 +436,7 @@ class GraphBlock(Sequence):
                  undirected: bool):
         self.ptr = ptr              # int64, len num_graphs + 1
         self.offsets = offsets      # int64, len ptr[-1] + 1
-        self.neighbors = neighbors  # int64, len offsets[-1], local atom ids
+        self.neighbors = neighbors  # the block's _id_dtype, len offsets[-1], local atom ids
         self.undirected = undirected
 
     def __len__(self) -> int:
@@ -732,11 +757,15 @@ def load_dataset(manifest_path) -> Dataset:
 
     if kind == "node_graph":
         num_nodes = manifest["num_nodes"]
-        # the parsed arc columns die once their keys exist, and the graph is built before
-        # the node files are read
-        keys = _arc_keys(num_nodes, *read_edge_file(base / manifest["edge_file"]))
+        # read_table's columns are views of one record array of (src, dst) pairs, so the keys
+        # are written over it from its start, key i into row i // 2. That buffer dies before
+        # the graph is validated, and the graph is built before the node files are read
+        src, dst = read_edge_file(base / manifest["edge_file"])
+        keys = _arc_keys(num_nodes, src, dst, out=np.lib.stride_tricks.as_strided(src, (len(src),), (8,)))
+        del src, dst
         graph = Graph._from_keys(num_nodes, keys, undirected=manifest.get("undirected", True))
         del keys
+        validate_graph(graph)
         features = None
         if manifest.get("feature_file"):
             features = read_feature_file(base / manifest["feature_file"])
@@ -833,6 +862,7 @@ def _collection_graphs(path, sizes: np.ndarray, undirected: bool) -> GraphBlock:
     del src, dst
     block = Graph._from_keys(int(ptr[-1]), keys, undirected=False)
     del keys
+    validate_graph(block)
     if undirected:
         arc = _one_way_arc(block)
         if arc is not None:
@@ -842,6 +872,23 @@ def _collection_graphs(path, sizes: np.ndarray, undirected: bool) -> GraphBlock:
     neighbors = block.neighbors
     neighbors -= np.repeat(ptr[:-1], np.diff(block.offsets[ptr]))
     return GraphBlock(ptr, block.offsets, neighbors, undirected)
+
+
+class _ArcSources:
+    """The source of each arc of ``g``, in CSR order, as a column ``write_table`` slices: a
+    slice is built from the rows it spans, so no array holds a source per arc."""
+
+    def __init__(self, g: Graph):
+        self.offsets = g.offsets
+
+    def __len__(self) -> int:
+        return int(self.offsets[-1])
+
+    def __getitem__(self, arcs: slice) -> np.ndarray:
+        lo, hi, _ = arcs.indices(len(self))
+        a = int(np.searchsorted(self.offsets, lo, side="right")) - 1  # the row of arc lo
+        b = int(np.searchsorted(self.offsets, hi))  # rows a..b-1 hold arcs lo..hi-1
+        return np.repeat(np.arange(a, b), np.diff(np.clip(self.offsets[a:b + 1], lo, hi)))
 
 
 def save_dataset(dataset: Dataset, out_dir) -> Path:
@@ -855,8 +902,7 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
         manifest["num_nodes"] = g.num_nodes
         manifest["undirected"] = g.undirected
         manifest["edge_file"] = "edges.tsv"
-        src, dst = g.arcs()
-        write_edge_file(out / "edges.tsv", src, dst)
+        write_edge_file(out / "edges.tsv", _ArcSources(g), g.neighbors)
         if g.features is not None:
             manifest["feature_file"] = "features.gsf"
             manifest["feature_dim"] = int(g.features.shape[1])

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphstress import graph_store
+from graphstress import cli, graph_store, refmodel
+from graphstress.corruption import EDGE_LEVELS, edge_delete
+from graphstress.determinism import derive_key, uniform
 from graphstress.errors import (
     AsymmetricGraph,
     BadId,
@@ -52,9 +54,9 @@ from graphstress.graph_store import (
     write_table,
     write_triple_file,
 )
-from graphstress.interpret import read_probs_file, read_saliency_file
+from graphstress.interpret import SaliencyTable, build_edge_manifest, read_probs_file, read_saliency_file
 from graphstress.metrics import read_prediction_file, read_ranking_file
-from graphstress.refmodel import reach
+from graphstress.refmodel import predicted_class_prob, propagate_predict, reach
 from graphstress.synthetic import make_molecule_collection, make_node_dataset, make_triple_store
 from oracles import (
     adjacency_from_graph,
@@ -64,6 +66,7 @@ from oracles import (
     induced_arcs_oracle,
     neighbors_of,
     one_way_arc_oracle,
+    propagation_oracle,
     rows_ascend_oracle,
     table_read_oracle,
     table_text_oracle,
@@ -565,14 +568,16 @@ def test_node_dataset_load_peaks_below_three_and_a_half_times_what_it_keeps(tmp_
 
 
 def test_a_bad_arc_is_reported_before_a_bad_label_file(tmp_path):
-    # the edge file is read and checked first, the label file after it
+    # the edge file is read and checked first, the label file after it; an id past
+    # int32 parses, so it is a bad id too, not a bad token
     out = tmp_path / "d"
     save_dataset(make_node_dataset(num_nodes=50, seed=0), out)
-    with open(out / "edges.tsv", "a") as f:
-        f.write("3\t999\n")
+    edges = (out / "edges.tsv").read_text()
     (out / "labels.tsv").write_text("0\t1\t2\n")
-    with pytest.raises(BadId, match="arc endpoint 999 out of range for 50 nodes"):
-        load_dataset(out / "manifest.json")
+    for bad in ("999", "3000000000"):
+        (out / "edges.tsv").write_text(f"{edges}3\t{bad}\n")
+        with pytest.raises(BadId, match=f"arc endpoint {bad} out of range for 50 nodes"):
+            load_dataset(out / "manifest.json")
     (out / "edges.tsv").write_text("0\t1\n1\t0\n")
     with pytest.raises(LengthMismatch, match="labels.tsv"):
         load_dataset(out / "manifest.json")
@@ -622,7 +627,7 @@ def test_collection_load_matches_per_graph_oracle(tmp_path):
     assert back.graphs[7].num_nodes == 3 and back.graphs[7].num_arcs == 0
     for g, want in zip(back.graphs, oracle):
         assert g.num_nodes == want.num_nodes and g.undirected
-        assert g.offsets.dtype == np.int64 and g.neighbors.dtype == np.int64
+        assert g.offsets.dtype == np.int64 and g.neighbors.dtype == np.int32
         assert np.array_equal(g.offsets, want.offsets)
         assert np.array_equal(g.neighbors, want.neighbors)
         validate_graph(g)
@@ -753,7 +758,7 @@ def test_from_arcs_matches_csr_oracle_property(symmetrize, case):
     offsets, neighbors = csr_oracle(n, pairs + [(v, u) for u, v in pairs] if symmetrize else pairs)
     assert g.offsets.tolist() == offsets
     assert g.neighbors.tolist() == neighbors
-    assert g.offsets.dtype == g.neighbors.dtype == np.int64
+    assert g.offsets.dtype == np.int64 and g.neighbors.dtype == np.int32
 
 
 csr_rows = st.integers(1, 8).flatmap(
@@ -814,7 +819,7 @@ def _removal_matches_rebuild(g, fill, data):
     rebuilt = Graph.from_arcs(g.num_nodes, [u for u, _ in kept], [v for _, v in kept])
     assert np.array_equal(out.offsets, rebuilt.offsets)
     assert np.array_equal(out.neighbors, rebuilt.neighbors)
-    assert out.offsets.dtype == out.neighbors.dtype == np.int64
+    assert out.offsets.dtype == np.int64 and out.neighbors.dtype == np.int32
     assert canonical_edges_oracle(out) == ([e for e in edges if e not in gone], loops)
     return out
 
@@ -908,3 +913,90 @@ def test_a_sensitive_attr_other_than_0_1_or_dash_is_a_bad_id(tmp_path, token):
     rows[4] = f"{node}\t{year}\t-\n"  # a missing value loads as -1
     path.write_text("".join(rows))
     assert load_dataset(out / "manifest.json").graph.meta.sensitive_attr[int(node)] == -1
+
+
+def test_saving_a_node_graph_builds_no_source_per_arc(tmp_path):
+    # the edge file's source column is made for one written block of arcs at a time, from
+    # the offsets: no int64 source of every arc, as g.arcs() builds
+    rng = np.random.default_rng(0)
+    n = 2**16
+    g = Graph.from_arcs(n, rng.integers(0, n, 2**18), rng.integers(0, n, 2**18), symmetrize=True)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        save_dataset(Dataset(kind="node_graph", name="g", graph=g), tmp_path / "d")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    src, dst = read_edge_file(tmp_path / "d" / "edges.tsv")
+    assert src.tolist() == g.arcs()[0].tolist() and dst.tolist() == g.neighbors.tolist()
+    assert g.num_arcs > 500_000
+    assert peak < 4 * g.num_arcs
+
+
+def test_keys_of_ids_past_46341_match_the_oracles(tmp_path):
+    # node ids are int32, and numpy keeps an int32 array times a Python int in int32: with
+    # 50 000 nodes, u * 50 000 passes 2**31 for every id u here, so a key formed from the
+    # ids in int32 wraps. Each path that forms keys is checked against its oracle
+    rng = np.random.default_rng(3)
+    n, base = 50_000, 46_342
+    src = rng.integers(base, n, 2000)
+    dst = rng.integers(base, n, 2000)
+    dst[:5] = src[:5]  # five self-loops
+    pairs = list(zip(src.tolist(), dst.tolist()))
+    offsets, neighbors = csr_oracle(n, pairs + [(v, u) for u, v in pairs])
+    g = Graph.from_arcs(n, src, dst, symmetrize=True)
+    back = load_dataset(save_dataset(Dataset(kind="node_graph", name="big", graph=g), tmp_path / "d"))
+    for built in (g, back.graph):
+        assert built.offsets.tolist() == offsets and built.neighbors.tolist() == neighbors
+    edges, loops = canonical_edges_oracle(g)
+    assert g.edge_keys().tolist() == [u * n + v for u, v in edges]
+    # the reverse-arc order numbers each arc u > v by its edge, and the arcs take their
+    # edge's value through it
+    index = {e: i for i, e in enumerate(edges)}
+    values = g._arc_values(np.arange(len(edges)), -1)
+    assert values.tolist() == [-1 if u == v else index[min(u, v), max(u, v)]
+                               for u, v in zip(*map(np.ndarray.tolist, g.arcs()))]
+    key = derive_key("corruption", "big", "edge_delete", 0, 0)
+    survived = edge_delete(g, EDGE_LEVELS, key)
+    assert survived.tolist() == np.searchsorted(EDGE_LEVELS, uniform(key, np.arange(len(edges))),
+                                                side="right").tolist()
+    out = remove_edges(g, survived < 3)
+    kept = [e for e, s in zip(edges, survived.tolist()) if s >= 3] + [(u, u) for u in loops]
+    assert (out.offsets.tolist(), out.neighbors.tolist()) == csr_oracle(n, kept + [(v, u) for u, v in kept])
+    # with a key width no node fits, every propagation key is int64
+    train = np.full(n, -1, dtype=np.int64)
+    train[base:] = rng.integers(-1, 3, n - base)
+    rows = rng.permutation(np.arange(base, n))[:40]
+    with patch.object(refmodel, "_NARROW_BITS", 0):
+        table = propagate_predict(g, train, 3, rows=rows)[0]
+    adjacency = adjacency_from_graph(g)
+    want = [propagation_oracle(adjacency, train, 3, 2, 1.0, u) for u in rows.tolist()]
+    assert table.rows.tobytes() == np.array(want).tobytes()
+    # a one-way arc between two large ids, after a symmetric edge of smaller keys
+    one_way = Graph.from_arcs(n, [46_400, 46_500, 49_000], [46_500, 46_400, 48_000], undirected=False)
+    with pytest.raises(AsymmetricGraph, match=r"^arc \(49000,48000\) has no reverse \(48000,49000\)$"):
+        check_symmetry(one_way)
+
+
+def test_every_graph_a_run_builds_holds_its_node_ids_as_int32(tmp_path):
+    # one rule: node ids are int32 below 2**31 nodes, int64 from there
+    assert graph_store._id_dtype(2**31 - 1) is np.int32 and graph_store._id_dtype(2**31) is np.int64
+    ds = make_node_dataset(num_nodes=300, num_classes=3, seed=2)
+    g = load_dataset(save_dataset(ds, tmp_path / "d")).graph
+    mol = load_dataset(save_dataset(make_molecule_collection(num_graphs=5, seed=1), tmp_path / "m"))
+    rng = np.random.default_rng(2)
+    manifest = build_edge_manifest(g, 7, SaliencyTable("node_grad_norm", np.arange(300), rng.random(300)),
+                                   derive_key("t", "p", "m", 0, 2), hops=2, k_levels=[10, 50])
+    blocks = []  # the block graph of four masked copies the interpret cell propagates on
+
+    def recorded(graph, *args):
+        blocks.append(graph)
+        return predicted_class_prob(graph, *args)
+    with patch.object(cli, "predicted_class_prob", recorded):
+        cli._refmodel_probs(g, g.labels, {7: manifest}, [10, 50])
+    graphs = {"load": g, "from_arcs": ds.graph, "induced": g.induced(manifest.nodes),
+              "remove_edges": remove_edges(g, np.arange(len(g.edge_keys())) % 2 == 0),
+              "collection": mol.collection.graphs[0], "interpret block": blocks[0]}
+    for path, built in graphs.items():
+        assert built.neighbors.dtype == np.int32, path
