@@ -7,8 +7,10 @@ per-cell values plus the aggregated report, and exits 0 only when every
 requested cell was computed or is explicitly inapplicable.
 
 Verbosity comes from the GSH_LOG environment variable (DEBUG/INFO/...).
-Cells are independent jobs; --workers controls thread parallelism and never
-changes any output byte (all randomness is counter-addressed).
+Cells are independent jobs. --workers N runs them on the calling thread plus
+N - 1 helper threads (never more threads than jobs), after the calling
+thread has loaded every dataset; it never changes any output byte (all
+randomness is counter-addressed).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import os
 import re
 import shutil
 import sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -848,34 +851,34 @@ class PipelineRunner:
         self._ops_method = methods[0]["name"]
         seeds = self.config["seeds"]
         axes = self.config["axes"]
-        # the loads run on the pool too: memory one thread frees is reused
-        # only by that thread's malloc arena, so one worker does all on one
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            for spec, ds in zip(specs, pool.map(lambda d: load_dataset(d["manifest"]), specs)):
-                if "name" in spec:
-                    ds.name = spec["name"]
-                elif not _is_name(ds.name):
-                    raise ConfigError(f"{spec['manifest']}: dataset name {ds.name!r} must be "
-                                      f"{PARAMS['name'][2]}; give the entry a 'name'")
-                if ds.name in self.datasets:
-                    raise ConfigError(f"two dataset entries load as {ds.name!r}; "
-                                      "give each a distinct 'name'")
-                self.datasets[ds.name] = ds
-            jobs = [
-                (ds_name, method, axis, seed)
-                for ds_name in sorted(self.datasets)
-                for method in methods
-                for axis in axes
-                for seed in seeds
-            ]
-            # what an earlier run left here would otherwise be read as this run's
-            for name in RUN_OUTPUTS:
-                path = self.out / name
-                if path.is_dir():
-                    shutil.rmtree(path)
-                else:
-                    path.unlink(missing_ok=True)
-            outcomes = list(pool.map(self._run_job, jobs))
+        # the loads run on this thread, which then runs jobs too: memory a
+        # thread frees is reused only by that thread's malloc arena
+        for spec in specs:
+            ds = load_dataset(spec["manifest"])
+            if "name" in spec:
+                ds.name = spec["name"]
+            elif not _is_name(ds.name):
+                raise ConfigError(f"{spec['manifest']}: dataset name {ds.name!r} must be "
+                                  f"{PARAMS['name'][2]}; give the entry a 'name'")
+            if ds.name in self.datasets:
+                raise ConfigError(f"two dataset entries load as {ds.name!r}; "
+                                  "give each a distinct 'name'")
+            self.datasets[ds.name] = ds
+        jobs = [
+            (ds_name, method, axis, seed)
+            for ds_name in sorted(self.datasets)
+            for method in methods
+            for axis in axes
+            for seed in seeds
+        ]
+        # what an earlier run left here would otherwise be read as this run's
+        for name in RUN_OUTPUTS:
+            path = self.out / name
+            if path.is_dir():
+                shutil.rmtree(path)
+            else:
+                path.unlink(missing_ok=True)
+        outcomes = self._run_jobs(jobs)
         results: dict[tuple, dict] = {}
         for (ds_name, method, axis, seed), outcome in zip(jobs, outcomes):
             if isinstance(outcome, StressError):
@@ -901,6 +904,37 @@ class PipelineRunner:
             write_table(self.out / "errors.log", tuple(zip(*self.failures)))
             raise PartialFailure([f"{cell}: {err}" for cell, err in self.failures])
         return report
+
+    def _run_jobs(self, jobs: list) -> list:
+        """Each job's outcome, in job order.
+
+        The calling thread runs jobs itself beside min(workers, jobs) - 1
+        helper threads, all taking the next index from one queue, so no
+        thread's arena is spent on waiting and one worker starts no thread.
+        """
+        outcomes: list = [None] * len(jobs)
+        pending = deque(range(len(jobs)))  # popleft is thread-safe
+
+        def drain():
+            try:
+                while True:
+                    try:
+                        i = pending.popleft()
+                    except IndexError:  # every job is taken
+                        return
+                    outcomes[i] = self._run_job(jobs[i])
+            except BaseException:  # a programming error: the other threads take no further job
+                pending.clear()
+                raise
+
+        helpers = min(self.workers, len(jobs)) - 1
+        # the pool starts a thread per submit only, so no helper means no thread
+        with ThreadPoolExecutor(max_workers=max(helpers, 1)) as pool:
+            started = [pool.submit(drain) for _ in range(helpers)]
+            drain()
+            for future in started:
+                future.result()  # re-raises a helper's error
+        return outcomes
 
     def _run_job(self, job: tuple):
         ds_name, method, axis, seed = job

@@ -50,31 +50,23 @@ def make_node_dataset(name: str = "synth1k", num_nodes: int = 1000, num_classes:
     features = (means[labels] + noise.reshape(num_nodes, feature_dim)).astype(np.float32)
 
     # edges: 3 intra-class partners + 2 hub-biased global partners per node
-    by_class = [np.flatnonzero(labels == c) for c in range(num_classes)]
-    src_list, dst_list = [], []
-    draw_idx = 0
-    draws = uniform(k_edge, np.arange(num_nodes * 5, dtype=np.int64))
-    for u in range(num_nodes):
-        members = by_class[labels[u]]
-        for _ in range(3):
-            v = int(members[int(draws[draw_idx] * len(members)) % len(members)])
-            draw_idx += 1
-            if v != u:
-                src_list.append(u)
-                dst_list.append(v)
-        for _ in range(2):
-            # squaring the uniform biases the partner toward low ids (hubs)
-            v = int((draws[draw_idx] ** 2) * num_nodes) % num_nodes
-            draw_idx += 1
-            if v != u:
-                src_list.append(u)
-                dst_list.append(v)
+    draws = uniform(k_edge, np.arange(num_nodes * 5, dtype=np.int64)).reshape(num_nodes, 5)
+    by_class = np.argsort(labels, kind="stable")  # each class's members in ascending id order
+    class_size = np.bincount(labels, minlength=num_classes)
+    size = class_size[labels][:, None]
+    first = (np.cumsum(class_size) - class_size)[labels][:, None]
+    mates = by_class[first + (draws[:, :3] * size).astype(np.int64) % size]
+    # squaring the uniform biases the partner toward low ids (hubs)
+    hubs = (draws[:, 3:] ** 2 * num_nodes).astype(np.int64) % num_nodes
+    partners = np.concatenate([mates, hubs], axis=1)
+    keep = partners != nodes[:, None]  # a node drawn as its own partner adds no arc
+    src, dst = np.broadcast_to(nodes[:, None], partners.shape)[keep], partners[keep]
     meta = NodeMeta(
         year=(2000 + (uniform(k_meta, nodes) * 20).astype(np.int64)).clip(2000, 2019),
         sensitive_attr=(uniform(k_meta, nodes + num_nodes) < 0.5).astype(np.int8),
     )
     graph = Graph.from_arcs(
-        num_nodes, np.array(src_list), np.array(dst_list), undirected=True,
+        num_nodes, src, dst, undirected=True,
         symmetrize=True, features=features, labels=labels,
         num_classes=num_classes, meta=meta,
     )

@@ -204,3 +204,32 @@ def table_read_oracle(path, dtypes):
     row = np.dtype([(f"c{i}", dt) for i, dt in enumerate(dtypes)])
     table = np.loadtxt(path, dtype=row, delimiter="\t", comments="#", ndmin=1)
     return [table[name] for name in row.names]
+
+
+def node_dataset_arcs_oracle(labels, draws):
+    """(src, dst) lists of make_node_dataset's arcs, drawn node by node from its uniform draws.
+
+    Node u takes draws[5u:5u+5]: three pick a member of u's class (ascending
+    ids) and two a hub-biased id; a partner equal to u is dropped.
+    """
+    num_nodes = len(labels)
+    by_class = {}
+    for u in range(num_nodes):
+        by_class.setdefault(int(labels[u]), []).append(u)
+    src_list, dst_list = [], []
+    draw_idx = 0
+    for u in range(num_nodes):
+        members = by_class[int(labels[u])]
+        for _ in range(3):
+            v = int(members[int(draws[draw_idx] * len(members)) % len(members)])
+            draw_idx += 1
+            if v != u:
+                src_list.append(u)
+                dst_list.append(v)
+        for _ in range(2):
+            v = int((draws[draw_idx] ** 2) * num_nodes) % num_nodes
+            draw_idx += 1
+            if v != u:
+                src_list.append(u)
+                dst_list.append(v)
+    return src_list, dst_list

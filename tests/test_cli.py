@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -1130,6 +1131,101 @@ def test_programming_error_in_a_cell_propagates(small_ds, tmp_path, monkeypatch)
         with pytest.raises(ZeroDivisionError):
             main(["run", "--config", str(config), "--out", str(tmp_path / workers),
                   "--workers", workers])
+
+
+def test_a_programming_error_on_a_helper_thread_propagates(small_ds, tmp_path, monkeypatch):
+    helper_ran = threading.Event()
+    fairness = cli.PipelineRunner._axis_fairness
+
+    def broken_off_main(self, dataset, method, seed):
+        if threading.current_thread() is threading.main_thread():
+            helper_ran.wait(timeout=60)  # leaves the other job to the helper
+            return fairness(self, dataset, method, seed)
+        helper_ran.set()
+        return 1 / 0
+
+    monkeypatch.setattr(cli.PipelineRunner, "_axis_fairness", broken_off_main)
+    config = _write_config(tmp_path / "config.json", manifest=small_ds, seeds=2,
+                           axes=["fairness"])
+    with pytest.raises(ZeroDivisionError):
+        main(["run", "--config", str(config), "--out", str(tmp_path / "out"), "--workers", "2"])
+    assert helper_ran.is_set()
+
+
+def test_jobs_shared_by_more_threads_than_cores_each_run_once_in_job_order(tmp_path):
+    runner = cli.PipelineRunner({}, tmp_path, workers=8)
+    taken = []
+
+    def job(i):
+        taken.append(i)
+        return i * i
+
+    runner._run_job = job
+    jobs, result = list(range(5000)), {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the GIL over often, so threads interleave inside a job
+    try:
+        caller = threading.Thread(target=lambda: result.update(outcomes=runner._run_jobs(jobs)))
+        caller.start()
+        caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    assert sorted(taken) == jobs
+    assert result["outcomes"] == [i * i for i in jobs]
+
+
+def _record_threads(monkeypatch) -> dict:
+    """{"load": [...], "job": [...]}: the thread of every load_dataset and axis driver call."""
+    threads = {"load": [], "job": []}
+    load = cli.load_dataset
+
+    def recorded_load(*args, **kwargs):
+        threads["load"].append(threading.current_thread())
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_dataset", recorded_load)
+    for axis in cli.AXES:
+        def recorded_driver(self, *args, _driver=getattr(cli.PipelineRunner, f"_axis_{axis}")):
+            threads["job"].append(threading.current_thread())
+            return _driver(self, *args)
+
+        monkeypatch.setattr(cli.PipelineRunner, f"_axis_{axis}", recorded_driver)
+    return threads
+
+
+def test_a_one_worker_run_loads_and_runs_every_job_on_the_main_thread(small_ds, tmp_path,
+                                                                       monkeypatch):
+    threads = _record_threads(monkeypatch)
+    config = _write_config(tmp_path / "config.json", manifest=small_ds,
+                           datasets=[{"manifest": str(small_ds), "name": "a"},
+                                     {"manifest": str(small_ds), "name": "b"}])
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out"),
+                 "--workers", "1"]) == 0
+    assert len(threads["load"]) == 2 and len(threads["job"]) == 2 * len(cli.AXES) * 2
+    assert set(threads["load"] + threads["job"]) == {threading.main_thread()}
+
+
+@pytest.mark.parametrize("workers, cap", [(64, 4), (3, 3)])
+def test_a_run_never_uses_more_threads_than_jobs_or_workers(small_ds, tmp_path, monkeypatch,
+                                                            workers, cap):
+    threads = _record_threads(monkeypatch)
+    started = []
+    start = threading.Thread.start
+
+    def recorded_start(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded_start)
+    config = _write_config(tmp_path / "config.json", manifest=small_ds, seeds=2,
+                           axes=["fairness", "imbalance"])
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out"),
+                 "--workers", str(workers)]) == 0
+    # the main thread is the first worker, so a run starts at most cap - 1 threads
+    assert len(started) <= cap - 1
+    assert len(threads["job"]) == 4 and len(set(threads["job"])) <= cap
+    assert threads["load"] == [threading.main_thread()]
 
 
 def _write_external_preds(manifest, pred_dir, axis, subs):
