@@ -154,21 +154,14 @@ class Graph:
 
     @cached_property
     def _reverse_order(self) -> np.ndarray:
-        """Edge index, in ``edge_keys()`` order, of each arc u > v in CSR order; built once.
-
-        Rows ascend, so the k-th last such arc into v, in CSR order, is the reverse of v's
-        k-th last edge: from the last row block to the first, each block's arcs u > v are
-        numbered in ``_down_keys`` order, down from a cursor per node that starts past
-        v's last edge index. int32 when the edges fit.
-        """
+        """Edge index, in ``edge_keys()`` order, of each arc u > v in CSR order, int32 when the
+        edges fit: ``_twins`` with a cursor past each node's last edge index; built once."""
         cursor = self._kept_offsets(lambda a, b, lo, hi: self.neighbors[lo:hi] > self._sources(a, b))
         out = np.empty(int(cursor[-1]), dtype=_id_dtype(int(cursor[-1])))
         end = len(out)
-        for a, b, lo, hi in self._row_blocks(descending=True):
-            keys, shift = _down_keys(a, b, self.neighbors[lo:hi], self._sources(a, b))
-            order = np.argsort(keys)
+        for order, _, twin in _twins(self, cursor[1:]):
             end -= len(order)
-            out[end:end + len(order)][order] = _claim(cursor[1:], keys[order] >> shift)
+            out[end:end + len(order)][order] = twin
         return out
 
     def _arc_values(self, per_edge: np.ndarray, loop) -> np.ndarray:
@@ -275,14 +268,28 @@ def _arc_keys(num_nodes: int, src, dst, out: np.ndarray | None = None) -> np.nda
     return out
 
 
-def _down_keys(a: int, b: int, heads: np.ndarray, src: np.ndarray) -> tuple[np.ndarray, int]:
-    """(keys, shift): ``v << shift | (b - 1 - u)`` of each arc (u, v), u > v, of the row
-    block of rows a..b-1, in CSR order. Sorted, the keys run by v, then by u descending."""
-    down = heads < src
-    shift = (b - a - 1).bit_length()
-    keys = np.left_shift(np.compress(down, heads), shift, dtype=np.int64)
-    keys += b - 1 - np.compress(down, src)
-    return keys, shift
+def _twins(g: Graph, cursor: np.ndarray):
+    """Per row block, last first, (order, u, twin) of its arcs (u, v), u > v: ``order`` puts
+    them, taken in CSR order, by v, then by u descending; ``u`` holds their sources and
+    ``twin`` the positions ``_claim`` takes down from ``cursor[v]``, both in that order.
+
+    Rows ascend, so in a symmetric graph the arcs into v, largest u first, are the reverses
+    of v's last entries, last first. A block's arcs into v come from distinct rows, so the
+    plain key ``v << shift | (ndown - 1 - i)`` of its i-th of ndown arcs u > v sorts them
+    so in one in-place sort, and its low bits give ``order``.
+    """
+    for a, b, lo, hi in g._row_blocks(descending=True):
+        src = g._sources(a, b)
+        down = g.neighbors[lo:hi] < src
+        ndown = int(np.count_nonzero(down))
+        shift = ndown.bit_length()
+        keys = np.left_shift(np.compress(down, g.neighbors[lo:hi]), shift, dtype=np.int64)
+        keys += np.arange(ndown - 1, -1, -1)
+        keys.sort()
+        twin = _claim(cursor, keys >> shift)
+        keys &= (1 << shift) - 1
+        order = np.subtract(ndown - 1, keys, out=keys)
+        yield order, np.compress(down, src).take(order), twin
 
 
 def _claim(cursor: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -347,28 +354,19 @@ def check_symmetry(g: Graph) -> None:
 def _one_way_arc(g: Graph) -> tuple[int, int] | None:
     """The smallest arc (u, v), u != v, whose reverse (v, u) is absent, or None.
 
-    Rows ascend, so when g is symmetric the arcs into v from larger nodes, largest
-    source first, have row v's last entries as their reverses, last first. From the
-    last row block to the first, each block's arcs u > v are matched to those positions,
-    in ``_down_keys`` order, by a cursor per node that moves down from its row's end. If
-    each matches, stays in its row, and the arcs u < v are as many, every arc has its
-    reverse. Only when that fails are the keys of every arc built, to name the smallest
-    one-way arc.
+    ``_twins`` matches the arcs u > v from a cursor at each row's end. If each lands on its
+    source, no row is matched past its start, and the arcs u < v are as many, every arc has
+    its reverse; else the keys of every arc are built, to name the smallest one-way arc.
     """
     cursor = g.offsets[1:].copy()
     surplus = 0  # arcs u > v less arcs u < v
-    for a, b, lo, hi in g._row_blocks(descending=True):
-        heads, src = g.neighbors[lo:hi], g._sources(a, b)
-        surplus += np.count_nonzero(heads < src) - np.count_nonzero(heads > src)
-        keys, shift = _down_keys(a, b, heads, src)
-        del src
-        keys.sort()
-        twin = _claim(cursor, keys >> shift)
-        keys &= (1 << shift) - 1
-        np.subtract(b - 1, keys, out=keys)  # each arc's source
-        if not np.array_equal(g.neighbors.take(twin, mode="clip"), keys):
+    for _, u, twin in _twins(g, cursor):
+        surplus += len(u)
+        if not np.array_equal(g.neighbors.take(twin, mode="clip"), u):
             break
     else:
+        for a, b, lo, hi in g._row_blocks():
+            surplus -= np.count_nonzero(g.neighbors[lo:hi] > g._sources(a, b))
         if surplus == 0 and np.all(cursor >= g.offsets[:-1]):  # no row matched past its start
             return None
     fwd, dst = g.arcs()
@@ -879,16 +877,17 @@ class _ArcSources:
     slice is built from the rows it spans, so no array holds a source per arc."""
 
     def __init__(self, g: Graph):
-        self.offsets = g.offsets
+        self.g = g
 
     def __len__(self) -> int:
-        return int(self.offsets[-1])
+        return self.g.num_arcs
 
     def __getitem__(self, arcs: slice) -> np.ndarray:
         lo, hi, _ = arcs.indices(len(self))
-        a = int(np.searchsorted(self.offsets, lo, side="right")) - 1  # the row of arc lo
-        b = int(np.searchsorted(self.offsets, hi))  # rows a..b-1 hold arcs lo..hi-1
-        return np.repeat(np.arange(a, b), np.diff(np.clip(self.offsets[a:b + 1], lo, hi)))
+        a = int(np.searchsorted(self.g.offsets, lo, side="right")) - 1  # the row of arc lo
+        b = int(np.searchsorted(self.g.offsets, hi))  # rows a..b-1 hold arcs lo..hi-1
+        first = int(self.g.offsets[a])
+        return self.g._sources(a, b)[lo - first:hi - first]
 
 
 def save_dataset(dataset: Dataset, out_dir) -> Path:

@@ -19,6 +19,8 @@ from .graph_store import (
     TripleStore,
 )
 
+_FEATURE_ROWS = 1 << 12  # feature rows make_node_dataset draws at once
+
 
 def make_node_dataset(name: str = "synth1k", num_nodes: int = 1000, num_classes: int = 4,
                       feature_dim: int = 16, seed: int = 0) -> Dataset:
@@ -46,8 +48,11 @@ def make_node_dataset(name: str = "synth1k", num_nodes: int = 1000, num_classes:
     for c in range(num_classes):
         means[c, c % feature_dim] = 2.0
         means[c, (c + 1) % feature_dim] = -1.0
-    noise = gaussian(k_feat, np.arange(num_nodes * feature_dim, dtype=np.int64))
-    features = (means[labels] + noise.reshape(num_nodes, feature_dim)).astype(np.float32)
+    features = np.empty((num_nodes, feature_dim), dtype=np.float32)
+    for lo in range(0, num_nodes, _FEATURE_ROWS):  # noise and sum in float64, one block at a time
+        hi = min(lo + _FEATURE_ROWS, num_nodes)
+        noise = gaussian(k_feat, np.arange(lo * feature_dim, hi * feature_dim, dtype=np.int64))
+        features[lo:hi] = means[labels[lo:hi]] + noise.reshape(hi - lo, feature_dim)
 
     # edges: 3 intra-class partners + 2 hub-biased global partners per node
     draws = uniform(k_edge, np.arange(num_nodes * 5, dtype=np.int64)).reshape(num_nodes, 5)

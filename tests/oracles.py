@@ -233,3 +233,14 @@ def node_dataset_arcs_oracle(labels, draws):
                 src_list.append(u)
                 dst_list.append(v)
     return src_list, dst_list
+
+
+def node_features_oracle(labels, num_classes, noise):
+    """make_node_dataset's features by the whole-array formula: per class a mean of 2.0 at
+    dimension c and -1.0 at c + 1 (mod the width), plus the (num_nodes, width) float64
+    ``noise``, summed in float64 and cast to float32."""
+    means = np.zeros((num_classes, noise.shape[1]))
+    for c in range(num_classes):
+        means[c, c % noise.shape[1]] = 2.0
+        means[c, (c + 1) % noise.shape[1]] = -1.0
+    return (means[labels] + noise).astype(np.float32)

@@ -789,6 +789,7 @@ def test_ascending_check_matches_set_oracle_property(case):
 @example((3, [(0, 1), (1, 1)]), {1})        # a self-loop, and (0,1) without its reverse
 @example((4, [(0, 1), (2, 2)]), set())      # symmetric with a self-loop
 @example((4, [(0, 3), (1, 2)]), {0, 1, 3})  # only (2,1) is left
+@example((3, [(0, 2), (1, 2)]), {1, 2})     # (0,2), (2,1): (2,1)'s twin lands in row 0, on a 2
 @settings(max_examples=300, deadline=None)
 def test_one_way_arc_matches_set_oracle_property(case, drop):
     # a symmetric arc set with self-loops, less the arcs at the positions in drop
@@ -863,6 +864,9 @@ def test_ball_and_induced_match_oracles_property(case, hops, undirected, data):
 
 
 @given(arc_lists, st.sets(st.integers(0, 119)), st.sampled_from([1, 3, 7]))
+@example((3, []), set(), 1)                          # edgeless
+@example((3, [(0, 0), (2, 2)]), set(), 1)            # self-loops only
+@example((4, [(0, 1), (0, 2), (0, 3)]), set(), 1)    # a star: row 0's block has no arc u > v
 @settings(max_examples=200, deadline=None)
 def test_row_block_loops_match_set_oracles_property(case, drop, block):
     # the ascending and symmetry checks, the reverse-arc order and the spread of per-edge
