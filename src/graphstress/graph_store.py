@@ -11,7 +11,9 @@ On-disk layout (all paths relative to the manifest's directory):
 * edge file      text, one arc per line ``u<TAB>v``
 * feature file   binary, 16-byte header (magic ``GSFH``, u32 rows, u32 cols,
                  u32 reserved, little-endian) then row-major little-endian
-                 float32
+                 float32; a load checks it in one streamed pass and keeps a
+                 read-only map of it, so it must not be truncated or rewritten
+                 in place while a loaded dataset is alive
 * label/split/meta files   text, one record per line ``node_id<TAB>value``
   (the meta file carries two value columns, year and sensitive_attr, with
   ``-`` for absent)
@@ -33,12 +35,15 @@ from __future__ import annotations
 
 import json
 import operator
+import os
 import struct
+import threading
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -100,7 +105,7 @@ class Graph:
     offsets: np.ndarray    # int64, len num_nodes + 1
     neighbors: np.ndarray  # _id_dtype(num_nodes): int32 below 2**31 nodes; len offsets[-1]
     undirected: bool = True
-    features: np.ndarray | None = None  # float32 (num_nodes, dim)
+    features: np.ndarray | None = None  # float32 (num_nodes, dim); loaded: a read-only map
     labels: np.ndarray | None = None    # int64; value == num_classes means unlabeled
     num_classes: int = 0
     meta: NodeMeta = field(default_factory=NodeMeta)
@@ -417,7 +422,8 @@ class TripleStore:
                 if t[:, col].min() < 0 or t[:, col].max() >= n:
                     raise BadId(f"{what} id out of range")
             keys = (t[:, 0] * self.num_relations + t[:, 1]) * self.num_entities + t[:, 2]
-            if len(np.unique(keys)) != len(keys):
+            keys.sort()  # a fresh array; np.unique would import numpy.ma on its first call
+            if np.any(keys[1:] == keys[:-1]):
                 raise LengthMismatch("duplicate triples")
 
 
@@ -538,7 +544,7 @@ def write_table(path, columns, header: str | None = None) -> None:
 
     Each value is written as str() of its Python value, in blocks of
     ``_WRITE_ROWS`` rows: an ndarray column is converted with ``tolist`` one
-    block at a time. Columns of unequal length raise ValueError before the file is opened.
+    block at a time, and a block is one %-format and one write. Columns of unequal length raise ValueError before the file is opened.
     """
     lengths = {len(c) for c in columns}
     if len(lengths) > 1:
@@ -550,7 +556,7 @@ def write_table(path, columns, header: str | None = None) -> None:
         for lo in range(0, max(lengths, default=0), _WRITE_ROWS):
             block = [c[lo:lo + _WRITE_ROWS] for c in columns]
             block = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
-            f.writelines(line % row for row in zip(*block))
+            f.write((line * len(block[0])) % tuple(chain.from_iterable(zip(*block))))
 
 
 def write_json(path, obj) -> None:
@@ -634,25 +640,56 @@ def write_edge_file(path: Path, src: np.ndarray, dst: np.ndarray) -> None:
     write_table(path, (src, dst))
 
 
-def read_feature_file(path: Path) -> np.ndarray:
+_FEATURE_BLOCK = 1 << 16  # feature values read_feature_file checks at once
+
+
+def read_feature_file(path: Path, num_nodes: int) -> np.ndarray:
+    """The (rows, cols) features of a feature file, as a read-only ``np.memmap`` of its payload.
+
+    One streamed pass checks, in this order, the header, that the payload holds rows x cols
+    values, that rows is ``num_nodes``, and that every value is finite, reading
+    ``_FEATURE_BLOCK`` values at a time into one reused buffer. No check reads through the
+    map, so only a caller that reads the features pages them in. The file must not be
+    truncated or rewritten in place while the map is alive; write_feature_file replaces it
+    instead.
+    """
     require_file(path)
     with open(path, "rb") as f:
         header = f.read(16)
         if len(header) != 16 or header[:4] != _FEATURE_MAGIC:
             raise LengthMismatch(f"{path}: bad feature-file header")
         rows, cols, _reserved = struct.unpack("<III", header[4:])
-        data = np.fromfile(f, dtype="<f4", count=rows * cols)
-    if len(data) != rows * cols:
-        raise LengthMismatch(f"{path}: payload shorter than declared {rows}x{cols}")
-    return data.reshape(rows, cols)
+        size = rows * cols
+        if os.fstat(f.fileno()).st_size - 16 < 4 * size:
+            raise LengthMismatch(f"{path}: payload shorter than declared {rows}x{cols}")
+        if rows != num_nodes:
+            raise LengthMismatch("feature rows must equal num_nodes")
+        buf = np.empty(min(size, _FEATURE_BLOCK), dtype="<f4")
+        for lo in range(0, size, _FEATURE_BLOCK):
+            block = buf[:min(size - lo, len(buf))]
+            if f.readinto(block) != block.nbytes:  # the file shrank since its size was read
+                raise LengthMismatch(f"{path}: payload shorter than declared {rows}x{cols}")
+            if not np.isfinite(block).all():
+                raise NonFiniteFeature("features contain NaN or Inf")
+        # mapped from the open file, so the map holds the file that was checked
+        return np.memmap(f, dtype="<f4", mode="r", offset=16, shape=(rows, cols))
 
 
 def write_feature_file(path: Path, features: np.ndarray) -> None:
+    """Write a feature file to a temporary file beside ``path``, then rename it over ``path``:
+    a dataset whose features map ``path`` keeps its file while they are copied out, so a
+    dataset can be saved over its own directory."""
+    path = Path(path)
     features = np.ascontiguousarray(features, dtype="<f4")
-    with open(path, "wb") as f:
-        f.write(_FEATURE_MAGIC)
-        f.write(struct.pack("<III", features.shape[0], features.shape[1], 0))
-        features.tofile(f)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_FEATURE_MAGIC)
+            f.write(struct.pack("<III", features.shape[0], features.shape[1], 0))
+            features.tofile(f)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # left only if the write failed
 
 
 def read_label_file(path: Path, num_nodes: int, num_classes: int) -> np.ndarray:
@@ -766,7 +803,7 @@ def load_dataset(manifest_path) -> Dataset:
         validate_graph(graph)
         features = None
         if manifest.get("feature_file"):
-            features = read_feature_file(base / manifest["feature_file"])
+            features = read_feature_file(base / manifest["feature_file"], num_nodes)
             declared = manifest.get("feature_dim")
             if declared is not None and features.shape[1] != declared:
                 raise LengthMismatch("feature_dim does not match feature file")
@@ -777,8 +814,9 @@ def load_dataset(manifest_path) -> Dataset:
         meta = NodeMeta()
         if manifest.get("meta_file"):
             meta = read_meta_file(base / manifest["meta_file"], num_nodes)
+        # each reader checks its field against num_nodes; check_node_fields is not called, as
+        # its finiteness test would read the whole feature map that read_feature_file streamed
         graph = replace(graph, features=features, labels=labels, num_classes=num_classes, meta=meta)
-        check_node_fields(graph)
         split = None
         if manifest.get("split_file"):
             split = read_split_file(base / manifest["split_file"], num_nodes)
@@ -874,7 +912,8 @@ def _collection_graphs(path, sizes: np.ndarray, undirected: bool) -> GraphBlock:
 
 class _ArcSources:
     """The source of each arc of ``g``, in CSR order, as a column ``write_table`` slices: a
-    slice is built from the rows it spans, so no array holds a source per arc."""
+    slice is built from the offsets of the rows it spans, each row clipped to the slice, so
+    no array holds a source per arc, nor per arc of a row longer than the slice."""
 
     def __init__(self, g: Graph):
         self.g = g
@@ -884,10 +923,11 @@ class _ArcSources:
 
     def __getitem__(self, arcs: slice) -> np.ndarray:
         lo, hi, _ = arcs.indices(len(self))
-        a = int(np.searchsorted(self.g.offsets, lo, side="right")) - 1  # the row of arc lo
-        b = int(np.searchsorted(self.g.offsets, hi))  # rows a..b-1 hold arcs lo..hi-1
-        first = int(self.g.offsets[a])
-        return self.g._sources(a, b)[lo - first:hi - first]
+        offsets = self.g.offsets
+        a = int(np.searchsorted(offsets, lo, side="right")) - 1  # the row of arc lo
+        b = int(np.searchsorted(offsets, hi))  # rows a..b-1 hold arcs lo..hi-1
+        counts = np.diff(np.clip(offsets[a:b + 1], lo, hi))
+        return np.repeat(np.arange(a, b, dtype=self.g.neighbors.dtype), counts)
 
 
 def save_dataset(dataset: Dataset, out_dir) -> Path:

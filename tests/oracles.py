@@ -244,3 +244,25 @@ def node_features_oracle(labels, num_classes, noise):
         means[c, c % noise.shape[1]] = 2.0
         means[c, (c + 1) % noise.shape[1]] = -1.0
     return (means[labels] + noise).astype(np.float32)
+
+
+def feature_file_oracle(path, num_nodes):
+    """A feature file's (rows, cols) float32 array from one whole read of the file, or the
+    (error class name, message) of its first fault: a header that is short or lacks the magic
+    ``GSFH``, a payload shorter than rows x cols values, rows other than ``num_nodes``, then a
+    NaN or an infinity."""
+    data = path.read_bytes()
+    if len(data) < 16 or data[:4] != b"GSFH":
+        return "LengthMismatch", f"{path}: bad feature-file header"
+    rows = int.from_bytes(data[4:8], "little")
+    cols = int.from_bytes(data[8:12], "little")
+    if len(data) - 16 < 4 * rows * cols:
+        return "LengthMismatch", f"{path}: payload shorter than declared {rows}x{cols}"
+    if rows != num_nodes:
+        return "LengthMismatch", "feature rows must equal num_nodes"
+    values = np.frombuffer(data, dtype="<f4", count=rows * cols, offset=16).reshape(rows, cols)
+    for row in values:
+        for value in row:
+            if value != value or value in (float("inf"), float("-inf")):
+                return "NonFiniteFeature", "features contain NaN or Inf"
+    return values

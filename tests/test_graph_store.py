@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -32,6 +36,7 @@ from graphstress.graph_store import (
     Role,
     SplitAssignment,
     TripleStore,
+    _ArcSources,
     _WRITE_ROWS,
     _one_way_arc,
     check_symmetry,
@@ -63,6 +68,7 @@ from oracles import (
     bfs_hops_oracle,
     canonical_edges_oracle,
     csr_oracle,
+    feature_file_oracle,
     induced_arcs_oracle,
     neighbors_of,
     one_way_arc_oracle,
@@ -240,6 +246,25 @@ def test_triple_store_validate():
             TripleStore(2, 2, np.zeros(shape, dtype=np.int64)).validate()
 
 
+def _python(script: str, *args: str) -> subprocess.CompletedProcess:
+    """``script`` run with ``args`` by a fresh interpreter that imports this graphstress."""
+    src = str(Path(graph_store.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, env=env,
+                          timeout=120)
+
+
+def test_loading_a_triple_store_leaves_numpy_ma_unimported(tmp_path):
+    # the duplicate check sorts the keys and compares neighbours; np.unique's first call
+    # imports numpy.ma, which costs a fresh process ~34 ms
+    manifest = save_dataset(make_triple_store(seed=2), tmp_path / "kg")
+    proc = _python("import sys; from graphstress.graph_store import load_dataset; "
+                   "load_dataset(sys.argv[1]); print('numpy.ma' in sys.modules)", str(manifest))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().strip() == "False"
+
+
 def test_collection_validate():
     coll = make_molecule_collection(num_graphs=5, seed=3).collection
     coll.validate()
@@ -272,7 +297,7 @@ def test_feature_file_bit_identity(tmp_path):
     feats[0, 0] = -0.0  # sign of zero must survive
     p = tmp_path / "x.feat"
     write_feature_file(p, feats)
-    back = read_feature_file(p)
+    back = read_feature_file(p, 50)
     assert back.shape == (50, 17)
     assert back.tobytes() == feats.tobytes()
 
@@ -281,7 +306,7 @@ def test_feature_file_bad_header(tmp_path):
     p = tmp_path / "x.feat"
     p.write_bytes(b"NOPE" + b"\x00" * 12)
     with pytest.raises(LengthMismatch):
-        read_feature_file(p)
+        read_feature_file(p, 0)
 
 
 def test_feature_file_truncated_payload(tmp_path):
@@ -290,7 +315,99 @@ def test_feature_file_truncated_payload(tmp_path):
     write_feature_file(p, feats)
     p.write_bytes(p.read_bytes()[:-8])
     with pytest.raises(LengthMismatch):
-        read_feature_file(p)
+        read_feature_file(p, 4)
+
+
+@st.composite
+def feature_files(draw, block):
+    """(file bytes, num_nodes) of a feature file with at most one fault, ``block`` being the
+    values read_feature_file checks at once: a NaN or an infinity at the first or last value
+    of a block or of the file, a cut payload, a bad header or a row count other than num_nodes."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 5))
+    finite = st.floats(width=32, allow_nan=False, allow_infinity=False)
+    values = np.array(draw(st.lists(finite, min_size=rows * cols, max_size=rows * cols)),
+                      dtype="<f4")
+    header = b"GSFH" + rows.to_bytes(4, "little") + cols.to_bytes(4, "little") + bytes(4)
+    num_nodes = rows
+    fault = draw(st.sampled_from(["none", "nonfinite", "cut", "header", "rows"]))
+    if fault == "nonfinite" and len(values):
+        ends = {0, len(values) - 1}
+        for lo in range(0, len(values), block):
+            ends |= {lo, min(lo + block, len(values)) - 1}
+        values[draw(st.sampled_from(sorted(ends)))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    data = header + values.tobytes()
+    if fault == "cut" and len(values):
+        data = data[:-draw(st.integers(1, 4 * len(values)))]
+    elif fault == "header":
+        data = draw(st.sampled_from([b"NOPE" + data[4:], data[:draw(st.integers(0, 15))]]))
+    elif fault == "rows":
+        num_nodes = draw(st.sampled_from([n for n in (0, rows - 1, rows + 1) if n >= 0 and n != rows]))
+    return data + bytes(draw(st.integers(0, 5))), num_nodes  # bytes past the payload are not read
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_feature_file_check_matches_a_whole_read_property(block, data):
+    # the streamed check reports the fault the whole-file read reports, with its error class
+    # and message; a valid file loads as a read-only map bit-equal to np.fromfile's values
+    content, num_nodes = data.draw(feature_files(block))
+    with tempfile.TemporaryDirectory() as tmp, patch.object(graph_store, "_FEATURE_BLOCK", block):
+        p = Path(tmp) / "x.gsf"
+        p.write_bytes(content)
+        expected = feature_file_oracle(p, num_nodes)
+        if isinstance(expected, tuple):
+            with pytest.raises((LengthMismatch, NonFiniteFeature)) as err:
+                read_feature_file(p, num_nodes)
+            assert (type(err.value).__name__, str(err.value)) == expected
+            return
+        features = read_feature_file(p, num_nodes)
+        assert isinstance(features, np.memmap) and features.dtype == np.dtype("<f4")
+        assert features.shape == expected.shape
+        assert features.tobytes() == np.fromfile(p, dtype="<f4", offset=16,
+                                                 count=expected.size).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            features[...] = 0
+        del features  # the map closes before the directory is removed
+
+
+def test_a_node_load_reads_no_feature_page_through_its_map(tmp_path):
+    # the check streams the file; the loaded features are a map whose pages stay unread
+    smaps = Path("/proc/self/smaps")
+    if not smaps.is_file():
+        pytest.skip("needs /proc/self/smaps")
+    manifest = save_dataset(make_node_dataset(num_nodes=20_000, seed=0), tmp_path / "d")
+    features = load_dataset(manifest).graph.features
+    assert isinstance(features, np.memmap) and not features.flags.writeable
+    path = str((tmp_path / "d" / "features.gsf").resolve())
+    rss, mapped = 0, False
+    for line in smaps.read_text().splitlines():
+        fields = line.split()
+        if re.fullmatch(r"[0-9a-f]+-[0-9a-f]+", fields[0]):  # a mapping's first line
+            mapped = fields[5:] == [path]
+        elif mapped and fields[0] == "Rss:":
+            rss += int(fields[1])
+    assert features.nbytes > 2**20
+    assert rss == 0
+
+
+def test_saving_a_loaded_dataset_over_its_own_directory_keeps_its_features(tmp_path):
+    # the features map features.gsf while it is written, so the file is written beside it
+    # and renamed over it. Written in place, the file would be cut under the map, and reading
+    # the map would fail with an OSError or a bus error: hence the fresh interpreter
+    out = tmp_path / "d"
+    manifest = save_dataset(make_node_dataset(num_nodes=3_000, seed=4), out)
+    saved = (out / "features.gsf").read_bytes()
+    assert len(saved) > 16 + 4 * 4096  # more than a page past the header
+    names = sorted(os.listdir(out))
+    proc = _python("import sys; from graphstress.graph_store import load_dataset, save_dataset; "
+                   "ds = load_dataset(sys.argv[1]); save_dataset(ds, sys.argv[2]); "
+                   "sys.stdout.buffer.write(ds.graph.features.tobytes())", str(manifest), str(out))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == saved[16:]  # the map still reads the file it was made from
+    assert sorted(os.listdir(out)) == names  # no temporary file is left
+    assert (out / "features.gsf").read_bytes() == saved
+    assert load_dataset(manifest).graph.features.tobytes() == saved[16:]
 
 
 def test_label_file_round_trip(tmp_path):
@@ -936,6 +1053,28 @@ def test_saving_a_node_graph_builds_no_source_per_arc(tmp_path):
     assert src.tolist() == g.arcs()[0].tolist() and dst.tolist() == g.neighbors.tolist()
     assert g.num_arcs > 500_000
     assert peak < 4 * g.num_arcs
+
+
+def test_a_hub_row_spanning_many_written_blocks_is_built_a_block_at_a_time(tmp_path):
+    # the hub's 2**16 arcs span 64 blocks of 2**10 rows; each block's sources are built
+    # for its own arcs only, not for every arc of the rows it touches
+    block, leaves = 2**10, 2**16
+    g = Graph.from_arcs(leaves + 1, np.zeros(leaves, dtype=np.int64), np.arange(1, leaves + 1),
+                        symmetrize=True)
+    with patch.object(graph_store, "_WRITE_ROWS", block):
+        save_dataset(Dataset(kind="node_graph", name="star", graph=g), tmp_path / "d")
+    assert (tmp_path / "d" / "edges.tsv").read_text() == table_text_oracle(g.arcs())
+    sources, src = _ArcSources(g), g.arcs()[0]
+    for lo in range(0, g.num_arcs, block):
+        tracemalloc.start()
+        try:
+            part = sources[lo:lo + block]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(part, src[lo:lo + block])
+        # the slice, and the clipped row counts of at most one row per arc, in int64
+        assert peak <= 6 * 4 * len(part) + 4096
 
 
 def test_keys_of_ids_past_46341_match_the_oracles(tmp_path):
