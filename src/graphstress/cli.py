@@ -259,16 +259,6 @@ def _demographic(dataset: Dataset, table: PredictionTable,
         return DemographicGaps(d_sp=None, d_eo=None, d_util=None)
 
 
-def _refmodel_tables(graph: Graph, trains: list, config: PropagationConfig = PropagationConfig(),
-                     rows: np.ndarray | None = None,
-                     survived: np.ndarray | None = None) -> list[PredictionTable]:
-    """propagate_predict of each train unit set; with ``survived``, of the clean graph and
-    then of every EDGE_LEVELS deletion level, level-major."""
-    return propagate_predict(graph, [_train_labels(graph, train) for train in trains],
-                             graph.num_classes, config, rows=rows, survived=survived,
-                             num_levels=0 if survived is None else len(EDGE_LEVELS))
-
-
 def _edge_manifests(dataset: Dataset, saliency: SaliencyTable, targets: list, seed: int,
                     k_levels, hops: int, out_dir: Path | None = None) -> dict:
     """Target -> edge manifest, leaving out targets whose receptive field has no edge.
@@ -445,8 +435,9 @@ def cmd_refmodel(args) -> int:
     dataset = load_dataset(args.dataset)
     _check_kind(dataset, "node_graph", "stress refmodel")
     _check_labels(dataset)
-    table, = _refmodel_tables(dataset.graph, [_given_split(dataset).units(Role.TRAIN)],
-                              PropagationConfig(hops=args.hops, alpha=args.alpha))
+    g = dataset.graph
+    table, = propagate_predict(g, _train_labels(g, _given_split(dataset).units(Role.TRAIN)),
+                               g.num_classes, PropagationConfig(hops=args.hops, alpha=args.alpha))
     write_prediction_file(args.out, table)
     return 0
 
@@ -687,56 +678,49 @@ class PipelineRunner:
 
     # -- axis drivers: return {subcondition: value | None | INAPPLICABLE} --
 
-    def _score_table(self, dataset: Dataset, method: dict, axis: str, sub: str,
-                     seed: int, rows: np.ndarray, train=None) -> PredictionTable:
-        """The cell's prediction table; the built-in model scores only the units ``rows``."""
-        if method["kind"] == "refmodel":
-            if train is None:
-                train = _given_split(dataset).units(Role.TRAIN)
-            return _refmodel_tables(dataset.graph, [train], rows=rows)[0]
-        return read_prediction_file(
-            _external_file(method, dataset, axis, sub, seed, f"{sub}/seed{seed}.pred"))
+    def _tables(self, dataset: Dataset, method: dict, axis: str, subs: list, seed: int,
+                rows: np.ndarray, trains=None, survived=None):
+        """One prediction table per entry of ``subs``: an external method's ``{sub}/seed{S}.pred``
+        files, each read in its turn, or one built-in propagation scoring the units ``rows``
+        for each train unit set of ``trains`` (default: the given split's), with ``survived``
+        at the clean graph and then every EDGE_LEVELS deletion level, level-major."""
+        if method["kind"] == "external":
+            return (read_prediction_file(_external_file(method, dataset, axis, sub, seed,
+                                                        f"{sub}/seed{seed}.pred"))
+                    for sub in subs)
+        g = dataset.graph
+        if trains is None:
+            trains = [_given_split(dataset).units(Role.TRAIN)]
+        return propagate_predict(g, [_train_labels(g, train) for train in trains], g.num_classes,
+                                 rows=rows, survived=survived,
+                                 num_levels=0 if survived is None else len(EDGE_LEVELS))
 
     def _axis_corruption(self, dataset: Dataset, method: dict, seed: int) -> dict:
         g = dataset.graph
-        split = _given_split(dataset)
         test = _test_units(dataset)
-        refmodel = method["kind"] == "refmodel"
+        external = method["kind"] == "external"
         # one draw gives every deletion level; an external method never reads
         # the deleted graphs, so they are drawn only for the ops/ copies
         survived = (edge_delete(g, EDGE_LEVELS, _edge_key(dataset, seed))
-                    if refmodel or self._writes_ops(method) else None)
-        if refmodel:  # one propagation scores the clean graph and every level
-            edge_tables = _refmodel_tables(g, [split.units(Role.TRAIN)], rows=test,
-                                           survived=survived)
-        clean = (edge_tables[0] if refmodel else
-                 self._score_table(dataset, method, "corruption", "clean", seed, test))
-        out: dict = {"clean": accuracy(clean, g.labels, test) * 100.0}
-
-        feature_ok = g.features is not None and method["kind"] == "external"
-        for i in range(1, len(FEATURE_LEVELS) + 1):
-            sub = f"feature_sev{i}"
-            # an external method is scored from its own prediction file, so
-            # the noisy features are drawn only for the ops/ copy
-            if self._writes_ops(method) and g.features is not None:
+                    if not external or self._writes_ops(method) else None)
+        # the built-in model is feature-blind; an external method is scored on
+        # the noisy features from its own files
+        feature_ok = external and g.features is not None
+        features = [f"feature_sev{i}" for i in range(1, len(FEATURE_LEVELS) + 1)]
+        edges = [f"edge_sev{i}" for i in range(1, len(EDGE_LEVELS) + 1)]
+        if self._writes_ops(method):  # before any method file is read
+            for i, sub in enumerate(features if g.features is not None else [], 1):
                 save_dataset(_corrupted(dataset, "feature", i, seed)[0],
                              self._op_dir(dataset, f"corrupt_{sub}_seed{seed}"))
-            if not feature_ok:
-                out[sub] = INAPPLICABLE
-                continue
-            table = self._score_table(dataset, method, "corruption", sub, seed, test)
-            out[sub] = accuracy(table, g.labels, test) * 100.0
-        out["feature_drop"] = (drop_metric(out["clean"], out["feature_sev5"])
-                               if feature_ok else INAPPLICABLE)
-
-        for i in range(1, len(EDGE_LEVELS) + 1):
-            sub = f"edge_sev{i}"
-            if self._writes_ops(method):
+            for i, sub in enumerate(edges, 1):
                 save_dataset(replace(dataset, graph=remove_edges(g, survived < i)),
                              self._op_dir(dataset, f"corrupt_{sub}_seed{seed}"))
-            table = (edge_tables[i] if refmodel else
-                     self._score_table(dataset, method, "corruption", sub, seed, test))
-            out[sub] = accuracy(table, g.labels, test) * 100.0
+        subs = ["clean", *(features if feature_ok else []), *edges]
+        tables = self._tables(dataset, method, "corruption", subs, seed, test, survived=survived)
+        out = dict.fromkeys([*features, "feature_drop"], INAPPLICABLE)
+        out.update((sub, accuracy(t, g.labels, test) * 100.0) for sub, t in zip(subs, tables))
+        if feature_ok:
+            out["feature_drop"] = drop_metric(out["clean"], out["feature_sev5"])
         out["edge_drop"] = drop_metric(out["clean"], out["edge_sev5"])
         return out
 
@@ -750,40 +734,37 @@ class PipelineRunner:
         if dataset.kind != "node_graph":
             return self._axis_ood_nonnode(dataset, method, seed)
         g = dataset.graph
-        out: dict = {}
-        for mechanism in ("degree", "temporal"):
-            if mechanism == "temporal" and g.meta.year is None:
-                out[mechanism] = INAPPLICABLE
-                continue
-            split = self._split_op(dataset, method, mechanism, seed)
+        mechanisms = ["degree", *(["temporal"] if g.meta.year is not None else [])]
+        splits = [self._split_op(dataset, method, m, seed) for m in mechanisms]
+        out: dict = {"temporal": INAPPLICABLE}
+        for mechanism, split in zip(mechanisms, splits):
             ood_test = split.units(Role.OOD_TEST)
-            table = self._score_table(dataset, method, "ood", mechanism, seed, ood_test,
-                                      train=split.units(Role.TRAIN))
+            table, = self._tables(dataset, method, "ood", [mechanism], seed, ood_test,
+                                  trains=[split.units(Role.TRAIN)])
             out[mechanism] = accuracy(table, g.labels, ood_test) * 100.0
         return out
 
     def _axis_ood_nonnode(self, dataset: Dataset, method: dict, seed: int) -> dict:
-        if dataset.kind == "graph_collection":
-            split = self._split_op(dataset, method, "scaffold", seed)
-            if method["kind"] != "external":
-                return {"scaffold_auc": INAPPLICABLE, "scaffold_gap": INAPPLICABLE}
+        scaffold = dataset.kind == "graph_collection"
+        split = self._split_op(dataset, method, "scaffold" if scaffold else "kg", seed)
+        if method["kind"] != "external":  # the built-in model scores node graphs only
+            return dict.fromkeys(("scaffold_auc", "scaffold_gap") if scaffold
+                                 else ("kg_mrr", "kg_hits10"), INAPPLICABLE)
+        if scaffold:
             labels = dataset.collection.labels[:, 0]
             test = split.units(Role.TEST)
             test = test[labels[test] >= 0]  # a '-' task label is left out
-            aucs = {}
-            for sub in ("scaffold", "random"):
-                table = self._score_table(dataset, method, "ood", sub, seed, test)
-                aucs[sub] = roc_auc(table.scores_for(test), labels[test]) * 100.0
+            subs = ["scaffold", "random"]
+            tables = self._tables(dataset, method, "ood", subs, seed, test)
+            aucs = {sub: roc_auc(t.scores_for(test), labels[test]) * 100.0
+                    for sub, t in zip(subs, tables)}
             return {"scaffold_auc": aucs["scaffold"],
                     "scaffold_gap": scaffold_gap(aucs["random"], aucs["scaffold"])}
         # triples: inductive-entity ranking
-        ksplit = self._split_op(dataset, method, "kg", seed)
-        if method["kind"] != "external":
-            return {"kg_mrr": INAPPLICABLE, "kg_hits10": INAPPLICABLE}
         queries, cands, scores = read_ranking_file(
             _external_file(method, dataset, "ood", "kg", seed, f"kg/seed{seed}.ranking"))
         ranks = ranks_from_ranking(queries, cands, scores,
-                                   ksplit.held_out_entity(ksplit.test_queries))
+                                   split.held_out_entity(split.test_queries))
         return {"kg_mrr": mrr(ranks), "kg_hits10": hits_at_k(ranks, 10)}
 
     def _axis_imbalance(self, dataset: Dataset, method: dict, seed: int) -> dict:
@@ -795,11 +776,8 @@ class PipelineRunner:
             levels[sub] = _imbalanced(dataset, rho, seed)
             if self._writes_ops(method):
                 _write_split(self._op_dir(dataset, f"imbalance_{sub}_seed{seed}"), levels[sub][2])
-        # one propagation scores every rho; an external method's files are read one by one
-        tables = (_refmodel_tables(g, [kept for _, kept, _ in levels.values()], rows=test)
-                  if method["kind"] == "refmodel" else
-                  (self._score_table(dataset, method, "imbalance", sub, seed, test)
-                   for sub in levels))
+        tables = self._tables(dataset, method, "imbalance", list(levels), seed, test,
+                              trains=[kept for _, kept, _ in levels.values()])
         out: dict = {}
         for (sub, (spec, _, _)), table in zip(levels.items(), tables):
             major, minor = major_minor_recall(table, g.labels, spec, test)
@@ -811,7 +789,7 @@ class PipelineRunner:
     def _axis_fairness(self, dataset: Dataset, method: dict, seed: int) -> dict:
         g = dataset.graph
         # head/tail and demographic gaps read only the test units
-        table = self._score_table(dataset, method, "fairness", "clean", seed, _test_units(dataset))
+        table, = self._tables(dataset, method, "fairness", ["clean"], seed, _test_units(dataset))
         out: dict = {"head_tail_gap": _head_tail(dataset, table, self.quantile)[1]}
         if g.meta.sensitive_attr is None or g.num_classes != 2:
             return {**out, **dict.fromkeys(("d_sp", "d_eo", "d_util"), INAPPLICABLE)}

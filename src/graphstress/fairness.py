@@ -20,12 +20,10 @@ log = logging.getLogger("graphstress")
 
 @dataclass
 class GroupSpec:
-    """Two disjoint evaluation groups plus how they were formed."""
+    """Two disjoint evaluation groups: the degree head and tail."""
 
-    kind: str  # structural | demographic
-    first: np.ndarray   # head nodes, or s=0 units
-    second: np.ndarray  # tail nodes, or s=1 units
-    q: float | None = None
+    first: np.ndarray   # head nodes
+    second: np.ndarray  # tail nodes
 
 
 def head_tail_groups(test_nodes: np.ndarray, degrees: np.ndarray, q: float) -> GroupSpec:
@@ -43,7 +41,7 @@ def head_tail_groups(test_nodes: np.ndarray, degrees: np.ndarray, q: float) -> G
     if k == 0:
         log.warning("head/tail groups empty: floor(%g * %d) = 0, gap will be undefined",
                     q, len(test_nodes))
-    return GroupSpec(kind="structural", first=order[len(order) - k:], second=order[:k], q=q)
+    return GroupSpec(first=order[len(order) - k:], second=order[:k])
 
 
 def head_tail_gap(predictions: PredictionTable, labels: np.ndarray, groups: GroupSpec) -> float:

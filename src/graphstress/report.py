@@ -75,7 +75,7 @@ class Report:
     """One flat table of cells plus run provenance."""
 
     cells: dict  # (axis, subcondition, dataset, method) -> MetricCell
-    provenance: dict  # config_hash, master_seed, tool_version
+    provenance: dict  # tool_version; a run adds config_hash and seeds
 
     def rows(self) -> list:
         """(axis, subcondition, dataset, method, cell) tuples, key-sorted."""

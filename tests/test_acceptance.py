@@ -412,7 +412,7 @@ def test_criterion_7_published_value_fixtures():
         predicted[head[:8173]] = 0  # 81.73% correct on head
         predicted[tail[:7602]] = 0  # 76.02% correct on tail
         table = _onehot_table(predicted, 2)
-        groups = GroupSpec(kind="structural", first=head, second=tail, q=0.2)
+        groups = GroupSpec(first=head, second=tail)
         gap = head_tail_gap(table, labels, groups)
         assert gap == pytest.approx(5.71, abs=1e-9)
 

@@ -1325,6 +1325,27 @@ def test_edges_are_deleted_only_for_a_reader_of_the_deleted_graph(small_ds, tmp_
     assert len(calls) == deletions
 
 
+def test_an_external_method_without_files_writes_every_operator_output(small_ds, tmp_path):
+    # the copies and splits are what a method's files are made from, so a
+    # missing file must not stop them being written
+    trees = {}
+    for kind, code in (("external", 1), ("refmodel", 0)):
+        config = _write_config(tmp_path / f"{kind}.json", manifest=small_ds, seeds=[0],
+                               axes=["corruption", "ood", "imbalance"],
+                               write_operator_outputs=True,
+                               methods=[{"kind": kind, "name": "m",
+                                         "pred_dir": str(tmp_path / "nowhere")}])
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / kind)]) == code
+        ops = tmp_path / kind / "ops" / "tiny"
+        trees[kind] = {p.relative_to(ops).as_posix(): p.read_bytes()
+                       for p in sorted(ops.rglob("*")) if p.is_file()}
+    assert sorted({name.split("/")[0] for name in trees["external"]}) == sorted(
+        [f"corrupt_{channel}_sev{i}_seed0" for channel in ("feature", "edge") for i in range(1, 6)]
+        + ["split_degree_seed0", "split_temporal_seed0"]
+        + [f"imbalance_rho{rho}_seed0" for rho in (5, 10, 20)])
+    assert trees["external"] == trees["refmodel"]
+
+
 @pytest.mark.parametrize("axis", ["corruption", "ood", "imbalance", "fairness", "interpret"])
 def test_refmodel_cells_score_only_the_units_they_evaluate(small_ds, tmp_path, monkeypatch,
                                                           axis):

@@ -31,7 +31,6 @@ def test_groups_degrees_one_to_ten():
     groups = head_tail_groups(nodes, degrees, q=0.2)
     assert groups.second.tolist() == [0, 1]   # lowest-degree fifth
     assert groups.first.tolist() == [8, 9]    # highest-degree fifth
-    assert groups.q == 0.2 and groups.kind == "structural"
 
 
 def test_groups_tie_break_by_node_id():
@@ -78,7 +77,7 @@ def test_gap_published_fixtures():
     predicted[10000:17602] = 0
     table = _table_for(units, predicted)
     from graphstress.fairness import GroupSpec
-    gap = head_tail_gap(table, labels, GroupSpec("structural", head, tail, 0.2))
+    gap = head_tail_gap(table, labels, GroupSpec(head, tail))
     assert gap == pytest.approx(5.71, abs=1e-9)
 
 
@@ -92,7 +91,7 @@ def test_gap_negative_fixture():
     predicted[10000:17251] = 0
     table = _table_for(units, predicted)
     from graphstress.fairness import GroupSpec
-    gap = head_tail_gap(table, labels, GroupSpec("structural", units[:10000], units[10000:], 0.2))
+    gap = head_tail_gap(table, labels, GroupSpec(units[:10000], units[10000:]))
     assert gap == pytest.approx(-0.29, abs=1e-9)
     assert gap == pytest.approx(-0.28, abs=0.015)
 
@@ -104,9 +103,9 @@ def test_gap_antisymmetry():
     predicted = rng.integers(0, 2, size=50).astype(np.int64)
     table = _table_for(units, predicted)
     from graphstress.fairness import GroupSpec
-    groups = GroupSpec("structural", units[:10], units[40:], 0.2)
+    groups = GroupSpec(units[:10], units[40:])
     assert head_tail_gap(table, labels, groups) == pytest.approx(
-        -head_tail_gap(table, labels, GroupSpec("structural", units[40:], units[:10], 0.2)))
+        -head_tail_gap(table, labels, GroupSpec(units[40:], units[:10])))
 
 
 # ---------------------------------------------------------------------------
