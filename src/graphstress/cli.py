@@ -7,10 +7,11 @@ per-cell values plus the aggregated report, and exits 0 only when every
 requested cell was computed or is explicitly inapplicable.
 
 Verbosity comes from the GSH_LOG environment variable (DEBUG/INFO/...).
-Cells are independent jobs. --workers N runs them on the calling thread plus
-N - 1 helper threads (never more threads than jobs), after the calling
-thread has loaded every dataset; it never changes any output byte (all
-randomness is counter-addressed).
+Cells are independent jobs. The calling thread loads the datasets one at a
+time, each just before its jobs, and drops it when they end. --workers N
+runs a dataset's jobs on the calling thread plus N - 1 helper threads (never
+more threads than jobs); it never changes any output byte (all randomness is
+counter-addressed).
 """
 
 from __future__ import annotations
@@ -51,9 +52,12 @@ from .graph_store import (
     Role,
     SplitAssignment,
     _id_dtype,
+    _read_manifest,
+    dataset_name,
     load_dataset,
     read_json,
     remove_edges,
+    require_file,
     save_dataset,
     write_json,
     write_split_file,
@@ -648,6 +652,27 @@ def _cell_from_values(values: list) -> MetricCell:
     return aggregate_seeds([float(v) for v in values])
 
 
+def _release_freed_heap() -> None:
+    """Hand the heap pages malloc holds free back to the OS, and map large blocks on their own
+    from here on; a no-op where libc is not glibc.
+
+    glibc keeps the pages a dropped dataset freed, so the next dataset's large tables would be
+    mapped beside them. And glibc raises its mmap threshold to the largest mapped block freed so
+    far (the first dataset's parsed edge table), so the next load would take its arc-sized
+    arrays from the heap, where what they free stays resident: a second copy of one graph then
+    peaked well above the first. A fixed threshold, which also ends the raising, keeps them
+    mapped."""
+    import ctypes
+
+    try:
+        libc = ctypes.CDLL("libc.so.6")
+        trim, mallopt = libc.malloc_trim, libc.mallopt
+    except (OSError, AttributeError):
+        return
+    trim(0)
+    mallopt(-3, 1 << 20)  # M_MMAP_THRESHOLD: blocks of 1 MiB and up are mapped on their own
+
+
 # every path a run writes under its output directory; nothing else there is touched
 RUN_OUTPUTS = ("values", "ops", "errors.log", "report.json", "report.csv")
 
@@ -664,7 +689,6 @@ class PipelineRunner:
         self.k_levels = _setting(config, "k_levels")
         self.num_targets = _setting(config, "interpret_targets")
         self.quantile = _setting(config, "head_tail_quantile")
-        self.datasets: dict[str, Dataset] = {}
         self.failures: list[tuple[str, str]] = []
         self._ops_method: str | None = None  # single designated op-output writer
 
@@ -825,30 +849,21 @@ class PipelineRunner:
     # -- orchestration --
 
     def run(self) -> Report:
-        specs, methods = self.config["datasets"], self.config["methods"]
+        """Run every cell, a dataset at a time in name order, and write the result tree.
+
+        Every manifest, name and named file is checked before any dataset loads. Then the
+        calling thread loads one dataset, runs its jobs through ``_run_jobs`` and drops it, and
+        hands the freed heap back to the OS (``_release_freed_heap``) before the next load, so
+        at most one dataset is live at any worker count. The cost above one worker: helpers
+        may sit idle while the last job of a dataset finishes, as the next dataset loads only
+        after it.
+        """
+        methods = self.config["methods"]
         self._ops_method = methods[0]["name"]
         seeds = self.config["seeds"]
-        axes = self.config["axes"]
-        # the loads run on this thread, which then runs jobs too: memory a
-        # thread frees is reused only by that thread's malloc arena
-        for spec in specs:
-            ds = load_dataset(spec["manifest"])
-            if "name" in spec:
-                ds.name = spec["name"]
-            elif not _is_name(ds.name):
-                raise ConfigError(f"{spec['manifest']}: dataset name {ds.name!r} must be "
-                                  f"{PARAMS['name'][2]}; give the entry a 'name'")
-            if ds.name in self.datasets:
-                raise ConfigError(f"two dataset entries load as {ds.name!r}; "
-                                  "give each a distinct 'name'")
-            self.datasets[ds.name] = ds
-        jobs = [
-            (ds_name, method, axis, seed)
-            for ds_name in sorted(self.datasets)
-            for method in methods
-            for axis in axes
-            for seed in seeds
-        ]
+        manifests = self._dataset_manifests()
+        cells = [(method, axis, seed)
+                 for method in methods for axis in self.config["axes"] for seed in seeds]
         # what an earlier run left here would otherwise be read as this run's
         for name in RUN_OUTPUTS:
             path = self.out / name
@@ -856,16 +871,18 @@ class PipelineRunner:
                 shutil.rmtree(path)
             else:
                 path.unlink(missing_ok=True)
-        outcomes = self._run_jobs(jobs)
         results: dict[tuple, dict] = {}
-        for (ds_name, method, axis, seed), outcome in zip(jobs, outcomes):
-            if isinstance(outcome, StressError):
-                self.failures.append(
-                    (f"({axis}, {ds_name}, {method['name']}, seed {seed})",
-                     f"{type(outcome).__name__}: {outcome}"))
-                continue
-            for sub, value in outcome.items():
-                results.setdefault((axis, sub, ds_name, method["name"]), {})[seed] = value
+        for i, ds_name in enumerate(sorted(manifests)):
+            if i:
+                _release_freed_heap()
+            outcomes = self._run_dataset(manifests[ds_name], ds_name, cells)
+            for (method, axis, seed), outcome in zip(cells, outcomes):
+                if isinstance(outcome, str):
+                    self.failures.append(
+                        (f"({axis}, {ds_name}, {method['name']}, seed {seed})", outcome))
+                    continue
+                for sub, value in outcome.items():
+                    results.setdefault((axis, sub, ds_name, method["name"]), {})[seed] = value
 
         records = [{"axis": axis, "subcondition": sub, "dataset": ds, "method": m,
                     "seeds": [s for s in seeds if s in per_seed],
@@ -882,6 +899,35 @@ class PipelineRunner:
             write_table(self.out / "errors.log", tuple(zip(*self.failures)))
             raise PartialFailure([f"{cell}: {err}" for cell, err in self.failures])
         return report
+
+    def _dataset_manifests(self) -> dict[str, str]:
+        """Dataset name -> manifest path, for every entry of the config, before any data file
+        is read: each manifest is checked, every file it names exists, and each name is
+        valid and distinct."""
+        manifests: dict[str, str] = {}
+        for spec in self.config["datasets"]:
+            path = Path(spec["manifest"])
+            manifest = _read_manifest(path)
+            for key, value in manifest.items():
+                if key.endswith("_file") and value:
+                    require_file(path.parent / value)
+            name = spec.get("name", dataset_name(manifest, path))
+            if not _is_name(name):  # an entry's own name passed the config check
+                raise ConfigError(f"{path}: dataset name {name!r} must be "
+                                  f"{PARAMS['name'][2]}; give the entry a 'name'")
+            if name in manifests:
+                raise ConfigError(f"two dataset entries load as {name!r}; "
+                                  "give each a distinct 'name'")
+            manifests[name] = spec["manifest"]
+        return manifests
+
+    def _run_dataset(self, manifest: str, name: str, cells: list) -> list:
+        """Each (method, axis, seed) cell's outcome on the dataset at ``manifest``; the dataset
+        dies with this call. It loads on this thread, which then runs jobs too: memory a
+        thread frees is reused only by that thread's malloc arena."""
+        dataset = load_dataset(manifest)
+        dataset.name = name
+        return self._run_jobs([(dataset, *cell) for cell in cells])
 
     def _run_jobs(self, jobs: list) -> list:
         """Each job's outcome, in job order.
@@ -915,8 +961,7 @@ class PipelineRunner:
         return outcomes
 
     def _run_job(self, job: tuple):
-        ds_name, method, axis, seed = job
-        dataset = self.datasets[ds_name]
+        dataset, method, axis, seed = job
         try:
             if axis != "ood":
                 _check_kind(dataset, "node_graph", f"the {axis} axis")
@@ -924,7 +969,9 @@ class PipelineRunner:
                 _check_labels(dataset)  # an external attribution cell reads no label
             return getattr(self, f"_axis_{axis}")(dataset, method, seed)
         except StressError as e:  # collected into the per-cell error log
-            return e
+            # as its message: the error's traceback would keep the job's frames, and with them
+            # the dataset, alive until the run ends
+            return f"{type(e).__name__}: {e}"
 
     def _write_results(self, records: list, report: Report) -> None:
         values_dir = self.out / "values"

@@ -20,6 +20,7 @@ from .graph_store import Graph
 FEATURE_LEVELS = (0.1, 0.25, 0.5, 1.0, 2.0)
 EDGE_LEVELS = (0.05, 0.10, 0.20, 0.30, 0.50)
 _DRAW_BLOCK = 1 << 16  # edges drawn and counted at once by edge_delete
+_NOISE_ROWS = 1 << 12  # feature rows feature_noise draws and adds at once
 
 
 def feature_noise(features: np.ndarray, train_mask: np.ndarray, sigma_rel: float,
@@ -28,7 +29,9 @@ def feature_noise(features: np.ndarray, train_mask: np.ndarray, sigma_rel: float
 
     scale_d = sigma_rel * population std of dimension d over train rows; every
     row of the matrix gets noise (train and eval splits alike); dimensions
-    that are constant on the train split stay untouched.
+    that are constant on the train split stay untouched. The noise is drawn,
+    scaled and added in float64 ``_NOISE_ROWS`` rows at a time, each block
+    cast into the result.
     """
     features = np.asarray(features)
     train_mask = np.asarray(train_mask, dtype=np.int64)
@@ -37,11 +40,16 @@ def feature_noise(features: np.ndarray, train_mask: np.ndarray, sigma_rel: float
     if sigma_rel == 0:
         return features.copy()
     std = features[train_mask].astype(np.float64).std(axis=0)  # population std
+    scale, constant = sigma_rel * std[None, :], std == 0.0
     n, d = features.shape
-    eps = gaussian(key, np.arange(n * d, dtype=np.int64)).reshape(n, d)
-    out = features.astype(np.float64) + sigma_rel * std[None, :] * eps
-    out[:, std == 0.0] = features[:, std == 0.0]
-    return out.astype(features.dtype)
+    out = np.empty(features.shape, dtype=features.dtype)
+    for lo in range(0, n, _NOISE_ROWS):
+        hi = min(lo + _NOISE_ROWS, n)
+        eps = gaussian(key, np.arange(lo * d, hi * d, dtype=np.int64)).reshape(hi - lo, d)
+        block = features[lo:hi].astype(np.float64) + scale * eps
+        block[:, constant] = features[lo:hi, constant]
+        out[lo:hi] = block
+    return out
 
 
 def edge_delete(graph: Graph, levels, key: StreamKey) -> np.ndarray:

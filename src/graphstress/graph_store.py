@@ -782,13 +782,18 @@ def _read_manifest(path: Path) -> dict:
     return manifest
 
 
+def dataset_name(manifest: dict, manifest_path: Path) -> str:
+    """The name a dataset loads under: its manifest's ``name``, else the manifest file's stem."""
+    return manifest.get("name", manifest_path.stem)
+
+
 def load_dataset(manifest_path) -> Dataset:
     """Load and fully validate a dataset declared by a manifest file."""
     manifest_path = Path(manifest_path)
     manifest = _read_manifest(manifest_path)
     base = manifest_path.parent
     kind = manifest["kind"]
-    name = manifest.get("name", manifest_path.stem)
+    name = dataset_name(manifest, manifest_path)
 
     if kind == "node_graph":
         num_nodes = manifest["num_nodes"]

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -1540,7 +1541,11 @@ def test_datasets_loading_under_one_name_exit_2_before_any_job(small_ds, tmp_pat
     def no_job(self, job):
         raise AssertionError("a name collision must be rejected before any job runs")
 
+    def no_load(manifest):
+        raise AssertionError("a name collision must be rejected before any dataset loads")
+
     monkeypatch.setattr(cli.PipelineRunner, "_run_job", no_job)
+    monkeypatch.setattr(cli, "load_dataset", no_load)
     config = _write_config(tmp_path / "config.json", manifest=small_ds,
                            datasets=[{"manifest": str(small_ds), **e} for e in entries])
     out = tmp_path / "r"
@@ -1548,6 +1553,77 @@ def test_datasets_loading_under_one_name_exit_2_before_any_job(small_ds, tmp_pat
     err = capsys.readouterr().err
     assert "ConfigError" in err and "distinct 'name'" in err
     assert list(out.iterdir()) == []
+
+
+def test_a_manifest_naming_a_missing_file_exits_2_before_any_load(small_ds, tmp_path,
+                                                                  monkeypatch, capsys):
+    # the entry sorts after small_ds's "tiny", so a dataset-by-dataset check would load "tiny"
+    monkeypatch.chdir(tmp_path)
+    manifest = save_dataset(make_node_dataset(name="zz", num_nodes=60, seed=4), Path("zz"))
+    doc = json.loads(manifest.read_text())
+    manifest.write_text(json.dumps({**doc, "edge_file": "missing.tsv"}))
+
+    def no_load(manifest):
+        raise AssertionError("a missing file must be reported before any dataset loads")
+
+    monkeypatch.setattr(cli, "load_dataset", no_load)
+    monkeypatch.setattr(cli.PipelineRunner, "_run_job",
+                        lambda self, job: pytest.fail(f"cell {job} ran"))
+    config = _write_config(Path("config.json"), manifest=small_ds, seeds=1,
+                           datasets=[{"manifest": str(small_ds)}, {"manifest": str(manifest)}])
+    assert main(["run", "--config", str(config), "--out", "out"]) == 2
+    assert f"error: MissingFile: {Path('zz') / 'missing.tsv'}" in capsys.readouterr().err
+    assert list(Path("out").iterdir()) == []
+
+
+def test_a_fault_inside_a_later_dataset_fails_the_run_at_its_turn(small_ds, tmp_path,
+                                                                  monkeypatch, capsys):
+    # "zz" comes first in the config and loads second, after "tiny"'s jobs have run
+    monkeypatch.chdir(tmp_path)
+    manifest = save_dataset(make_node_dataset(name="zz", num_nodes=60, seed=4), Path("zz"))
+    with open(Path("zz") / "edges.tsv", "a") as f:
+        f.write("0\tx\n")
+    threads = _record_threads(monkeypatch)
+    config = _write_config(Path("config.json"), manifest=manifest, seeds=1,
+                           axes=["fairness", "imbalance"],
+                           datasets=[{"manifest": str(manifest)}, {"manifest": str(small_ds)}])
+    assert main(["run", "--config", str(config), "--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert re.search(rf"^error: LengthMismatch: {re.escape(str(Path('zz') / 'edges.tsv'))}",
+                     err, re.M), err
+    assert len(threads["load"]) == 2 and len(threads["job"]) == 2  # "tiny"'s two cells
+    assert not Path("out/report.json").exists() and not Path("out/values").exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_dataset_is_gone_when_the_next_datasets_jobs_start(small_ds, mol_ds, tmp_path,
+                                                             monkeypatch, workers):
+    # "a" is a collection, so its corruption cells fail: a failed cell must not keep it alive.
+    # No gc.collect(): the dataset is freed as its last reference goes, not by the collector
+    loaded = {}
+    load, run_job = cli.load_dataset, cli.PipelineRunner._run_job
+
+    def recorded_load(manifest):
+        dataset = load(manifest)
+        loaded[manifest] = weakref.ref(dataset)
+        return dataset
+
+    first_alive = []
+
+    def recorded_job(self, job):
+        if job[0].name == "b":
+            first_alive.append(loaded[str(mol_ds)]() is not None)
+        return run_job(self, job)
+
+    monkeypatch.setattr(cli, "load_dataset", recorded_load)
+    monkeypatch.setattr(cli.PipelineRunner, "_run_job", recorded_job)
+    config = _write_config(tmp_path / "config.json", manifest=small_ds, seeds=2,
+                           axes=["corruption", "ood"],
+                           datasets=[{"manifest": str(small_ds), "name": "b"},
+                                     {"manifest": str(mol_ds), "name": "a"}])
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out"),
+                 "--workers", str(workers)]) == 1
+    assert len(loaded) == 2 and first_alive == [False] * 4
 
 
 @pytest.mark.parametrize("source", ["name", "file-stem"])

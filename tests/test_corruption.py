@@ -1,5 +1,6 @@
 """Feature-noise and edge-deletion operators: scaling, nesting, invariants."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from graphstress.corruption import (
     EDGE_LEVELS,
     _DRAW_BLOCK,
+    _NOISE_ROWS,
     drop_metric,
     edge_delete,
     feature_noise,
@@ -99,6 +101,35 @@ def test_noise_preserves_dtype():
     x = _features()
     assert feature_noise(x, np.arange(5), 0.3, KEY).dtype == np.float32
     assert feature_noise(x.astype(np.float64), np.arange(5), 0.3, KEY).dtype == np.float64
+
+
+def test_noise_bytes_are_pinned():
+    # 10^6 float32 values over 16 row blocks, the last one partial, and one constant column.
+    # The input is built from uniform draws only, so it is the same on every CPU; the digest
+    # catches a change to the noise arithmetic and any SIMD drift in gaussian that survives
+    # the float32 cast
+    n, d = 62_500, 16
+    draws = uniform(derive_key("corruption", "pin", "features", 0, 0), np.arange(n * d))
+    x = (draws * 4 - 2).astype(np.float32).reshape(n, d)
+    x[:, 3] = 0.25
+    out = feature_noise(x, np.arange(0, n, 3), 0.5, KEY)
+    assert out.dtype == np.float32
+    assert hashlib.sha256(out.tobytes()).hexdigest() == (
+        "bf57ff5c24c3f83232a49652206aa15913e0adcc69a73c3da8e9b9643ad3fcd0")
+
+
+def test_noise_holds_its_result_and_one_row_block():
+    # the index, draws and float64 sums of one block stay under 64 B per value; a few train
+    # rows keep the std step below that. Drawn whole, the noise held ~6x the result
+    n, d = 100_000, 16
+    x = _features(n, d)
+    tracemalloc.start()
+    try:
+        out = feature_noise(x, np.arange(0, n, 10), 0.5, KEY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 64 * _NOISE_ROWS * d
 
 
 def test_noise_input_validation():
