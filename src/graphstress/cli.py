@@ -53,11 +53,9 @@ from .graph_store import (
     SplitAssignment,
     _id_dtype,
     _read_manifest,
-    dataset_name,
     load_dataset,
     read_json,
     remove_edges,
-    require_file,
     save_dataset,
     write_json,
     write_split_file,
@@ -902,16 +900,13 @@ class PipelineRunner:
 
     def _dataset_manifests(self) -> dict[str, str]:
         """Dataset name -> manifest path, for every entry of the config, before any data file
-        is read: each manifest is checked, every file it names exists, and each name is
-        valid and distinct."""
+        is read: each manifest is checked, every file it names exists (``_read_manifest``),
+        and each name is valid and distinct."""
         manifests: dict[str, str] = {}
         for spec in self.config["datasets"]:
             path = Path(spec["manifest"])
             manifest = _read_manifest(path)
-            for key, value in manifest.items():
-                if key.endswith("_file") and value:
-                    require_file(path.parent / value)
-            name = spec.get("name", dataset_name(manifest, path))
+            name = spec.get("name", manifest["name"])
             if not _is_name(name):  # an entry's own name passed the config check
                 raise ConfigError(f"{path}: dataset name {name!r} must be "
                                   f"{PARAMS['name'][2]}; give the entry a 'name'")
@@ -925,8 +920,7 @@ class PipelineRunner:
         """Each (method, axis, seed) cell's outcome on the dataset at ``manifest``; the dataset
         dies with this call. It loads on this thread, which then runs jobs too: memory a
         thread frees is reused only by that thread's malloc arena."""
-        dataset = load_dataset(manifest)
-        dataset.name = name
+        dataset = replace(load_dataset(manifest), name=name)
         return self._run_jobs([(dataset, *cell) for cell in cells])
 
     def _run_jobs(self, jobs: list) -> list:

@@ -120,7 +120,5 @@ def permutation(key: StreamKey, n: int) -> np.ndarray:
     Ties between 53-bit uniforms are broken by position, which keeps the
     result a pure function of (key, n).
     """
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
     u = uniform(key, np.arange(n, dtype=np.uint64))
     return np.argsort(u, kind="stable").astype(np.int64)

@@ -360,19 +360,18 @@ def _one_way_arc(g: Graph) -> tuple[int, int] | None:
     """The smallest arc (u, v), u != v, whose reverse (v, u) is absent, or None.
 
     ``_twins`` matches the arcs u > v from a cursor at each row's end. If each lands on its
-    source, no row is matched past its start, and the arcs u < v are as many, every arc has
-    its reverse; else the keys of every arc are built, to name the smallest one-way arc.
+    source and no row is matched past its start, every arc u > v has its reverse. If also
+    the entry just before each row's matched ones is at most the row's node, every arc u < v
+    was matched, as a row ascends; so every arc has its reverse. Else the keys of every arc
+    are built, to name the smallest one-way arc.
     """
     cursor = g.offsets[1:].copy()
-    surplus = 0  # arcs u > v less arcs u < v
     for _, u, twin in _twins(g, cursor):
-        surplus += len(u)
         if not np.array_equal(g.neighbors.take(twin, mode="clip"), u):
             break
     else:
-        for a, b, lo, hi in g._row_blocks():
-            surplus -= np.count_nonzero(g.neighbors[lo:hi] > g._sources(a, b))
-        if surplus == 0 and np.all(cursor >= g.offsets[:-1]):  # no row matched past its start
+        rows = np.flatnonzero(cursor > g.offsets[:-1])  # the rows with an unmatched entry
+        if np.all(cursor >= g.offsets[:-1]) and np.all(g.neighbors[cursor[rows] - 1] <= rows):
             return None
     fwd, dst = g.arcs()
     rev = np.multiply(dst, g.num_nodes, dtype=np.int64)
@@ -762,7 +761,9 @@ MANIFEST_KEYS = {"node_graph": ("num_nodes", "edge_file"),
 
 
 def _read_manifest(path: Path) -> dict:
-    """The manifest at path, checked: its kind's keys are there and each known key has its type."""
+    """The manifest at path, checked before any file it names is read: its kind's keys are
+    there, each known key has its type and each non-empty ``*_file`` exists. Its ``name``,
+    if not given, is the manifest file's stem."""
     manifest = read_json(path, {"kind": (lambda kind: isinstance(kind, str) and kind in MANIFEST_KEYS,
                                          f"one of {', '.join(MANIFEST_KEYS)}")})
     missing = [key for key in MANIFEST_KEYS[manifest["kind"]] if key not in manifest]
@@ -771,20 +772,20 @@ def _read_manifest(path: Path) -> dict:
     for key, value in manifest.items():
         if key.startswith("num_") or key == "feature_dim":
             ok, expected = type(value) is int and value >= 0, "a non-negative integer"
-        elif key.endswith("_file") or key == "name":
+        elif key == "name":
             ok, expected = isinstance(value, str), "a string"
+        elif key.endswith("_file"):
+            ok, expected = isinstance(value, str), "a string"
+            if ok and value:
+                require_file(path.parent / value)
         elif key == "undirected":
             ok, expected = isinstance(value, bool), "true or false"
         else:
             continue
         if not ok:
             raise LengthMismatch(f"{path}: {key} must be {expected}, got {value!r}")
+    manifest.setdefault("name", path.stem)
     return manifest
-
-
-def dataset_name(manifest: dict, manifest_path: Path) -> str:
-    """The name a dataset loads under: its manifest's ``name``, else the manifest file's stem."""
-    return manifest.get("name", manifest_path.stem)
 
 
 def load_dataset(manifest_path) -> Dataset:
@@ -793,7 +794,7 @@ def load_dataset(manifest_path) -> Dataset:
     manifest = _read_manifest(manifest_path)
     base = manifest_path.parent
     kind = manifest["kind"]
-    name = dataset_name(manifest, manifest_path)
+    name = manifest["name"]
 
     if kind == "node_graph":
         num_nodes = manifest["num_nodes"]
@@ -853,8 +854,8 @@ def _load_collection(manifest: dict, base: Path, name: str) -> Dataset:
     scaffold_ids = None
     if manifest.get("scaffold_file"):
         scaffold_ids = _per_graph(base / manifest["scaffold_file"], num_graphs, "scaffold id")
+    # labels and scaffold ids are num_graphs long by construction, so validate() is not called
     collection = GraphCollection(graphs=graphs, labels=labels, scaffold_ids=scaffold_ids)
-    collection.validate()
     split = None
     if manifest.get("split_file"):
         split = read_split_file(base / manifest["split_file"], num_graphs)

@@ -1,5 +1,6 @@
 """End-to-end command tests: every subcommand, the pipeline runner, exit codes."""
 
+import ctypes
 import hashlib
 import json
 import os
@@ -17,6 +18,7 @@ import pytest
 
 import graphstress
 import graphstress.cli as cli
+from graphstress import graph_store
 from graphstress.cli import main
 from graphstress.graph_store import (Graph, Role, SplitAssignment, load_dataset, read_split_file,
                                      remove_edges, save_dataset)
@@ -72,6 +74,13 @@ def _write_config(path, **overrides):
     config.update(overrides)
     path.write_text(json.dumps(config))
     return path
+
+
+def _src_env() -> dict:
+    """The environment of a fresh interpreter that imports this graphstress."""
+    src = str(Path(graphstress.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 # ---------------------------------------------------------------------------
@@ -1576,6 +1585,26 @@ def test_a_manifest_naming_a_missing_file_exits_2_before_any_load(small_ds, tmp_
     assert list(Path("out").iterdir()) == []
 
 
+@pytest.mark.parametrize("key, argv", [
+    ("label_file", ["refmodel", "--out", "pred.tsv"]),
+    ("foo_file", ["imbalance", "--rho", "5", "--out", "imb.tsv"]),
+], ids=["refmodel-missing-labels", "imbalance-unknown-key"])
+def test_a_subcommand_given_a_missing_named_file_exits_2_before_parsing_any(tmp_path, monkeypatch,
+                                                                            capsys, key, argv):
+    # every command checks a manifest's files before it parses one, unknown *_file keys too
+    monkeypatch.chdir(tmp_path)
+    manifest = save_dataset(make_node_dataset(name="m", num_nodes=60, seed=4), Path("m"))
+    doc = json.loads(manifest.read_text())
+    doc.setdefault(key, "foo.tsv")
+    manifest.write_text(json.dumps(doc))
+    missing = Path("m") / doc[key]
+    missing.unlink(missing_ok=True)
+    monkeypatch.setattr(graph_store, "read_table",
+                        lambda path, dtypes: pytest.fail(f"{path} was parsed"))
+    assert main([argv[0], "--dataset", str(manifest), *argv[1:]]) == 2
+    assert f"error: MissingFile: {missing}" in capsys.readouterr().err
+
+
 def test_a_fault_inside_a_later_dataset_fails_the_run_at_its_turn(small_ds, tmp_path,
                                                                   monkeypatch, capsys):
     # "zz" comes first in the config and loads second, after "tiny"'s jobs have run
@@ -1599,23 +1628,18 @@ def test_a_fault_inside_a_later_dataset_fails_the_run_at_its_turn(small_ds, tmp_
 def test_a_dataset_is_gone_when_the_next_datasets_jobs_start(small_ds, mol_ds, tmp_path,
                                                              monkeypatch, workers):
     # "a" is a collection, so its corruption cells fail: a failed cell must not keep it alive.
-    # No gc.collect(): the dataset is freed as its last reference goes, not by the collector
-    loaded = {}
-    load, run_job = cli.load_dataset, cli.PipelineRunner._run_job
-
-    def recorded_load(manifest):
-        dataset = load(manifest)
-        loaded[manifest] = weakref.ref(dataset)
-        return dataset
-
+    # The weakref is taken on the Dataset the jobs hold. No gc.collect(): the dataset is freed
+    # as its last reference goes, not by the collector
+    held = {}
     first_alive = []
+    run_job = cli.PipelineRunner._run_job
 
     def recorded_job(self, job):
+        held.setdefault(job[0].name, weakref.ref(job[0]))
         if job[0].name == "b":
-            first_alive.append(loaded[str(mol_ds)]() is not None)
+            first_alive.append(held["a"]() is not None)
         return run_job(self, job)
 
-    monkeypatch.setattr(cli, "load_dataset", recorded_load)
     monkeypatch.setattr(cli.PipelineRunner, "_run_job", recorded_job)
     config = _write_config(tmp_path / "config.json", manifest=small_ds, seeds=2,
                            axes=["corruption", "ood"],
@@ -1623,7 +1647,45 @@ def test_a_dataset_is_gone_when_the_next_datasets_jobs_start(small_ds, mol_ds, t
                                      {"manifest": str(mol_ds), "name": "a"}])
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "out"),
                  "--workers", str(workers)]) == 1
-    assert len(loaded) == 2 and first_alive == [False] * 4
+    assert sorted(held) == ["a", "b"] and first_alive == [False] * 4
+
+
+def test_a_second_copy_of_a_large_dataset_adds_little_to_the_peak(tmp_path):
+    # _release_freed_heap between datasets: without it, or with malloc_trim alone, the second
+    # copy of a 10^5-node graph peaks ~7 MiB above the first; with it, ~1 MiB
+    try:
+        ctypes.CDLL("libc.so.6")
+    except OSError:
+        pytest.skip("libc.so.6 cannot be loaded")
+    if not Path("/proc/self/status").is_file():
+        pytest.skip("no /proc/self/status")
+    manifest = save_dataset(make_node_dataset(name="big", num_nodes=100_000, seed=0),
+                            tmp_path / "big")
+    # the child's VmHWM (KiB): its ru_maxrss would keep this test process's peak across the
+    # fork and exec that start it
+    script = ("import sys; from graphstress.cli import main; assert main(sys.argv[1:]) == 0; "
+              "print(next(line.split()[1] for line in open('/proc/self/status') "
+              "if line.startswith('VmHWM:')))")
+    peaks = []
+    for copies in (1, 2):
+        config = _write_config(tmp_path / f"c{copies}.json", manifest=manifest, seeds=1,
+                               axes=["fairness"],
+                               datasets=[{"manifest": str(manifest), "name": f"c{i}"}
+                                         for i in range(copies)])
+        proc = subprocess.run([sys.executable, "-c", script, "run", "--config", str(config),
+                               "--out", str(tmp_path / f"r{copies}")],
+                              capture_output=True, text=True, env=_src_env(), timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        peaks.append(int(proc.stdout.split()[-1]) / 1024)
+    assert peaks[1] <= peaks[0] + 3, f"peak MiB of one copy, two copies: {peaks}"
+
+
+def test_releasing_the_freed_heap_is_a_no_op_without_libc(monkeypatch):
+    def no_libc(name, *args, **kwargs):
+        raise OSError(f"{name}: cannot open shared object file")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_libc)
+    assert cli._release_freed_heap() is None
 
 
 @pytest.mark.parametrize("source", ["name", "file-stem"])
@@ -1861,11 +1923,8 @@ def test_console_script_help(tmp_path):
 
 
 def test_module_entry_point_help():
-    src = str(Path(graphstress.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-m", "graphstress.cli", "--help"],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: stress")
 
@@ -1883,13 +1942,10 @@ def test_no_data_warnings_stay_silent_in_a_stress_process(tmp_path):
     pred = tmp_path / "ref.pred"
     assert main(["refmodel", "--dataset", str(manifest), "--out", str(pred)]) == 0
     assert pred.read_text().startswith("#num_classes\t2\n")
-    src = str(Path(graphstress.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-W", "always::UserWarning", "-m", "graphstress.cli",
                            "fairness", "--dataset", str(manifest), "--kind", "structural",
                            "--pred", str(pred), "--out", str(tmp_path / "fair.json")],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "contained no data" not in proc.stderr
     assert json.loads((tmp_path / "fair.json").read_text())["head_size"] > 0
@@ -1897,13 +1953,10 @@ def test_no_data_warnings_stay_silent_in_a_stress_process(tmp_path):
 
 def test_importing_the_cli_leaves_scipy_unimported():
     # nothing in graphstress needs scipy, so importing the cli must not load it
-    src = str(Path(graphstress.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-c",
                            "import sys, graphstress.cli; print(sorted(m for m in sys.modules "
                            "if m.split('.')[0] == 'scipy'))"],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -1911,15 +1964,12 @@ def test_importing_the_cli_leaves_scipy_unimported():
 def test_built_in_method_runs_every_axis_with_scipy_unimportable(small_ds, tmp_path):
     # ``sys.modules["scipy"] = None`` makes any scipy import raise ImportError
     config = _write_config(tmp_path / "config.json", manifest=small_ds)
-    src = str(Path(graphstress.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     script = ("import sys; sys.modules['scipy'] = None; from graphstress.cli import main; "
               "sys.exit(main(sys.argv[1:]))")
     for args in (["run", "--config", str(config), "--out", str(tmp_path / "r")],
                  ["refmodel", "--dataset", str(small_ds), "--out", str(tmp_path / "all.pred")]):
         proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
-                              text=True, env=env, timeout=300)
+                              text=True, env=_src_env(), timeout=300)
         assert proc.returncode == 0, proc.stderr
     report = json.loads((tmp_path / "r" / "report.json").read_text())
     assert report and (tmp_path / "all.pred").is_file()

@@ -103,6 +103,12 @@ def test_permutation_is_permutation_and_deterministic():
     assert np.array_equal(np.sort(p1), np.arange(257))
 
 
+def test_permutation_of_nothing_is_an_empty_int64_array():
+    # a KG manifest with num_entities 0 asks for one
+    p = permutation(derive_key("p", "p", "p", 0, 0), 0)
+    assert p.dtype == np.int64 and p.shape == (0,)
+
+
 def test_chunked_evaluation_matches_whole():
     # parallel workers draw disjoint index ranges; the result must not depend
     # on how the range was chunked

@@ -268,8 +268,11 @@ def test_loading_a_triple_store_leaves_numpy_ma_unimported(tmp_path):
 def test_collection_validate():
     coll = make_molecule_collection(num_graphs=5, seed=3).collection
     coll.validate()
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(LengthMismatch, match="label rows must equal number of graphs"):
         GraphCollection(graphs=coll.graphs, labels=coll.labels[:-1]).validate()
+    with pytest.raises(LengthMismatch, match="scaffold ids must cover every graph"):
+        GraphCollection(graphs=coll.graphs, labels=coll.labels,
+                        scaffold_ids=coll.scaffold_ids[:-1]).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +639,15 @@ def test_missing_file_error(tmp_path):
         read_edge_file(tmp_path / "absent.tsv")
     with pytest.raises(MissingFile):
         load_dataset(tmp_path / "absent.json")
+    # a missing file a manifest names, under a key no kind reads too, fails the load at once
+    manifest = save_dataset(make_node_dataset(num_nodes=60, seed=4), tmp_path / "m")
+    (tmp_path / "m" / json.loads(manifest.read_text())["label_file"]).unlink()
+    with pytest.raises(MissingFile, match="label"):
+        load_dataset(manifest)
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "label_file": "",
+                                    "foo_file": "foo.tsv"}))
+    with pytest.raises(MissingFile, match="foo.tsv"):
+        load_dataset(manifest)
 
 
 # ---------------------------------------------------------------------------
