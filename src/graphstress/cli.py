@@ -30,6 +30,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
 
+if "numpy" not in sys.modules:
+    # graphstress calls no BLAS routine, yet numpy's OpenBLAS would start a spinning thread
+    # per core at import; a value the user set is kept
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__
@@ -700,22 +705,26 @@ class PipelineRunner:
 
     # -- axis drivers: return {subcondition: value | None | INAPPLICABLE} --
 
-    def _tables(self, dataset: Dataset, method: dict, axis: str, subs: list, seed: int,
-                rows: np.ndarray, trains=None, survived=None):
-        """One prediction table per entry of ``subs``: an external method's ``{sub}/seed{S}.pred``
-        files, each read in its turn, or one built-in propagation scoring the units ``rows``
-        for each train unit set of ``trains`` (default: the given split's), with ``survived``
-        at the clean graph and then every EDGE_LEVELS deletion level, level-major."""
+    def _scores(self, dataset: Dataset, method: dict, axis: str, subs: list, seed: int,
+                rows: np.ndarray, score, trains=None, survived=None) -> list:
+        """``score(sub, table)`` for each entry of ``subs`` and its prediction table, in order.
+
+        An external method's tables are its ``{sub}/seed{S}.pred`` files, each read only once
+        the previous one is scored and dropped, so one table is alive at a time. The built-in
+        tables come from one propagation scoring the units ``rows`` for each train unit set of
+        ``trains`` (default: the given split's), with ``survived`` at the clean graph and then
+        every EDGE_LEVELS deletion level, level-major."""
         if method["kind"] == "external":
-            return (read_prediction_file(_external_file(method, dataset, axis, sub, seed,
-                                                        f"{sub}/seed{seed}.pred"))
-                    for sub in subs)
+            return [score(sub, read_prediction_file(_external_file(method, dataset, axis, sub, seed,
+                                                                   f"{sub}/seed{seed}.pred")))
+                    for sub in subs]
         g = dataset.graph
         if trains is None:
             trains = [_given_split(dataset).units(Role.TRAIN)]
-        return propagate_predict(g, [_train_labels(g, train) for train in trains], g.num_classes,
-                                 rows=rows, survived=survived,
-                                 num_levels=0 if survived is None else len(EDGE_LEVELS))
+        tables = propagate_predict(g, [_train_labels(g, train) for train in trains], g.num_classes,
+                                   rows=rows, survived=survived,
+                                   num_levels=0 if survived is None else len(EDGE_LEVELS))
+        return [score(sub, table) for sub, table in zip(subs, tables)]
 
     def _axis_corruption(self, dataset: Dataset, method: dict, seed: int) -> dict:
         g = dataset.graph
@@ -738,9 +747,10 @@ class PipelineRunner:
                 save_dataset(replace(dataset, graph=remove_edges(g, survived < i)),
                              self._op_dir(dataset, f"corrupt_{sub}_seed{seed}"))
         subs = ["clean", *(features if feature_ok else []), *edges]
-        tables = self._tables(dataset, method, "corruption", subs, seed, test, survived=survived)
         out = dict.fromkeys([*features, "feature_drop"], INAPPLICABLE)
-        out.update((sub, accuracy(t, g.labels, test) * 100.0) for sub, t in zip(subs, tables))
+        out.update(zip(subs, self._scores(dataset, method, "corruption", subs, seed, test,
+                                          lambda _, t: accuracy(t, g.labels, test) * 100.0,
+                                          survived=survived)))
         if feature_ok:
             out["feature_drop"] = drop_metric(out["clean"], out["feature_sev5"])
         out["edge_drop"] = drop_metric(out["clean"], out["edge_sev5"])
@@ -761,9 +771,9 @@ class PipelineRunner:
         out: dict = {"temporal": INAPPLICABLE}
         for mechanism, split in zip(mechanisms, splits):
             ood_test = split.units(Role.OOD_TEST)
-            table, = self._tables(dataset, method, "ood", [mechanism], seed, ood_test,
-                                  trains=[split.units(Role.TRAIN)])
-            out[mechanism] = accuracy(table, g.labels, ood_test) * 100.0
+            out[mechanism], = self._scores(dataset, method, "ood", [mechanism], seed, ood_test,
+                                           lambda _, t: accuracy(t, g.labels, ood_test) * 100.0,
+                                           trains=[split.units(Role.TRAIN)])
         return out
 
     def _axis_ood_nonnode(self, dataset: Dataset, method: dict, seed: int) -> dict:
@@ -776,12 +786,11 @@ class PipelineRunner:
             labels = dataset.collection.labels[:, 0]
             test = split.units(Role.TEST)
             test = test[labels[test] >= 0]  # a '-' task label is left out
-            subs = ["scaffold", "random"]
-            tables = self._tables(dataset, method, "ood", subs, seed, test)
-            aucs = {sub: roc_auc(t.scores_for(test), labels[test]) * 100.0
-                    for sub, t in zip(subs, tables)}
-            return {"scaffold_auc": aucs["scaffold"],
-                    "scaffold_gap": scaffold_gap(aucs["random"], aucs["scaffold"])}
+            scaffold_auc, random_auc = self._scores(
+                dataset, method, "ood", ["scaffold", "random"], seed, test,
+                lambda _, t: roc_auc(t.scores_for(test), labels[test]) * 100.0)
+            return {"scaffold_auc": scaffold_auc,
+                    "scaffold_gap": scaffold_gap(random_auc, scaffold_auc)}
         # triples: inductive-entity ranking
         queries, cands, scores = read_ranking_file(
             _external_file(method, dataset, "ood", "kg", seed, f"kg/seed{seed}.ranking"))
@@ -798,11 +807,11 @@ class PipelineRunner:
             levels[sub] = _imbalanced(dataset, rho, seed)
             if self._writes_ops(method):
                 _write_split(self._op_dir(dataset, f"imbalance_{sub}_seed{seed}"), levels[sub][2])
-        tables = self._tables(dataset, method, "imbalance", list(levels), seed, test,
-                              trains=[kept for _, kept, _ in levels.values()])
+        recalls = self._scores(dataset, method, "imbalance", list(levels), seed, test,
+                               lambda sub, t: major_minor_recall(t, g.labels, levels[sub][0], test),
+                               trains=[kept for _, kept, _ in levels.values()])
         out: dict = {}
-        for (sub, (spec, _, _)), table in zip(levels.items(), tables):
-            major, minor = major_minor_recall(table, g.labels, spec, test)
+        for sub, (major, minor) in zip(levels, recalls):
             # a group with no test support has a NaN recall: its cell is undefined
             out[f"{sub}_major_recall"] = None if math.isnan(major) else major * 100.0
             out[f"{sub}_minor_recall"] = None if math.isnan(minor) else minor * 100.0
@@ -811,7 +820,8 @@ class PipelineRunner:
     def _axis_fairness(self, dataset: Dataset, method: dict, seed: int) -> dict:
         g = dataset.graph
         # head/tail and demographic gaps read only the test units
-        table, = self._tables(dataset, method, "fairness", ["clean"], seed, _test_units(dataset))
+        table, = self._scores(dataset, method, "fairness", ["clean"], seed, _test_units(dataset),
+                              lambda _, t: t)
         out: dict = {"head_tail_gap": _head_tail(dataset, table, self.quantile)[1]}
         if g.meta.sensitive_attr is None or g.num_classes != 2:
             return {**out, **dict.fromkeys(("d_sp", "d_eo", "d_util"), INAPPLICABLE)}

@@ -254,11 +254,12 @@ def _id_dtype(n: int):
 
 def _arc_keys(num_nodes: int, src, dst, out: np.ndarray | None = None) -> np.ndarray:
     """The key ``u * num_nodes + v`` of each arc, int64, in ``out`` or a new array; BadId names
-    the first endpoint out of range, in src before dst. The keys are formed a block at a
-    time and each block is written after its arcs are read, so ``out`` may share the arcs'
-    buffer as long as its i-th entry lies at or before arc i's."""
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
+    the first endpoint out of range, in src before dst. Integer arrays are taken in their own
+    dtype and widened to int64 a block at a time. Each block's keys are written after its
+    arcs are read, so ``out`` may share the arcs' buffer as long as its i-th entry lies at or
+    before arc i's."""
+    src, dst = (a if isinstance(a, np.ndarray) and a.dtype.kind == "i" else np.asarray(a, dtype=np.int64)
+                for a in (src, dst))
     if len(src) != len(dst):
         raise LengthMismatch(f"src/dst arc arrays differ: {len(src)} vs {len(dst)}")
     if len(src) and (src.min() < 0 or dst.min() < 0 or src.max() >= num_nodes or dst.max() >= num_nodes):
@@ -267,7 +268,8 @@ def _arc_keys(num_nodes: int, src, dst, out: np.ndarray | None = None) -> np.nda
         raise BadId(f"arc endpoint {bad} out of range for {num_nodes} nodes")
     out = np.empty(len(src), dtype=np.int64) if out is None else out
     for lo in range(0, len(src), _ROW_BLOCK):
-        keys = src[lo:lo + _ROW_BLOCK] * num_nodes
+        keys = src[lo:lo + _ROW_BLOCK].astype(np.int64)
+        keys *= num_nodes
         keys += dst[lo:lo + _ROW_BLOCK]
         out[lo:lo + len(keys)] = keys
     return out
@@ -502,16 +504,38 @@ def require_file(path) -> Path:
 def read_table(path, dtypes) -> list[np.ndarray]:
     """Columns of a tab-separated text table, one array per entry of ``dtypes``.
 
-    The whole file is parsed by numpy. Blank lines and lines starting with
-    ``#`` are skipped; an ``object`` column holds its tokens as str. Raises
-    MissingFile for an absent file, and LengthMismatch for a row without
-    exactly ``len(dtypes)`` columns or a token its column's dtype cannot parse.
-    A first pass counts the line breaks, so numpy allocates the record array
-    once and trims it, rather than growing it. The columns are strided views
-    of it, not copies, so a caller that keeps only some of them copies those.
+    The whole file is parsed by numpy. Blank lines and lines starting with ``#`` are skipped.
+    Raises MissingFile for an absent file, and LengthMismatch for a row without exactly
+    ``len(dtypes)`` columns or a token its column's wide type (below) cannot parse. A first
+    pass counts the line breaks, so numpy allocates the record array once and trims it,
+    rather than growing it. The columns are strided views of it, not copies, so a caller
+    that keeps only some of them copies those.
+
+    A column type may be narrow: an integer type below int64 (an id column, ``_id_dtype``)
+    or fixed-width bytes (a token column, with no Python object per token). Its wide type
+    is int64, or ``object`` (str tokens). The file is parsed again with every column wide
+    when numpy rejects a token under the narrow types, or when a bytes column holds a token
+    that fills its width (numpy cuts a longer one without a warning). A file with a non-ASCII
+    or NUL byte is parsed wide at once where a bytes column is asked for (bytes would drop a
+    trailing NUL). So the values read, and every error and its message, are those of the
+    wide types; only the dtypes differ.
     """
+    table = _read_records(path, dtypes)
+    return [table[name] for name in table.dtype.names]
+
+
+def _wide(dtype) -> np.dtype:
+    """The wide type of a ``read_table`` column type: int64 for an integer type, object for
+    fixed-width bytes, the type itself otherwise."""
+    dtype = np.dtype(dtype)
+    return np.dtype(np.int64 if dtype.kind in "iu" else object if dtype.kind == "S" else dtype)
+
+
+def _read_records(path, dtypes) -> np.ndarray:
+    """``read_table``'s parse: one record array whose fields ``c0``, ``c1``, ... are its columns."""
     path = require_file(path)
-    row = np.dtype([(f"c{i}", dt) for i, dt in enumerate(dtypes)])
+    narrow = np.dtype([(f"c{i}", dt) for i, dt in enumerate(dtypes)])
+    wide = np.dtype([(name, _wide(narrow[name])) for name in narrow.names])
     skip = 0  # leading blank and # lines
     with open(path) as f:
         line = f.readline()
@@ -519,20 +543,31 @@ def read_table(path, dtypes) -> list[np.ndarray]:
             skip += 1
             line = f.readline()
     if not line:  # no data row (np.loadtxt would warn)
-        return [np.empty(0, dtype=dt) for dt in dtypes]
+        return np.empty(0, dtype=narrow)
     lines = 1  # an unterminated last line; numpy splits at \n, \r\n and a lone \r
+    plain = True  # ASCII without NUL, so a bytes column holds each token as it is
     with open(path, "rb") as f:
         while block := f.read(1 << 18):
             lines += np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
             if cr := np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\r")):
                 lines += cr - block.count(b"\r\n")
+            plain = plain and block.isascii() and b"\0" not in block
+    tokens = [name for name in narrow.names if narrow[name].kind == "S"]
+    # given the path, not an open file, numpy reads in blocks rather than line by line
+    parse = dict(delimiter="\t", comments="#", ndmin=1, skiprows=skip, max_rows=lines - skip)
+    if narrow != wide and (plain or not tokens):
+        try:
+            table = np.loadtxt(path, dtype=narrow, **parse)
+        except (ValueError, OverflowError):
+            pass  # the wide parse below raises or reads it
+        else:
+            if not any(np.any(np.char.str_len(table[name]) == narrow[name].itemsize) for name in tokens):
+                return table
+            del table
     try:
-        # given the path, not an open file, numpy reads in blocks rather than line by line
-        table = np.loadtxt(path, dtype=row, delimiter="\t", comments="#", ndmin=1,
-                           skiprows=skip, max_rows=lines - skip)
+        return np.loadtxt(path, dtype=wide, **parse)
     except (ValueError, OverflowError) as e:
         raise LengthMismatch(f"{path}: {e}") from e
-    return [table[name] for name in row.names]
 
 
 _WRITE_ROWS = 1 << 14  # rows converted to Python values at once by write_table
@@ -597,8 +632,9 @@ def _check_ids(path, ids: np.ndarray, n: int, what: str) -> None:
 
 
 def _read_id_table(path, n: int, what: str, dtypes) -> list[np.ndarray]:
-    """read_table of a file whose first column holds ids in [0, n), each on one row at most."""
-    ids, *values = read_table(path, (np.int64, *dtypes))
+    """read_table of a file whose first column holds ids in [0, n), each on one row at most;
+    the ids are parsed as ``_id_dtype(n)``."""
+    ids, *values = read_table(path, (_id_dtype(n), *dtypes))
     _check_ids(path, ids, n, what)
     repeated = np.flatnonzero(np.bincount(ids, minlength=n) > 1)
     if len(repeated):
@@ -606,10 +642,36 @@ def _read_id_table(path, n: int, what: str, dtypes) -> list[np.ndarray]:
     return [ids, *values]
 
 
+# Token columns are read as fixed-width bytes one byte wider than their longest valid token,
+# so a longer token fills the width and read_table parses the file with str tokens instead.
+_ROLE_TOKEN = "S9"  # train ... excluded: ood_test and excluded have 8 letters
+_FLAG_TOKEN = "S2"  # 0, 1 or -
+_YEAR_TOKEN = "S8"  # '-' or a year; a longer one is read as str
+
+
+def _is(tokens: np.ndarray, text: str) -> np.ndarray:
+    """Which entries of a token column (fixed-width bytes, or the str objects of a wide
+    parse) are ``text``."""
+    return tokens == (text.encode() if tokens.dtype.kind == "S" else text)
+
+
+def _token(tokens: np.ndarray, i) -> str:
+    """Entry i of a token column as str, for a message: a bytes entry would print as b'..'."""
+    token = tokens[i]
+    return token.decode() if isinstance(token, bytes) else token
+
+
 def _dash_ints(path, tokens: np.ndarray, dtype) -> np.ndarray:
-    """An integer column in which '-' marks a missing value, read as -1."""
+    """An integer column in which '-' marks a missing value, read as -1. Bytes tokens of
+    ASCII digits alone are cast at once; any other column is read by Python's int() as str,
+    with its error message."""
+    dash = _is(tokens, "-")
+    if tokens.dtype.kind == "S":
+        if np.all(dash | np.char.isdigit(tokens)):
+            return np.where(dash, b"-1", tokens).astype(dtype)
+        tokens = tokens.astype(str).astype(object)  # such as '+7', '1_0' or ' 7'
     try:
-        return np.where(tokens == "-", -1, tokens).astype(dtype)
+        return np.where(dash, -1, tokens).astype(dtype)
     except (ValueError, OverflowError) as e:
         raise LengthMismatch(f"{path}: {e}") from e
 
@@ -617,10 +679,11 @@ def _dash_ints(path, tokens: np.ndarray, dtype) -> np.ndarray:
 def _binary(path, ids: np.ndarray, tokens: np.ndarray, unit: str, what: str) -> np.ndarray:
     """The tokens '0', '1' and '-' (missing) as 0, 1 and -1; BadId names the file, the
     ``unit`` id and the first other token."""
-    bad = np.flatnonzero((tokens != "0") & (tokens != "1") & (tokens != "-"))
+    one, dash = _is(tokens, "1"), _is(tokens, "-")
+    bad = np.flatnonzero(~(one | dash | _is(tokens, "0")))
     if len(bad):
-        raise BadId(f"{path}: {unit} {ids[bad[0]]}: {what} {tokens[bad[0]]!r} is not 0, 1 or -")
-    return np.where(tokens == "-", -1, tokens == "1")
+        raise BadId(f"{path}: {unit} {ids[bad[0]]}: {what} {_token(tokens, bad[0])!r} is not 0, 1 or -")
+    return np.where(dash, -1, one)
 
 
 def _dashed(col: np.ndarray) -> np.ndarray:
@@ -630,9 +693,10 @@ def _dashed(col: np.ndarray) -> np.ndarray:
     return out
 
 
-def read_edge_file(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    src, dst = read_table(path, (np.int64, np.int64))
-    return src, dst
+def read_edge_file(path: Path, num_nodes: int) -> np.ndarray:
+    """The arcs of an edge file as one record array of (``c0``, ``c1``) = (u, v) rows, both
+    ``_id_dtype(num_nodes)``, or int64 where ``read_table``'s rule parsed the file wide."""
+    return _read_records(path, (_id_dtype(num_nodes),) * 2)
 
 
 def write_edge_file(path: Path, src: np.ndarray, dst: np.ndarray) -> None:
@@ -692,7 +756,7 @@ def write_feature_file(path: Path, features: np.ndarray) -> None:
 
 
 def read_label_file(path: Path, num_nodes: int, num_classes: int) -> np.ndarray:
-    nodes, values = _read_id_table(path, num_nodes, "node id", (np.int64,))
+    nodes, values = _read_id_table(path, num_nodes, "node id", (_id_dtype(num_classes),))
     _check_ids(path, values, num_classes, "label")
     labels = np.full(num_nodes, num_classes, dtype=np.int64)  # sentinel = unlabeled
     labels[nodes] = values
@@ -705,12 +769,12 @@ def write_label_file(path: Path, labels: np.ndarray, num_classes: int) -> None:
 
 
 def read_split_file(path: Path, num_units: int) -> SplitAssignment:
-    units, names = _read_id_table(path, num_units, "unit id", (object,))
+    units, names = _read_id_table(path, num_units, "unit id", (_ROLE_TOKEN,))
     given = np.full(len(units), -1, dtype=np.int8)
     for name, role in ROLE_BY_NAME.items():
-        given[names == name] = int(role)
+        given[_is(names, name)] = int(role)
     if np.any(given < 0):
-        raise BadId(f"{path}: unknown role {names[np.argmin(given)]!r}")
+        raise BadId(f"{path}: unknown role {_token(names, np.argmin(given))!r}")
     roles = np.full(num_units, int(Role.EXCLUDED), dtype=np.int8)
     roles[units] = given
     return SplitAssignment(roles)
@@ -722,7 +786,7 @@ def write_split_file(path: Path, split: SplitAssignment) -> None:
 
 
 def read_meta_file(path: Path, num_nodes: int) -> NodeMeta:
-    nodes, years, sens = _read_id_table(path, num_nodes, "node id", (object, object))
+    nodes, years, sens = _read_id_table(path, num_nodes, "node id", (_YEAR_TOKEN, _FLAG_TOKEN))
     year = np.full(num_nodes, -1, dtype=np.int64)
     year[nodes] = _dash_ints(path, years, np.int64)
     sensitive = np.full(num_nodes, -1, dtype=np.int8)
@@ -798,12 +862,12 @@ def load_dataset(manifest_path) -> Dataset:
 
     if kind == "node_graph":
         num_nodes = manifest["num_nodes"]
-        # read_table's columns are views of one record array of (src, dst) pairs, so the keys
-        # are written over it from its start, key i into row i // 2. That buffer dies before
-        # the graph is validated, and the graph is built before the node files are read
-        src, dst = read_edge_file(base / manifest["edge_file"])
-        keys = _arc_keys(num_nodes, src, dst, out=np.lib.stride_tricks.as_strided(src, (len(src),), (8,)))
-        del src, dst
+        # the int64 keys are written over the parsed (u, v) rows from their start: key i over
+        # row i, or over row i // 2 of 16-byte rows parsed wide. That buffer dies before the
+        # graph is validated, and the graph is built before the node files are read
+        edges = read_edge_file(base / manifest["edge_file"], num_nodes)
+        keys = _arc_keys(num_nodes, edges["c0"], edges["c1"], out=edges.view(np.int64)[:len(edges)])
+        del edges
         graph = Graph._from_keys(num_nodes, keys, undirected=manifest.get("undirected", True))
         del keys
         validate_graph(graph)
@@ -847,7 +911,7 @@ def _load_collection(manifest: dict, base: Path, name: str) -> Dataset:
     # the arc columns are parsed and freed inside, before the other files are read
     graphs = _collection_graphs(base / manifest["graph_file"], sizes, manifest.get("undirected", True))
     path = base / manifest["graph_label_file"]
-    gids, *tasks = _read_id_table(path, num_graphs, "graph id", (object,) * num_tasks)
+    gids, *tasks = _read_id_table(path, num_graphs, "graph id", (_FLAG_TOKEN,) * num_tasks)
     labels = np.full((num_graphs, num_tasks), -1, dtype=np.int8)
     for j, tokens in enumerate(tasks):
         labels[gids, j] = _binary(path, gids, tokens, "graph", "task label")
@@ -885,7 +949,8 @@ def _collection_graphs(path, sizes: np.ndarray, undirected: bool) -> GraphBlock:
     neighbors turned back into local atom ids. BadId and AsymmetricGraph
     name the graph id and its local atom ids.
     """
-    gids, src, dst = read_table(path, (np.int64,) * 3)
+    atom = _id_dtype(int(sizes.sum()))  # src + shift below stays under the atom count
+    gids, src, dst = read_table(path, (_id_dtype(len(sizes)), atom, atom))
     _check_ids(path, gids, len(sizes), "graph id")
     n = sizes[gids]
     bad = np.flatnonzero((src < 0) | (src >= n) | (dst < 0) | (dst >= n))

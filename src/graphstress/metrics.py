@@ -224,9 +224,10 @@ def write_prediction_file(path, table: PredictionTable) -> None:
 def read_ranking_file(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows ``query_id<TAB>candidate_id<TAB>score``; returns three aligned arrays.
 
-    A NaN or infinite score is a BadProbability naming the first such row.
+    The ids are int32, or int64 where one does not fit (``read_table`` parses the file
+    again). A NaN or infinite score is a BadProbability naming the first such row.
     """
-    queries, cands, scores = read_table(path, (np.int64, np.int64, np.float64))
+    queries, cands, scores = read_table(path, (np.int32, np.int32, np.float64))
     bad = np.flatnonzero(~np.isfinite(scores))
     if len(bad):
         i = bad[0]

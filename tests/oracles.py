@@ -266,3 +266,120 @@ def feature_file_oracle(path, num_nodes):
             if value != value or value in (float("inf"), float("-inf")):
                 return "NonFiniteFeature", "features contain NaN or Inf"
     return values
+
+
+class _Fault(Exception):
+    """(error class name, message) of a reader's error, raised inside the wide-parse oracles."""
+
+
+def _wide_columns(path, dtypes):
+    """One np.loadtxt of ``path`` with every integer column int64 and every token column
+    object (str): the readers' parse before narrow types."""
+    import warnings
+
+    row = np.dtype([(f"c{i}", dt) for i, dt in enumerate(dtypes)])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy warns of a file without data rows
+            table = np.loadtxt(path, dtype=row, delimiter="\t", comments="#", ndmin=1)
+    except (ValueError, OverflowError) as e:
+        raise _Fault("LengthMismatch", f"{path}: {e}") from e
+    return [table[name] for name in row.names]
+
+
+def _wide_ids(path, n, what, dtypes):
+    ids, *values = _wide_columns(path, (np.int64, *dtypes))
+    for i in ids.tolist():
+        if not 0 <= i < n:
+            raise _Fault("BadId", f"{path}: {what} {i} out of range")
+    counts = {}
+    for i in ids.tolist():
+        counts[i] = counts.get(i, 0) + 1
+    repeated = sorted(i for i, c in counts.items() if c > 1)
+    if repeated:
+        raise _Fault("LengthMismatch", f"{path}: {what} {repeated[0]} has more than one row")
+    return ids.tolist(), values
+
+
+def _wide_flags(path, ids, tokens, unit, what):
+    out = []
+    for i, token in zip(ids, tokens.tolist()):
+        if token not in ("0", "1", "-"):
+            raise _Fault("BadId", f"{path}: {unit} {i}: {what} {token!r} is not 0, 1 or -")
+        out.append(-1 if token == "-" else int(token))
+    return out
+
+
+def _wide_label(path, n, num_classes):
+    nodes, (values,) = _wide_ids(path, n, "node id", (np.int64,))
+    for v in values.tolist():
+        if not 0 <= v < num_classes:
+            raise _Fault("BadId", f"{path}: label {v} out of range")
+    labels = [num_classes] * n
+    for u, v in zip(nodes, values.tolist()):
+        labels[u] = v
+    return labels
+
+
+def _wide_split(path, n, _):
+    names = ["train", "val", "test", "ood_val", "ood_test", "excluded"]
+    units, (tokens,) = _wide_ids(path, n, "unit id", (object,))
+    roles = [names.index("excluded")] * n
+    for u, token in zip(units, tokens.tolist()):
+        if token not in names:
+            raise _Fault("BadId", f"{path}: unknown role {token!r}")
+        roles[u] = names.index(token)
+    return roles
+
+
+def _wide_meta(path, n, _):
+    nodes, (years, sens) = _wide_ids(path, n, "node id", (object, object))
+    try:  # the cast the readers made: Python's int() of each str token
+        years = np.where(years == "-", -1, years).astype(np.int64).tolist()
+    except (ValueError, OverflowError) as e:
+        raise _Fault("LengthMismatch", f"{path}: {e}") from e
+    sens = _wide_flags(path, nodes, sens, "node", "sensitive_attr")
+    year, flag = [-1] * n, [-1] * n
+    for u, y, s in zip(nodes, years, sens):
+        year[u], flag[u] = y, s
+    return (year if max(year, default=-1) >= 0 else None,
+            flag if max(flag, default=-1) >= 0 else None)
+
+
+def _wide_graph_labels(path, n, num_tasks):
+    gids, tasks = _wide_ids(path, n, "graph id", (object,) * num_tasks)
+    labels = [[-1] * num_tasks for _ in range(n)]
+    for j, tokens in enumerate(tasks):
+        for g, v in zip(gids, _wide_flags(path, gids, tokens, "graph", "task label")):
+            labels[g][j] = v
+    return labels
+
+
+def _wide_ranking(path, *_):
+    queries, cands, scores = _wide_columns(path, (np.int64, np.int64, np.float64))
+    for i in range(len(scores)):
+        if not np.isfinite(scores[i]):
+            raise _Fault("BadProbability", f"{path}: data row {i + 1} (query {queries[i]}, "
+                                           f"candidate {cands[i]}) has non-finite score {scores[i]}")
+    return [queries.tolist(), cands.tolist(), scores.tolist()]
+
+
+_WIDE_READERS = {
+    "edge": lambda path, *_: [c.tolist() for c in _wide_columns(path, (np.int64, np.int64))],
+    "label": _wide_label,
+    "split": _wide_split,
+    "meta": _wide_meta,
+    "graph_label": _wide_graph_labels,
+    "ranking": _wide_ranking,
+}
+
+
+def wide_reader_oracle(kind, path, n, extra=None):
+    """What the reader of a ``kind`` file returned when every id column was parsed as int64
+    and every token column as str objects, as plain lists, or the (error class name,
+    message) it raised. ``n`` is the id count (nodes, units or graphs) and ``extra`` the
+    class count of a label file or the task count of a graph-label file."""
+    try:
+        return _WIDE_READERS[kind](path, n, extra)
+    except _Fault as fault:
+        return fault.args

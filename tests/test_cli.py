@@ -1708,6 +1708,78 @@ def test_a_manifest_name_outside_the_name_rule_exits_2_before_any_job(tmp_path, 
     assert list(Path("out").iterdir()) == []
 
 
+@pytest.fixture(scope="module")
+def node100k_ds(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli_node100k")
+    return save_dataset(make_node_dataset(name="big", num_nodes=100_000, seed=0), out / "big")
+
+
+@pytest.mark.parametrize("axis, subs", [
+    ("ood", ["degree", "temporal"]),
+    ("corruption", ["clean", *(f"{c}_sev{i}" for c in ("feature", "edge") for i in range(1, 6))]),
+    ("scaffold", ["scaffold", "random"]),
+])
+def test_an_external_method_holds_one_prediction_table_at_a_time(node100k_ds, tmp_path,
+                                                                 monkeypatch, axis, subs):
+    # each .pred file is read only once the previous table is scored and dropped; the weakrefs
+    # need no gc.collect(), as a table holds no reference cycle
+    if axis == "scaffold":
+        manifest = save_dataset(make_molecule_collection(name="big", num_graphs=400, seed=1),
+                                tmp_path / "mol")
+        units = 400
+    else:
+        manifest, units = node100k_ds, 100_000
+    rows = np.random.default_rng(2).random((units, 2))
+    one = tmp_path / "one.pred"
+    write_prediction_file(one, PredictionTable(np.arange(units), rows / rows.sum(axis=1, keepdims=True)))
+    pred_axis = "ood" if axis == "scaffold" else axis
+    for sub in subs:
+        (tmp_path / "preds" / "big" / pred_axis / sub).mkdir(parents=True)
+        os.link(one, tmp_path / "preds" / "big" / pred_axis / sub / "seed0.pred")
+    tables, alive_at_read = [], []
+    read = cli.read_prediction_file
+
+    def recorded(path):
+        alive_at_read.append(sum(table() is not None for table in tables))
+        table = read(path)
+        tables.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(cli, "read_prediction_file", recorded)
+    config = _write_config(tmp_path / "config.json", manifest=manifest, seeds=1, axes=[pred_axis],
+                           methods=[{"kind": "external", "name": "ext",
+                                     "pred_dir": str(tmp_path / "preds")}])
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert alive_at_read == [0] * len(subs)
+
+
+_BLAS_PROBE = ("import os; {first}import graphstress.cli; "
+               "print(os.environ.get('OPENBLAS_NUM_THREADS'), next(line.split()[1] for line in "
+               "open('/proc/self/status') if line.startswith('Threads:')))")
+
+
+@pytest.mark.parametrize("first, preset, expected", [
+    ("", None, ("1", "1")),
+    ("", "2", ("2", None)),
+    ("import numpy; ", None, ("None", None)),
+], ids=["unset", "user-set", "numpy-first"])
+def test_the_cli_import_starts_no_blas_thread_pool(first, preset, expected):
+    # graphstress calls no BLAS routine: the import asks OpenBLAS for one thread unless the
+    # user set a count, or numpy was imported before (its pool then already exists)
+    if not Path("/proc/self/status").is_file():
+        pytest.skip("no /proc/self/status")
+    env = _src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    out = subprocess.run([sys.executable, "-c", _BLAS_PROBE.format(first=first)], env=env,
+                         capture_output=True, text=True, check=True).stdout.split()
+    variable, threads = expected
+    assert out[0] == variable
+    if threads is not None:
+        assert out[1] == threads
+
+
 def test_every_shipped_config_passes_the_key_check(small_ds, tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import workloads

@@ -27,6 +27,7 @@ from graphstress.errors import (
     LengthMismatch,
     MissingFile,
     NonFiniteFeature,
+    StressError,
 )
 from graphstress.graph_store import (
     Dataset,
@@ -76,6 +77,7 @@ from oracles import (
     rows_ascend_oracle,
     table_read_oracle,
     table_text_oracle,
+    wide_reader_oracle,
 )
 
 
@@ -283,15 +285,14 @@ def test_edge_file_round_trip(tmp_path, random_graph):
     src, dst = random_graph.arcs()
     p = tmp_path / "edges.tsv"
     write_edge_file(p, src, dst)
-    s2, d2 = read_edge_file(p)
-    assert np.array_equal(src, s2) and np.array_equal(dst, d2)
+    edges = read_edge_file(p, random_graph.num_nodes)
+    assert np.array_equal(src, edges["c0"]) and np.array_equal(dst, edges["c1"])
 
 
 def test_empty_edge_file(tmp_path):
     p = tmp_path / "edges.tsv"
     p.write_text("")
-    src, dst = read_edge_file(p)
-    assert src.size == 0 and dst.size == 0
+    assert read_edge_file(p, 1).size == 0
 
 
 def test_feature_file_bit_identity(tmp_path):
@@ -550,7 +551,7 @@ def test_text_tables_skip_comment_and_blank_lines(tmp_path):
     meta = read_meta_file(p, num_nodes=2)
     assert meta.year.tolist() == [-1, 2001] and meta.sensitive_attr is None
     p.write_text("# only comments\n\n")
-    assert read_edge_file(p)[0].size == 0
+    assert read_edge_file(p, 2).size == 0
 
 
 TABLE_ROWS = ["3\t-1.5\tx", "9223372036854775807\t1e-05\ty", "-4\tnan\tzz", "0\t0.1\tw"]
@@ -612,9 +613,9 @@ def test_read_table_counts_a_line_end_split_across_its_count_blocks(tmp_path, mo
 
 
 @pytest.mark.parametrize("read, text", [
-    (read_edge_file, "0\t1\n1\n"),
-    (read_edge_file, "0\t1\n1\t0\t2\n"),
-    (read_edge_file, "0\t1\t2\n1\t0\t3\n"),
+    (lambda p: read_edge_file(p, 3), "0\t1\n1\n"),
+    (lambda p: read_edge_file(p, 3), "0\t1\n1\t0\t2\n"),
+    (lambda p: read_edge_file(p, 3), "0\t1\t2\n1\t0\t3\n"),
     (read_triple_file, "0\t1\n2\t0\n"),
     (read_triple_file, "0\t1\tz\n"),
     (lambda p: read_label_file(p, 3, 2), "2\tfoo\n"),
@@ -634,9 +635,122 @@ def test_ragged_row_or_bad_token_is_a_length_mismatch(tmp_path, read, text):
         read(p)
 
 
+# tokens of each column kind: valid ones and the edge cases of the narrow parse (ids past
+# int32, bytes tokens that fill their width or pass it, non-ASCII and NUL bytes)
+ID_TOKENS = st.integers(0, 9).map(str) | st.sampled_from(
+    ["2147483647", "2147483648", "3000000000", "-1", "-2147483649", "x", "", "1.0", "+3"])
+FLAG_TOKENS = st.sampled_from(["0", "1", "-", "2", "01", "10", "-1", "x", "", "1 ", "\u0661"])
+ROLE_TOKENS = st.sampled_from(["train", "val", "test", "ood_val", "ood_test", "excluded", "Train",
+                               "train ", "exclude", "excluded1", "ood_test_x", "", "\xe9", "train\x00"])
+YEAR_TOKENS = st.one_of(
+    st.just("-"),
+    st.integers(0, 10**10).map(str),  # up to 11 characters: within the 8-byte width and past it
+    st.tuples(st.sampled_from(["+", "0", "00", "+0", "0000000"]), st.integers(0, 99999))
+    .map(lambda t: t[0] + str(t[1])),
+    st.integers(10, 10**7).map(lambda v: f"{str(v)[:1]}_{str(v)[1:]}"),
+    st.sampled_from(["x", "", "1.5", "--", "_1", "1__0", " 7", "\u0663", "9" * 25]),
+)
+SCORE_TOKENS = st.floats(-10, 10).map(repr) | st.sampled_from(["nan", "inf", "-inf", "x"])
+FILE_COLUMNS = {  # kind -> (id count, extra, token strategy of each column)
+    "edge": (10, None, [ID_TOKENS, ID_TOKENS]),
+    "label": (10, 3, [ID_TOKENS, ID_TOKENS]),
+    "split": (10, None, [ID_TOKENS, ROLE_TOKENS]),
+    "meta": (10, None, [ID_TOKENS, YEAR_TOKENS, FLAG_TOKENS]),
+    "graph_label": (10, 2, [ID_TOKENS, FLAG_TOKENS, FLAG_TOKENS]),
+    "ranking": (10, None, [ID_TOKENS, ID_TOKENS, SCORE_TOKENS]),
+}
+
+
+@st.composite
+def table_files(draw, kind):
+    """The text of a ``kind`` file: data rows whose first column mostly holds distinct valid
+    ids, with comment and blank lines among them and one line end throughout."""
+    n, _, columns = FILE_COLUMNS[kind]
+    ids = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    lines = []
+    for i in ids:
+        first = str(i) if draw(st.integers(0, 4)) else draw(ID_TOKENS)
+        lines.append("\t".join([first, *(draw(c) for c in columns[1:])]))
+        lines.extend(draw(st.lists(st.sampled_from(["", "# note", "#"]), max_size=1)))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + (end if draw(st.booleans()) else "")
+
+
+def _read_plainly(kind, path, n, extra):
+    """What the reader of a ``kind`` file gives, as wide_reader_oracle gives it."""
+    try:
+        if kind == "edge":
+            edges = read_edge_file(path, n)
+            return [edges["c0"].tolist(), edges["c1"].tolist()]
+        if kind == "label":
+            return read_label_file(path, n, extra).tolist()
+        if kind == "split":
+            return read_split_file(path, n).roles.tolist()
+        if kind == "meta":
+            meta = read_meta_file(path, n)
+            return tuple(None if a is None else a.tolist() for a in (meta.year, meta.sensitive_attr))
+        if kind == "ranking":
+            return [c.tolist() for c in read_ranking_file(path)]
+        # graph labels: a collection of n atom-less graphs around the drawn file
+        (path.parent / "sizes.tsv").write_text("".join(f"{g}\t0\n" for g in range(n)))
+        (path.parent / "edges.tsv").write_text("")
+        manifest = path.parent / "manifest.json"
+        manifest.write_text(json.dumps({
+            "kind": "graph_collection", "num_graphs": n, "num_tasks": extra,
+            "graph_size_file": "sizes.tsv", "graph_file": "edges.tsv", "graph_label_file": path.name}))
+        return load_dataset(manifest).collection.labels.tolist()
+    except StressError as e:
+        return type(e).__name__, str(e)
+
+
+@pytest.mark.filterwarnings("ignore:Input line")  # see test_read_table_keeps_every_row_for_any_line_end
+@pytest.mark.parametrize("kind", sorted(FILE_COLUMNS))
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_narrow_reads_load_and_fail_as_wide_reads_property(kind, data):
+    # ids are parsed as int32 and tokens as fixed-width bytes; every file loads to the values,
+    # or fails with the error class and message, of parsing every column wide
+    n, extra, _ = FILE_COLUMNS[kind]
+    text = data.draw(table_files(kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.tsv"
+        path.write_bytes(text.encode())
+        assert _read_plainly(kind, path, n, extra) == wide_reader_oracle(kind, path, n, extra)
+
+
+# the column types each reader asks read_table for
+READER_TYPES = {"split": (np.int32, graph_store._ROLE_TOKEN),
+                "meta": (np.int32, graph_store._YEAR_TOKEN, graph_store._FLAG_TOKEN),
+                "graph_label": (np.int32, graph_store._FLAG_TOKEN, graph_store._FLAG_TOKEN),
+                "ranking": (np.int32, np.int32, np.float64)}
+
+
+@pytest.mark.parametrize("kind, text, wide", [
+    ("split", "0\ttrain\n1\tood_test_x\n", True),
+    ("split", "0\ttrain\x00\n1\ttest\n", True),
+    ("split", "0\t\xe9\n", True),
+    ("split", "0\ttrai\n", False),
+    ("meta", "0\t000002015\t1\n1\t-\t0\n", True),
+    ("meta", "0\t2015\t1\n1\t-\t-\n", False),
+    ("meta", "0\t2015\t2\n", False),
+    ("graph_label", "0\t1\tx\n1\t-\t0\n", False),
+    ("ranking", "0\t3000000000\t0.5\n", True),
+], ids=["long-role", "nul-role", "non-ascii-role", "bad-role", "long-year", "meta", "bad-sensitive",
+        "bad-task", "long-id"])
+def test_a_narrow_parse_falls_back_to_the_wide_one(tmp_path, kind, text, wide):
+    # a token that fills its bytes width, a NUL or non-ASCII byte, or an id past int32 parses
+    # the file with wide types; either way it reads, or fails, as the wide parse did. A bad
+    # bytes token is named as str: '2', not b'2' (nor np.str_('2') from a str column)
+    path = tmp_path / "t.tsv"
+    path.write_bytes(text.encode())
+    column = read_table(path, READER_TYPES[kind])[1]
+    assert (column.dtype in (np.dtype(object), np.dtype(np.int64))) == wide
+    assert _read_plainly(kind, path, 2, 2) == wide_reader_oracle(kind, path, 2, 2)
+
+
 def test_missing_file_error(tmp_path):
     with pytest.raises(MissingFile):
-        read_edge_file(tmp_path / "absent.tsv")
+        read_edge_file(tmp_path / "absent.tsv", 1)
     with pytest.raises(MissingFile):
         load_dataset(tmp_path / "absent.json")
     # a missing file a manifest names, under a key no kind reads too, fails the load at once
@@ -703,7 +817,7 @@ def test_a_bad_arc_is_reported_before_a_bad_label_file(tmp_path):
     save_dataset(make_node_dataset(num_nodes=50, seed=0), out)
     edges = (out / "edges.tsv").read_text()
     (out / "labels.tsv").write_text("0\t1\t2\n")
-    for bad in ("999", "3000000000"):
+    for bad in ("999", "2147483648", "3000000000"):
         (out / "edges.tsv").write_text(f"{edges}3\t{bad}\n")
         with pytest.raises(BadId, match=f"arc endpoint {bad} out of range for 50 nodes"):
             load_dataset(out / "manifest.json")
@@ -818,8 +932,9 @@ def test_empty_collection_loads(tmp_path):
 @pytest.mark.parametrize("row, error, message", [
     ("3\t0\t99\n", BadId, r"graph 3: atom id 99 out of range"),
     ("5\t-1\t0\n", BadId, r"graph 5: atom id -1 out of range"),
+    ("4\t0\t3000000000\n", BadId, r"graph 4: atom id 3000000000 out of range"),
     ("6\t0\t2\n", AsymmetricGraph, r"graph 6: arc \(0,2\) has no reverse \(2,0\)"),
-], ids=["atom-too-large", "atom-negative", "one-way-bond"])
+], ids=["atom-too-large", "atom-negative", "atom-past-int32", "one-way-bond"])
 def test_collection_arc_errors_name_the_graph(tmp_path, row, error, message):
     ds = make_molecule_collection(num_graphs=10, seed=2)
     ds.collection.graphs[6] = Graph.from_arcs(3, [0, 1], [1, 0])  # no bond 0-2 yet
@@ -1031,6 +1146,23 @@ def test_node_dataset_load_peaks_below_one_and_three_quarter_times_what_it_keeps
     assert peak <= 1.75 * kept
 
 
+def test_a_1e5_node_load_peaks_under_fourteen_mib(tmp_path):
+    # ids parse as int32, so each key is written over its own 8-byte (u, v) row, and the meta
+    # and split tokens parse as bytes: +12.48 MiB measured on this graph (numpy 2.4.6), against
+    # +20.11 MiB with int64 ids and str tokens; the bound leaves 1.5 MiB of margin
+    manifest = save_dataset(make_node_dataset(num_nodes=100_000, seed=0), tmp_path / "d")
+    np.char.str_len(np.array([b""]))  # numpy.char's first import is not the load's
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ds = load_dataset(manifest)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert ds.graph.num_arcs > 990_000
+    assert peak <= 14 * 2**20
+
+
 @pytest.mark.parametrize("token", ["2", "7", "-1", "x", "01"])
 def test_a_sensitive_attr_other_than_0_1_or_dash_is_a_bad_id(tmp_path, token):
     # a unit of any other value would fall in neither demographic group
@@ -1061,8 +1193,8 @@ def test_saving_a_node_graph_builds_no_source_per_arc(tmp_path):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    src, dst = read_edge_file(tmp_path / "d" / "edges.tsv")
-    assert src.tolist() == g.arcs()[0].tolist() and dst.tolist() == g.neighbors.tolist()
+    edges = read_edge_file(tmp_path / "d" / "edges.tsv", g.num_nodes)
+    assert edges["c0"].tolist() == g.arcs()[0].tolist() and edges["c1"].tolist() == g.neighbors.tolist()
     assert g.num_arcs > 500_000
     assert peak < 4 * g.num_arcs
 
