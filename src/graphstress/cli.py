@@ -45,6 +45,7 @@ from .errors import (
     ConfigError,
     DegenerateGroup,
     EmptySubgraph,
+    LengthMismatch,
     MissingInput,
     NoTrainLabels,
     PartialFailure,
@@ -67,7 +68,7 @@ from .graph_store import (
     write_table,
     write_triple_file,
 )
-from .imbalance import DEFAULT_RHOS, build_spec, major_minor_recall, step_downsample, train_units_by_class
+from .imbalance import DEFAULT_RHOS, build_spec, major_minor_recall, step_downsample
 from .interpret import (
     K_PERCENT_LEVELS,
     RANKINGS,
@@ -230,7 +231,7 @@ def _imbalanced(dataset: Dataset, rho: float, seed: int):
     # an unlabeled train unit's label is num_classes: it counts in no class
     spec = build_spec(np.bincount(g.labels[train], minlength=g.num_classes + 1)[:-1], rho)
     key = derive_key("imbalance", dataset.name, "downsample", int(rho), seed)
-    kept = step_downsample(train_units_by_class(g.labels, train, g.num_classes), spec, key)
+    kept = step_downsample(g.labels, train, spec, key)
     dropped = np.zeros(split.num_units, dtype=bool)
     dropped[train] = True
     dropped[kept] = False
@@ -496,7 +497,12 @@ def cmd_report(args) -> int:
     values_dir = Path(args.results) / "values"
     if not values_dir.is_dir():
         raise MissingInput(f"no values directory under {args.results}")
-    records = [read_json(path, RECORD_KEYS) for path in sorted(values_dir.glob("*.json"))]
+    records, first = [], {}  # first: a cell's key -> the values file that holds it
+    for path in sorted(values_dir.glob("*.json")):
+        records.append(rec := read_json(path, RECORD_KEYS))
+        key = (rec["axis"], rec["subcondition"], rec["dataset"], rec["method"])
+        if first.setdefault(key, path) != path:
+            raise LengthMismatch(f"{path}: holds the cell {key} that {first[key]} holds")
     report = _build_report(records, {"tool_version": __version__})
     out = Path(args.out)
     emit_report(report, json_path=out.with_suffix(".json"), csv_path=out.with_suffix(".csv"))
@@ -639,9 +645,9 @@ INAPPLICABLE = "inapplicable"
 # the keys of a values/*.json record and of emit.json -> (test, what a valid value is)
 RECORD_KEYS = {**dict.fromkeys(("axis", "subcondition", "dataset", "method"),
                                (lambda v: isinstance(v, str), "a string")),
-               "values": (lambda values: isinstance(values, list) and all(
+               "values": (lambda values: isinstance(values, list) and len(values) > 0 and all(
                               v is None or v == INAPPLICABLE or _is_number(v) for v in values),
-                          'a list of numbers, null or "inapplicable"')}
+                          'a list of numbers, null or "inapplicable", not empty')}
 EMIT_KEYS = {"k_levels": PARAMS["k_levels"][1:],
              "targets": (lambda ts: isinstance(ts, list) and all(_is_int(t) and t >= 0 for t in ts),
                          "a list of non-negative integers")}

@@ -60,38 +60,21 @@ def build_spec(train_counts: np.ndarray, rho: float) -> ImbalanceSpec:
                          n_major=n_major, targets=targets)
 
 
-def step_downsample(train_units: dict[int, np.ndarray], spec: ImbalanceSpec,
+def step_downsample(labels: np.ndarray, train: np.ndarray, spec: ImbalanceSpec,
                     key: StreamKey) -> np.ndarray:
-    """Select the kept training units under the imbalance plan.
-
-    Each minor class keeps the target-count units with the lowest
-    uniform(key, unit_id) priority (unit id breaking exact ties), so the
-    selection depends only on the unit ids and the key, never on iteration
-    order. A minor class already at or below target is kept whole.
-    """
-    kept = []
-    for cls in sorted(train_units):
-        units = np.asarray(train_units[cls], dtype=np.int64)
-        target = spec.targets.get(int(cls), len(units))
-        if int(cls) in spec.minor_classes and len(units) > target:
-            priority = uniform(key, units)
-            order = np.lexsort((units, priority))
-            units = np.sort(units[order[:target]])
-        kept.append(units)
-    return np.sort(np.concatenate(kept)) if kept else np.empty(0, dtype=np.int64)
-
-
-def train_units_by_class(labels: np.ndarray, train_set: np.ndarray,
-                         num_classes: int) -> dict[int, np.ndarray]:
-    """Group a train unit set by label; classes absent from train are omitted."""
-    train_set = np.asarray(train_set, dtype=np.int64)
-    labels = np.asarray(labels)
-    out = {}
-    for cls in range(num_classes):
-        units = train_set[labels[train_set] == cls]
-        if len(units):
-            out[cls] = units
-    return out
+    """The train units kept under the imbalance plan, ascending. Each minor class keeps its
+    target count of units with the lowest uniform(key, unit_id), unit id breaking ties, whatever
+    their order in ``train``; a unit whose label has no target (unlabeled) is dropped."""
+    train = np.asarray(train, dtype=np.int64)
+    keep = np.zeros(len(train), dtype=bool)
+    for cls, target in spec.targets.items():  # a major class's target is its whole count
+        in_cls = np.asarray(labels)[train] == cls
+        units = train[in_cls]
+        if len(units) > target:
+            order = np.lexsort((units, uniform(key, units)))
+            in_cls[np.flatnonzero(in_cls)[order[target:]]] = False
+        keep |= in_cls
+    return np.sort(train[keep])
 
 
 def major_minor_recall(predictions: PredictionTable, labels: np.ndarray,

@@ -211,10 +211,10 @@ def read_prediction_file(path) -> PredictionTable:
     num_classes = read_header(path, "#num_classes")
     if not num_classes.isdecimal() or int(num_classes) < 1:
         raise LengthMismatch(f"{path}: class count {num_classes!r} is not a positive integer")
-    ids, *columns = read_table(path, (np.int64,) + (np.float64,) * int(num_classes))
+    ids, rows = read_table(path, (np.int64, (np.float64, (int(num_classes),))))
     if not len(ids):
         raise EmptyEvalSet(f"{path}: no prediction rows")
-    return PredictionTable(ids.copy(), np.column_stack(columns), source=str(path))
+    return PredictionTable(ids, rows, source=str(path))
 
 
 def write_prediction_file(path, table: PredictionTable) -> None:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from graphstress.determinism import uniform
+
 
 def confusion_matrix(true, predicted, num_classes):
     cm = np.zeros((num_classes, num_classes), dtype=np.int64)
@@ -90,6 +92,38 @@ def scaffold_split_oracle(scaffold_ids, visit_order, ratios=(0.8, 0.1, 0.1)):
                 roles[i] = 1  # VAL
         assigned += len(members)
     return roles
+
+
+def train_units_by_class_oracle(labels, train_set, num_classes):
+    """Group a train unit set by label; classes absent from train, and labels outside
+    0..num_classes-1 (unlabeled units), are omitted."""
+    train_set = np.asarray(train_set, dtype=np.int64)
+    labels = np.asarray(labels)
+    out = {}
+    for cls in range(num_classes):
+        units = train_set[labels[train_set] == cls]
+        if len(units):
+            out[cls] = units
+    return out
+
+
+def step_downsample_oracle(train_units, spec, key):
+    """The kept train units of an imbalance plan, class by class from a class -> units dict.
+
+    Each minor class over its target keeps the target-count units with the lowest
+    uniform(key, unit_id) priority, unit id breaking exact ties; every other class is kept
+    whole. The classes' kept units are concatenated and sorted.
+    """
+    kept = []
+    for cls in sorted(train_units):
+        units = np.asarray(train_units[cls], dtype=np.int64)
+        target = spec.targets.get(int(cls), len(units))
+        if int(cls) in spec.minor_classes and len(units) > target:
+            priority = uniform(key, units)
+            order = np.lexsort((units, priority))
+            units = np.sort(units[order[:target]])
+        kept.append(units)
+    return np.sort(np.concatenate(kept)) if kept else np.empty(0, dtype=np.int64)
 
 
 def bfs_hops_oracle(adjacency, center, hops):

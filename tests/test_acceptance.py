@@ -357,8 +357,11 @@ def test_criterion_5_split_invariants(caplog):
             for cls in range(c):
                 units[cls] = np.arange(cursor, cursor + counts[cls], dtype=np.int64)
                 cursor += int(counts[cls])
-            kept = step_downsample(units, spec, derive_key("imbalance", "prop", "down", 0, case))
             train_ids = np.concatenate(list(units.values()))
+            labels = np.full(cursor, -1, dtype=np.int64)
+            labels[base:] = np.repeat(np.arange(c), counts)
+            kept = step_downsample(labels, train_ids, spec,
+                                   derive_key("imbalance", "prop", "down", 0, case))
             assert np.all(np.isin(kept, train_ids))
             assert not val_ids & set(kept.tolist())
             for cls in range(c):

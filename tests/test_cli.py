@@ -623,6 +623,8 @@ def _without(key):
     ("values", lambda r: {**r, "values": 5}, 'values must be a list of numbers, null or "inap'),
     ("values", lambda r: {**r, "values": ["abc"]}, "values must be a list of numbers"),
     ("values", lambda r: {**r, "axis": 3}, "axis must be a string, got 3"),
+    ("values", lambda r: {**r, "values": []}, 'values must be a list of numbers, null or '
+                                              '"inapplicable", not empty, got []'),
     ("emit", "{", "does not parse as JSON"),
     ("emit", _without("k_levels"), "lacks the key 'k_levels'"),
     ("emit", lambda e: {**e, "k_levels": 5}, "k_levels must be a non-empty list of distinct"),
@@ -631,7 +633,7 @@ def _without(key):
         "manifest-num-nodes-string", "manifest-negative-count", "manifest-file-not-a-string",
         "manifest-name-not-a-string", "manifest-undirected-string", "manifest-kind-list",
         "values-no-parse", "values-no-subcondition", "values-not-a-list", "values-string",
-        "values-axis-not-a-string", "emit-no-parse", "emit-no-k-levels", "emit-k-levels-int",
+        "values-axis-not-a-string", "values-empty", "emit-no-parse", "emit-no-k-levels", "emit-k-levels-int",
         "emit-negative-target"])
 def test_malformed_json_input_exits_2(tmp_path, monkeypatch, capsys, document, change, named):
     monkeypatch.chdir(tmp_path)
@@ -1867,6 +1869,23 @@ def test_report_command_regenerates_cells(small_ds, tmp_path):
     run_csv = (out / "report.csv").read_bytes()
     rebuilt_csv = prefix.with_suffix(".csv").read_bytes()
     assert rebuilt_csv == run_csv
+
+
+@pytest.mark.parametrize("copied", [["inapplicable"], [12.5]], ids=["same", "other"])
+def test_report_refuses_two_values_files_of_one_cell(tmp_path, monkeypatch, capsys, copied):
+    # a second record of a cell used to replace the first, the later file in name order winning
+    monkeypatch.chdir(tmp_path)
+    Path("r/values").mkdir(parents=True)
+    record = {"axis": "fairness", "subcondition": "d_eo", "dataset": "tiny", "method": "m",
+              "seeds": [0], "values": ["inapplicable"]}
+    first = Path("r/values/fairness.d_eo.tiny.m.json")
+    first.write_text(json.dumps(record))
+    copy = Path("r/values/fairness.d_eo.tiny.m.old.json")
+    copy.write_text(json.dumps({**record, "values": copied}))
+    assert main(["report", "--results", "r", "--out", "rep"]) == 2
+    assert (f"LengthMismatch: {copy}: holds the cell ('fairness', 'd_eo', 'tiny', 'm') that "
+            f"{first} holds") in capsys.readouterr().err
+    assert not Path("rep.json").exists()
 
 
 def test_report_without_values_exits_2(tmp_path):

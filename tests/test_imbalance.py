@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphstress.determinism import derive_key
@@ -13,9 +13,9 @@ from graphstress.imbalance import (
     major_minor_recall,
     partition_classes,
     step_downsample,
-    train_units_by_class,
 )
 from graphstress.metrics import PredictionTable
+from oracles import step_downsample_oracle, train_units_by_class_oracle
 
 KEY = derive_key("imbalance", "unit", "downsample", 10, 0)
 
@@ -71,14 +71,23 @@ def test_build_spec_floor_and_minimum():
     assert spec.targets[2] == 4  # floor(45/10)
 
 
+def _labeled(units):
+    """(labels, train) of a class -> units dict: train in the dict's order, and every id
+    outside it labeled -1."""
+    train = np.concatenate(list(units.values()))
+    labels = np.full(train.max() + 1, -1, dtype=np.int64)
+    for cls, ids in units.items():
+        labels[ids] = cls
+    return labels, train
+
+
 def test_downsample_recount_oracle():
     rng = np.random.default_rng(0)
     labels = rng.integers(0, 4, size=400).astype(np.int64)
     train_set = np.arange(0, 400, 2, dtype=np.int64)
     counts = np.bincount(labels[train_set], minlength=4)
     spec = build_spec(counts, rho=10.0)
-    units = train_units_by_class(labels, train_set, 4)
-    kept = step_downsample(units, spec, KEY)
+    kept = step_downsample(labels, train_set, spec, KEY)
     kept_counts = np.bincount(labels[kept], minlength=4)
     for cls in spec.major_classes:
         assert kept_counts[cls] == counts[cls]  # majors untouched
@@ -91,25 +100,26 @@ def test_downsample_recount_oracle():
 def test_downsample_order_independence():
     units = {0: np.array([5, 1, 9, 3]), 1: np.array([2, 8, 4, 6, 0, 7])}
     spec = build_spec(np.array([4, 6]), rho=3.0)
-    a = step_downsample(units, spec, KEY)
+    a = step_downsample(*_labeled(units), spec, KEY)
     shuffled = {1: units[1][::-1].copy(), 0: units[0][[2, 0, 3, 1]]}
-    b = step_downsample(shuffled, spec, KEY)
+    b = step_downsample(*_labeled(shuffled), spec, KEY)
     assert np.array_equal(a, b)
 
 
 def test_downsample_deterministic_and_key_sensitive():
     units = {0: np.arange(50), 1: np.arange(50, 120)}
     spec = build_spec(np.array([50, 70]), rho=5.0)
-    a = step_downsample(units, spec, KEY)
-    assert np.array_equal(a, step_downsample(units, spec, KEY))
-    other = step_downsample(units, spec, derive_key("imbalance", "unit", "downsample", 10, 1))
+    a = step_downsample(*_labeled(units), spec, KEY)
+    assert np.array_equal(a, step_downsample(*_labeled(units), spec, KEY))
+    other = step_downsample(*_labeled(units), spec,
+                            derive_key("imbalance", "unit", "downsample", 10, 1))
     assert not np.array_equal(a, other)
 
 
 def test_downsample_selection_matches_priority_oracle():
     units = {0: np.arange(30), 1: np.arange(30, 60)}
     spec = build_spec(np.array([30, 30]), rho=6.0)
-    kept = step_downsample(units, spec, KEY)
+    kept = step_downsample(*_labeled(units), spec, KEY)
     from graphstress.determinism import uniform
     minor = spec.minor_classes[0]
     ids = units[minor]
@@ -122,9 +132,8 @@ def test_val_and_test_untouched_by_protocol():
     # the plan only ever references train unit ids
     labels = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=np.int64)
     train_set = np.array([0, 1, 4, 5])
-    units = train_units_by_class(labels, train_set, 2)
     spec = build_spec(np.bincount(labels[train_set]), rho=2.0)
-    kept = step_downsample(units, spec, KEY)
+    kept = step_downsample(labels, train_set, spec, KEY)
     assert set(kept.tolist()) <= set(train_set.tolist())
 
 
@@ -206,7 +215,7 @@ def test_downsample_property(count_list, rho, seed):
             units[cls] = np.arange(start, start + c, dtype=np.int64)
             start += c
     key = derive_key("imbalance", "prop", "downsample", int(rho), seed)
-    kept = step_downsample(units, spec, key)
+    kept = step_downsample(*_labeled(units), spec, key)
     for cls, ids in units.items():
         got = int(np.isin(kept, ids).sum())
         if cls in spec.minor_classes:
@@ -214,3 +223,26 @@ def test_downsample_property(count_list, rho, seed):
             assert got >= 1
         else:
             assert got == len(ids)
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_downsample_equals_the_per_class_oracle(data):
+    # random labels, label num_classes marking an unlabeled unit; a train set of distinct
+    # units in any order and either id width; any rho and key
+    num_classes = data.draw(st.integers(2, 6))
+    n = data.draw(st.integers(2, 150))
+    labels = np.array(data.draw(st.lists(st.integers(0, num_classes), min_size=n, max_size=n)))
+    order = data.draw(st.permutations(range(n)))
+    train = np.array(order[:data.draw(st.integers(0, n))],
+                     dtype=data.draw(st.sampled_from([np.int32, np.int64])))
+    counts = np.bincount(labels[train], minlength=num_classes + 1)[:-1]
+    assume(np.count_nonzero(counts) >= 2)
+    rho = data.draw(st.sampled_from([1.5, 2.0, 5.0, 10.0, 20.0, 100.0]))
+    spec = build_spec(counts, rho)
+    key = derive_key("imbalance", "prop", "downsample", int(rho), data.draw(st.integers(0, 999)))
+    expected = step_downsample_oracle(train_units_by_class_oracle(labels, train, num_classes),
+                                      spec, key)
+    kept = step_downsample(labels, train, spec, key)
+    assert kept.dtype == np.int64
+    assert np.array_equal(kept, expected)

@@ -380,6 +380,28 @@ def test_prediction_file_errors(tmp_path):
         read_prediction_file(p)
 
 
+def test_a_1e5_row_prediction_file_peaks_under_five_mib(tmp_path):
+    # the table keeps the parsed record array, 24 B a row for 2 classes (2.29 MiB), as its
+    # ids and rows, and its unit order (0.76 MiB); the read peaks at +4.68 MiB (numpy 2.4.6), in
+    # the row-sum check. A copy of the ids (+0.76 MiB) or a stacked copy of the probabilities
+    # (+1.53 MiB) passes 5 MiB
+    n = 100_000
+    p = tmp_path / "big.pred"
+    with open(p, "w") as f:
+        f.write("#num_classes\t2\n")
+        f.writelines(f"{i}\t0.25\t0.75\n" for i in range(n))
+    read_prediction_file(p)  # a process's first parse imports modules
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        table = read_prediction_file(p)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert table.rows.shape == (n, 2) and table.unit_ids[-1] == n - 1
+    assert peak <= 5 * 2**20
+
+
 def test_ranking_file_round_trip(tmp_path):
     q = np.array([0, 0, 1], dtype=np.int64)
     c = np.array([4, 5, 4], dtype=np.int64)
