@@ -649,8 +649,8 @@ RECORD_KEYS = {**dict.fromkeys(("axis", "subcondition", "dataset", "method"),
                               v is None or v == INAPPLICABLE or _is_number(v) for v in values),
                           'a list of numbers, null or "inapplicable", not empty')}
 EMIT_KEYS = {"k_levels": PARAMS["k_levels"][1:],
-             "targets": (lambda ts: isinstance(ts, list) and all(_is_int(t) and t >= 0 for t in ts),
-                         "a list of non-negative integers")}
+             "targets": (lambda ts: ts == [] or _distinct_list(ts, lambda t: _is_int(t) and t >= 0),
+                         "a list of non-negative integers, each once")}
 
 
 def _cell_from_values(values: list) -> MetricCell:

@@ -37,8 +37,6 @@ def feature_noise(features: np.ndarray, train_mask: np.ndarray, sigma_rel: float
     train_mask = np.asarray(train_mask, dtype=np.int64)
     if len(train_mask) == 0:
         raise EmptyTrainMask("feature noise needs a nonempty train mask")
-    if sigma_rel == 0:
-        return features.copy()
     std = features[train_mask].astype(np.float64).std(axis=0)  # population std
     scale, constant = sigma_rel * std[None, :], std == 0.0
     n, d = features.shape

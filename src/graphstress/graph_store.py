@@ -221,10 +221,11 @@ class Graph:
 
     @classmethod
     def _from_keys(cls, num_nodes: int, keys: np.ndarray, **kwargs) -> "Graph":
-        """The graph of the int64 arc keys ``keys``, not yet validated. It sorts them in place
-        and moves the first of each key to the front, a block at a time; the offsets are a
-        ``searchsorted`` of the row starts in them, and the neighbors, in ``_id_dtype``, their
-        remainders. The caller validates the graph once it has let the key buffer go."""
+        """The graph of the int64 arc keys ``keys``, which ``_arc_keys`` range-checked. It sorts
+        them in place and moves the first of each key to the front, a block at a time; the
+        offsets are a ``searchsorted`` of the row starts in them, and the neighbors, in
+        ``_id_dtype``, their remainders. So each row ascends without repeats; the caller checks
+        the rest with ``validate_graph`` once it has let the key buffer go."""
         keys.sort()
         kept = 0  # distinct keys moved to the front so far
         for lo in range(0, len(keys), _ROW_BLOCK):
@@ -313,30 +314,14 @@ def _claim(cursor: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def validate_graph(g: Graph) -> None:
-    """Check every structural invariant; raises on the first violation."""
-    if len(g.offsets) != g.num_nodes + 1:
-        raise LengthMismatch("offsets length must be num_nodes + 1")
-    if g.offsets[0] != 0 or np.any(np.diff(g.offsets) < 0):
-        raise LengthMismatch("offsets must start at 0 and be nondecreasing")
-    if g.offsets[-1] != len(g.neighbors):
-        raise LengthMismatch("offsets[-1] must equal len(neighbors)")
-    if len(g.neighbors) and (g.neighbors.min() < 0 or g.neighbors.max() >= g.num_nodes):
-        raise BadId(f"neighbor id out of range for {g.num_nodes} nodes")
-    # each neighbor list strictly ascends: sorted, no duplicate; a row's first entry is exempt
-    for a, b, lo, hi in g._row_blocks():
-        block = g.neighbors[lo:hi]
-        ascends = np.empty(hi - lo + 1, dtype=bool)
-        np.greater(block[1:], block[:-1], out=ascends[1:-1])
-        ascends[g.offsets[a:b + 1] - lo] = True
-        if not ascends.all():
-            raise LengthMismatch("neighbor lists must be sorted ascending without duplicates")
+    """Check what ``Graph._from_keys`` (in-range rows that ascend without repeats) leaves
+    open: an undirected graph holds every arc's reverse, and features (finite), labels and
+    meta have one row per node. Raises on the first violation."""
     if g.undirected:
-        check_symmetry(g)
-    check_node_fields(g)
-
-
-def check_node_fields(g: Graph) -> None:
-    """Check that features, labels and meta, where given, have one row per node."""
+        arc = _one_way_arc(g)
+        if arc is not None:
+            u, v = arc
+            raise AsymmetricGraph(f"arc ({u},{v}) has no reverse ({v},{u})")
     if g.features is not None:
         if g.features.shape[0] != g.num_nodes:
             raise LengthMismatch("feature rows must equal num_nodes")
@@ -348,14 +333,6 @@ def check_node_fields(g: Graph) -> None:
         arr = getattr(g.meta, name)
         if arr is not None and len(arr) != g.num_nodes:
             raise LengthMismatch(f"meta {name} length must equal num_nodes")
-
-
-def check_symmetry(g: Graph) -> None:
-    """Verify the undirected invariant: reverse of every non-loop arc present."""
-    arc = _one_way_arc(g)
-    if arc is not None:
-        u, v = arc
-        raise AsymmetricGraph(f"arc ({u},{v}) has no reverse ({v},{u})")
 
 
 def _one_way_arc(g: Graph) -> tuple[int, int] | None:
@@ -884,8 +861,8 @@ def load_dataset(manifest_path) -> Dataset:
         meta = NodeMeta()
         if manifest.get("meta_file"):
             meta = read_meta_file(base / manifest["meta_file"], num_nodes)
-        # each reader checks its field against num_nodes; check_node_fields is not called, as
-        # its finiteness test would read the whole feature map that read_feature_file streamed
+        # each reader checks its field against num_nodes; validate_graph ran before they were
+        # attached, as its finiteness test would read the whole map read_feature_file streamed
         graph = replace(graph, features=features, labels=labels, num_classes=num_classes, meta=meta)
         split = None
         if manifest.get("split_file"):
@@ -969,7 +946,6 @@ def _collection_graphs(path, sizes: np.ndarray, undirected: bool) -> GraphBlock:
     del src, dst
     block = Graph._from_keys(int(ptr[-1]), keys, undirected=False)
     del keys
-    validate_graph(block)
     if undirected:
         arc = _one_way_arc(block)
         if arc is not None:

@@ -77,12 +77,6 @@ def mask_count(k_percent: float, m: int) -> int:
     return max(1, math.ceil(k_percent * m / 100.0))
 
 
-def rank_and_mask(edge_scores: np.ndarray, k_percent: float, key: StreamKey,
-                  ranking: str) -> tuple[np.ndarray, np.ndarray]:
-    """Split unit indices into (masked, complement) under one ranking."""
-    return _split(_mask_order(edge_scores, key, ranking), k_percent)
-
-
 def _mask_order(edge_scores: np.ndarray, key: StreamKey, ranking: str) -> np.ndarray:
     """Unit indices in the order a ranking masks them, the same at every sparsity.
 

@@ -68,10 +68,12 @@ class PredictionTable:
             raise LengthMismatch("one probability row per unit id required")
         if not np.all(np.isfinite(self.rows)):
             raise BadProbability("prediction rows must be finite")
-        if self.num_classes > 1:
+        if self.num_classes > 1:  # in place, and freed before the unit order is built
             sums = self.rows.sum(axis=1)
-            if np.any(np.abs(sums - 1.0) > 1e-4):
+            sums -= 1.0
+            if np.any(np.abs(sums, out=sums) > 1e-4):
                 raise BadProbability("probability rows must sum to 1 within 1e-4")
+            del sums
         self._order = unit_order(self.unit_ids, self.source)
 
     @property
@@ -183,15 +185,6 @@ def _midranks(scores: np.ndarray) -> np.ndarray:
     return ((start + end + 1) / 2.0)[inverse]
 
 
-def rank_of_true(scores: np.ndarray, true_index: int) -> float:
-    """Average-tie rank of one candidate: better + equal-others/2 + 1."""
-    scores = np.asarray(scores, dtype=np.float64)
-    s = scores[true_index]
-    better = int(np.sum(scores > s))
-    equal_others = int(np.sum(scores == s)) - 1
-    return better + equal_others / 2.0 + 1.0
-
-
 def mrr(ranks: np.ndarray) -> float:
     ranks = np.asarray(ranks, dtype=np.float64)
     return float(np.mean(1.0 / ranks))
@@ -248,10 +241,11 @@ def ranks_from_ranking(queries: np.ndarray, cands: np.ndarray, scores: np.ndarra
     """Average-tie rank of the true candidate within each query's score list.
 
     Query q's true candidate is ``truth[q]``. One rank per query, in id order:
-    ``rank_of_true`` over its rows at the first row in table order holding the
-    true candidate. MissingPrediction names the least table id outside
-    0..len(truth)-1 or whose true candidate is not scored, else the least query
-    with no rows. Works on ``_RANK_ROWS`` rows at a time: no temporary spans the table.
+    better + equal-others/2 + 1 over its rows, for the score of the first row
+    in table order holding the true candidate. MissingPrediction names the
+    least table id outside 0..len(truth)-1 or whose true candidate is not
+    scored, else the least query with no rows. Works on ``_RANK_ROWS`` rows at a
+    time: no temporary spans the table.
     """
     if len(queries) == 0:
         raise EmptyQuerySet("ranking table is empty")

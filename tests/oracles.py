@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from graphstress.determinism import uniform
+from graphstress.interpret import _mask_order, _split
 
 
 def confusion_matrix(true, predicted, num_classes):
@@ -70,6 +71,11 @@ def rank_oracle(scores, true_index):
     best = better + 1
     worst = better + equal
     return (best + worst) / 2.0
+
+
+def rank_and_mask(edge_scores, k_percent, key, ranking):
+    """One condition's (masked, complement) unit indices, split from the ranking's mask order."""
+    return _split(_mask_order(edge_scores, key, ranking), k_percent)
 
 
 def scaffold_split_oracle(scaffold_ids, visit_order, ratios=(0.8, 0.1, 0.1)):

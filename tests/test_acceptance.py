@@ -21,13 +21,12 @@ from graphstress.graph_store import (
     Graph,
     Role,
     TripleStore,
-    check_symmetry,
     remove_edges,
     save_dataset,
     validate_graph,
 )
 from graphstress.imbalance import build_spec, step_downsample
-from graphstress.interpret import char_lift, fidelity, mask_count, rank_and_mask
+from graphstress.interpret import char_lift, fidelity, mask_count
 from graphstress.metrics import (
     PredictionTable,
     accuracy,
@@ -36,7 +35,7 @@ from graphstress.metrics import (
     macro_f1,
     mrr,
     per_class_recall,
-    rank_of_true,
+    ranks_from_ranking,
     roc_auc,
 )
 from graphstress.ood_splits import (
@@ -53,7 +52,9 @@ from oracles import (
     auc_pairwise_oracle,
     canonical_edges_oracle,
     confusion_matrix,
+    rank_and_mask,
     rank_oracle,
+    rows_ascend_oracle,
 )
 
 
@@ -158,8 +159,8 @@ def test_criterion_2_edge_deletion_statistics():
         for seed in range(20):
             key = derive_key("corruption", "edgestats", "edge_delete", 0, seed)
             deleted_graph = remove_edges(g, edge_delete(g, [p], key) < 1)
-            validate_graph(deleted_graph)
-            check_symmetry(deleted_graph)
+            validate_graph(deleted_graph)  # symmetric
+            assert rows_ascend_oracle(deleted_graph)
             edges, self_loops = canonical_edges_oracle(deleted_graph)
             deleted = m - len(edges)
             assert abs(deleted - m * p) <= bound, f"seed {seed}: deleted {deleted}"
@@ -235,15 +236,20 @@ def test_criterion_4_metric_oracles():
             assert roc_auc(scores, labels) == pytest.approx(
                 auc_pairwise_oracle(scores.tolist(), labels.tolist()), abs=1e-12)
 
-        # ranking: average-tie ranks vs a full-sort oracle, then MRR / Hits@10
-        impl_ranks, oracle_ranks = [], []
-        for _ in range(300):
+        # ranking: the kernel's average-tie ranks, one query per draw, vs a full-sort oracle,
+        # then MRR / Hits@10
+        queries, cands, scores, truth, oracle_ranks = [], [], [], [], []
+        for q in range(300):
             n_cand = int(rng.integers(2, 50))
-            scores = rng.choice(np.linspace(-1.0, 1.0, 7), n_cand)
+            row = rng.choice(np.linspace(-1.0, 1.0, 7), n_cand).tolist()
             true_idx = int(rng.integers(0, n_cand))
-            impl_ranks.append(rank_of_true(scores, true_idx))
-            oracle_ranks.append(rank_oracle(scores.tolist(), true_idx))
-        impl_ranks = np.array(impl_ranks)
+            queries += [q] * n_cand
+            cands += range(n_cand)
+            scores += row
+            truth.append(true_idx)
+            oracle_ranks.append(rank_oracle(row, true_idx))
+        impl_ranks = ranks_from_ranking(np.array(queries), np.array(cands), np.array(scores),
+                                        np.array(truth))
         oracle_ranks = np.array(oracle_ranks)
         assert np.array_equal(impl_ranks, oracle_ranks)
         assert mrr(impl_ranks) == float(np.mean(1.0 / oracle_ranks))

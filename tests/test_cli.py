@@ -629,12 +629,14 @@ def _without(key):
     ("emit", _without("k_levels"), "lacks the key 'k_levels'"),
     ("emit", lambda e: {**e, "k_levels": 5}, "k_levels must be a non-empty list of distinct"),
     ("emit", lambda e: {**e, "targets": [3, -1]}, "targets must be a list of non-negative"),
+    ("emit", lambda e: {**e, "targets": [2, 2]}, "targets must be a list of non-negative integers, "
+                                                 "each once, got [2, 2]"),
 ], ids=["manifest-list", "manifest-no-num-nodes", "manifest-no-edge-file",
         "manifest-num-nodes-string", "manifest-negative-count", "manifest-file-not-a-string",
         "manifest-name-not-a-string", "manifest-undirected-string", "manifest-kind-list",
         "values-no-parse", "values-no-subcondition", "values-not-a-list", "values-string",
         "values-axis-not-a-string", "values-empty", "emit-no-parse", "emit-no-k-levels", "emit-k-levels-int",
-        "emit-negative-target"])
+        "emit-negative-target", "emit-repeated-target"])
 def test_malformed_json_input_exits_2(tmp_path, monkeypatch, capsys, document, change, named):
     monkeypatch.chdir(tmp_path)
     manifest = save_dataset(make_node_dataset(name="tiny", num_nodes=60, num_classes=2, seed=4),

@@ -18,8 +18,8 @@ from graphstress.corruption import (
 )
 from graphstress.determinism import derive_key, uniform
 from graphstress.errors import DirectedGraph, EmptyTrainMask
-from graphstress.graph_store import Graph, check_symmetry, remove_edges
-from oracles import canonical_edges_oracle
+from graphstress.graph_store import Graph, remove_edges, validate_graph
+from oracles import canonical_edges_oracle, rows_ascend_oracle
 
 KEY = derive_key("corruption", "unit", "feature_noise", 1, 0)
 EDGE_KEY = derive_key("corruption", "unit", "edge_deletion", 0, 0)
@@ -159,7 +159,8 @@ def test_deletion_preserves_symmetry_and_payload(random_graph):
     random_graph.labels = np.zeros(random_graph.num_nodes, dtype=np.int64)
     random_graph.num_classes = 2
     out = _deleted(random_graph, 0.3, EDGE_KEY)
-    check_symmetry(out)
+    validate_graph(out)  # symmetric
+    assert rows_ascend_oracle(out)
     assert out.features is random_graph.features
     assert out.labels is random_graph.labels
     assert out.num_classes == 2
@@ -268,7 +269,8 @@ def test_deletion_mask_matches_graph_property(p, seed):
     out = _deleted(g, p, key)
     # edge i of the (u, v)-sorted listing goes exactly when mask[i] is set
     assert canonical_edges_oracle(out)[0] == [e for e, d in zip(edges, mask) if not d]
-    check_symmetry(out)
+    validate_graph(out)  # symmetric
+    assert rows_ascend_oracle(out)
 
 
 @given(st.floats(0.05, 3.0), st.integers(0, 5))

@@ -15,7 +15,7 @@ from graphstress.errors import (
     MissingNodeScore,
     SeedCountMismatch,
 )
-from graphstress.graph_store import Graph, check_symmetry
+from graphstress.graph_store import Graph, validate_graph
 from graphstress.interpret import (
     K_PERCENT_LEVELS,
     SaliencyTable,
@@ -26,7 +26,6 @@ from graphstress.interpret import (
     fidelity,
     mask_count,
     masked_graph,
-    rank_and_mask,
     read_manifest_file,
     read_probs_file,
     read_saliency_file,
@@ -40,6 +39,8 @@ from oracles import (
     bfs_hops_oracle,
     canonical_edges_oracle,
     manifest_complement,
+    rank_and_mask,
+    rows_ascend_oracle,
 )
 
 KEY = derive_key("interpret", "unit", "mask", 0, 0)
@@ -268,7 +269,8 @@ def test_masked_graph_edge_kind(random_graph):
     manifest = build_edge_manifest(random_graph, 7, scores, KEY, 2, K_PERCENT_LEVELS)
     name = condition_name("saliency", "top", 50)
     out = masked_graph(random_graph, manifest, name)
-    check_symmetry(out)
+    validate_graph(out)  # symmetric
+    assert rows_ascend_oracle(out)
     removed = {tuple(e) for e in manifest.edges[manifest.conditions[name]].tolist()}
     remaining, loops = canonical_edges_oracle(out)
     assert set(remaining).isdisjoint(removed)

@@ -26,7 +26,6 @@ from graphstress.metrics import (
     macro_f1,
     mrr,
     per_class_recall,
-    rank_of_true,
     ranks_from_ranking,
     read_prediction_file,
     read_ranking_file,
@@ -205,19 +204,11 @@ def test_auc_negation_antisymmetry():
 # ---------------------------------------------------------------------------
 
 def test_rank_of_true_trivials():
-    assert rank_of_true(np.array([0.9, 0.1, 0.5]), 0) == 1.0
-    assert rank_of_true(np.array([0.9, 0.1, 0.5]), 1) == 3.0
-    # all five tied: rank (1+5)/2
-    assert rank_of_true(np.full(5, 0.3), 2) == 3.0
-
-
-def test_rank_of_true_matches_sort_oracle():
-    rng = np.random.default_rng(11)
-    for _ in range(300):
-        n = int(rng.integers(1, 30))
-        scores = np.floor(rng.random(n) * 4) / 4
-        idx = int(rng.integers(0, n))
-        assert rank_of_true(scores, idx) == rank_oracle(scores.tolist(), idx)
+    # the tie rule, better + equal-others/2 + 1: the best of three, the worst, one of five tied
+    three = [0.9, 0.1, 0.5]
+    ranks = ranks_from_ranking(np.repeat([0, 1, 2], [3, 3, 5]), np.array([0, 1, 2, 0, 1, 2, *range(5)]),
+                               np.array(three + three + [0.3] * 5), np.array([0, 1, 2]))
+    assert ranks.tolist() == [1.0, 3.0, 3.0]
 
 
 def test_mrr_and_hits():
@@ -380,11 +371,8 @@ def test_prediction_file_errors(tmp_path):
         read_prediction_file(p)
 
 
-def test_a_1e5_row_prediction_file_peaks_under_five_mib(tmp_path):
-    # the table keeps the parsed record array, 24 B a row for 2 classes (2.29 MiB), as its
-    # ids and rows, and its unit order (0.76 MiB); the read peaks at +4.68 MiB (numpy 2.4.6), in
-    # the row-sum check. A copy of the ids (+0.76 MiB) or a stacked copy of the probabilities
-    # (+1.53 MiB) passes 5 MiB
+def _traced_1e5_row_read(tmp_path):
+    """The table read from a 10^5-row, 2-class .pred file, and the read's traced peak."""
     n = 100_000
     p = tmp_path / "big.pred"
     with open(p, "w") as f:
@@ -399,7 +387,21 @@ def test_a_1e5_row_prediction_file_peaks_under_five_mib(tmp_path):
     finally:
         tracemalloc.stop()
     assert table.rows.shape == (n, 2) and table.unit_ids[-1] == n - 1
-    assert peak <= 5 * 2**20
+    return table, peak
+
+
+def test_a_1e5_row_prediction_file_peaks_under_five_mib(tmp_path):
+    # the table keeps the parsed record array, 24 B a row for 2 classes (2.29 MiB), as its
+    # ids and rows, and its unit order (0.76 MiB). A copy of the ids (+0.76 MiB) or a stacked
+    # copy of the probabilities (+1.53 MiB) passes 5 MiB
+    assert _traced_1e5_row_read(tmp_path)[1] <= 5 * 2**20
+
+
+def test_a_1e5_row_prediction_file_frees_its_row_sums_before_ordering(tmp_path):
+    # the read peaks at +3.91 MiB (numpy 2.4.6) while the unit order is built. The row-sum
+    # check works in its one row-sized array and frees it first; with two more row-sized
+    # temporaries (+4.58 MiB), or its array alive through the ordering (+4.68), it passes 4 MiB
+    assert _traced_1e5_row_read(tmp_path)[1] <= 4 * 2**20
 
 
 def test_ranking_file_round_trip(tmp_path):

@@ -24,8 +24,6 @@ UNREFERENCED_ON_PURPOSE = {
     "balanced_accuracy": "acceptance oracle of the imbalance metrics",
     "macro_f1": "acceptance oracle of the imbalance metrics",
     "cross_dataset": "acceptance oracle of cross-dataset aggregation",
-    "rank_of_true": "acceptance oracle of the segmented ranking kernel",
-    "rank_and_mask": "acceptance oracle of one condition's masked split",
     "load_report": "reads a written report back",
     "read_manifest_file": "external side of the manifest exchange",
     "write_probs_file": "external side of the probabilities exchange",
